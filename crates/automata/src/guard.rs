@@ -38,7 +38,6 @@ use rl_obs::{HistogramRegistry, Metric, MetricsRegistry, Span};
 
 use crate::error::AutomataError;
 use crate::opcache::OpCache;
-use crate::par::Pool;
 
 /// The resource dimensions a [`Budget`] can cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,11 +185,10 @@ impl fmt::Display for Progress {
 /// [`GuardProbe`]s: the limits, the clock, the cancel token, and atomic
 /// spend counters.
 ///
-/// Counters are relaxed atomics so one budget governs every worker of a
-/// parallel kernel: the merge thread charges, workers only *read* (through a
-/// probe) to decorate their deadline/cancellation errors with accurate
-/// partial diagnostics. On the sequential path the atomics are uncontended,
-/// so charging costs the same few nanoseconds as the old `Cell` fields.
+/// Counters are relaxed atomics: the checking thread charges, while
+/// `--progress` and serve heartbeats *read* them from another thread
+/// (through a probe). The atomics are uncontended, so charging costs the
+/// same few nanoseconds as plain `Cell` fields.
 #[derive(Debug)]
 struct GuardCore {
     budget: Budget,
@@ -212,62 +210,17 @@ impl GuardCore {
             phase,
         }
     }
-
-    /// Polls the cancel token and the wall-clock deadline; `phase` is
-    /// evaluated only when building an error's diagnostics.
-    fn check_now(&self, phase: impl FnOnce() -> Option<String>) -> Result<(), AutomataError> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(AutomataError::Cancelled(self.progress(phase())));
-            }
-        }
-        if let Some(deadline) = self.budget.deadline {
-            let elapsed = self.start.elapsed();
-            if elapsed > deadline {
-                return Err(AutomataError::BudgetExceeded {
-                    resource: Resource::WallClock,
-                    spent: elapsed.as_millis() as u64,
-                    limit: deadline.as_millis() as u64,
-                    partial: self.progress(phase()),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
-/// A `Send + Sync` window onto a [`Guard`]'s core, for the workers of a
-/// parallel kernel.
-///
-/// Workers hold a probe instead of the guard itself: [`GuardProbe::check`]
-/// polls the shared deadline and cancel token (like [`Guard::check_now`],
-/// without touching metrics — those stay on the owning thread), so a single
-/// `--timeout` or [`CancelToken`] observably stops every worker. Cloning is
-/// an `Arc` bump.
+/// A `Send + Sync` read-only window onto a [`Guard`]'s core, for heartbeat
+/// reporters that sample a check's progress from another thread. Cloning
+/// is an `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct GuardProbe {
     core: Arc<GuardCore>,
 }
 
 impl GuardProbe {
-    /// Immediately polls the shared cancel token and wall-clock deadline.
-    ///
-    /// # Errors
-    ///
-    /// [`AutomataError::Cancelled`] when the token has been cancelled,
-    /// [`AutomataError::BudgetExceeded`] when the deadline has passed — both
-    /// carrying the core's current [`Progress`] (phase-less: the phase span
-    /// lives with the owning [`Guard`]).
-    pub fn check(&self) -> Result<(), AutomataError> {
-        self.core.check_now(|| None)
-    }
-
-    /// Whether polling can ever fail: probes of an undeadlined,
-    /// uncancellable guard need not be consulted at all.
-    pub fn is_armed(&self) -> bool {
-        self.core.cancel.is_some() || self.core.budget.deadline.is_some()
-    }
-
     /// A phase-less snapshot of the shared counters — the live-progress
     /// feed: heartbeat reporters sample this off-thread while the owning
     /// guard keeps checking.
@@ -307,8 +260,8 @@ impl GuardProbe {
 /// The cheap per-iteration handle that construction loops tick.
 ///
 /// The budget/clock/counter core is `Arc`-shared (see [`GuardProbe`]); the
-/// guard itself additionally carries the thread-local observability hooks
-/// ([`MetricsRegistry`], [`OpCache`], a parallel [`Pool`]). The wall clock
+/// guard itself additionally carries the thread-local hooks
+/// ([`MetricsRegistry`], [`HistogramRegistry`], [`OpCache`]). The wall clock
 /// and the cancel flag are consulted only every [`Guard::CHECK_INTERVAL`]
 /// charges, so guarding adds a few nanoseconds per iteration.
 #[derive(Debug)]
@@ -317,7 +270,6 @@ pub struct Guard {
     metrics: Option<MetricsRegistry>,
     hists: Option<HistogramRegistry>,
     op_cache: Option<OpCache>,
-    pool: Option<Arc<Pool>>,
     lazy: bool,
     filters: bool,
 }
@@ -328,23 +280,7 @@ impl Guard {
 
     /// A guard enforcing `budget`, with the clock starting now.
     pub fn new(budget: Budget) -> Guard {
-        Guard {
-            core: Arc::new(GuardCore {
-                budget,
-                cancel: None,
-                start: Instant::now(),
-                states: AtomicUsize::new(0),
-                transitions: AtomicUsize::new(0),
-                frontier: AtomicUsize::new(0),
-                until_clock_check: AtomicU32::new(Self::CHECK_INTERVAL),
-            }),
-            metrics: None,
-            hists: None,
-            op_cache: None,
-            pool: None,
-            lazy: true,
-            filters: true,
-        }
+        Guard::build(budget, None)
     }
 
     /// A guard with no limits (never trips).
@@ -354,10 +290,14 @@ impl Guard {
 
     /// A guard that additionally trips when `token` is cancelled.
     pub fn with_cancel(budget: Budget, token: CancelToken) -> Guard {
+        Guard::build(budget, Some(token))
+    }
+
+    fn build(budget: Budget, cancel: Option<CancelToken>) -> Guard {
         Guard {
             core: Arc::new(GuardCore {
                 budget,
-                cancel: Some(token),
+                cancel,
                 start: Instant::now(),
                 states: AtomicUsize::new(0),
                 transitions: AtomicUsize::new(0),
@@ -367,7 +307,6 @@ impl Guard {
             metrics: None,
             hists: None,
             op_cache: None,
-            pool: None,
             lazy: true,
             filters: true,
         }
@@ -463,31 +402,8 @@ impl Guard {
         self.op_cache.as_ref()
     }
 
-    /// Attaches a worker [`Pool`]: guarded kernels above their parallel
-    /// threshold fan frontier expansion out across it (results are
-    /// bit-for-bit those of the sequential path — see `DESIGN.md` §10), and
-    /// the batch front end uses it to run whole checks concurrently.
-    ///
-    /// Without this call (or with a one-thread pool) every construction runs
-    /// on the calling thread, exactly as before.
-    pub fn with_pool(mut self, pool: Arc<Pool>) -> Guard {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The attached worker pool, if any.
-    pub fn pool(&self) -> Option<&Arc<Pool>> {
-        self.pool.as_ref()
-    }
-
-    /// The pool to fan work out on, when one is attached with at least two
-    /// workers — the kernels' "should I parallelize?" query.
-    pub fn par_pool(&self) -> Option<&Arc<Pool>> {
-        self.pool.as_ref().filter(|p| p.threads() >= 2)
-    }
-
-    /// A `Send + Sync` probe onto this guard's deadline/cancel state, for
-    /// handing to pool workers.
+    /// A `Send + Sync` probe onto this guard's progress counters, for
+    /// heartbeat reporters on other threads.
     pub fn probe(&self) -> GuardProbe {
         GuardProbe {
             core: self.core.clone(),
@@ -567,7 +483,7 @@ impl Guard {
     }
 
     /// Records a kernel timeline instant (e.g. per-layer width samples of
-    /// the parallel frontier expansions) on the registry's attached tracer.
+    /// the lazy inclusion search) on the registry's attached tracer.
     /// A no-op unless both a registry and a tracer are attached — in
     /// particular, it never touches the metric counters, so tracing cannot
     /// perturb deterministic totals.
@@ -650,8 +566,8 @@ impl Guard {
         if let Some(m) = &self.metrics {
             m.inc(Metric::GuardCharges);
         }
-        // Charges happen on the guard-owning thread only (workers poll a
-        // probe instead), so this load/store countdown stays exact.
+        // Charges happen on the guard-owning thread only, so this
+        // load/store countdown stays exact.
         let left = self.core.until_clock_check.load(Ordering::Relaxed);
         if left > 1 {
             self.core
@@ -672,8 +588,22 @@ impl Guard {
     /// [`AutomataError::Cancelled`] when the token has been cancelled,
     /// [`AutomataError::BudgetExceeded`] when the deadline has passed.
     pub fn check_now(&self) -> Result<(), AutomataError> {
-        self.core
-            .check_now(|| self.metrics.as_ref().and_then(|m| m.current_path()))
+        let core = &self.core;
+        if core.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Err(AutomataError::Cancelled(self.progress()));
+        }
+        if let Some(deadline) = core.budget.deadline {
+            let elapsed = core.start.elapsed();
+            if elapsed > deadline {
+                return Err(AutomataError::BudgetExceeded {
+                    resource: Resource::WallClock,
+                    spent: elapsed.as_millis() as u64,
+                    limit: deadline.as_millis() as u64,
+                    partial: self.progress(),
+                });
+            }
+        }
+        Ok(())
     }
 
     fn exceeded(&self, resource: Resource, spent: u64, limit: u64) -> AutomataError {
@@ -834,50 +764,6 @@ mod tests {
         g.note_cache_hit();
         g.note_cache_hit();
         assert_eq!(m.total(Metric::CacheHits), 2);
-    }
-
-    #[test]
-    fn probe_observes_cancellation_from_another_thread() {
-        let token = CancelToken::new();
-        let g = Guard::with_cancel(Budget::unlimited(), token.clone());
-        g.charge_state().unwrap();
-        let probe = g.probe();
-        assert!(probe.is_armed());
-        let worker = std::thread::spawn(move || {
-            // Spin until the owner cancels; the error must carry the shared
-            // core's charge counters as partial diagnostics.
-            loop {
-                match probe.check() {
-                    Ok(()) => std::thread::yield_now(),
-                    Err(err) => return err,
-                }
-            }
-        });
-        token.cancel();
-        match worker.join().expect("worker exits cleanly") {
-            AutomataError::Cancelled(p) => assert_eq!(p.states, 1),
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn probe_of_an_unarmed_guard_never_fails() {
-        let g = Guard::new(Budget::unlimited().with_max_states(1));
-        let probe = g.probe();
-        // State caps are enforced at charge time on the owning thread; the
-        // probe polls only deadline/cancellation, and this guard has neither.
-        assert!(!probe.is_armed());
-        assert!(probe.check().is_ok());
-    }
-
-    #[test]
-    fn par_pool_requires_two_workers() {
-        use crate::par::Pool;
-        let g = Guard::unlimited().with_pool(Arc::new(Pool::new(1)));
-        assert!(g.pool().is_some());
-        assert!(g.par_pool().is_none(), "one worker means sequential");
-        let g = Guard::unlimited().with_pool(Arc::new(Pool::new(2)));
-        assert_eq!(g.par_pool().map(|p| p.threads()), Some(2));
     }
 
     #[test]

@@ -24,20 +24,15 @@
 //!   ([`StateSet::is_subset`] tests); on hard inputs this collapses an
 //!   exponential frontier to a handful of nodes.
 //!
-//! Layers above the parallel threshold fan the macro-state successor rows
-//! out across the guard's [`Pool`](crate::Pool) with the same
-//! sequential-merge discipline as the layered subset construction
-//! (DESIGN.md §10): workers compute pure rows, and every effect — guard
-//! charges, dominance checks, counters, witness bookkeeping — happens in a
-//! sequential merge that walks the rows in exactly the order the
-//! single-threaded loop would. Verdicts, charge sequences, and the
-//! `lazy/*` counters are bit-for-bit identical at any thread count.
-
-use std::sync::Arc;
+//! The search runs one BFS layer at a time on the calling thread. Between
+//! layers it drops nodes that a later admission dominated while they
+//! waited (*retro-pruning*); within a layer every node is expanded in FIFO
+//! order, so verdicts, charge sequences, and the `lazy/*` counters are
+//! deterministic.
 
 use crate::error::AutomataError;
 use crate::guard::Guard;
-use crate::nfa::{Nfa, PAR_LAYER_THRESHOLD};
+use crate::nfa::Nfa;
 use crate::stateset::{FxHashMap, StateSet};
 use crate::word::Word;
 use crate::{StateId, Symbol};
@@ -53,11 +48,6 @@ struct Node {
     /// waiting in the next layer; dead nodes are dropped before expansion.
     dead: bool,
 }
-
-/// The per-symbol successor row of one node's macro-state: `Some(S′)` for
-/// symbols on which the node's `A` state has at least one successor (the
-/// only ones that generate candidates), `None` otherwise.
-type Row = Vec<Option<StateSet>>;
 
 struct Search<'x> {
     a: &'x Nfa,
@@ -112,8 +102,7 @@ impl Search<'_> {
         // order works against the search (symbol order can deliver every
         // superset before the minimal macro-state that dominates them);
         // without it the frontier degenerates to the full subset
-        // construction. The mark-and-filter happens entirely inside the
-        // sequential merge, so it is deterministic at any thread count.
+        // construction.
         let id = self.nodes.len();
         let mut displaced = Vec::new();
         chain.retain(|(t, owner)| {
@@ -178,15 +167,15 @@ pub fn nfa_included_lazy(a: &Nfa, b: &Nfa, guard: &Guard) -> Result<Option<Word>
         }
     }
 
-    let shared_a = Arc::new(a.clone());
-    let shared_b = Arc::new(b.clone());
-    let probe = guard.probe();
+    let mut next = StateSet::with_universe(b.state_count());
     let mut subsumed_before = 0u64;
     loop {
         // Retro-prune: drop nodes that a later admission dominated while
         // they waited in this layer. They were never expanded, so skipping
         // them loses no counterexamples — any word escaping from a dominated
         // node also escapes from its (same-or-earlier-layer) dominator.
+        // Nodes displaced mid-layer are still expanded: the flag is only
+        // read here, at the layer boundary.
         let admitted = layer.len();
         layer.retain(|&ni| !search.nodes[ni].dead);
         for _ in layer.len()..admitted {
@@ -196,56 +185,24 @@ pub fn nfa_included_lazy(a: &Nfa, b: &Nfa, guard: &Guard) -> Result<Option<Word>
             break;
         }
         guard.trace_instant("lazy-layer", Some(("width", layer.len() as u64)));
-        let items: Arc<Vec<(StateId, StateSet)>> = Arc::new(
-            layer
-                .iter()
-                .map(|&ni| (search.nodes[ni].left, search.nodes[ni].right.clone()))
-                .collect(),
-        );
-        let expand = {
-            let a = Arc::clone(&shared_a);
-            let b = Arc::clone(&shared_b);
-            let probe = probe.clone();
-            let symbols = symbols.clone();
-            move |i: usize| -> Result<Row, AutomataError> {
-                probe.check()?;
-                let (left, right) = &items[i];
-                let mut row = Vec::with_capacity(symbols.len());
-                for &sym in &symbols {
-                    if a.successor_slice(*left, sym).is_empty() {
-                        row.push(None);
-                        continue;
-                    }
-                    let mut next = StateSet::with_universe(b.state_count());
-                    for q in right.iter() {
-                        for &q2 in b.successor_slice(q, sym) {
-                            next.insert(q2);
-                        }
-                    }
-                    row.push(Some(next));
-                }
-                Ok(row)
-            }
-        };
-        let rows: Vec<Result<Row, AutomataError>> = match guard.par_pool() {
-            Some(pool) if layer.len() >= PAR_LAYER_THRESHOLD => {
-                pool.map_indexed(layer.len(), Arc::new(expand))
-            }
-            _ => (0..layer.len()).map(expand).collect(),
-        };
-
-        // Sequential merge, in FIFO order: every effect — charges,
-        // dominance tests, counters, node numbering — happens here, so the
-        // parallel path is bit-for-bit the sequential one.
         let m = layer.len();
         let mut next_layer: Vec<usize> = Vec::new();
-        for (li, (&ni, row)) in layer.iter().zip(rows).enumerate() {
+        for (li, &ni) in layer.iter().enumerate() {
             guard.note_frontier((m - 1 - li) + next_layer.len());
             search.count("lazy/expanded");
             let left = search.nodes[ni].left;
-            for (&sym, cell) in symbols.iter().zip(row?) {
-                let Some(next) = cell else { continue };
-                for &q2 in a.successor_slice(left, sym) {
+            for &sym in &symbols {
+                let targets = a.successor_slice(left, sym);
+                if targets.is_empty() {
+                    continue;
+                }
+                next.clear();
+                for q in search.nodes[ni].right.iter() {
+                    for &q2 in b.successor_slice(q, sym) {
+                        next.insert(q2);
+                    }
+                }
+                for &q2 in targets {
                     guard.charge_transition()?;
                     if let Some(w) = search.admit(q2, &next, Some((ni, sym)), &mut next_layer)? {
                         return Ok(Some(w));

@@ -13,12 +13,6 @@ use crate::stateset::{FxHasher, Interner, PairTable, StateSet};
 use crate::word::Word;
 use crate::StateId;
 
-/// Minimum BFS-layer width at which the parallel kernels fan a layer out
-/// across the guard's pool; narrower layers are expanded on the calling
-/// thread, where per-task overhead would dominate. Purely a performance
-/// knob: outputs are identical on both sides of the threshold.
-pub(crate) const PAR_LAYER_THRESHOLD: usize = 16;
-
 /// A nondeterministic finite automaton (NFA) over finite words.
 ///
 /// States are dense indices. The transition relation is a flat
@@ -514,11 +508,6 @@ impl Nfa {
         index.intern(start);
         dfa.set_initial(q0);
 
-        if let Some(pool) = guard.par_pool() {
-            let pool = pool.clone();
-            return self.determinize_layered(guard, &pool, index, dfa, q0);
-        }
-
         let mut next = StateSet::with_universe(n);
         let mut work = VecDeque::from([q0]);
         while let Some(d) = work.pop_front() {
@@ -547,98 +536,6 @@ impl Nfa {
                 guard.charge_transition()?;
                 dfa.set_transition(d, a, nd);
             }
-        }
-        Ok(dfa)
-    }
-
-    /// Layer-synchronous subset construction: the parallel twin of the FIFO
-    /// loop in [`Nfa::determinize_inner`], bit-for-bit equivalent to it.
-    ///
-    /// A FIFO worklist processes subset states in discovery (= id) order, so
-    /// the queue is a sequence of BFS layers. Each layer's successor rows are
-    /// *pure* computations — workers expand them across the pool (polling
-    /// the guard's probe so cancellation/deadline stops them) — while all
-    /// effects (interning, state numbering, every `charge_*` call,
-    /// `note_frontier`) happen in a sequential merge that walks the rows in
-    /// exactly the order the FIFO loop would have: emitted DFAs, charge
-    /// sequences, and budget trip points are identical for every thread
-    /// count. See `DESIGN.md` §10.
-    fn determinize_layered(
-        &self,
-        guard: &Guard,
-        pool: &Arc<crate::par::Pool>,
-        mut index: Interner<StateSet>,
-        mut dfa: Dfa,
-        q0: StateId,
-    ) -> Result<Dfa, AutomataError> {
-        /// Row type a worker produces for one subset: per symbol, the
-        /// successor subset and its acceptance flag (`None` for the empty
-        /// set — the sequential loop emits no transition there).
-        type Row = Vec<Option<(StateSet, bool)>>;
-
-        let shared = Arc::new(self.clone());
-        let probe = guard.probe();
-        let symbols: Vec<Symbol> = self.alphabet.symbols().collect();
-        let mut layer: Vec<StateId> = vec![q0];
-        while !layer.is_empty() {
-            guard.trace_instant("determinize-layer", Some(("width", layer.len() as u64)));
-            let subsets: Arc<Vec<StateSet>> =
-                Arc::new(layer.iter().map(|&d| index.key(d).clone()).collect());
-            let expand = {
-                let nfa = shared.clone();
-                let probe = probe.clone();
-                let symbols = symbols.clone();
-                move |i: usize| -> Result<Row, AutomataError> {
-                    probe.check()?;
-                    let mut row = Vec::with_capacity(symbols.len());
-                    let mut next = StateSet::with_universe(nfa.state_count());
-                    for &a in &symbols {
-                        next.clear();
-                        for q in subsets[i].iter() {
-                            for &q2 in nfa.successor_slice(q, a) {
-                                next.insert(q2);
-                            }
-                        }
-                        row.push(if next.is_empty() {
-                            None
-                        } else {
-                            let acc = next.iter().any(|q| nfa.accepting[q]);
-                            Some((next.clone(), acc))
-                        });
-                    }
-                    Ok(row)
-                }
-            };
-            let rows: Vec<Result<Row, AutomataError>> = if layer.len() >= PAR_LAYER_THRESHOLD {
-                pool.map_indexed(layer.len(), Arc::new(expand))
-            } else {
-                (0..layer.len()).map(expand).collect()
-            };
-
-            // Sequential merge, in FIFO order: at the moment the FIFO loop
-            // pops layer item `li`, its queue holds the rest of this layer
-            // plus the next-layer states discovered so far.
-            let m = layer.len();
-            let mut next_layer: Vec<StateId> = Vec::new();
-            for (li, (&d, row)) in layer.iter().zip(rows).enumerate() {
-                guard.note_frontier((m - 1 - li) + next_layer.len());
-                for (&a, cell) in symbols.iter().zip(row?) {
-                    let Some((next, acc)) = cell else { continue };
-                    let nd = match index.get(&next) {
-                        Some(nd) => nd,
-                        None => {
-                            guard.charge_state()?;
-                            let nd = dfa.add_state(acc);
-                            index.intern(next);
-                            next_layer.push(nd);
-                            nd
-                        }
-                    };
-                    guard.charge_transition()?;
-                    dfa.set_transition(d, a, nd);
-                }
-            }
-            layer = next_layer;
         }
         Ok(dfa)
     }
@@ -1065,58 +962,5 @@ mod tests {
         let guard = Guard::new(Budget::unlimited().with_max_states(1 << 10));
         let budgeted = nfa.determinize_with(&guard).unwrap();
         assert!(crate::equiv::dfa_equivalent(&budgeted, &nfa.determinize()));
-    }
-
-    #[test]
-    fn parallel_determinize_is_bit_for_bit_sequential() {
-        use crate::par::Pool;
-        use rl_obs::{Metric, MetricsRegistry};
-        // Wide enough (2^10 subset states) to exercise the pool path well
-        // past PAR_LAYER_THRESHOLD.
-        let nfa = nth_from_end(10);
-        let run = |pool: Option<Arc<Pool>>| {
-            let m = MetricsRegistry::new();
-            let mut guard = Guard::unlimited().with_metrics(m.clone());
-            if let Some(pool) = pool {
-                guard = guard.with_pool(pool);
-            }
-            let dfa = nfa.determinize_with(&guard).unwrap();
-            (
-                dfa,
-                m.total(Metric::States),
-                m.total(Metric::Transitions),
-                m.total(Metric::GuardCharges),
-            )
-        };
-        let seq = run(None);
-        for threads in [2, 4] {
-            let par = run(Some(Arc::new(Pool::new(threads))));
-            // Structural equality — same state numbering, same transition
-            // tables — not just language equivalence; and the deterministic
-            // counters agree exactly.
-            assert_eq!(par.0, seq.0, "{threads} threads");
-            assert_eq!((par.1, par.2, par.3), (seq.1, seq.2, seq.3));
-        }
-    }
-
-    #[test]
-    fn parallel_budget_trip_matches_sequential_trip_point() {
-        use crate::par::Pool;
-        let nfa = nth_from_end(12);
-        let trip = |pool: Option<Arc<Pool>>| {
-            let mut guard = Guard::new(Budget::unlimited().with_max_states(100));
-            if let Some(pool) = pool {
-                guard = guard.with_pool(pool);
-            }
-            match nfa.determinize_with(&guard).unwrap_err() {
-                AutomataError::BudgetExceeded { spent, partial, .. } => {
-                    (spent, partial.states, partial.transitions, partial.frontier)
-                }
-                other => panic!("expected BudgetExceeded, got {other:?}"),
-            }
-        };
-        let seq = trip(None);
-        let par = trip(Some(Arc::new(Pool::new(4))));
-        assert_eq!(par, seq, "budget trips at the same charge, same frontier");
     }
 }

@@ -16,9 +16,8 @@
 //!
 //! The cache is thread-safe and **sharded**: entries are distributed over
 //! [`SHARDS`] independently locked tables by the top bits of the key hash,
-//! so concurrent pipeline stages — the jobs of a `rlcheck --jobs` batch, or
-//! parallel kernels consulting the cache mid-construction — share memoized
-//! results without serializing on one lock. Clone the handle freely; all
+//! so concurrent checks — the jobs of an `rlcheck batch` or of a serve
+//! daemon — share memoized results without serializing on one lock. Clone the handle freely; all
 //! clones (across threads) share one logical table.
 //!
 //! # Memory accounting and eviction

@@ -1,34 +1,28 @@
-//! A dependency-free work-stealing thread pool for the parallel kernels.
+//! A dependency-free work-stealing thread pool for whole checks.
 //!
-//! The exponential frontier explorations of this workspace (subset
-//! construction, rank-based Büchi complementation) expand one BFS layer at a
-//! time; within a layer every item is independent, so the expansion is an
-//! embarrassingly parallel map. [`Pool`] provides exactly the primitives
-//! those kernels (and the `rlcheck --jobs` batch front end) need:
+//! Every single check runs on the thread that calls it; the pool only runs
+//! *independent* checks side by side — the `rlcheck batch` and
+//! `rlcheck serve` front ends. [`Pool`] provides exactly the primitives
+//! those two need:
 //!
 //! * [`Pool::new`] spawns a fixed set of worker threads, each owning a
 //!   chunked deque. Submitted work is dealt round-robin across the deques;
 //!   an idle worker drains its own deque front-first and **steals from the
 //!   back of a sibling's deque** when it runs dry, then parks on a condvar
 //!   until new work arrives.
-//! * [`Pool::map_indexed`] — the layer-expansion primitive: run a closure
-//!   over `0..n` in parallel chunks and return the results **in index
-//!   order**, so callers can merge deterministically. Worker panics are
-//!   re-raised on the calling thread.
+//! * [`Pool::execute`] — fire-and-forget submission (the serve daemon's
+//!   job runner).
 //! * [`Pool::run_jobs`] — the batch primitive: run independent jobs and
-//!   return each job's result or captured panic, again in submission order.
+//!   return each job's result or captured panic, in submission order.
 //!
 //! Everything here is safe Rust on `std` only (mutex-backed deques, channel
 //! joins, condvar parking — honoring the workspace's vendor-only policy);
 //! tasks are `'static`, so callers share operands via [`Arc`] clones.
 //!
-//! # Determinism contract
-//!
-//! The pool itself promises nothing about *execution* order — only
-//! [`Pool::map_indexed`]'s and [`Pool::run_jobs`]'s *result* order. The
-//! kernels layered on top keep their outputs bit-for-bit independent of the
-//! thread count by doing all state numbering in a sequential merge pass over
-//! those ordered results (see `DESIGN.md` §10).
+//! The pool promises nothing about *execution* order, only about
+//! [`Pool::run_jobs`]'s *result* order; since each job is a whole check on
+//! one thread, outputs are independent of the worker count (see
+//! `DESIGN.md` §10).
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -52,7 +46,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// counters, never as deterministic metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Jobs submitted via [`Pool::execute`] (including map chunks).
+    /// Jobs submitted via [`Pool::execute`] (including `run_jobs` jobs).
     pub spawns: u64,
     /// Jobs a worker popped from a sibling's deque.
     pub steals: u64,
@@ -125,8 +119,11 @@ impl PoolInner {
 /// ```
 /// use rl_automata::Pool;
 ///
+/// type Job = Box<dyn FnOnce() -> usize + Send>;
+///
 /// let pool = Pool::new(4);
-/// let squares = pool.map_indexed(8, std::sync::Arc::new(|i| i * i));
+/// let jobs: Vec<Job> = (0..8usize).map(|i| Box::new(move || i * i) as Job).collect();
+/// let squares: Vec<usize> = pool.run_jobs(jobs).into_iter().map(|r| r.unwrap()).collect();
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// ```
 pub struct Pool {
@@ -222,61 +219,6 @@ impl Pool {
             t.instant("pool", "spawn", Some(("queue", depth as u64)));
         }
         self.inner.bell.notify_all();
-    }
-
-    /// Runs `f(i)` for every `i in 0..n` across the pool, in chunks, and
-    /// returns the results **in index order**. The calling thread blocks
-    /// until the map completes.
-    ///
-    /// # Panics
-    ///
-    /// A panic in `f` is captured on the worker and re-raised here once all
-    /// chunks have settled (no deadlock, no abandoned chunks).
-    pub fn map_indexed<R: Send + 'static>(
-        &self,
-        n: usize,
-        f: Arc<dyn Fn(usize) -> R + Send + Sync>,
-    ) -> Vec<R> {
-        if n == 0 {
-            return Vec::new();
-        }
-        // Chunk so each worker sees several chunks (stealing can rebalance a
-        // skewed layer) without drowning in per-chunk overhead.
-        let chunk = (n / (self.threads * 4)).clamp(1, 1024);
-        let chunks: Vec<(usize, usize)> = (0..n)
-            .step_by(chunk)
-            .map(|start| (start, (start + chunk).min(n)))
-            .collect();
-        let (tx, rx) = mpsc::channel();
-        for &(start, end) in &chunks {
-            let f = f.clone();
-            let tx = tx.clone();
-            self.execute(move || {
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    (start..end).map(|i| f(i)).collect::<Vec<R>>()
-                }));
-                // The receiver outlives all senders inside this call; a send
-                // can only fail if the caller's stack is already unwinding.
-                let _ = tx.send((start, result));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<Vec<R>>> = (0..chunks.len()).map(|_| None).collect();
-        let mut panic_payload = None;
-        for _ in 0..chunks.len() {
-            let (start, result) = rx.recv().expect("all chunks report back");
-            match result {
-                Ok(values) => slots[start / chunk] = Some(values),
-                Err(payload) => panic_payload = Some(payload),
-            }
-        }
-        if let Some(payload) = panic_payload {
-            panic::resume_unwind(payload);
-        }
-        slots
-            .into_iter()
-            .flat_map(|s| s.expect("every chunk settled without panicking"))
-            .collect()
     }
 
     /// Runs independent jobs across the pool and returns each job's result —
@@ -377,21 +319,15 @@ fn worker_loop(inner: &PoolInner, home: usize) {
 /// Resolves the effective worker count for a requested `--jobs` value:
 /// `Some(0)` (and the `RL_THREADS=0` form) auto-detect the machine's cores
 /// via [`std::thread::available_parallelism`], `None` falls back to the
-/// `RL_THREADS` environment variable, and everything else passes through.
-/// The final answer is always at least 1.
+/// `RL_THREADS` environment variable (a malformed value warns once on
+/// stderr and counts as unset), and everything else passes through. The
+/// final answer is always at least 1.
 pub fn resolve_jobs(requested: Option<usize>) -> usize {
-    let autodetect = || std::thread::available_parallelism().map_or(1, |n| n.get());
-    match requested {
-        Some(0) => autodetect(),
-        Some(n) => n,
-        None => match std::env::var("RL_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            Some(0) => autodetect(),
-            Some(n) => n,
-            None => 1,
-        },
+    let n = requested.unwrap_or_else(|| rl_obs::knobs::env_u64("RL_THREADS", 1) as usize);
+    if n == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        n
     }
 }
 
@@ -399,48 +335,32 @@ pub fn resolve_jobs(requested: Option<usize>) -> usize {
 mod tests {
     use super::*;
 
-    #[test]
-    fn map_indexed_preserves_order_across_sizes() {
-        let pool = Pool::new(4);
-        for n in [0usize, 1, 3, 64, 257, 1000] {
-            let out = pool.map_indexed(n, Arc::new(|i| 3 * i + 1));
-            assert_eq!(out.len(), n);
-            assert!(out.iter().enumerate().all(|(i, &v)| v == 3 * i + 1), "{n}");
-        }
+    type Task = Box<dyn FnOnce() -> usize + Send>;
+
+    /// `n` jobs computing `f(i)`, for [`Pool::run_jobs`].
+    fn tasks(n: usize, f: fn(usize) -> usize) -> Vec<Task> {
+        (0..n).map(|i| Box::new(move || f(i)) as Task).collect()
+    }
+
+    fn values(results: Vec<std::thread::Result<usize>>) -> Vec<usize> {
+        results
+            .into_iter()
+            .map(|r| r.expect("job completes"))
+            .collect()
     }
 
     #[test]
-    fn map_indexed_handles_uneven_work() {
+    fn run_jobs_preserves_submission_order_under_uneven_work() {
         let pool = Pool::new(3);
-        // Skewed workloads force stealing; results must still come back in
-        // index order.
-        let out = pool.map_indexed(
-            100,
-            Arc::new(|i| {
-                if i % 10 == 0 {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                i
-            }),
-        );
+        // Skewed jobs force stealing; results still come back in order.
+        let out = values(pool.run_jobs(tasks(100, |i| {
+            if i % 10 == 0 {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            i
+        })));
         assert_eq!(out, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn worker_panic_resurfaces_on_the_caller() {
-        let pool = Pool::new(2);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map_indexed(
-                16,
-                Arc::new(|i| {
-                    assert!(i != 11, "boom at {i}");
-                    i
-                }),
-            )
-        }));
-        assert!(result.is_err());
-        // The pool survives a panicking map and keeps serving work.
-        assert_eq!(pool.map_indexed(4, Arc::new(|i| i)), vec![0, 1, 2, 3]);
+        assert!(pool.run_jobs(Vec::<Task>::new()).is_empty());
     }
 
     #[test]
@@ -456,21 +376,23 @@ mod tests {
         assert_eq!(*results[0].as_ref().expect("job 0 fine"), 10);
         assert!(results[1].is_err());
         assert_eq!(*results[2].as_ref().expect("job 2 fine"), 30);
+        // The pool survives a panicking job and keeps serving work.
+        assert_eq!(values(pool.run_jobs(tasks(4, |i| i))), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn pool_shuts_down_cleanly_when_dropped() {
         let pool = Pool::new(4);
-        let _ = pool.map_indexed(100, Arc::new(|i| i));
+        let _ = pool.run_jobs(tasks(100, |i| i));
         drop(pool); // must join all workers without hanging
     }
 
     #[test]
-    fn single_worker_pool_still_completes_maps() {
+    fn single_worker_pool_still_completes_jobs() {
         let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
         assert_eq!(
-            pool.map_indexed(5, Arc::new(|i| i * 2)),
+            values(pool.run_jobs(tasks(5, |i| i * 2))),
             vec![0, 2, 4, 6, 8]
         );
     }
@@ -478,9 +400,9 @@ mod tests {
     #[test]
     fn pool_counters_count_spawns_and_idle_transitions() {
         let pool = Pool::new(2);
-        let _ = pool.map_indexed(64, Arc::new(|i| i));
+        let _ = pool.run_jobs(tasks(64, |i| i));
         let c = pool.counters();
-        assert!(c.spawns >= 1, "map chunks are spawns: {c:?}");
+        assert_eq!(c.spawns, 64, "every job is a spawn: {c:?}");
         // Idle transitions are paired: a worker can only unpark after a
         // park, so unparks never exceed parks.
         assert!(c.unparks <= c.parks, "{c:?}");
@@ -490,7 +412,7 @@ mod tests {
     fn traced_pool_records_balanced_task_events_per_track() {
         let tracer = Arc::new(rl_obs::Tracer::new());
         let pool = Pool::with_tracer(2, Some(tracer.clone()));
-        let _ = pool.map_indexed(64, Arc::new(|i| i * i));
+        let _ = pool.run_jobs(tasks(64, |i| i * i));
         drop(pool);
         let events = tracer.events();
         // Spawn instants land on the submitting thread's track.
@@ -519,10 +441,10 @@ mod tests {
         let pool = Pool::new(2);
         let hists = HistogramRegistry::new();
         pool.set_histograms(hists.clone());
-        // Force idle periods: run a map, then let workers drain and park.
-        let _ = pool.map_indexed(64, Arc::new(|i| i));
+        // Force idle periods: run a batch, then let workers drain and park.
+        let _ = pool.run_jobs(tasks(64, |i| i));
         std::thread::sleep(Duration::from_millis(30));
-        let _ = pool.map_indexed(64, Arc::new(|i| i));
+        let _ = pool.run_jobs(tasks(64, |i| i));
         let c = pool.counters();
         drop(pool);
         let snaps: std::collections::BTreeMap<String, _> = hists.snapshot().into_iter().collect();

@@ -7,21 +7,17 @@
 //! bench_compare <baseline.json> <fresh.json>
 //! ```
 //!
-//! Three schemas are understood, matched on the documents' `schema` field
+//! Four schemas are understood, matched on the documents' `schema` field
 //! (baseline and fresh must agree):
 //!
 //! - `rl-bench-trajectory/v1` — per-phase pipeline totals. Deterministic
 //!   counters: `states`, `transitions`, `guard_charges`; wall clock:
 //!   `elapsed_us`; witness: `trace_counters_equal` (tracing must not move
 //!   the counters).
-//! - `rl-bench-par/v1` — jobs 1 vs jobs 4 wall clocks. Same deterministic
-//!   counters; wall clock: `jobs1_us`; witness: `counters_equal`. When
-//!   either document's `host_cpus` meta is below 4 a warning notes that
-//!   the recorded speedups measure coordination overhead, not scaling.
 //! - `rl-bench-lazy/v1` — fused-lazy vs materializing pipeline.
 //!   Deterministic counters: `lazy_states`, `eager_states`,
-//!   `lazy_expanded`, `lazy_subsumed`; wall clock: `lazy_jobs1_us`;
-//!   witness: `lazy_counters_equal` (thread-count independence).
+//!   `lazy_expanded`, `lazy_subsumed`; wall clock: `lazy_jobs1_us`; no
+//!   witness.
 //! - `rl-bench-filters/v1` — the semidecision pre-filter ladder.
 //!   Deterministic counters: `filtered_states`, `filtered_transitions`,
 //!   `lazy_expanded` (a ladder hit must keep this at zero); wall clock:
@@ -61,13 +57,12 @@ const HIST_SLACK_US: u64 = 100;
 
 /// Per-schema comparison profile: which per-case fields are deterministic
 /// (any increase fails), which field is the noisy wall clock (warn only),
-/// and which boolean field witnesses an in-run invariant (false fails;
-/// absent is tolerated for pre-witness baselines).
+/// and which boolean field, if any, witnesses an in-run invariant (false
+/// fails; absent is tolerated for pre-witness baselines), with its label.
 struct Profile {
     counters: &'static [&'static str],
     elapsed: &'static str,
-    witness: &'static str,
-    witness_label: &'static str,
+    witness: Option<(&'static str, &'static str)>,
 }
 
 fn profile(schema: &str) -> Option<Profile> {
@@ -75,14 +70,10 @@ fn profile(schema: &str) -> Option<Profile> {
         "rl-bench-trajectory/v1" => Some(Profile {
             counters: &["states", "transitions", "guard_charges"],
             elapsed: "elapsed_us",
-            witness: "trace_counters_equal",
-            witness_label: "tracer left the deterministic counters untouched",
-        }),
-        "rl-bench-par/v1" => Some(Profile {
-            counters: &["states", "transitions", "guard_charges"],
-            elapsed: "jobs1_us",
-            witness: "counters_equal",
-            witness_label: "parallel counters matched sequential",
+            witness: Some((
+                "trace_counters_equal",
+                "tracer left the deterministic counters untouched",
+            )),
         }),
         "rl-bench-lazy/v1" => Some(Profile {
             counters: &[
@@ -92,20 +83,23 @@ fn profile(schema: &str) -> Option<Profile> {
                 "lazy_subsumed",
             ],
             elapsed: "lazy_jobs1_us",
-            witness: "lazy_counters_equal",
-            witness_label: "lazy counters thread-count independent",
+            witness: None,
         }),
         "rl-bench-filters/v1" => Some(Profile {
             counters: &["filtered_states", "filtered_transitions", "lazy_expanded"],
             elapsed: "filtered_us",
-            witness: "filters_agree",
-            witness_label: "ladder verdicts and fall-through counters agree with --no-filters",
+            witness: Some((
+                "filters_agree",
+                "ladder verdicts and fall-through counters agree with --no-filters",
+            )),
         }),
         "rl-bench-hist/v1" => Some(Profile {
             counters: &["states", "transitions", "guard_charges"],
             elapsed: "elapsed_us",
-            witness: "hist_counters_equal",
-            witness_label: "histogram recording left the deterministic counters untouched",
+            witness: Some((
+                "hist_counters_equal",
+                "histogram recording left the deterministic counters untouched",
+            )),
         }),
         _ => None,
     }
@@ -144,21 +138,6 @@ fn cases(doc: &Json, path: &str, schema: &str) -> Result<Vec<Json>, String> {
         .and_then(Json::as_arr)
         .map_err(|e| format!("{path}: {e}"))?
         .to_vec())
-}
-
-/// `rl-bench-par/v1` meta: a document recorded on a starved host measures
-/// coordination overhead, not the kernels' scaling — worth a warning so a
-/// "speedup 0.6x" baseline is not mistaken for a real regression target.
-fn warn_on_starved_host(doc: &Json, path: &str, warnings: &mut usize) {
-    if let Some(Json::Int(n)) = doc.get("host_cpus") {
-        if *n < 4 {
-            eprintln!(
-                "warn {path}: recorded with host_cpus {n} (< 4); its speedups \
-                 measure coordination overhead, not the kernels' scaling"
-            );
-            *warnings += 1;
-        }
-    }
 }
 
 /// `rl-bench-hist/v1`: the per-family percentile gate. A baseline case
@@ -222,10 +201,6 @@ fn run(baseline_path: &str, fresh_path: &str) -> Result<ExitCode, String> {
     let fresh = cases(&fresh_doc, fresh_path, &schema)?;
     let mut failures = 0usize;
     let mut warnings = 0usize;
-    if schema == "rl-bench-par/v1" {
-        warn_on_starved_host(&baseline_doc, baseline_path, &mut warnings);
-        warn_on_starved_host(&fresh_doc, fresh_path, &mut warnings);
-    }
 
     for base in &baseline {
         let system = str_field(base, "system")?;
@@ -248,17 +223,17 @@ fn run(baseline_path: &str, fresh_path: &str) -> Result<ExitCode, String> {
             }
         }
         // The harness records whether the run's internal invariant held
-        // (tracing zero-cost, parallel/lazy counters bit-for-bit). A false
-        // witness is a hard failure. (Absent in pre-witness baselines.)
-        match new.get(profile.witness) {
-            Some(Json::Bool(true)) => {
-                println!("ok   {label}: {}", profile.witness_label);
+        // (tracing zero-cost, filter/histogram counters bit-for-bit). A
+        // false witness is a hard failure. (Absent in pre-witness baselines.)
+        if let Some((witness, witness_label)) = profile.witness {
+            match new.get(witness) {
+                Some(Json::Bool(true)) => println!("ok   {label}: {witness_label}"),
+                Some(Json::Bool(false)) => {
+                    eprintln!("FAIL {label}: witness `{witness}` is false");
+                    failures += 1;
+                }
+                _ => {}
             }
-            Some(Json::Bool(false)) => {
-                eprintln!("FAIL {label}: witness `{}` is false", profile.witness);
-                failures += 1;
-            }
-            _ => {}
         }
         let (b_us, n_us) = (
             int_field(base, profile.elapsed)?,

@@ -2,24 +2,17 @@
 //!
 //! Usage: `cargo run --release -p rl-bench --bin harness [-- <experiment>]`
 //! where `<experiment>` is one of `fig2 fig3 fig4 scaling payoff hardness
-//! ltl fair prob trajectory par lazy filters hist all` (default `all`).
+//! ltl fair prob trajectory lazy filters hist all` (default `all`).
 //!
 //! `trajectory` additionally writes `BENCH_<date>.json` at the repository
 //! root: per-phase observability metrics (schema `rl-bench-trajectory/v1`)
 //! for every example system, including `needle24.ts` under a budget.
 //! `--out <path>` redirects that JSON (used by the `bench_compare` CI job
-//! to produce a fresh run without clobbering the committed baseline), and
-//! `--jobs N` runs every case with an `N`-worker pool attached to the guard
-//! (the counters must not change — only wall-clock may). Every case is
-//! additionally re-run with the event tracer attached; the run aborts if
-//! tracing shifts any deterministic counter, and the traced wall clock,
-//! event count, and equality witness land in the JSON
+//! to produce a fresh run without clobbering the committed baseline). Every
+//! case is additionally re-run with the event tracer attached; the run
+//! aborts if tracing shifts any deterministic counter, and the traced wall
+//! clock, event count, and equality witness land in the JSON
 //! (`traced_elapsed_us`, `trace_events`, `trace_counters_equal`).
-//!
-//! `par` writes `BENCH_<date>-par.json` (schema `rl-bench-par/v1`): every
-//! trajectory case timed at `--jobs 1` and `--jobs 4` side by side, with a
-//! `counters_equal` witness that the parallel kernels charged bit-for-bit
-//! the sequential totals.
 //!
 //! `lazy` writes `BENCH_<date>-lazy.json` (schema `rl-bench-lazy/v1`):
 //! every trajectory case checked with the lazy fused pipeline (the default)
@@ -400,31 +393,30 @@ fn today() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Which pipeline variant a [`trajectory_case`] runs: worker count plus the
-/// lazy-search and filter-ladder toggles (the `--jobs`, `--no-lazy`, and
-/// `--no-filters` knobs of the CLI).
+/// Which pipeline variant a [`trajectory_case`] runs: the lazy-search and
+/// filter-ladder toggles (the `--no-lazy` and `--no-filters` knobs of the
+/// CLI).
 #[derive(Clone, Copy)]
 struct Pipeline {
-    jobs: usize,
     lazy: bool,
     filters: bool,
 }
 
 impl Pipeline {
-    /// The CLI's defaults at a given worker count: lazy on, filters on.
-    fn with_jobs(jobs: usize) -> Self {
-        Pipeline {
-            jobs,
-            lazy: true,
-            filters: true,
-        }
-    }
+    /// The CLI's defaults: lazy on, filters on.
+    const DEFAULT: Pipeline = Pipeline {
+        lazy: true,
+        filters: true,
+    };
 }
 
 /// One trajectory case: the full `check` pipeline (classical, relative
 /// liveness, relative safety) on an example system under a metered guard.
-/// With a tracer the registry, pool, and op cache all record timeline
-/// events — the counters must come out bit-for-bit identical either way.
+/// With a tracer the registry and op cache record timeline events; with a
+/// histogram registry the guard and op cache record percentile samples —
+/// the counters must come out bit-for-bit identical either way. Returns
+/// the outcome, the registry, and the run's wall clock in µs, read the
+/// moment the pipeline returns (the registry's own clock keeps running).
 fn trajectory_case(
     root: &str,
     file: &str,
@@ -432,39 +424,32 @@ fn trajectory_case(
     budget: Budget,
     pipeline: Pipeline,
     tracer: Option<std::sync::Arc<rl_automata::Tracer>>,
-) -> (String, MetricsRegistry) {
-    let Pipeline {
-        jobs,
-        lazy,
-        filters,
-    } = pipeline;
+    hists: Option<&rl_automata::HistogramRegistry>,
+) -> (String, MetricsRegistry, u64) {
     let text = std::fs::read_to_string(format!("{root}/examples/systems/{file}"))
         .expect("example system exists");
     let ts = parse_system(&text).expect("example system parses");
     let eta = parse(formula).expect("parses");
     let prop = Property::formula(eta);
     let registry = MetricsRegistry::new();
-    registry.note_jobs(jobs);
     if let Some(t) = &tracer {
         registry.set_tracer(std::sync::Arc::clone(t));
     }
     // One memo cache per case, exactly like a default `rlcheck` invocation:
     // the three deciders share intermediate products/determinizations.
-    let cache = match &tracer {
-        Some(t) => rl_automata::OpCache::with_tracer(std::sync::Arc::clone(t)),
+    let cache = match tracer {
+        Some(t) => rl_automata::OpCache::with_tracer(t),
         None => rl_automata::OpCache::new(),
     };
     let mut guard = Guard::new(budget)
-        .with_lazy(lazy)
-        .with_filters(filters)
-        .with_metrics(registry.clone())
-        .with_op_cache(cache);
-    if jobs >= 2 {
-        guard = guard.with_pool(std::sync::Arc::new(rl_automata::Pool::with_tracer(
-            jobs,
-            tracer.clone(),
-        )));
+        .with_lazy(pipeline.lazy)
+        .with_filters(pipeline.filters)
+        .with_metrics(registry.clone());
+    if let Some(h) = hists {
+        cache.set_histograms(h.clone());
+        guard = guard.with_histograms(h.clone());
     }
+    let guard = guard.with_op_cache(cache);
     let verdict = (|| -> Result<bool, CheckError> {
         let _span = guard.span("check");
         let behaviors = behaviors_of_ts_with(&ts, &guard).map_err(CheckError::from)?;
@@ -473,6 +458,7 @@ fn trajectory_case(
         is_relative_safety_with(&behaviors, &prop, &guard)?;
         Ok(rl.holds)
     })();
+    let elapsed_us = registry.elapsed().as_micros() as u64;
     let outcome = match verdict {
         Ok(true) => "rel-live holds".to_owned(),
         Ok(false) => "rel-live fails".to_owned(),
@@ -482,10 +468,10 @@ fn trajectory_case(
         ),
         Err(e) => format!("error: {e}"),
     };
-    (outcome, registry)
+    (outcome, registry, elapsed_us)
 }
 
-/// The shared case list for `trajectory` and `par`.
+/// The shared case list of the metered experiments.
 fn trajectory_cases() -> [(&'static str, &'static str, Budget); 5] {
     let mut needle_budget = Budget::unlimited();
     needle_budget.max_states = Some(20_000);
@@ -499,8 +485,8 @@ fn trajectory_cases() -> [(&'static str, &'static str, Budget); 5] {
     ]
 }
 
-fn trajectory(out_override: Option<&str>, jobs: usize) {
-    println!("== E17 — per-phase observability trajectory (jobs {jobs}) ==");
+fn trajectory(out_override: Option<&str>) {
+    println!("== E17 — per-phase observability trajectory ==");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let cases = trajectory_cases();
     println!(
@@ -517,12 +503,13 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
     };
     let mut rows = Vec::new();
     for (file, formula, budget) in cases {
-        let (outcome, registry) = trajectory_case(
+        let (outcome, registry, elapsed_us) = trajectory_case(
             root,
             file,
             formula,
             budget.clone(),
-            Pipeline::with_jobs(jobs),
+            Pipeline::DEFAULT,
+            None,
             None,
         );
         // Tracer-overhead guard: the same case with the event tracer
@@ -530,13 +517,14 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
         // — tracing is timeline-only by construction, and this is where
         // that invariant is enforced release after release.
         let tracer = std::sync::Arc::new(rl_automata::Tracer::new());
-        let (traced_outcome, traced_registry) = trajectory_case(
+        let (traced_outcome, traced_registry, traced_elapsed_us) = trajectory_case(
             root,
             file,
             formula,
             budget,
-            Pipeline::with_jobs(jobs),
+            Pipeline::DEFAULT,
             Some(std::sync::Arc::clone(&tracer)),
+            None,
         );
         let trace_counters_equal =
             totals(&registry) == totals(&traced_registry) && outcome == traced_outcome;
@@ -554,7 +542,7 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
             registry.total(Metric::States),
             registry.total(Metric::Transitions),
             records.len(),
-            registry.elapsed().as_secs_f64() * 1_000.0,
+            elapsed_us as f64 / 1_000.0,
             outcome
         );
         rows.push(
@@ -562,15 +550,12 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
                 .field("system", file)
                 .field("formula", formula)
                 .field("outcome", outcome)
-                .field("elapsed_us", registry.elapsed().as_micros() as u64)
+                .field("elapsed_us", elapsed_us)
                 .field("states", registry.total(Metric::States))
                 .field("transitions", registry.total(Metric::Transitions))
                 .field("guard_charges", registry.total(Metric::GuardCharges))
                 .field("cache_hits", registry.total(Metric::CacheHits))
-                .field(
-                    "traced_elapsed_us",
-                    traced_registry.elapsed().as_micros() as u64,
-                )
+                .field("traced_elapsed_us", traced_elapsed_us)
                 .field("trace_events", tracer.events().len() as u64)
                 .field("trace_counters_equal", trace_counters_equal)
                 .field(
@@ -584,7 +569,6 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
     let doc = ObjBuilder::new()
         .field("schema", "rl-bench-trajectory/v1")
         .field("date", date.as_str())
-        .field("jobs", jobs as u64)
         .field("cases", Json::Arr(rows))
         .build();
     let path = match out_override {
@@ -597,111 +581,13 @@ fn trajectory(out_override: Option<&str>, jobs: usize) {
     println!();
 }
 
-/// Per-jobs wall-clock comparison: every trajectory case at `--jobs 1` and
-/// `--jobs 4`, with a witness that the counters are bit-for-bit equal.
-/// Writes `BENCH_<date>-par.json` (schema `rl-bench-par/v1`).
-fn par(out_override: Option<&str>) {
-    println!("== E18 — parallel kernels: jobs 1 vs jobs 4 ==");
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    println!(
-        "{:<16} {:>12} {:>12} {:>9} {:>15}   outcome",
-        "system", "jobs1-ms", "jobs4-ms", "speedup", "counters-equal"
-    );
-    let counters = |r: &MetricsRegistry| {
-        [
-            r.total(Metric::States),
-            r.total(Metric::Transitions),
-            r.total(Metric::GuardCharges),
-            r.total(Metric::CacheHits),
-        ]
-    };
-    let mut rows = Vec::new();
-    for (file, formula, budget) in trajectory_cases() {
-        // Median-of-three wall clocks at each worker count, like `time_ms`.
-        // The registry's clock is live (now − creation), so the elapsed
-        // reading is taken the moment each case returns.
-        let timed = |jobs: usize| {
-            let mut runs: Vec<(String, MetricsRegistry, u64)> = (0..3)
-                .map(|_| {
-                    let (outcome, reg) = trajectory_case(
-                        root,
-                        file,
-                        formula,
-                        budget.clone(),
-                        Pipeline::with_jobs(jobs),
-                        None,
-                    );
-                    let us = reg.elapsed().as_micros() as u64;
-                    (outcome, reg, us)
-                })
-                .collect();
-            runs.sort_by_key(|&(_, _, us)| us);
-            runs.swap_remove(1)
-        };
-        let (outcome1, reg1, us1) = timed(1);
-        let (outcome4, reg4, us4) = timed(4);
-        let equal = counters(&reg1) == counters(&reg4) && outcome1 == outcome4;
-        let speedup = us1 as f64 / us4.max(1) as f64;
-        println!(
-            "{:<16} {:>12.2} {:>12.2} {:>8.2}x {:>15}   {}",
-            file,
-            us1 as f64 / 1_000.0,
-            us4 as f64 / 1_000.0,
-            speedup,
-            equal,
-            outcome1
-        );
-        assert!(equal, "{file}: parallel counters diverged from sequential");
-        rows.push(
-            ObjBuilder::new()
-                .field("system", file)
-                .field("formula", formula)
-                .field("outcome", outcome1)
-                .field("jobs1_us", us1)
-                .field("jobs4_us", us4)
-                .field("speedup", speedup)
-                .field("counters_equal", equal)
-                .field("states", reg1.total(Metric::States))
-                .field("transitions", reg1.total(Metric::Transitions))
-                .field("guard_charges", reg1.total(Metric::GuardCharges))
-                .build(),
-        );
-    }
-    let date = today();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    let note = if threads < 4 {
-        "recorded on a host with fewer than 4 CPUs; speedups below 1.0 \
-         measure coordination overhead, not the kernels' scaling"
-    } else {
-        "speedup = jobs1_us / jobs4_us (wall clock, median of three)"
-    };
-    let doc = ObjBuilder::new()
-        .field("schema", "rl-bench-par/v1")
-        .field("date", date.as_str())
-        .field("host_cpus", threads)
-        .field("note", note)
-        .field("cases", Json::Arr(rows))
-        .build();
-    let path = match out_override {
-        Some(p) => p.to_owned(),
-        None => format!("{root}/BENCH_{date}-par.json"),
-    };
-    let text = rl_json::to_string_pretty(&doc).expect("par document serializes");
-    std::fs::write(&path, text + "\n").expect("output path is writable");
-    println!("wrote {path}");
-    println!();
-}
-
 /// Lazy fused pipeline vs the materializing one: every trajectory case run
-/// with `Guard::with_lazy(true)` (jobs 1 and 4) and `with_lazy(false)`
-/// (jobs 1) side by side. Writes `BENCH_<date>-lazy.json` (schema
-/// `rl-bench-lazy/v1`): the deterministic expanded-state delta
-/// (`eager_states` vs `lazy_expanded`) and the elapsed delta, with the
-/// needle24 case as the headline — eager exhausts its budget in the subset
-/// construction, the fused antichain search decides it in a few dozen
-/// expansions.
+/// with `Guard::with_lazy(true)` and `with_lazy(false)` side by side.
+/// Writes `BENCH_<date>-lazy.json` (schema `rl-bench-lazy/v1`): the
+/// deterministic expanded-state delta (`eager_states` vs `lazy_expanded`)
+/// and the elapsed delta, with the needle24 case as the headline — eager
+/// exhausts its budget in the subset construction, the fused antichain
+/// search decides it in a few dozen expansions.
 fn lazy_experiment(out_override: Option<&str>) {
     println!("== E19 — lazy fused pipeline vs materializing ==");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -709,53 +595,30 @@ fn lazy_experiment(out_override: Option<&str>) {
         "{:<16} {:>12} {:>12} {:>10} {:>10} {:>10}   outcome (lazy | eager)",
         "system", "lazy-ms", "eager-ms", "expanded", "subsumed", "eager-st"
     );
-    let counters = |r: &MetricsRegistry| {
-        [
-            r.total(Metric::States),
-            r.total(Metric::Transitions),
-            r.total(Metric::GuardCharges),
-            r.counter("lazy/expanded").get(),
-            r.counter("lazy/subsumed").get(),
-        ]
-    };
     let mut rows = Vec::new();
     // Filters off throughout: this experiment pins the two *exact*
     // pipelines against each other; the pre-filter ladder would settle
     // most of these inclusions before either one ran (`filters` below
     // measures the ladder itself).
     for (file, formula, budget) in trajectory_cases() {
-        let lazy_pipeline = |jobs| Pipeline {
-            jobs,
-            lazy: true,
+        let pipeline = |lazy| Pipeline {
+            lazy,
             filters: false,
         };
-        let (lazy_outcome, lazy_reg) =
-            trajectory_case(root, file, formula, budget.clone(), lazy_pipeline(1), None);
-        let lazy_us = lazy_reg.elapsed().as_micros() as u64;
-        let (lazy4_outcome, lazy4_reg) =
-            trajectory_case(root, file, formula, budget.clone(), lazy_pipeline(4), None);
-        let lazy4_us = lazy4_reg.elapsed().as_micros() as u64;
-        let eager_pipeline = Pipeline {
-            jobs: 1,
-            lazy: false,
-            filters: false,
-        };
-        let (eager_outcome, eager_reg) =
-            trajectory_case(root, file, formula, budget, eager_pipeline, None);
-        let eager_us = eager_reg.elapsed().as_micros() as u64;
-        // PR-4 discipline carried into the fused search: the lazy counters
-        // (including `lazy/expanded` and `lazy/subsumed`) are bit-for-bit
-        // identical at any thread count.
-        let lazy_counters_equal =
-            counters(&lazy_reg) == counters(&lazy4_reg) && lazy_outcome == lazy4_outcome;
-        assert!(
-            lazy_counters_equal,
-            "{file}: lazy counters diverged between jobs 1 and 4 \
-             ({:?} vs {:?})",
-            counters(&lazy_reg),
-            counters(&lazy4_reg)
+        let (lazy_outcome, lazy_reg, lazy_us) = trajectory_case(
+            root,
+            file,
+            formula,
+            budget.clone(),
+            pipeline(true),
+            None,
+            None,
         );
-        let [lazy_states, _, _, expanded, subsumed] = counters(&lazy_reg);
+        let (eager_outcome, eager_reg, eager_us) =
+            trajectory_case(root, file, formula, budget, pipeline(false), None, None);
+        let lazy_states = lazy_reg.total(Metric::States);
+        let expanded = lazy_reg.counter("lazy/expanded").get();
+        let subsumed = lazy_reg.counter("lazy/subsumed").get();
         let eager_states = eager_reg.total(Metric::States);
         // Expanded-state delta: nodes the fused search admitted vs states
         // the materializing pipeline charged before finishing (or before
@@ -793,9 +656,7 @@ fn lazy_experiment(out_override: Option<&str>) {
                 .field("eager_states", eager_states)
                 .field("expanded_ratio", expanded_ratio)
                 .field("lazy_jobs1_us", lazy_us)
-                .field("lazy_jobs4_us", lazy4_us)
                 .field("eager_us", eager_us)
-                .field("lazy_counters_equal", lazy_counters_equal)
                 .build(),
         );
     }
@@ -858,15 +719,8 @@ fn filters_experiment(out_override: Option<&str>) {
         let timed = |lazy: bool, filters: bool| {
             let mut runs: Vec<(String, MetricsRegistry, u64)> = (0..3)
                 .map(|_| {
-                    let pipeline = Pipeline {
-                        jobs: 1,
-                        lazy,
-                        filters,
-                    };
-                    let (outcome, reg) =
-                        trajectory_case(root, file, formula, budget.clone(), pipeline, None);
-                    let us = reg.elapsed().as_micros() as u64;
-                    (outcome, reg, us)
+                    let pipeline = Pipeline { lazy, filters };
+                    trajectory_case(root, file, formula, budget.clone(), pipeline, None, None)
                 })
                 .collect();
             runs.sort_by_key(|&(_, _, us)| us);
@@ -969,63 +823,6 @@ fn filters_experiment(out_override: Option<&str>) {
     println!();
 }
 
-/// One percentile-instrumented case: the same pipeline as
-/// [`trajectory_case`] with a [`rl_automata::HistogramRegistry`] attached
-/// to the guard, the op cache, and (at `jobs >= 2`) the pool, so filter
-/// stage latencies, cache probe/lock waits, and steal/park durations all
-/// record. Returns the registry totals plus the histogram snapshot.
-fn hist_case(
-    root: &str,
-    file: &str,
-    formula: &str,
-    budget: Budget,
-    jobs: usize,
-) -> (
-    String,
-    MetricsRegistry,
-    Vec<(String, rl_automata::HistogramSnapshot)>,
-) {
-    let text = std::fs::read_to_string(format!("{root}/examples/systems/{file}"))
-        .expect("example system exists");
-    let ts = parse_system(&text).expect("example system parses");
-    let eta = parse(formula).expect("parses");
-    let prop = Property::formula(eta);
-    let registry = MetricsRegistry::new();
-    registry.note_jobs(jobs);
-    let hists = rl_automata::HistogramRegistry::new();
-    let cache = rl_automata::OpCache::new();
-    cache.set_histograms(hists.clone());
-    let mut guard = Guard::new(budget)
-        .with_lazy(true)
-        .with_filters(true)
-        .with_metrics(registry.clone())
-        .with_histograms(hists.clone())
-        .with_op_cache(cache);
-    if jobs >= 2 {
-        let pool = std::sync::Arc::new(rl_automata::Pool::with_tracer(jobs, None));
-        pool.set_histograms(hists.clone());
-        guard = guard.with_pool(pool);
-    }
-    let verdict = (|| -> Result<bool, CheckError> {
-        let _span = guard.span("check");
-        let behaviors = behaviors_of_ts_with(&ts, &guard).map_err(CheckError::from)?;
-        satisfies_with(&behaviors, &prop, &guard)?;
-        let rl = is_relative_liveness_with(&behaviors, &prop, &guard)?;
-        is_relative_safety_with(&behaviors, &prop, &guard)?;
-        Ok(rl.holds)
-    })();
-    let outcome = match verdict {
-        Ok(true) => "rel-live holds".to_owned(),
-        Ok(false) => "rel-live fails".to_owned(),
-        Err(CheckError::BudgetExceeded { partial, .. }) => format!(
-            "budget exhausted in {}",
-            partial.phase.unwrap_or_else(|| "?".to_owned())
-        ),
-        Err(e) => format!("error: {e}"),
-    };
-    (outcome, registry, hists.snapshot())
-}
-
 /// Writes `BENCH_<date>-hist.json` (schema `rl-bench-hist/v1`): every
 /// trajectory case run with the percentile histogram registry attached,
 /// next to a detached control run. Witness `hist_counters_equal`: recording
@@ -1049,15 +846,26 @@ fn hist_experiment(out_override: Option<&str>) {
     );
     let mut rows = Vec::new();
     for (file, formula, budget) in trajectory_cases() {
-        let (plain_outcome, plain_reg) = trajectory_case(
+        let (plain_outcome, plain_reg, _) = trajectory_case(
             root,
             file,
             formula,
             budget.clone(),
-            Pipeline::with_jobs(1),
+            Pipeline::DEFAULT,
+            None,
             None,
         );
-        let (outcome, reg, hists) = hist_case(root, file, formula, budget, 1);
+        let registry = rl_automata::HistogramRegistry::new();
+        let (outcome, reg, elapsed_us) = trajectory_case(
+            root,
+            file,
+            formula,
+            budget,
+            Pipeline::DEFAULT,
+            None,
+            Some(&registry),
+        );
+        let hists = registry.snapshot();
         let hist_counters_equal = totals(&plain_reg) == totals(&reg) && plain_outcome == outcome;
         assert!(
             hist_counters_equal,
@@ -1077,7 +885,7 @@ fn hist_experiment(out_override: Option<&str>) {
             file,
             recorded.len(),
             samples,
-            reg.elapsed().as_secs_f64() * 1_000.0,
+            elapsed_us as f64 / 1_000.0,
             busiest
         );
         let families: Vec<Json> = recorded
@@ -1098,7 +906,7 @@ fn hist_experiment(out_override: Option<&str>) {
                 .field("system", file)
                 .field("formula", formula)
                 .field("outcome", outcome)
-                .field("elapsed_us", reg.elapsed().as_micros() as u64)
+                .field("elapsed_us", elapsed_us)
                 .field("states", reg.total(Metric::States))
                 .field("transitions", reg.total(Metric::Transitions))
                 .field("guard_charges", reg.total(Metric::GuardCharges))
@@ -1136,24 +944,6 @@ fn main() {
         out = Some(args.remove(idx + 1));
         args.remove(idx);
     }
-    // `--jobs N` attaches an N-worker pool to every metered case (0 = one
-    // worker per core); counters stay sequential-identical by construction.
-    let mut jobs = 1usize;
-    while let Some(idx) = args.iter().position(|a| a == "--jobs") {
-        if idx + 1 >= args.len() {
-            eprintln!("--jobs needs a value (worker count, 0 = auto)");
-            std::process::exit(2);
-        }
-        let raw = args.remove(idx + 1);
-        args.remove(idx);
-        match raw.parse::<usize>() {
-            Ok(n) => jobs = rl_automata::resolve_jobs(Some(n)),
-            Err(_) => {
-                eprintln!("--jobs: expected a number, got {raw:?}");
-                std::process::exit(2);
-            }
-        }
-    }
     let arg = args.first().cloned().unwrap_or_else(|| "all".to_owned());
     match arg.as_str() {
         "fig2" => fig2(),
@@ -1165,8 +955,7 @@ fn main() {
         "ltl" => ltl(),
         "fair" => fair(),
         "prob" => prob(),
-        "trajectory" => trajectory(out.as_deref(), jobs),
-        "par" => par(out.as_deref()),
+        "trajectory" => trajectory(out.as_deref()),
         "lazy" => lazy_experiment(out.as_deref()),
         "filters" => filters_experiment(out.as_deref()),
         "hist" => hist_experiment(out.as_deref()),
@@ -1180,8 +969,7 @@ fn main() {
             ltl();
             fair();
             prob();
-            trajectory(out.as_deref(), jobs);
-            par(None);
+            trajectory(out.as_deref());
             lazy_experiment(None);
             filters_experiment(None);
             hist_experiment(None);
@@ -1189,8 +977,8 @@ fn main() {
         other => {
             eprintln!(
                 "unknown experiment {other:?}; expected one of \
-                 fig2 fig3 fig4 scaling payoff hardness ltl fair prob trajectory par lazy \
-                 filters hist all"
+                 fig2 fig3 fig4 scaling payoff hardness ltl fair prob trajectory lazy filters \
+                 hist all"
             );
             std::process::exit(2);
         }

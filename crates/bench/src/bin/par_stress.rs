@@ -1,11 +1,10 @@
-//! Loom-free concurrency stress harness for the parallel checking stack.
+//! Loom-free concurrency stress harness for the shared state of batch and
+//! serve runs.
 //!
-//! Hammers the shared-state pieces introduced for multicore checking —
-//! the work-stealing [`Pool`], the sharded [`OpCache`], and the atomic
-//! guard core — from many threads at once, and re-asserts the central
-//! determinism guarantee (parallel determinization is bit-for-bit the
-//! sequential result) across repeated runs. CI runs this binary directly;
-//! it exits non-zero on the first violated invariant.
+//! Hammers the pieces that concurrent whole checks share — the
+//! work-stealing [`Pool`] and the sharded [`OpCache`] — from many threads
+//! at once, across repeated rounds. CI runs this binary directly; it exits
+//! non-zero on the first violated invariant.
 //!
 //! ```text
 //! cargo run --release -p rl-bench --bin par_stress [-- <rounds>]
@@ -13,16 +12,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rl_automata::{
-    Alphabet, Budget, CancelToken, Guard, Metric, MetricsRegistry, Nfa, OpCache, Pool,
-};
+use rl_automata::{OpCache, Pool};
 
-/// One shared counter bumped by every closure the stress run schedules, so
-/// the harness can prove nothing was silently dropped.
-static EXECUTED: AtomicUsize = AtomicUsize::new(0);
+/// One unit of pool work returning a checkable value.
+type Task = Box<dyn FnOnce() -> usize + Send>;
 
 fn main() {
     let rounds: usize = std::env::args()
@@ -44,44 +39,23 @@ fn main() {
     }));
 
     for round in 0..rounds {
-        stress_pool_map(round);
         stress_pool_panic_isolation();
         stress_op_cache(round);
-        stress_guard_charges();
-        stress_cancellation_under_load();
-        stress_parallel_determinize_determinism(round);
     }
     println!("par_stress: {rounds} rounds clean");
-}
-
-/// `map_indexed` must return every slot, in order, under heavy stealing.
-fn stress_pool_map(round: usize) {
-    let pool = Pool::new(4);
-    let n = 2048 + round; // odd sizes exercise the last ragged chunk
-    let out = pool.map_indexed(
-        n,
-        Arc::new(|i: usize| {
-            EXECUTED.fetch_add(1, Ordering::Relaxed);
-            i * 3 + 1
-        }),
-    );
-    assert_eq!(out.len(), n, "map_indexed dropped slots");
-    for (i, v) in out.iter().enumerate() {
-        assert_eq!(*v, i * 3 + 1, "slot {i} holds another index's result");
-    }
 }
 
 /// A panicking job must not poison the pool or take sibling jobs with it.
 fn stress_pool_panic_isolation() {
     let pool = Pool::new(3);
-    let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
+    let jobs: Vec<Task> = (0..64usize)
         .map(|i| {
             Box::new(move || {
                 if i == 17 {
                     panic!("deliberate stress panic");
                 }
                 i
-            }) as Box<dyn FnOnce() -> usize + Send>
+            }) as Task
         })
         .collect();
     let results = pool.run_jobs(jobs);
@@ -93,7 +67,11 @@ fn stress_pool_panic_isolation() {
         }
     }
     // The pool is still usable after the panic.
-    let echo = pool.map_indexed(32, Arc::new(|i: usize| i));
+    let echo: Vec<usize> = pool
+        .run_jobs(jobs_of(32, |i| i))
+        .into_iter()
+        .map(|r| r.expect("echo job completes"))
+        .collect();
     assert_eq!(echo, (0..32).collect::<Vec<_>>());
 }
 
@@ -104,11 +82,10 @@ fn stress_op_cache(round: usize) {
     let cache = OpCache::new();
     let pool = Pool::new(4);
     let keys = 97usize; // prime, so shard selection gets a ragged spread
-    let arcs = pool.map_indexed(
-        1024,
-        Arc::new({
+    let jobs: Vec<Task> = (0..1024usize)
+        .map(|i| {
             let cache = cache.clone();
-            move |i: usize| {
+            Box::new(move || {
                 let key = ((i % keys) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let built: Result<(Arc<Vec<usize>>, bool), std::convert::Infallible> = cache
                     .get_or_insert_with(
@@ -120,9 +97,14 @@ fn stress_op_cache(round: usize) {
                 let (arc, _hit) = built.expect("infallible build");
                 assert_eq!(arc[0], i % keys, "wrong entry for key");
                 Arc::as_ptr(&arc) as usize
-            }
-        }),
-    );
+            }) as Task
+        })
+        .collect();
+    let arcs: Vec<usize> = pool
+        .run_jobs(jobs)
+        .into_iter()
+        .map(|r| r.expect("cache job completes"))
+        .collect();
     // Every caller that hit the same key observed the same allocation.
     let mut by_key: Vec<Option<usize>> = vec![None; keys];
     for (i, ptr) in arcs.iter().enumerate() {
@@ -140,103 +122,7 @@ fn stress_op_cache(round: usize) {
     assert!(Arc::ptr_eq(&a, &b), "operands interned to one Arc");
 }
 
-/// Probes cloned from one guard share the same atomic core: concurrent
-/// frontier notes may interleave, but deadline/cancel checks must agree.
-fn stress_guard_charges() {
-    let guard = Guard::new(Budget::default());
-    let probe = guard.probe();
-    let pool = Pool::new(4);
-    let oks = pool.map_indexed(
-        512,
-        Arc::new({
-            let probe = probe.clone();
-            move |_i: usize| probe.check().is_ok()
-        }),
-    );
-    assert!(oks.into_iter().all(|ok| ok), "unarmed probe never trips");
-}
-
-/// One cancel token stops every worker: after cancellation no probe
-/// succeeds, from any thread.
-fn stress_cancellation_under_load() {
-    let token = CancelToken::new();
-    let guard = Guard::with_cancel(Budget::default(), token.clone());
-    let probe = guard.probe();
-    token.cancel();
-    let pool = Pool::new(4);
-    let tripped = pool.map_indexed(
-        256,
-        Arc::new({
-            let probe = probe.clone();
-            move |_i: usize| probe.check().is_err()
-        }),
-    );
-    assert!(
-        tripped.into_iter().all(|t| t),
-        "cancel visible on all threads"
-    );
-    assert!(
-        guard.check_now().is_err(),
-        "owner sees the cancellation too"
-    );
-}
-
-/// The flagship guarantee, re-checked under scheduling noise: parallel
-/// determinization of the n-th-from-the-end family is structurally equal to
-/// the sequential result with identical counter totals.
-fn stress_parallel_determinize_determinism(round: usize) {
-    let n = 9 + round % 3; // 2^n subset states, enough to split into layers
-    let nfa = nth_from_end_nfa(n);
-
-    let seq_guard = Guard::new(Budget::default()).with_metrics(MetricsRegistry::new());
-    let seq = nfa
-        .determinize_with(&seq_guard)
-        .expect("sequential determinize");
-
-    let par_guard = Guard::new(Budget::default())
-        .with_metrics(MetricsRegistry::new())
-        .with_pool(Arc::new(Pool::new(4)));
-    let par = nfa
-        .determinize_with(&par_guard)
-        .expect("parallel determinize");
-
-    assert_eq!(seq, par, "parallel Dfa differs from sequential");
-    let totals = |g: &Guard| {
-        let m = g.metrics().expect("metrics attached");
-        (
-            m.total(Metric::States),
-            m.total(Metric::Transitions),
-            m.total(Metric::GuardCharges),
-        )
-    };
-    assert_eq!(
-        totals(&seq_guard),
-        totals(&par_guard),
-        "counter totals differ"
-    );
-}
-
-/// The "n-th symbol from the end is an `a`" NFA — `n + 1` states blowing up
-/// to `2^n` subset states, the canonical determinization stressor.
-fn nth_from_end_nfa(n: usize) -> Nfa {
-    let ab = Alphabet::new(["a", "b"]).expect("two symbols");
-    let a = ab.symbol("a").expect("interned");
-    let b = ab.symbol("b").expect("interned");
-    let mut nfa = Nfa::new(ab);
-    let q0 = nfa.add_state(false);
-    nfa.set_initial(q0);
-    nfa.add_transition(q0, a, q0);
-    nfa.add_transition(q0, b, q0);
-    let mut prev = q0;
-    for i in 0..n {
-        let q = nfa.add_state(i == n - 1);
-        if prev == q0 {
-            nfa.add_transition(q0, a, q);
-        } else {
-            nfa.add_transition(prev, a, q);
-            nfa.add_transition(prev, b, q);
-        }
-        prev = q;
-    }
-    nfa
+/// `n` jobs computing `f(i)`, for [`Pool::run_jobs`].
+fn jobs_of(n: usize, f: fn(usize) -> usize) -> Vec<Task> {
+    (0..n).map(|i| Box::new(move || f(i)) as Task).collect()
 }

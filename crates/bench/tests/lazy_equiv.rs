@@ -2,17 +2,15 @@
 //! one: on the shipped trajectory fixtures and on random machines, the
 //! verdicts of `satisfies`/`is_relative_liveness`/`is_relative_safety`
 //! must be identical with `Guard::with_lazy(true)` (the default) and
-//! `with_lazy(false)` (the CLI's `--no-lazy`), at jobs 1 and 4, with and
-//! without the op cache — and every witness either path produces must be
+//! `with_lazy(false)` (the CLI's `--no-lazy`), with and without the op
+//! cache — and every witness either path produces must be
 //! *semantically valid* (witnesses may differ in tie-break between the
 //! search orders, so validity, not equality, is what is pinned).
-
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use relative_liveness::format::parse_system;
 use rl_automata::{
-    dfa_included, nfa_included_lazy, Alphabet, Guard, Metric, MetricsRegistry, Nfa, OpCache, Pool,
+    dfa_included, nfa_included_lazy, Alphabet, Guard, Metric, MetricsRegistry, Nfa, OpCache,
     Symbol, TransitionSystem, Word,
 };
 use rl_bench::random_system;
@@ -82,7 +80,7 @@ struct Run {
     counters: (u64, u64, u64, u64, u64),
 }
 
-fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, jobs: usize, cache: bool) -> Run {
+fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, cache: bool) -> Run {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let reg = MetricsRegistry::new();
     // Filters off: this suite pins the *exact* pipelines against each
@@ -94,9 +92,6 @@ fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, jobs: usize, cach
         .with_metrics(reg.clone());
     if cache {
         guard = guard.with_op_cache(OpCache::new());
-    }
-    if jobs >= 2 {
-        guard = guard.with_pool(Arc::new(Pool::new(jobs)));
     }
     let behaviors = behaviors_of_ts_with(ts, &guard).expect("behaviors");
     let sat = satisfies_with(&behaviors, &prop, &guard).expect("satisfies");
@@ -186,32 +181,11 @@ const FIXTURES: [(&str, &str); 4] = [
 fn trajectory_fixtures_agree_across_pipelines() {
     for (file, formula) in FIXTURES {
         let ts = fixture(file);
-        let eager = run_check(&ts, formula, false, 1, true);
-        for jobs in [1, 4] {
-            for cache in [true, false] {
-                let lazy = run_check(&ts, formula, true, jobs, cache);
-                assert_equivalent(&ts, formula, &lazy, &eager);
-            }
+        let eager = run_check(&ts, formula, false, true);
+        for cache in [true, false] {
+            let lazy = run_check(&ts, formula, true, cache);
+            assert_equivalent(&ts, formula, &lazy, &eager);
         }
-    }
-}
-
-#[test]
-fn lazy_counters_are_thread_count_independent() {
-    // PR-4 discipline, extended to the fused search: states, transitions,
-    // guard charges, and the lazy/* counters are bit-for-bit identical at
-    // any thread count (the needle fixture drives frontier widths past the
-    // parallel threshold).
-    for (file, formula) in [("abp.ts", "[]<>deliver"), ("needle24.ts", "[]<>a")] {
-        let ts = fixture(file);
-        let j1 = run_check(&ts, formula, true, 1, true);
-        let j4 = run_check(&ts, formula, true, 4, true);
-        assert_eq!(j1.counters, j4.counters, "{file}");
-        assert_eq!(j1.sat, j4.sat);
-        assert_eq!(j1.live, j4.live);
-        assert_eq!(j1.safe, j4.safe);
-        assert_eq!(j1.doomed, j4.doomed, "lazy witness must be deterministic");
-        assert_eq!(j1.escape, j4.escape);
     }
 }
 
@@ -221,7 +195,7 @@ fn needle24_is_feasible_only_lazily() {
     // states on this fixture; the fused search with retro-pruned antichain
     // subsumption decides it in a few dozen expansions.
     let ts = fixture("needle24.ts");
-    let lazy = run_check(&ts, "[]<>a", true, 1, true);
+    let lazy = run_check(&ts, "[]<>a", true, true);
     assert!(lazy.live, "needle24 is relative-live for []<>a");
     assert!(!lazy.sat && !lazy.safe);
     assert_witnesses_valid(&ts, "[]<>a", &lazy);
@@ -246,16 +220,12 @@ proptest! {
         formula in proptest::sample::select(&["[]<>t0", "<>t1", "[]t0", "[]<>t1"][..]),
     ) {
         let ts = random_system(seed, n, 2, density);
-        let lazy = run_check(&ts, formula, true, 1, true);
-        let eager = run_check(&ts, formula, false, 1, false);
+        let lazy = run_check(&ts, formula, true, true);
+        let eager = run_check(&ts, formula, false, false);
         assert_equivalent(&ts, formula, &lazy, &eager);
-        // The pool changes nothing at all; dropping the op cache changes
-        // neither verdicts nor witnesses (only the cache-hit accounting).
-        let lazy4 = run_check(&ts, formula, true, 4, true);
-        prop_assert_eq!(lazy.live, lazy4.live);
-        prop_assert_eq!(&lazy.doomed, &lazy4.doomed);
-        prop_assert_eq!(lazy.counters, lazy4.counters);
-        let uncached = run_check(&ts, formula, true, 1, false);
+        // Dropping the op cache changes neither verdicts nor witnesses
+        // (only the cache-hit accounting).
+        let uncached = run_check(&ts, formula, true, false);
         prop_assert_eq!(lazy.live, uncached.live);
         prop_assert_eq!(&lazy.doomed, &uncached.doomed);
         prop_assert_eq!(&lazy.escape, &uncached.escape);

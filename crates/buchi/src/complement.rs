@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rl_automata::{AutomataError, Guard, Interner, Pool, StateId, StateSet, Symbol};
+use rl_automata::{AutomataError, Guard, Interner, StateId, StateSet, Symbol};
 
 use crate::buchi::Buchi;
 use crate::upword::UpWord;
@@ -23,11 +23,6 @@ type CState = (Ranking, Vec<StateId>);
 
 /// Unset entry of the per-state rank-bound table (max_rank ≤ 2n < MAX).
 const NO_BOUND: u32 = u32::MAX;
-
-/// Minimum BFS-layer width at which complementation fans layer expansion out
-/// across the guard's pool (mirrors the subset-construction threshold in
-/// rl-automata). A performance knob only: outputs are identical either way.
-const PAR_LAYER_THRESHOLD: usize = 16;
 
 /// Returns a Büchi automaton accepting exactly `Σ^ω \ L(a)`.
 ///
@@ -193,11 +188,6 @@ fn complement_inner(a: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
     out.set_initial(id);
     work.push_back(id);
 
-    if let Some(pool) = guard.par_pool() {
-        let pool = pool.clone();
-        return complement_layered(&a, guard, &pool, index, out, id);
-    }
-
     while let Some(id) = work.pop_front() {
         guard.note_frontier(work.len());
         let (f, o) = index.key(id).clone();
@@ -217,95 +207,6 @@ fn complement_inner(a: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
                 out.add_transition(id, sym, nid);
             }
         }
-    }
-    Ok(out)
-}
-
-/// Layer-synchronous rank-based complementation: the parallel twin of the
-/// FIFO loop in [`complement_inner`], bit-for-bit equivalent to it.
-///
-/// Pool workers run the *pure* part — [`expand_cell`] per `(state, symbol)`,
-/// counting the enumerated candidates and polling the guard's probe every
-/// 256 of them so one timeout/cancel stops every worker — while a sequential
-/// merge replays all effects in FIFO order: exactly one transition charge per
-/// counted candidate, then state interning/charging per key. Emitted
-/// automata, charge sequences, and budget trip points are identical for
-/// every thread count. See `DESIGN.md` §10.
-fn complement_layered(
-    a: &Buchi,
-    guard: &Guard,
-    pool: &Arc<Pool>,
-    mut index: Interner<CState>,
-    mut out: Buchi,
-    first: StateId,
-) -> Result<Buchi, AutomataError> {
-    /// Per-symbol worker output: candidate count, successor keys in order.
-    type SymCell = (usize, Vec<CState>);
-    type Row = Vec<SymCell>;
-
-    let n = a.state_count();
-    let shared = Arc::new(a.clone());
-    let probe = guard.probe();
-    let symbols: Vec<Symbol> = a.alphabet().symbols().collect();
-    let mut layer: Vec<StateId> = vec![first];
-    while !layer.is_empty() {
-        guard.trace_instant("complement-layer", Some(("width", layer.len() as u64)));
-        let items: Arc<Vec<CState>> =
-            Arc::new(layer.iter().map(|&id| index.key(id).clone()).collect());
-        let expand = {
-            let a = shared.clone();
-            let probe = probe.clone();
-            let symbols = symbols.clone();
-            move |i: usize| -> Result<Row, AutomataError> {
-                probe.check()?;
-                let (f, o) = &items[i];
-                let mut row = Vec::with_capacity(symbols.len());
-                for &sym in &symbols {
-                    let mut candidates = 0usize;
-                    let keys = expand_cell(&a, n, f, o, sym, || {
-                        candidates += 1;
-                        if candidates.is_multiple_of(256) {
-                            probe.check()?;
-                        }
-                        Ok(())
-                    })?;
-                    row.push((candidates, keys));
-                }
-                Ok(row)
-            }
-        };
-        let rows: Vec<Result<Row, AutomataError>> = if layer.len() >= PAR_LAYER_THRESHOLD {
-            pool.map_indexed(layer.len(), Arc::new(expand))
-        } else {
-            (0..layer.len()).map(expand).collect()
-        };
-
-        // Sequential merge, in FIFO order (cf. the frontier bookkeeping in
-        // the sequential loop: rest of this layer + discoveries so far).
-        let m = layer.len();
-        let mut next_layer: Vec<StateId> = Vec::new();
-        for (li, (&id, row)) in layer.iter().zip(rows).enumerate() {
-            guard.note_frontier((m - 1 - li) + next_layer.len());
-            for (&sym, (candidates, keys)) in symbols.iter().zip(row?) {
-                for _ in 0..candidates {
-                    guard.charge_transition()?;
-                }
-                for key in keys {
-                    let nid = match index.get(&key) {
-                        Some(nid) => nid,
-                        None => {
-                            guard.charge_state()?;
-                            let nid = out.add_state(key.1.is_empty());
-                            index.intern(key);
-                            next_layer.push(nid);
-                            nid
-                        }
-                    };
-                    out.add_transition(id, sym, nid);
-                }
-            }
-        }
-        layer = next_layer;
     }
     Ok(out)
 }
@@ -422,56 +323,6 @@ mod tests {
         assert!(omega_equivalent(&m, &m.clone()).unwrap());
         assert!(!omega_equivalent(&m, &univ).unwrap());
         let _ = (a, b);
-    }
-
-    #[test]
-    fn parallel_complement_is_bit_for_bit_sequential() {
-        use rl_automata::{Budget, Metric, MetricsRegistry};
-        let (ab, a, b) = ab2();
-        // 4 states → rank bound 8: thousands of ranking states, so the
-        // construction crosses PAR_LAYER_THRESHOLD and exercises the pool.
-        let m = Buchi::from_parts(
-            ab,
-            4,
-            [0],
-            [2],
-            [
-                (0, a, 1),
-                (0, b, 0),
-                (1, a, 2),
-                (1, b, 0),
-                (2, a, 2),
-                (2, b, 3),
-                (3, a, 0),
-                (3, b, 2),
-            ],
-        )
-        .unwrap();
-        let run = |pool: Option<Arc<Pool>>| {
-            let reg = MetricsRegistry::new();
-            let mut guard =
-                Guard::new(Budget::unlimited().with_max_states(3_000)).with_metrics(reg.clone());
-            if let Some(pool) = pool {
-                guard = guard.with_pool(pool);
-            }
-            let result = complement_with(&m, &guard).map_err(|e| match e {
-                AutomataError::BudgetExceeded { spent, partial, .. } => {
-                    (spent, partial.states, partial.transitions, partial.frontier)
-                }
-                other => panic!("unexpected error {other:?}"),
-            });
-            (
-                result,
-                reg.total(Metric::States),
-                reg.total(Metric::Transitions),
-                reg.total(Metric::GuardCharges),
-            )
-        };
-        let seq = run(None);
-        for threads in [2, 4] {
-            let par = run(Some(Arc::new(Pool::new(threads))));
-            assert_eq!(par, seq, "{threads} threads");
-        }
     }
 
     #[test]

@@ -128,9 +128,13 @@ impl Property {
 
     /// [`Property::negation_to_buchi`] under a resource [`Guard`].
     ///
-    /// Only automaton-given properties can trip the guard (their complement
-    /// uses the exponential rank-based construction); formula-given
-    /// properties negate the formula instead, which is linear.
+    /// Automaton-given properties are complemented with the exponential
+    /// rank-based construction, which charges the guard and can trip it.
+    /// Formula-given properties negate the formula and translate it with
+    /// [`formula_to_buchi`], the GPVW tableau: exponential in the size of
+    /// the formula, and run *unguarded* — it charges nothing, so neither a
+    /// budget nor a cancel stops it (ROADMAP item 4 plans a guarded
+    /// variant).
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@
 //! exact deciders: on the paper's fixtures and on random machines, the
 //! relative-liveness verdict must be identical with `Guard::with_filters`
 //! on (the default) and off (the CLI's `--no-filters`), across the lazy
-//! and eager pipelines, jobs 1 and 4, with and without the op cache.
+//! and eager pipelines, with and without the op cache.
 //!
 //! Witnesses are compared by *semantic validity*, never by equality: a
 //! ladder refutation is the shortest witness **within its abstraction**
@@ -15,11 +15,9 @@
 //! *indistinguishable* from a `--no-filters` run in the four deterministic
 //! metric totals: the filter kernels only poll the guard, never charge it.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 use rl_automata::{
-    Alphabet, Guard, Metric, MetricsRegistry, Nfa, OpCache, Pool, Symbol, TransitionSystem, Word,
+    Alphabet, Guard, Metric, MetricsRegistry, Nfa, OpCache, Symbol, TransitionSystem, Word,
 };
 use rl_buchi::behaviors_of_ts_with;
 use rl_core::{is_relative_liveness_with, prefilter_inclusion, FilterOutcome, Property};
@@ -55,14 +53,7 @@ struct Run {
     ladder: (u64, u64),
 }
 
-fn run_check(
-    ts: &TransitionSystem,
-    formula: &str,
-    filters: bool,
-    lazy: bool,
-    jobs: usize,
-    cache: bool,
-) -> Run {
+fn run_check(ts: &TransitionSystem, formula: &str, filters: bool, lazy: bool, cache: bool) -> Run {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let reg = MetricsRegistry::new();
     let mut guard = Guard::unlimited()
@@ -71,9 +62,6 @@ fn run_check(
         .with_metrics(reg.clone());
     if cache {
         guard = guard.with_op_cache(OpCache::new());
-    }
-    if jobs >= 2 {
-        guard = guard.with_pool(Arc::new(Pool::new(jobs)));
     }
     let behaviors = behaviors_of_ts_with(ts, &guard).expect("behaviors");
     let verdict = is_relative_liveness_with(&behaviors, &prop, &guard).expect("rel-live");
@@ -141,23 +129,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random systems: the filtered pipeline agrees with `--no-filters`
-    /// across both exact pipelines, jobs 1/4, and op-cache on/off.
+    /// across both exact pipelines and op-cache on/off.
     #[test]
     fn random_systems_agree_with_and_without_filters(
         ts in ts_strategy(5),
         formula in proptest::sample::select(&["[]<>t0", "<>t1", "[]t0", "[]<>t1"][..]),
     ) {
-        let off = run_check(&ts, formula, false, true, 1, true);
+        let off = run_check(&ts, formula, false, true, true);
         for lazy in [true, false] {
-            for jobs in [1, 4] {
-                for cache in [true, false] {
-                    let on = run_check(&ts, formula, true, lazy, jobs, cache);
-                    // The eager reference for metric comparison must match
-                    // the run's own pipeline/cache configuration.
-                    let reference = run_check(&ts, formula, false, lazy, jobs, cache);
-                    assert_filters_sound(&ts, formula, &on, &reference);
-                    prop_assert_eq!(on.live, off.live, "verdict depends on configuration");
-                }
+            for cache in [true, false] {
+                let on = run_check(&ts, formula, true, lazy, cache);
+                // The eager reference for metric comparison must match
+                // the run's own pipeline/cache configuration.
+                let reference = run_check(&ts, formula, false, lazy, cache);
+                assert_filters_sound(&ts, formula, &on, &reference);
+                prop_assert_eq!(on.live, off.live, "verdict depends on configuration");
             }
         }
     }
@@ -170,8 +156,8 @@ fn fixtures_agree_with_and_without_filters() {
         (rl_petri::examples::server_err_behaviors(), "[]<>result"),
     ] {
         for lazy in [true, false] {
-            let on = run_check(&ts, formula, true, lazy, 1, true);
-            let off = run_check(&ts, formula, false, lazy, 1, true);
+            let on = run_check(&ts, formula, true, lazy, true);
+            let off = run_check(&ts, formula, false, lazy, true);
             assert_filters_sound(&ts, formula, &on, &off);
         }
     }
@@ -182,24 +168,21 @@ fn ladder_refutations_replay_on_the_fixture_that_fails() {
     // server_err is *not* rel-live for []<>result; whatever stage answers,
     // the witness must replay against the exact inclusion.
     let ts = rl_petri::examples::server_err_behaviors();
-    let run = run_check(&ts, "[]<>result", true, true, 1, true);
+    let run = run_check(&ts, "[]<>result", true, true, true);
     assert!(!run.live);
     let w = run.doomed.as_ref().expect("refutation carries a witness");
     assert_doomed_valid(&ts, "[]<>result", w);
 }
 
 #[test]
-fn ladder_outcomes_are_deterministic_across_jobs_and_cache() {
-    // The ladder itself is sequential and unmetered, so its hit/fallthrough
-    // accounting — and the witness it returns — cannot depend on the pool
-    // or the op cache.
+fn ladder_outcomes_do_not_depend_on_the_cache() {
+    // The ladder itself is unmetered, so its hit/fallthrough accounting —
+    // and the witness it returns — cannot depend on the op cache.
     let ts = rl_petri::examples::server_err_behaviors();
-    let base = run_check(&ts, "[]<>result", true, true, 1, true);
-    for (jobs, cache) in [(1, false), (4, true), (4, false)] {
-        let other = run_check(&ts, "[]<>result", true, true, jobs, cache);
-        assert_eq!(base.ladder, other.ladder);
-        assert_eq!(base.doomed, other.doomed);
-    }
+    let cached = run_check(&ts, "[]<>result", true, true, true);
+    let uncached = run_check(&ts, "[]<>result", true, true, false);
+    assert_eq!(cached.ladder, uncached.ladder);
+    assert_eq!(cached.doomed, uncached.doomed);
 }
 
 #[test]

@@ -34,7 +34,7 @@
 //!
 //! Histograms never touch the deterministic metrics or counters: enabling
 //! them cannot perturb `states`/`transitions`/`cache_hits`/`guard_charges`,
-//! which stay bit-for-bit identical at every `--jobs` value.
+//! which stay bit-for-bit identical with and without them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -1,7 +1,7 @@
 //! Environment-knob parsing with a warn-once policy.
 //!
 //! The runtime knobs (`RL_PROGRESS_MS`, `RL_SUBSCRIBER_RING`,
-//! `RL_FILTER_MODK`, …) used to fall back to their defaults *silently* on a
+//! `RL_FILTER_MODK`, `RL_THREADS`, …) used to fall back to their defaults *silently* on a
 //! parse failure, so a typo like `RL_PROGRESS_MS=1s` quietly sampled at the
 //! default period. The helpers here separate the pure, unit-testable parse
 //! (`parse_u64` / the callers' own list parsers) from the side effect: one
@@ -73,6 +73,16 @@ mod tests {
         let err = parse_u64("RL_SUBSCRIBER_RING", "-3", 1_024).unwrap_err();
         assert!(err.contains("RL_SUBSCRIBER_RING"));
         assert!(err.contains("default 1024"));
+    }
+
+    #[test]
+    fn threads_knob_warns_on_garbage_and_keeps_default() {
+        assert_eq!(parse_u64("RL_THREADS", "4", 1), Ok(4));
+        assert_eq!(parse_u64("RL_THREADS", "0", 1), Ok(0));
+        let err = parse_u64("RL_THREADS", "four", 1).unwrap_err();
+        assert!(err.contains("RL_THREADS"));
+        assert!(err.contains("\"four\""));
+        assert!(err.contains("default 1"));
     }
 
     #[test]

@@ -20,6 +20,9 @@ pub enum PetriError {
     InvalidIndex(usize),
     /// A name was declared twice.
     DuplicateName(String),
+    /// The net declares no transitions, so its reachability graph would
+    /// have an empty action alphabet.
+    NoTransitions,
     /// The reachability graph exceeded the configured bound — the net is
     /// unbounded or too large.
     BoundExceeded {
@@ -33,6 +36,7 @@ impl fmt::Display for PetriError {
         match self {
             PetriError::InvalidIndex(i) => write!(f, "invalid place/transition index {i}"),
             PetriError::DuplicateName(n) => write!(f, "duplicate name {n:?}"),
+            PetriError::NoTransitions => write!(f, "the net declares no transitions"),
             PetriError::BoundExceeded { limit } => {
                 write!(
                     f,

@@ -20,10 +20,10 @@ pub const DEFAULT_MARKING_LIMIT: usize = 100_000;
 ///
 /// # Errors
 ///
-/// Returns [`PetriError::BoundExceeded`] when more than `limit` markings are
-/// reachable (the net is unbounded or too large), and propagates alphabet
-/// construction failures as [`PetriError::DuplicateName`] (impossible for
-/// validated nets).
+/// Returns [`PetriError::NoTransitions`] for a net without transitions
+/// (its action alphabet would be empty), and [`PetriError::BoundExceeded`]
+/// when more than `limit` markings are reachable (the net is unbounded or
+/// too large).
 ///
 /// # Example
 ///
@@ -44,10 +44,9 @@ pub const DEFAULT_MARKING_LIMIT: usize = 100_000;
 /// ```
 pub fn reachability_graph(net: &PetriNet, limit: usize) -> Result<TransitionSystem, PetriError> {
     let names: Vec<String> = net.transitions().iter().map(|t| t.name.clone()).collect();
-    let alphabet = Alphabet::new(names).map_err(|_| {
-        // Transition names are validated unique at insertion.
-        PetriError::DuplicateName("internal: duplicate transition name".into())
-    })?;
+    // Transition names are validated unique at insertion, so an empty
+    // name list is the only way alphabet construction can fail.
+    let alphabet = Alphabet::new(names).map_err(|_| PetriError::NoTransitions)?;
     let mut ts = TransitionSystem::new(alphabet.clone());
     let mut index: BTreeMap<Marking, usize> = BTreeMap::new();
     let m0 = net.initial_marking();
@@ -124,6 +123,16 @@ mod tests {
         let err = reachability_graph(&net, 50).unwrap_err();
         assert_eq!(err, PetriError::BoundExceeded { limit: 50 });
         assert!(place_bounds(&net, 50).is_err());
+    }
+
+    #[test]
+    fn net_without_transitions_is_rejected() {
+        let mut net = PetriNet::new();
+        net.add_place("p", 1).unwrap();
+        assert_eq!(
+            reachability_graph(&net, 10).unwrap_err(),
+            PetriError::NoTransitions
+        );
     }
 
     #[test]

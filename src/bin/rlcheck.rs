@@ -66,10 +66,11 @@
 //! --timeout <secs>     wall-clock deadline for the decision procedures
 //!                      (in batch mode: one deadline for the whole batch)
 //! --max-states <n>     cap on states materialized by any construction
-//! --jobs <n>           worker threads: parallel frontier expansion inside
-//!                      one check, whole checks in batch mode. 0 = all
-//!                      cores; overrides the RL_THREADS env var; results
-//!                      are bit-for-bit identical for every value
+//! --jobs <n>           batch and serve only: how many whole checks run at
+//!                      once. 0 = all cores; overrides the RL_THREADS env
+//!                      var; results are bit-for-bit identical for every
+//!                      value. Every other subcommand runs its one check on
+//!                      the calling thread and rejects the flag (exit 2)
 //! --stats              per-phase profile (states, transitions, elapsed)
 //!                      printed to stderr after the verdict
 //! --metrics <file>     machine-readable JSONL trace written to <file>
@@ -108,7 +109,7 @@
 //! internal-panic path (exit 101), so the profile shows where the budget —
 //! or the bug — lives. Tracing never perturbs the deterministic counters:
 //! states/transitions/cache-hits/guard-charges are bit-for-bit identical
-//! with and without `--trace-out` at every `--jobs` value.
+//! with and without `--trace-out`, and at every batch `--jobs` value.
 //!
 //! Exit codes: `0` property holds, `1` it fails, `2` usage or input error,
 //! `3` resource budget exhausted (or an inconclusive abstraction verdict),
@@ -276,18 +277,16 @@ fn extract_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<Strin
     Ok(value)
 }
 
-/// Extracts `--jobs <n>` and resolves the effective worker count:
-/// the flag wins over the `RL_THREADS` env var, `0` (in either) auto-detects
-/// the machine's cores, and with neither set the run is sequential.
-fn extract_jobs(args: &mut Vec<String>) -> Result<usize, String> {
-    let flag = match extract_value_flag(args, "--jobs")? {
-        Some(raw) => Some(
+/// Extracts `--jobs <n>`, the worker count of `batch` and `serve`. Every
+/// other subcommand runs its one check on the calling thread and rejects
+/// the flag.
+fn extract_jobs(args: &mut Vec<String>) -> Result<Option<usize>, String> {
+    extract_value_flag(args, "--jobs")?
+        .map(|raw| {
             raw.parse::<usize>()
-                .map_err(|_| format!("--jobs: {raw:?} is not a valid worker count"))?,
-        ),
-        None => None,
-    };
-    Ok(resolve_jobs(flag))
+                .map_err(|_| format!("--jobs: {raw:?} is not a valid worker count"))
+        })
+        .transpose()
 }
 
 /// Parses a batch manifest: one `<system-file> <formula>` per line, where
@@ -449,8 +448,8 @@ fn cmd_batch(
 /// into the registry as named counters, so they ride the `--stats` footer
 /// and the JSONL `totals` line. These are schedule-dependent (steal/park
 /// counts vary run to run), which is exactly why they are *counters* and
-/// never deterministic metrics. Pool counters only appear for real parallel
-/// runs (`--jobs > 1`).
+/// never deterministic metrics. Pool counters only appear for parallel
+/// batch runs (`--jobs > 1`).
 fn note_runtime_counters(
     registry: Option<&MetricsRegistry>,
     pool: Option<&Pool>,
@@ -900,9 +899,23 @@ fn main() -> ExitCode {
         },
         Err(e) => return fail(format!("{e}\n{usage}")),
     };
-    let jobs = match extract_jobs(&mut args) {
+    let jobs_flag = match extract_jobs(&mut args) {
         Ok(j) => j,
         Err(e) => return fail(format!("{e}\n{usage}")),
+    };
+    let Some(cmd) = args.first().cloned() else {
+        return fail(usage);
+    };
+    // The flag wins over the RL_THREADS env var, and 0 (in either)
+    // auto-detects the machine's cores.
+    let jobs = match (cmd.as_str(), jobs_flag) {
+        ("batch" | "serve", flag) => resolve_jobs(flag),
+        (_, Some(_)) => {
+            return fail(format!(
+                "--jobs applies only to batch and serve; {cmd} runs on one thread\n{usage}"
+            ))
+        }
+        (_, None) => 1,
     };
     // Only attach a registry when a sink was requested: default runs keep
     // the guard's metrics hook at `None`, so charges stay branch-only.
@@ -923,24 +936,14 @@ fn main() -> ExitCode {
     if let (Some(reg), Some(t)) = (&registry, &tracer) {
         reg.set_tracer(Arc::clone(t));
     }
-    let Some(cmd) = args.first().cloned() else {
-        return fail(usage);
-    };
-    // The cache and pool handles stay in scope so their telemetry can be
-    // folded into the registry as counters after the run.
+    // The cache handle stays in scope so its telemetry can be folded into
+    // the registry as counters after the run.
     let op_cache = (!no_op_cache).then(|| {
         // The deciders re-derive the same intermediate machines (products,
         // subset constructions, complements); one pipeline-wide memo cache
         // answers the repeats. --cache-bytes bounds its resident footprint
         // via cost-aware LRU eviction.
         OpCache::with_limits(tracer.clone(), cache_bytes)
-    });
-    let pool = (jobs >= 2 && cmd != "serve").then(|| {
-        // Parallel kernels: wide BFS layers of the subset construction and
-        // the rank-based complement fan out across this pool. Results are
-        // bit-for-bit identical to --jobs 1. (Serve mode builds its own
-        // pool sized by --jobs, so none is needed here.)
-        Arc::new(Pool::with_tracer(jobs, tracer.clone()))
     });
     // One cancel token for the whole process: SIGINT/SIGTERM cancel through
     // it, so budget-style unwinding (exit 3) replaces dying mid-write with
@@ -960,12 +963,6 @@ fn main() -> ExitCode {
         guard = guard.with_op_cache(cache.clone());
         if let Some(h) = &hist_registry {
             cache.set_histograms(h.clone());
-        }
-    }
-    if let Some(pool) = &pool {
-        guard = guard.with_pool(Arc::clone(pool));
-        if let Some(h) = &hist_registry {
-            pool.set_histograms(h.clone());
         }
     }
     let monitor = obs.progress.then(|| ProgressMonitor::start(guard.probe()));
@@ -1161,10 +1158,10 @@ fn main() -> ExitCode {
     if let Some(monitor) = monitor {
         monitor.finish();
     }
-    // Non-batch runs fold their pool/cache telemetry in here; batch runs
-    // already did so from their own pool and shared cache inside cmd_batch
-    // (this call then adds zero to the same counters).
-    note_runtime_counters(registry.as_ref(), pool.as_deref(), op_cache.as_ref());
+    // Non-batch runs fold their cache telemetry in here; batch runs already
+    // did so from their own pool and shared cache inside cmd_batch (this
+    // call then adds zero to the same counters).
+    note_runtime_counters(registry.as_ref(), None, op_cache.as_ref());
     if sig::seen() {
         eprintln!("rlcheck: interrupted by signal; partial diagnostics follow");
     }

@@ -49,7 +49,11 @@ pub struct FormatError {
 
 impl fmt::Display for FormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        if self.line == 0 {
+            write!(f, "{}", self.message)
+        } else {
+            write!(f, "line {}: {}", self.line, self.message)
+        }
     }
 }
 
@@ -66,8 +70,9 @@ fn err(line: usize, message: impl Into<String>) -> FormatError {
 ///
 /// # Errors
 ///
-/// Returns a [`FormatError`] with a line number on malformed input, or when
-/// a Petri net's reachability graph exceeds the default marking limit.
+/// Returns a [`FormatError`] with a line number on malformed input, or
+/// without one (line 0) when a Petri net declares no transitions or its
+/// reachability graph exceeds the default marking limit.
 pub fn parse_system(text: &str) -> Result<TransitionSystem, FormatError> {
     let mut lines = text
         .lines()
@@ -200,6 +205,13 @@ fn parse_petri<'a>(
             ));
         }
     }
+    // Errors about the whole net carry no line (line 0).
+    if net.transitions().is_empty() {
+        return Err(err(
+            0,
+            "petri net declares no transitions; add a 'trans <name>: <pre> -> <post>' line",
+        ));
+    }
     reachability_graph(&net, DEFAULT_MARKING_LIMIT).map_err(|e| err(0, e.to_string()))
 }
 
@@ -303,5 +315,8 @@ trans take2: 2*pool -> out
         let src = "petri\nplace p 0\ntrans spawn: -> p\n";
         let e = parse_system(src).unwrap_err();
         assert!(e.message.contains("exceeded"));
+        // A whole-net error names no line.
+        assert_eq!(e.line, 0);
+        assert!(!e.to_string().contains("line"), "{e}");
     }
 }

@@ -494,8 +494,8 @@ mod tests {
              \"arg\":{\"count\":7}}",
         );
         assert!(view.render("s", None).contains("prefilter [lazy-prune]"));
-        // Other kernel instants (layer widths of eager constructions) are
-        // not phase narration and stay out of the column.
+        // Other kernel instants are not phase narration and stay out of
+        // the column.
         view.jobs.get_mut(&3).expect("row").note.clear();
         view.take_line(
             "{\"event\":\"trace\",\"job\":3,\"ph\":\"I\",\"track\":0,\

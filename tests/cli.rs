@@ -411,6 +411,33 @@ fn metrics_flag_without_value_exits_2() {
 }
 
 #[test]
+fn petri_whole_net_errors_name_the_cause() {
+    let dir = std::env::temp_dir().join("rlcheck-petri-errors");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (name, text, cause) in [
+        ("empty.pn", "petri\n", "petri net declares no transitions"),
+        (
+            "unbounded.pn",
+            "petri\nplace p 1\ntrans t: p -> p p\n",
+            "reachability graph exceeded the bound",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("net written");
+        let out = rlcheck(&["check", path.to_str().expect("utf-8 path"), "[]<>t"]);
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let err = stderr(&out);
+        assert!(err.contains(cause), "{name}: {err}");
+        // Whole-net errors point at no line, and nothing is misreported as
+        // a duplicate name.
+        assert!(
+            !err.contains("line 0") && !err.contains("duplicate"),
+            "{name}: {err}"
+        );
+    }
+}
+
+#[test]
 fn malformed_budget_flags_exit_2() {
     let out = rlcheck(&[
         "check",
@@ -434,125 +461,103 @@ fn malformed_budget_flags_exit_2() {
 }
 
 #[test]
-fn jobs_flag_output_is_identical_to_sequential() {
-    // The whole point of the parallel kernels: verdicts, reports, and the
-    // deterministic diagnostics are bit-for-bit independent of --jobs.
-    let base = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver"]);
-    for jobs in ["1", "2", "4"] {
-        let out = rlcheck(&[
+fn jobs_flag_is_rejected_outside_batch_and_serve() {
+    // A single check always runs on the calling thread; --jobs only sizes
+    // the pool that batch and serve run whole checks on.
+    for args in [
+        &[
             "check",
             "examples/systems/abp.ts",
             "[]<>deliver",
             "--jobs",
-            jobs,
-        ]);
-        assert_eq!(out.status.code(), base.status.code(), "--jobs {jobs}");
-        assert_eq!(stdout(&out), stdout(&base), "--jobs {jobs}");
+            "2",
+        ][..],
+        &[
+            "abstract",
+            "examples/systems/server.pn",
+            "[]<>result",
+            "--keep",
+            "result",
+            "--jobs",
+            "2",
+        ],
+        &["dot", "examples/systems/clock.ts", "--jobs", "1"],
+    ] {
+        let out = rlcheck(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--jobs applies only to batch and serve") && err.contains("usage:"),
+            "{args:?}: {err}"
+        );
     }
 }
 
-#[test]
-fn jobs_budget_trip_is_identical_to_sequential() {
-    // Eagerly, needle24 blows a 20k-state cap inside determinize; the trip
-    // point and every deterministic diagnostic must not depend on the
-    // thread count.
-    let run = |jobs: &str| {
-        rlcheck(&[
-            "check",
-            "examples/systems/needle24.ts",
-            "[]<>deliver",
-            "--max-states",
-            "20000",
-            "--no-lazy",
-            "--jobs",
-            jobs,
-        ])
-    };
-    let (j1, j4) = (run("1"), run("4"));
-    assert_eq!(j1.status.code(), Some(3));
-    assert_eq!(j4.status.code(), Some(3));
-    let strip_elapsed = |text: String| -> String {
-        // Drop the trailing wall-clock fragment ("... in 6.19ms"), the only
-        // nondeterministic part of the diagnostics.
-        text.lines()
-            .map(|l| match l.rfind(") in ") {
-                Some(a) => l[..=a].to_owned(),
-                None => l.to_owned(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        strip_elapsed(stderr(&j1)),
-        strip_elapsed(stderr(&j4)),
-        "same trip point, same partial diagnostics"
-    );
-    // The lazy fused search honors the same discipline: its frontier fans
-    // out across the pool, but charges merge sequentially, so a trip inside
-    // lazy_inclusion lands on the same state at any thread count.
-    let lazy = |jobs: &str| {
-        rlcheck(&[
-            "check",
-            "examples/systems/needle24.ts",
-            "[]<>a",
-            "--max-states",
-            "250",
-            "--jobs",
-            jobs,
-        ])
-    };
-    let (l1, l4) = (lazy("1"), lazy("4"));
-    assert_eq!(l1.status.code(), Some(3));
-    assert_eq!(l4.status.code(), Some(3));
-    assert_eq!(
-        strip_elapsed(stderr(&l1)),
-        strip_elapsed(stderr(&l4)),
-        "same lazy trip point at any thread count"
-    );
-    assert_eq!(stdout(&l1), stdout(&l4));
+/// A one-line manifest for the `--jobs` resolution tests.
+fn clock_manifest(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("checks.txt");
+    std::fs::write(&manifest, "examples/systems/clock.ts []<>tick\n").expect("manifest written");
+    manifest
 }
 
 #[test]
 fn jobs_zero_autodetects_and_rl_threads_is_overridden_by_flag() {
-    // --jobs 0 resolves to the core count; the run must still succeed and
-    // agree with sequential output.
-    let auto = rlcheck(&[
-        "check",
-        "examples/systems/clock.ts",
-        "[]<>tick",
-        "--jobs",
-        "0",
-    ]);
-    let base = rlcheck(&["check", "examples/systems/clock.ts", "[]<>tick"]);
+    let manifest = clock_manifest("rlcheck-jobs-auto");
+    let manifest = manifest.to_str().expect("utf-8 path");
+    let batch = |jobs: Option<&str>, env: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_rlcheck"));
+        cmd.args(["batch", "--manifest", manifest])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .env_remove("RL_THREADS");
+        if let Some(jobs) = jobs {
+            cmd.args(["--jobs", jobs]);
+        }
+        if let Some(value) = env {
+            cmd.env("RL_THREADS", value);
+        }
+        cmd.output().expect("rlcheck binary runs")
+    };
+    // --jobs 0 resolves to the core count; the batch must still succeed
+    // and agree with sequential output.
+    let base = batch(None, None);
+    let auto = batch(Some("0"), None);
     assert_eq!(auto.status.code(), base.status.code());
     assert_eq!(stdout(&auto), stdout(&base));
     // RL_THREADS picks the count when no flag is given; an explicit flag
-    // wins. Either way the report is unchanged.
-    let env = Command::new(env!("CARGO_BIN_EXE_rlcheck"))
-        .args([
-            "check",
-            "examples/systems/clock.ts",
-            "[]<>tick",
-            "--jobs",
-            "2",
-        ])
-        .env("RL_THREADS", "broken-value-must-be-ignored")
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("rlcheck binary runs");
-    assert_eq!(env.status.code(), base.status.code());
-    assert_eq!(stdout(&env), stdout(&base));
+    // wins, and a malformed value is never even read.
+    let flagged = batch(Some("2"), Some("broken-value-must-be-ignored"));
+    assert_eq!(flagged.status.code(), base.status.code());
+    assert_eq!(stdout(&flagged), stdout(&base));
+    assert!(
+        !stderr(&flagged).contains("RL_THREADS"),
+        "{}",
+        stderr(&flagged)
+    );
+    // Without the flag a malformed RL_THREADS warns once and runs
+    // sequentially.
+    let broken = batch(None, Some("four"));
+    assert_eq!(broken.status.code(), base.status.code());
+    assert_eq!(stdout(&broken), stdout(&base));
+    let err = stderr(&broken);
+    assert_eq!(
+        err.matches("warning: RL_THREADS=\"four\" is not a valid integer; using default 1")
+            .count(),
+        1,
+        "{err}"
+    );
 }
 
 #[test]
 fn jobs_choice_is_recorded_in_metrics_header() {
-    let dir = std::env::temp_dir().join("rlcheck-jobs-meta");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("metrics.jsonl");
+    let manifest = clock_manifest("rlcheck-jobs-meta");
+    let path = manifest.with_file_name("metrics.jsonl");
     let out = rlcheck(&[
-        "check",
-        "examples/systems/clock.ts",
-        "[]<>tick",
+        "batch",
+        "--manifest",
+        manifest.to_str().expect("utf-8 path"),
         "--jobs",
         "4",
         "--metrics",
@@ -716,16 +721,19 @@ fn trace_out_records_balanced_worker_tracks_and_pool_instants() {
     let dir = std::env::temp_dir().join("rlcheck-trace-out");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("trace.json");
-    // needle24 under a 20k-state cap runs long enough for the parallel
-    // kernels to fan real tasks out to the pool before the budget trips
-    // (eagerly — the lazy pipeline finishes it in milliseconds).
+    let manifest = dir.join("checks.txt");
+    // Eager needle24 under a 20k-state cap runs for milliseconds before
+    // its budget trips, so a batch of them keeps several pool workers busy
+    // at once.
+    std::fs::write(&manifest, "examples/systems/needle24.ts []<>a\n".repeat(8))
+        .expect("manifest written");
     let out = rlcheck(&[
-        "check",
-        "examples/systems/needle24.ts",
-        "[]<>a",
-        "--no-lazy",
+        "batch",
+        "--manifest",
+        manifest.to_str().expect("utf-8 path"),
         "--jobs",
         "4",
+        "--no-lazy",
         "--max-states",
         "20000",
         "--trace-out",
@@ -848,8 +856,6 @@ fn report_renders_event_digest_for_v2_files() {
         "check",
         "examples/systems/abp.ts",
         "[]<>deliver",
-        "--jobs",
-        "2",
         "--metrics",
         metrics.to_str().expect("utf-8 path"),
         "--trace-out",
@@ -884,8 +890,9 @@ fn report_rejects_missing_or_malformed_input() {
 #[test]
 fn stats_footer_surfaces_pool_and_cache_counters() {
     let out = rlcheck(&[
-        "check",
+        "batch",
         "examples/systems/abp.ts",
+        "--formula",
         "[]<>deliver",
         "--jobs",
         "2",
@@ -904,7 +911,7 @@ fn stats_footer_surfaces_pool_and_cache_counters() {
     ] {
         assert!(err.contains(counter), "missing {counter} in footer:\n{err}");
     }
-    // Sequential runs have no pool, so its counters stay out of the table.
+    // A single check runs on the calling thread, so no pool counters.
     let seq = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver", "--stats"]);
     let seq_err = stderr(&seq);
     assert!(

@@ -40,9 +40,9 @@ use rl_bench::{
 };
 use rl_buchi::{behaviors_of_ts, behaviors_of_ts_with, Buchi};
 use rl_core::{
-    is_relative_liveness, is_relative_liveness_with, is_relative_safety, is_relative_safety_with,
-    satisfies, satisfies_with, synthesize_fair_implementation, verify_via_abstraction, Budget,
-    CheckError, Guard, Metric, MetricsRegistry, Property, TransferConclusion,
+    is_relative_liveness, is_relative_safety, satisfies, synthesize_fair_implementation,
+    verify_via_abstraction, Budget, CheckError, CheckPlan, Guard, Metric, MetricsRegistry,
+    Property, TransferConclusion,
 };
 use rl_exec::{run, AgingScheduler};
 use rl_json::{Json, ObjBuilder, ToJson};
@@ -410,8 +410,9 @@ impl Pipeline {
     };
 }
 
-/// One trajectory case: the full `check` pipeline (classical, relative
-/// liveness, relative safety) on an example system under a metered guard.
+/// One trajectory case: the full `check` pipeline (one `CheckPlan` for
+/// classical, relative liveness and relative safety) on an example system
+/// under a metered guard.
 /// With a tracer the registry and op cache record timeline events; with a
 /// histogram registry the guard and op cache record percentile samples —
 /// the counters must come out bit-for-bit identical either way. Returns
@@ -435,8 +436,7 @@ fn trajectory_case(
     if let Some(t) = &tracer {
         registry.set_tracer(std::sync::Arc::clone(t));
     }
-    // One memo cache per case, exactly like a default `rlcheck` invocation:
-    // the three deciders share intermediate products/determinizations.
+    // One memo cache per case, exactly like a default `rlcheck` invocation.
     let cache = match tracer {
         Some(t) => rl_automata::OpCache::with_tracer(t),
         None => rl_automata::OpCache::new(),
@@ -453,10 +453,8 @@ fn trajectory_case(
     let verdict = (|| -> Result<bool, CheckError> {
         let _span = guard.span("check");
         let behaviors = behaviors_of_ts_with(&ts, &guard).map_err(CheckError::from)?;
-        satisfies_with(&behaviors, &prop, &guard)?;
-        let rl = is_relative_liveness_with(&behaviors, &prop, &guard)?;
-        is_relative_safety_with(&behaviors, &prop, &guard)?;
-        Ok(rl.holds)
+        let verdicts = CheckPlan::new(&behaviors, &prop, &guard).decide()?;
+        Ok(verdicts.liveness.holds)
     })();
     let elapsed_us = registry.elapsed().as_micros() as u64;
     let outcome = match verdict {

@@ -11,6 +11,8 @@
 //!   decision procedures (via Lemmas 4.3/4.4), with counterexamples,
 //! * [`satisfies`] — classical model checking, for the Theorem 4.7
 //!   decomposition `L ⊆ P ⇔ rel-live ∧ rel-safe`,
+//! * [`CheckPlan`] — all three verdicts of one check, each shared automaton
+//!   built once and every step Theorem 4.7 settles skipped,
 //! * [`is_liveness_property`] / [`is_safety_property`] — the classical
 //!   Alpern–Schneider notions as the `Σ^ω` special case (Remark 1),
 //! * [`is_machine_closed`] — Definition 4.6,
@@ -60,6 +62,7 @@ mod fair;
 mod filters;
 mod guard;
 mod pipeline;
+mod plan;
 mod property;
 mod relative;
 mod topology;
@@ -79,6 +82,7 @@ pub use pipeline::{
     check_transported_concrete, labeling_for_homomorphism, verify_via_abstraction,
     verify_via_abstraction_with, AbstractionAnalysis, TransferConclusion,
 };
+pub use plan::{CheckPlan, CheckVerdicts};
 pub use property::{CoreError, Property};
 pub use relative::{
     extension_witness, is_liveness_property, is_machine_closed, is_relative_liveness,

@@ -7,15 +7,15 @@
 //!
 //! Both are effective for ω-regular data (Theorem 4.5); the procedures
 //! below additionally extract counterexamples: a non-extendable prefix for
-//! liveness, a limit behavior escaping `P` for safety.
+//! liveness, a limit behavior escaping `P` for safety. Each `_with` entry
+//! point is a single-verdict [`CheckPlan`]; a caller that needs all three
+//! verdicts should call [`CheckPlan::decide`], which shares the automata
+//! and lets Theorem 4.7 skip work.
 
-use rl_automata::{
-    dfa_included, dfa_included_with, nfa_included_lazy, Dfa, Guard, TransitionSystem, Word,
-};
-use rl_buchi::{
-    behaviors_of_ts, behaviors_of_ts_with, limit_of_dfa, limit_of_prefix_closed, Buchi, UpWord,
-};
+use rl_automata::{dfa_included, Guard, TransitionSystem, Word};
+use rl_buchi::{behaviors_of_ts, behaviors_of_ts_with, Buchi, UpWord};
 
+use crate::plan::CheckPlan;
 use crate::property::{CoreError, Property};
 
 /// Verdict of a relative-liveness check.
@@ -81,25 +81,13 @@ pub fn is_relative_liveness(
     is_relative_liveness_with(system, property, &Guard::unlimited())
 }
 
-/// [`is_relative_liveness`] under a resource [`Guard`].
-///
-/// Unless [`Guard::with_filters`] turned them off, the Lemma 4.3 inclusion
-/// first passes through the semidecision pre-filter ladder
-/// ([`crate::prefilter_inclusion`]): sound near-linear abstractions —
-/// letter-count refutation, counts-mod-k refutation, simulation
-/// fast-accept — that settle many instances without any exponential work,
-/// falling through to the exact decider only on `Unknown`.
-///
-/// By default ([`Guard::lazy_enabled`]) the Lemma 4.3 inclusion
-/// `pre(L_ω) ⊆ pre(L_ω ∩ P)` runs as a fused on-the-fly search
-/// ([`nfa_included_lazy`]): no prefix automaton is determinized, frontier
-/// nodes dominated under antichain subsumption are pruned, and the search
-/// exits on the first doomed prefix. `Guard::with_lazy(false)` (the CLI's
-/// `--no-lazy`) restores the materializing pipeline: Büchi intersection,
-/// both prefix-automaton subset constructions, then the inclusion product.
-/// Either way every expansion is charged against the guard's budget; on
-/// exhaustion the decider returns a budget error with partial diagnostics
-/// instead of hanging.
+/// [`is_relative_liveness`] under a resource [`Guard`]: a single-verdict
+/// [`CheckPlan`], deciding the Lemma 4.3 inclusion as
+/// [`CheckPlan::relative_liveness`] describes (filter ladder, then the lazy
+/// search or, with `Guard::with_lazy(false)`, the eager inclusion). Every
+/// expansion is charged against the guard's budget; on exhaustion the
+/// decider returns a budget error with partial diagnostics instead of
+/// hanging.
 ///
 /// # Errors
 ///
@@ -109,48 +97,7 @@ pub fn is_relative_liveness_with(
     property: &Property,
     guard: &Guard,
 ) -> Result<RelativeLivenessVerdict, CoreError> {
-    let _span = guard.span("relative_liveness");
-    let p = property.to_buchi(system.alphabet())?;
-    let both = system.intersection_with(&p, guard)?;
-    let pre_l = system.prefix_nfa();
-    let pre_lp = both.prefix_nfa();
-    // The semidecision ladder first: sound near-linear abstractions that
-    // prove or refute the inclusion on many inputs; only `Unknown` falls
-    // through to the exact decider.
-    let decided = if guard.filters_enabled() {
-        match crate::filters::prefilter_inclusion(&pre_l, &pre_lp, guard)? {
-            crate::filters::FilterOutcome::Proved => Some(None),
-            crate::filters::FilterOutcome::Refuted(w) => Some(Some(w)),
-            crate::filters::FilterOutcome::Unknown => None,
-        }
-    } else {
-        None
-    };
-    let doomed = match decided {
-        Some(doomed) => doomed,
-        None if guard.lazy_enabled() => {
-            // Both prefix NFAs are all-accepting (prefix-closed) by
-            // construction, so acceptance along the lazy product is simply
-            // run-set non-emptiness and the antichain search decides the
-            // inclusion without a single subset construction.
-            nfa_included_lazy(&pre_l, &pre_lp, guard)?
-        }
-        None => {
-            let pre_l_dfa = pre_l.determinize_with(guard)?;
-            let pre_lp_dfa = pre_lp.determinize_with(guard)?;
-            // Lemma 4.3: equality; pre(L∩P) ⊆ pre(L) always holds, so only
-            // the forward inclusion can fail.
-            debug_assert!(
-                dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
-                "pre(L ∩ P) ⊈ pre(L): construction bug"
-            );
-            dfa_included_with(&pre_l_dfa, &pre_lp_dfa, guard)?
-        }
-    };
-    Ok(RelativeLivenessVerdict {
-        holds: doomed.is_none(),
-        doomed_prefix: doomed,
-    })
+    CheckPlan::new(system, property, guard).relative_liveness()
 }
 
 /// Decides whether `property` is a **relative safety** property of the
@@ -184,17 +131,16 @@ pub fn is_relative_safety(
     is_relative_safety_with(system, property, &Guard::unlimited())
 }
 
-/// [`is_relative_safety`] under a resource [`Guard`].
-///
-/// By default ([`Guard::lazy_enabled`]) `lim(pre(L_ω ∩ P))` is taken
-/// directly on the nondeterministic prefix automaton
-/// ([`limit_of_prefix_closed`]): the prefix NFA is all-accepting and
-/// prefix-closed, so by König's lemma its limit is the same graph read
-/// with Büchi semantics and the subset construction is skipped — the whole
-/// decider becomes polynomial-size products plus one emptiness check.
-/// `Guard::with_lazy(false)` restores the determinizing pipeline. Either
-/// way the property complementation (for automaton-given properties) and
-/// all intersection products are charged against the guard's budget.
+/// [`is_relative_safety`] under a resource [`Guard`]: a single-verdict
+/// [`CheckPlan`], deciding Lemma 4.4 as [`CheckPlan::relative_safety`]
+/// describes. It does not route through relative liveness, so it stays
+/// polynomial-size products plus one emptiness check on the default lazy
+/// path: `lim(pre(L_ω ∩ P))` is read off the prefix automaton without a
+/// subset construction, and when `L_ω` is limit closed (every state of
+/// `system` accepting) the violation product is `lim(pre(L_ω ∩ P)) ∩ ¬P`
+/// — by König's lemma `lim(pre(L_ω ∩ P)) ⊆ L_ω`. The property
+/// complementation (for automaton-given properties) and every product are
+/// charged against the guard's budget.
 ///
 /// # Errors
 ///
@@ -204,26 +150,7 @@ pub fn is_relative_safety_with(
     property: &Property,
     guard: &Guard,
 ) -> Result<RelativeSafetyVerdict, CoreError> {
-    let _span = guard.span("relative_safety");
-    let p = property.to_buchi(system.alphabet())?;
-    let both = system.intersection_with(&p, guard)?;
-    let lim = if guard.lazy_enabled() {
-        limit_of_prefix_closed(&both.prefix_nfa())
-    } else {
-        // lim(pre(L ∩ P)) via the determinized prefix automaton.
-        let pre_lp: Dfa = both.prefix_nfa().determinize_with(guard)?;
-        limit_of_dfa(&pre_lp)
-    };
-    // Violation: x ∈ L ∩ lim(pre(L∩P)) with x ∉ P.
-    let neg = property.negation_to_buchi_with(system.alphabet(), guard)?;
-    let bad = system
-        .intersection_with(&lim, guard)?
-        .intersection_with(&neg, guard)?;
-    let escape = bad.accepted_upword();
-    Ok(RelativeSafetyVerdict {
-        holds: escape.is_none(),
-        escaping_behavior: escape,
-    })
+    CheckPlan::new(system, property, guard).relative_safety()
 }
 
 /// Classical satisfaction `L_ω ⊆ P` (Definition 3.2), with counterexample.
@@ -239,7 +166,8 @@ pub fn satisfies(system: &Buchi, property: &Property) -> Result<SatisfactionVerd
     satisfies_with(system, property, &Guard::unlimited())
 }
 
-/// [`satisfies`] under a resource [`Guard`].
+/// [`satisfies`] under a resource [`Guard`]: a single-verdict
+/// [`CheckPlan`] ([`CheckPlan::classical`]), emptiness of `L_ω ∩ ¬P`.
 ///
 /// The property complementation (for automaton-given properties) and the
 /// intersection product are charged against the guard's budget.
@@ -252,14 +180,7 @@ pub fn satisfies_with(
     property: &Property,
     guard: &Guard,
 ) -> Result<SatisfactionVerdict, CoreError> {
-    let _span = guard.span("classical");
-    let neg = property.negation_to_buchi_with(system.alphabet(), guard)?;
-    let bad = system.intersection_with(&neg, guard)?;
-    let cex = bad.accepted_upword();
-    Ok(SatisfactionVerdict {
-        holds: cex.is_none(),
-        counterexample: cex,
-    })
+    CheckPlan::new(system, property, guard).classical()
 }
 
 /// Classical **liveness** in the sense of Alpern–Schneider: `P` is a
@@ -295,8 +216,11 @@ pub fn is_safety_property(
 /// `pre(L_ω) ⊆ pre(Λ)`.
 ///
 /// The paper observes `P` is rel-live for `L_ω` iff `(L_ω, P ∩ L_ω)` is a
-/// machine-closed live structure; [`is_relative_liveness`] is implemented
-/// through exactly this check.
+/// machine-closed live structure. This function decides that inclusion
+/// directly, by determinizing both prefix automata;
+/// [`is_relative_liveness`] decides the same inclusion (Lemma 4.3) through
+/// [`CheckPlan::relative_liveness`] instead, whose default path never
+/// determinizes.
 ///
 /// # Errors
 ///

@@ -19,9 +19,7 @@ use std::time::Duration;
 
 use rl_automata::{fault, format_word, TransitionSystem};
 use rl_buchi::behaviors_of_ts_with;
-use rl_core::{
-    is_relative_liveness_with, is_relative_safety_with, satisfies_with, CheckError, Guard, Property,
-};
+use rl_core::{CheckError, CheckPlan, Guard, Property};
 use rl_logic::{parse, Formula};
 
 use crate::format::parse_system;
@@ -142,6 +140,11 @@ pub fn batch_job_deadline(remaining: Duration, unfinished: usize, threads: usize
 /// The `check` pipeline, writing its report into `out` (so batch and
 /// service modes can run checks concurrently and still emit them in a
 /// deterministic order). Returns whether relative liveness holds.
+///
+/// The three verdicts come from one [`CheckPlan`]: each shared automaton
+/// is built once, and Theorem 4.7 settles relative liveness and safety
+/// when the property holds classically, and relative safety when it is
+/// relatively live but not classically true.
 pub fn run_check(spec: &CheckSpec, guard: &Guard, out: &mut String) -> Result<bool, CheckError> {
     let _span = guard.span("check");
     let ts = spec.source.load()?;
@@ -159,8 +162,11 @@ pub fn run_check(spec: &CheckSpec, guard: &Guard, out: &mut String) -> Result<bo
         panic!("injected panic (RL_FAULT=check-panic)");
     }
     let prop = Property::formula(eta.clone());
+    let mut plan = CheckPlan::new(&behaviors, &prop, guard);
 
-    let sat = satisfies_with(&behaviors, &prop, guard)?;
+    // Each verdict is written as soon as it is decided, so a budget trip
+    // later in the plan still leaves the earlier verdicts in the report.
+    let sat = plan.classical()?;
     let _ = writeln!(out, "classical  {eta}: {}", verdict(sat.holds));
     if let Some(x) = sat.counterexample {
         let _ = writeln!(
@@ -169,7 +175,7 @@ pub fn run_check(spec: &CheckSpec, guard: &Guard, out: &mut String) -> Result<bo
             x.display(ts.alphabet())
         );
     }
-    let rl = is_relative_liveness_with(&behaviors, &prop, guard)?;
+    let rl = plan.relative_liveness()?;
     let _ = writeln!(out, "rel-live   {eta}: {}", verdict(rl.holds));
     if let Some(w) = &rl.doomed_prefix {
         let _ = writeln!(
@@ -178,7 +184,7 @@ pub fn run_check(spec: &CheckSpec, guard: &Guard, out: &mut String) -> Result<bo
             format_word(ts.alphabet(), w)
         );
     }
-    let rs = is_relative_safety_with(&behaviors, &prop, guard)?;
+    let rs = plan.relative_safety()?;
     let _ = writeln!(out, "rel-safe   {eta}: {}", verdict(rs.holds));
     if let Some(x) = rs.escaping_behavior {
         let _ = writeln!(

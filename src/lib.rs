@@ -90,9 +90,9 @@ pub mod prelude {
         is_relative_safety, is_relative_safety_with, is_safety_property, labeling_for_homomorphism,
         render_jsonl, satisfies, satisfies_with, synthesize_fair_implementation,
         verify_via_abstraction, verify_via_abstraction_with, AbstractionAnalysis, Budget,
-        CancelToken, CheckError, CoreError, Counter, FairImplementation, Guard, Metric,
-        MetricsRegistry, ObsReport, PoolCounters, Progress, Property, Resource, Span, SpanRecord,
-        TraceEvent, TracePhase, Tracer, TransferConclusion,
+        CancelToken, CheckError, CheckPlan, CheckVerdicts, CoreError, Counter, FairImplementation,
+        Guard, Metric, MetricsRegistry, ObsReport, PoolCounters, Progress, Property, Resource,
+        Span, SpanRecord, TraceEvent, TracePhase, Tracer, TransferConclusion,
     };
     pub use rl_exec::{
         almost_surely_recurrent, estimate_satisfaction, min_fairness_ratio,

@@ -141,12 +141,14 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn max_states_budget_exhaustion_exits_3() {
-    // needle24.ts determinizes to 2^24 subset states; a 10k-state budget
-    // must trip almost immediately instead of hanging.
+    // On the eager path needle24.ts's behaviors determinize to 2^24 subset
+    // states; a 10k-state budget must trip almost immediately instead of
+    // hanging.
     let out = rlcheck(&[
         "check",
         "examples/systems/needle24.ts",
         "[]<>a",
+        "--no-lazy",
         "--max-states",
         "10000",
         "--timeout",
@@ -188,6 +190,29 @@ fn budget_flags_do_not_disturb_small_inputs() {
     ]);
     assert_eq!(out.status.code(), Some(0));
     assert!(stdout(&out).contains("rel-live   []<>deliver: HOLDS"));
+}
+
+/// The rows of a `--stats` phase table as slash-joined span paths, each
+/// with its states column (two spaces of indent per nesting level).
+fn stats_rows(err: &str) -> Vec<(String, u64)> {
+    let mut stack: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
+    for line in err
+        .lines()
+        .skip_while(|l| !l.starts_with("phase"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("total"))
+    {
+        let depth = (line.len() - line.trim_start().len()) / 2;
+        let mut cols = line.split_whitespace();
+        let (Some(name), Some(states)) = (cols.next(), cols.next()) else {
+            continue;
+        };
+        stack.truncate(depth);
+        stack.push(name.to_owned());
+        rows.push((stack.join("/"), states.parse().expect("states column")));
+    }
+    rows
 }
 
 #[test]
@@ -232,6 +257,29 @@ fn stats_flag_prints_phase_table_on_stderr() {
         assert!(err.contains(counter), "no {counter} row in stderr: {err}");
     }
     assert!(err.contains("total"), "no totals footer: {err}");
+    // abp is relatively live but fails classically, so Theorem 4.7 settles
+    // relative safety: its span is opened and charges nothing.
+    let rows = stats_rows(&err);
+    assert!(
+        rows.iter()
+            .any(|(path, states)| path == "check/relative_safety" && *states == 0),
+        "relative_safety row should charge 0 states: {rows:?}"
+    );
+    // server_err is not relatively live, so Lemma 4.4's product is built.
+    let doomed = rlcheck(&[
+        "check",
+        "examples/systems/server_err.pn",
+        "[]<>result",
+        "--stats",
+        "--no-filters",
+    ]);
+    assert_eq!(doomed.status.code(), Some(1));
+    let rows = stats_rows(&stderr(&doomed));
+    assert!(
+        rows.iter()
+            .any(|(path, _)| path == "check/relative_safety/buchi_intersection"),
+        "no relative_safety/buchi_intersection row: {rows:?}"
+    );
     // --no-lazy swaps the fused search for the materializing pipeline.
     let eager = rlcheck(&[
         "check",
@@ -295,33 +343,47 @@ fn filter_ladder_short_circuits_and_preserves_the_verdict() {
 fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
     let dir = std::env::temp_dir().join("rlcheck-cli-metrics");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("check.jsonl");
-    let out = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--no-filters",
-        "--metrics",
-        path.to_str().expect("utf-8 temp path"),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    let text = std::fs::read_to_string(&path).expect("--metrics wrote the file");
     fn str_field(v: &rl_json::Json, key: &str) -> String {
         match v.get(key) {
             Some(rl_json::Json::Str(s)) => s.clone(),
             other => panic!("field {key} is not a string: {other:?}"),
         }
     }
-    let mut events = Vec::new();
-    let mut paths = Vec::new();
-    for line in text.lines() {
-        let v = rl_json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
-        let event = str_field(&v, "event");
-        if event == "span" {
-            paths.push(str_field(&v, "path"));
+    // Runs one check with --metrics and returns the file text, its event
+    // kinds and its span paths.
+    let run = |file: &str, formula: &str, code: i32| {
+        let path = dir.join(format!("{file}.jsonl"));
+        let out = rlcheck(&[
+            "check",
+            &format!("examples/systems/{file}"),
+            formula,
+            "--no-filters",
+            "--metrics",
+            path.to_str().expect("utf-8 temp path"),
+        ]);
+        assert_eq!(out.status.code(), Some(code), "{file}");
+        let text = std::fs::read_to_string(&path).expect("--metrics wrote the file");
+        let mut events = Vec::new();
+        let mut paths = Vec::new();
+        for line in text.lines() {
+            let v = rl_json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
+            let event = str_field(&v, "event");
+            if event == "span" {
+                paths.push(str_field(&v, "path"));
+            }
+            events.push(event);
         }
-        events.push(event);
-    }
+        (text, events, paths)
+    };
+    let (text, events, mut paths) = run("abp.ts", "[]<>deliver", 0);
+    // abp settles relative safety by Theorem 4.7; server_err is not
+    // relatively live, so its check builds Lemma 4.4's product.
+    let (_, _, doomed_paths) = run("server_err.pn", "[]<>result", 1);
+    assert!(
+        paths.iter().any(|p| p == "check/relative_safety"),
+        "{paths:?}"
+    );
+    paths.extend(doomed_paths);
     assert_eq!(events.first().map(String::as_str), Some("meta"));
     assert_eq!(events.last().map(String::as_str), Some("totals"));
     let meta = rl_json::parse(text.lines().next().expect("meta line")).expect("meta parses");
@@ -352,6 +414,42 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
             );
         }
         other => panic!("totals has no counters object: {other:?}"),
+    }
+}
+
+#[test]
+fn needle24_decides_within_a_thousand_states() {
+    // Classical fails, rel-live holds, so Theorem 4.7 settles relative
+    // safety with the classical counterexample: no Lemma 4.4 product is
+    // built and the whole check stays under 1000 states.
+    let out = rlcheck(&[
+        "check",
+        "examples/systems/needle24.ts",
+        "[]<>a",
+        "--max-states",
+        "1000",
+        "--timeout",
+        "10",
+        "--stats",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("rel-live   []<>a: HOLDS"));
+    let rows = stats_rows(&stderr(&out));
+    let total = rows
+        .iter()
+        .find(|(path, _)| path == "check")
+        .map(|&(_, states)| states);
+    assert!(
+        total.is_some_and(|states| states <= 1000),
+        "check charged {total:?} states: {rows:?}"
+    );
+    // Each property automaton is translated once per check.
+    for name in ["negation", "translate"] {
+        let count = rows
+            .iter()
+            .filter(|(path, _)| path.rsplit('/').next() == Some(name))
+            .count();
+        assert_eq!(count, 1, "{name} spans: {rows:?}");
     }
 }
 

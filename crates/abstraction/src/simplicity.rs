@@ -15,18 +15,33 @@
 //!
 //! # Decision procedure
 //!
-//! For regular `L` the data of `w` is the pair `(q, s)`:
-//! `q = δ_L(q₀, w)` in a DFA for `L` determines `cont(w, L)` (and hence
-//! `h(cont(w, L))`), and `s = δ_h(s₀, h(w))` in a DFA for `h(L)` determines
-//! `cont(h(w), h(L))`. Finitely many pairs are reachable; for each we search
-//! the product of the two continuation DFAs for a point `u` where the
-//! residual languages are equivalent (Hopcroft–Karp). Both searches are
-//! complete, so the procedure decides simplicity exactly and returns a
-//! concrete witness word when `h` is *not* simple.
+//! For regular `L` the data of `w` is a pair `(q, s)`. Here `q = δ(q₀, w)`
+//! in the trimmed DFA `d` of `L` determines `cont(w, L)`, and
+//! `s = δ(s₀, h(w))` in a DFA for `h(L)` determines `cont(h(w), h(L))`.
+//! Every state of `d` accepts, which is also how prefix-closedness is read
+//! off `d` (every live state accepts).
+//!
+//! Both kinds of language come from one automaton. The image of `d` under
+//! `h` is determinized once, from one root `{q}` per state of `d`:
+//! `root[q]` recognizes `h(cont(w, L))` for every `w` reaching `q`, and
+//! `root[q₀]` recognizes `h(L)` itself. One Hopcroft partition of that DFA
+//! merges the states of equal language, so in the resulting class DFA
+//! residual equivalence is equality of states, and `s` is tracked there.
+//!
+//! A BFS over the reachable `(q, s)` pairs looks for a pair where no `u` as
+//! in Definition 6.3 exists. That search walks pairs of classes from
+//! `(s, class(root[q]))` until the two coincide. It runs once per distinct
+//! class pair, and its answer is memoized. Both searches are complete, so
+//! the procedure decides simplicity exactly. The BFS visits words in
+//! shortlex order, so when `h` is *not* simple the returned witness is the
+//! shortlex-least violating word.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
-use rl_automata::{equivalent_states, AutomataError, Dfa, Guard, Nfa, StateId, Word};
+use rl_automata::{
+    AutomataError, Dfa, FxBuildHasher, FxHashMap, Guard, Nfa, PairTable, StateId, StateSet, Symbol,
+    Word,
+};
 
 use crate::hom::{AbstractionError, Homomorphism};
 use crate::image::image_nfa;
@@ -39,7 +54,9 @@ pub struct SimplicityReport {
     /// When not simple: a word `w ∈ L` for which no `u` as in Definition 6.3
     /// exists (e.g. `lock` for the paper's Figure 3 system).
     pub violation: Option<Word>,
-    /// Number of `(q, s)` pairs examined (a size measure for benchmarks).
+    /// Number of `(q, s)` pairs examined (a size measure for benchmarks):
+    /// `q` a state of the trimmed DFA of `L`, `s` a language-equivalence
+    /// class of the shared image DFA, reachable from the class of `h(L)`.
     pub pairs_checked: usize,
 }
 
@@ -82,9 +99,13 @@ pub fn check_simplicity(
 
 /// [`check_simplicity`] under a resource [`Guard`].
 ///
-/// The subset constructions for `L`, `h(L)`, and each per-state continuation
-/// image are charged against the guard's budget, as is every `(q, s)` pair
-/// the BFS examines (charged as a state).
+/// Two subset constructions run, each under a `determinize` span: one for
+/// `L` and one shared multi-root construction for all continuation images.
+/// A `partition` span covers the Hopcroft refinement of the image DFA,
+/// which is polynomial and not charged. The guard is charged, in order,
+/// for the subset states and edges of both constructions, then one state
+/// per `(q, s)` pair the BFS examines, then one state per class pair a
+/// `∃u` search materializes.
 ///
 /// # Errors
 ///
@@ -97,12 +118,12 @@ pub fn check_simplicity_with(
 ) -> Result<SimplicityReport, AbstractionError> {
     let _span = guard.span("simplicity");
     h.source().check_compatible(language.alphabet())?;
-    if !language.is_prefix_closed_with(guard)? {
+    let full = language.determinize_with(guard)?;
+    if !full.is_prefix_closed() {
         return Err(AbstractionError::NotPrefixClosed);
     }
-
-    // DFA of L, restricted to live states (all of which accept: L = pre(L)).
-    let d = trim_dfa(&language.determinize_with(guard)?);
+    // Every live state of `d` accepts, and `d` has no other states.
+    let d = full.trim();
     if d.state_count() == 0 {
         // Empty language: vacuously simple (no words to check).
         return Ok(SimplicityReport {
@@ -111,144 +132,146 @@ pub fn check_simplicity_with(
             pairs_checked: 0,
         });
     }
-    // DFA of h(L), likewise trimmed.
-    let dh = trim_dfa(&image_nfa(h, language).determinize_with(guard)?);
 
-    // Per concrete state q: DFA of h(cont(w, L)) = h(language of d from q).
-    let mut image_cont: Vec<Option<Dfa>> = vec![None; d.state_count()];
-    let e_q = |q: StateId, cache: &mut Vec<Option<Dfa>>| -> Result<Dfa, AbstractionError> {
-        if cache[q].is_none() {
-            let rooted = d.rooted_at(q).to_nfa();
-            cache[q] = Some(image_nfa(h, &rooted).determinize_with(guard)?);
-        } else {
-            guard.note_cache_hit();
-        }
-        Ok(cache[q].clone().expect("just inserted"))
+    // One DFA for every image: `root[q]` recognizes h(language of d from q).
+    // Its states all accept (each subset holds states of `d`), so merging
+    // the states of each Myhill–Nerode class gives a partial DFA in which
+    // equal residual languages are equal states.
+    let roots: Vec<StateSet> = (0..d.state_count())
+        .map(|q| StateSet::from_iter([q]))
+        .collect();
+    let (img, root) = image_nfa(h, &d.to_nfa()).determinize_roots_with(&roots, guard)?;
+    let (classes, class) = {
+        let _span = guard.span("partition");
+        let class = img.equivalence_classes();
+        (quotient(&img, &class), class)
     };
+    let root: Vec<StateId> = root.iter().map(|&r| class[r]).collect();
 
-    // BFS over reachable (q, s) pairs, remembering a witness word per pair.
-    // Pairs index a flat `q * |dh| + s` table (both DFAs are trimmed and
-    // small, so the dense table wins over a tree map).
-    let cols = dh.state_count();
-    let pair_idx = |q: StateId, s: StateId| q * cols + s;
-    let mut seen: Vec<Option<Word>> = vec![None; d.state_count() * cols];
-    let mut queue: VecDeque<(StateId, StateId)> = VecDeque::new();
-    let start = (d.initial(), dh.initial());
-    seen[pair_idx(start.0, start.1)] = Some(Vec::new());
-    queue.push_back(start);
-    let mut pairs_checked = 0usize;
-
-    while let Some((q, s)) = queue.pop_front() {
+    // BFS over reachable (q, s) pairs, `s` a class. Pairs are numbered in
+    // discovery order, so `pairs[next..]` is the queue; each pair keeps its
+    // BFS parent and letter, and the witness is spelled out only for a
+    // violation.
+    let mut index = PairTable::new(d.state_count(), classes.state_count());
+    let mut pairs: Vec<Pair> = Vec::new();
+    let (q0, s0) = (d.initial(), root[d.initial()]);
+    index.set(q0, s0, 0);
+    pairs.push((q0, s0, None));
+    let mut converges: FxHashMap<(StateId, StateId), bool> = FxHashMap::default();
+    let mut next = 0;
+    while let Some(&(q, s, _)) = pairs.get(next) {
+        let id = next;
+        next += 1;
         guard.charge_state()?;
-        guard.note_frontier(queue.len());
-        pairs_checked += 1;
-        let eq = e_q(q, &mut image_cont)?;
-        let witness = seen[pair_idx(q, s)].clone().expect("queued pairs are seen");
-        if !pair_is_simple(&dh, s, &eq, guard)? {
+        guard.note_frontier(pairs.len() - next);
+        let key = (s, root[q]);
+        let simple_here = match converges.get(&key) {
+            Some(&known) => {
+                guard.note_cache_hit();
+                known
+            }
+            None => {
+                let found = exists_converging_u(&classes, key, guard)?;
+                converges.insert(key, found);
+                found
+            }
+        };
+        if !simple_here {
             return Ok(SimplicityReport {
                 simple: false,
-                violation: Some(witness),
-                pairs_checked,
+                violation: Some(witness(&pairs, id)),
+                pairs_checked: next,
             });
         }
-        for a in d.alphabet().clone().symbols() {
+        for a in d.alphabet().symbols() {
             let Some(q2) = d.next(q, a) else { continue };
             let s2 = match h.apply(a) {
-                Some(b) => match dh.next(s, b) {
-                    Some(s2) => s2,
-                    None => unreachable!("h(w) ∈ h(L) must be tracked by the h(L)-DFA"),
-                },
+                Some(b) => classes
+                    .next(s, b)
+                    .expect("h(wa) ∈ h(L) is tracked from the h(L) root"),
                 None => s,
             };
-            let slot = &mut seen[pair_idx(q2, s2)];
-            if slot.is_none() {
-                let mut w2 = witness.clone();
-                w2.push(a);
-                *slot = Some(w2);
-                queue.push_back((q2, s2));
+            if index.get(q2, s2).is_none() {
+                index.set(q2, s2, pairs.len());
+                pairs.push((q2, s2, Some((id, a))));
             }
         }
     }
     Ok(SimplicityReport {
         simple: true,
         violation: None,
-        pairs_checked,
+        pairs_checked: next,
     })
 }
 
-/// Does there exist `u ∈ L(dh from s)` with
-/// `cont(u, L(dh from s)) = cont(u, L(eq))`?
+/// A BFS node: `(q, s)` and the parent pair and letter it was reached by.
+type Pair = (StateId, StateId, Option<(usize, Symbol)>);
+
+/// The word spelled by the BFS tree from the start pair to pair `id`.
+fn witness(pairs: &[Pair], mut id: usize) -> Word {
+    let mut word = Vec::new();
+    while let Some((p, a)) = pairs[id].2 {
+        word.push(a);
+        id = p;
+    }
+    word.reverse();
+    word
+}
+
+/// The partial DFA on the classes of `img` (all accepting). Equivalent
+/// states have equivalent successors under every letter, so any member's
+/// transitions serve for its class.
+fn quotient(img: &Dfa, class: &[usize]) -> Dfa {
+    let mut out = Dfa::new(img.alphabet().clone());
+    for _ in 0..class.iter().max().map_or(0, |&c| c + 1) {
+        out.add_state(true);
+    }
+    for (p, b, t) in img.transitions() {
+        out.set_transition(class[p], b, class[t]);
+    }
+    out
+}
+
+/// Does some `u ∈ L(s)` satisfy `cont(u, L(s)) = cont(u, L(r))`, for the
+/// states `(s, r)` of the class DFA? That is, does a common word lead the
+/// two to one state?
 ///
-/// Walks the synchronous product of the two (partial) DFAs; at every pair of
-/// states reached by a common `u` that is in `L(dh from s)` (i.e. the `dh`
-/// state accepts — prefix-closedness makes intermediate states accepting
-/// too), tests residual-language equivalence.
-///
-/// The product can have `|dh| · |eq|` pairs even when both DFAs stayed within
-/// budget, so every materialized pair is charged as a state.
-fn pair_is_simple(dh: &Dfa, s: StateId, eq: &Dfa, guard: &Guard) -> Result<bool, AutomataError> {
-    // Flat visited table over (dh state, eq state or ⊥): the ⊥ ("fallen off
-    // the partial eq DFA") column is encoded as index `eq.state_count()`.
-    let cols = eq.state_count() + 1;
-    let pair_idx = |t1: StateId, t2: Option<StateId>| t1 * cols + t2.unwrap_or(cols - 1);
-    let mut seen: Vec<bool> = vec![false; dh.state_count() * cols];
-    let mut queue: VecDeque<(StateId, Option<StateId>)> = VecDeque::new();
-    let start = (s, Some(eq.initial()));
+/// Every state accepts, so `u ∈ L(s)` exactly while `s` has a
+/// `u`-successor. Once `r` has none its residual is empty while `s`'s holds
+/// `ε`, and no extension can agree again, so that branch is pruned. Each
+/// state pair materialized is charged as a state.
+fn exists_converging_u(
+    classes: &Dfa,
+    (s, r): (StateId, StateId),
+    guard: &Guard,
+) -> Result<bool, AutomataError> {
+    let mut seen: HashSet<(StateId, StateId), FxBuildHasher> = HashSet::default();
+    let mut queue = VecDeque::from([(s, r)]);
     guard.charge_state()?;
-    seen[pair_idx(start.0, start.1)] = true;
-    queue.push_back(start);
-    while let Some((t1, t2)) = queue.pop_front() {
+    seen.insert((s, r));
+    while let Some((x, y)) = queue.pop_front() {
         guard.note_frontier(queue.len());
-        if !dh.is_accepting(t1) {
-            // u has left cont(h(w), h(L)); no deeper u can re-enter
-            // (prefix-closed), so prune.
-            continue;
+        if x == y {
+            return Ok(true);
         }
-        if let Some(t2) = t2 {
-            guard.charge_transition()?;
-            if equivalent_states(dh, t1, eq, t2) {
-                return Ok(true);
-            }
-        }
-        for b in dh.alphabet().clone().symbols() {
-            let Some(n1) = dh.next(t1, b) else { continue };
-            let n2 = t2.and_then(|t| eq.next(t, b));
-            let idx = pair_idx(n1, n2);
-            if !seen[idx] {
-                seen[idx] = true;
+        for b in classes.alphabet().symbols() {
+            let (Some(nx), Some(ny)) = (classes.next(x, b), classes.next(y, b)) else {
+                continue;
+            };
+            if seen.insert((nx, ny)) {
                 guard.charge_state()?;
-                queue.push_back((n1, n2));
+                queue.push_back((nx, ny));
             }
         }
     }
     Ok(false)
 }
 
-/// Restricts a DFA to its live (reachable and co-reachable) states.
-fn trim_dfa(d: &Dfa) -> Dfa {
-    let nfa = d.to_nfa();
-    let reach = nfa.reachable();
-    let coreach = nfa.coreachable();
-    let keep: Vec<bool> = reach.iter().zip(&coreach).map(|(&r, &c)| r && c).collect();
-    let trimmed = nfa.restrict(&keep);
-    // Rebuild as a DFA (restriction preserves determinism).
-    let mut out = Dfa::new(d.alphabet().clone());
-    for q in 0..trimmed.state_count() {
-        out.add_state(trimmed.is_accepting(q));
-    }
-    if let Some(&q0) = trimmed.initial().iter().next() {
-        out.set_initial(q0);
-    }
-    for (p, a, q) in trimmed.transitions() {
-        out.set_transition(p, a, q);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_automata::{Alphabet, TransitionSystem};
+    use rl_automata::{Alphabet, Budget, CancelToken, MetricsRegistry, Resource, TransitionSystem};
+    use rl_petri::{reachability_graph, PetriNet};
 
     /// h hiding tau over a two-action alphabet.
     fn hom(sigma: &Alphabet) -> Homomorphism {
@@ -369,5 +392,99 @@ mod tests {
         let report = check_simplicity(&hom(&sigma), &l).unwrap();
         assert!(report.simple);
         assert_eq!(report.pairs_checked, 0);
+    }
+
+    /// Two interleaved copies of the Figure 1 server (the benchmark suite's
+    /// `server_farm(2)`, 64 states) and the hiding onto request, result and
+    /// reject of both servers.
+    fn server_farm_2() -> (Nfa, Homomorphism) {
+        let mut farm: Option<TransitionSystem> = None;
+        for i in 0..2 {
+            let mut net = PetriNet::new();
+            let [idle, busy, granting, rejecting, free, locked] =
+                ["idle", "busy", "granting", "rejecting", "free", "locked"].map(|p| {
+                    let tokens = u32::from(p == "idle" || p == "free");
+                    net.add_place(format!("{p}{i}"), tokens).unwrap()
+                });
+            for (name, pre, post) in [
+                ("request", vec![idle], vec![busy]),
+                ("yes", vec![busy, free], vec![granting, free]),
+                ("no", vec![busy, locked], vec![rejecting, locked]),
+                ("result", vec![granting], vec![idle]),
+                ("reject", vec![rejecting], vec![idle]),
+                ("lock", vec![free], vec![locked]),
+                ("free", vec![locked], vec![free]),
+            ] {
+                let arcs = |places: Vec<_>| places.into_iter().map(|p| (p, 1));
+                net.add_transition(format!("{name}{i}"), arcs(pre), arcs(post))
+                    .unwrap();
+            }
+            let server = reachability_graph(&net, 100).unwrap();
+            farm = Some(match farm {
+                None => server,
+                Some(f) => f.compose(&server).unwrap(),
+            });
+        }
+        let ts = farm.unwrap();
+        assert_eq!(ts.state_count(), 64);
+        let keep = [
+            "request0", "result0", "reject0", "request1", "result1", "reject1",
+        ];
+        let h = Homomorphism::hiding(ts.alphabet(), keep).unwrap();
+        (ts.to_nfa(), h)
+    }
+
+    #[test]
+    fn state_budget_admits_exactly_the_states_charged() {
+        let (l, h) = server_farm_2();
+        let unlimited = Guard::unlimited();
+        let report = check_simplicity_with(&h, &l, &unlimited).unwrap();
+        assert!(report.simple);
+        let n = unlimited.progress().states;
+
+        let exact = Guard::new(Budget::unlimited().with_max_states(n));
+        assert_eq!(check_simplicity_with(&h, &l, &exact).unwrap(), report);
+
+        let short = Guard::new(Budget::unlimited().with_max_states(n - 1))
+            .with_metrics(MetricsRegistry::new());
+        match check_simplicity_with(&h, &l, &short) {
+            Err(AbstractionError::Automata(AutomataError::BudgetExceeded {
+                resource: Resource::States,
+                spent,
+                limit,
+                partial,
+            })) => {
+                assert_eq!((spent, limit), (n as u64, n as u64 - 1));
+                let phase = partial.phase.expect("a registry names the phase");
+                assert!(phase.starts_with("simplicity"), "{phase}");
+            }
+            other => panic!("expected a state-budget error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cancelled_token_stops_the_check() {
+        let (l, h) = server_farm_2();
+        let token = CancelToken::new();
+        token.cancel();
+        let guard = Guard::with_cancel(Budget::unlimited(), token);
+        assert!(matches!(
+            check_simplicity_with(&h, &l, &guard),
+            Err(AbstractionError::Automata(AutomataError::Cancelled(_)))
+        ));
+    }
+
+    #[test]
+    fn one_check_determinizes_twice_and_partitions_once() {
+        let (l, h) = server_farm_2();
+        let registry = MetricsRegistry::new();
+        let guard = Guard::unlimited().with_metrics(registry.clone());
+        check_simplicity_with(&h, &l, &guard).unwrap();
+        let records = registry.records();
+        let count = |name: &str| records.iter().filter(|r| r.name == name).count();
+        // One subset construction for L, one shared one for every image.
+        assert_eq!(count("determinize"), 2);
+        assert_eq!(count("partition"), 1);
+        assert_eq!(count("prefix_closed"), 0);
     }
 }

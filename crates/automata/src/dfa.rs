@@ -446,6 +446,69 @@ impl Dfa {
         crate::minimize::minimize(self)
     }
 
+    /// The Myhill–Nerode class of every state: `classes[p] == classes[q]`
+    /// iff `p` and `q` accept the same language (missing transitions
+    /// reject). Ids are dense, numbered in order of first appearance.
+    ///
+    /// One Hopcroft refinement covers all states, reachable from the
+    /// initial state or not, so a DFA built from many roots (see
+    /// [`Nfa::determinize_roots_with`]) answers every language-equivalence
+    /// question between its states by comparing two ids.
+    pub fn equivalence_classes(&self) -> Vec<usize> {
+        let blocks = crate::minimize::partition(&self.complete());
+        let mut number: Vec<Option<usize>> = vec![None; blocks.len()];
+        let mut next = 0;
+        // `complete` only appends a sink, so the first `state_count` blocks
+        // are ours.
+        blocks[..self.state_count()]
+            .iter()
+            .map(|&b| {
+                *number[b].get_or_insert_with(|| {
+                    next += 1;
+                    next - 1
+                })
+            })
+            .collect()
+    }
+
+    /// States that are reachable from the initial state and can reach an
+    /// accepting state.
+    fn live_states(&self) -> Vec<bool> {
+        let nfa = self.to_nfa();
+        let reach = nfa.reachable();
+        let coreach = nfa.coreachable();
+        reach.iter().zip(&coreach).map(|(&r, &c)| r && c).collect()
+    }
+
+    /// Restricts the automaton to its live states (reachable and
+    /// co-reachable). The language is unchanged; an empty language yields
+    /// a DFA with no states.
+    pub fn trim(&self) -> Dfa {
+        let trimmed = self.to_nfa().restrict(&self.live_states());
+        // Restriction preserves determinism.
+        let mut out = Dfa::new(self.alphabet.clone());
+        for q in 0..trimmed.state_count() {
+            out.add_state(trimmed.is_accepting(q));
+        }
+        if let Some(&q0) = trimmed.initial().iter().next() {
+            out.set_initial(q0);
+        }
+        for (p, a, q) in trimmed.transitions() {
+            out.set_transition(p, a, q);
+        }
+        out
+    }
+
+    /// Whether the language is prefix closed (`L = pre(L)`): every live
+    /// state accepts, since a word is a prefix of `L` exactly when it leads
+    /// to a live state.
+    pub fn is_prefix_closed(&self) -> bool {
+        self.live_states()
+            .iter()
+            .enumerate()
+            .all(|(q, &live)| !live || self.accepting[q])
+    }
+
     /// Removes states unreachable from the initial state.
     pub fn remove_unreachable(&self) -> Dfa {
         let nfa = self.to_nfa();
@@ -492,6 +555,24 @@ mod tests {
         d.set_transition(q0, b, q0);
         d.set_transition(q1, b, q1);
         d
+    }
+
+    #[test]
+    fn equivalence_classes_cover_unreachable_and_partial_states() {
+        let (_, a, b) = ab2();
+        let mut d = even_a();
+        // Two more copies of the parities, unreachable from the initial
+        // state, and a partial state.
+        let q2 = d.add_state(true);
+        let q3 = d.add_state(false);
+        let q4 = d.add_state(true);
+        for (p, t) in [(q2, q3), (q3, q2)] {
+            d.set_transition(p, a, t);
+            d.set_transition(p, b, p);
+        }
+        d.set_transition(q4, b, q4);
+        // q4 accepts b* only: its own class.
+        assert_eq!(d.equivalence_classes(), vec![0, 1, 0, 1, 2]);
     }
 
     #[test]

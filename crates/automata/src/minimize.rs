@@ -1,4 +1,5 @@
-//! DFA minimization (Hopcroft's partition-refinement algorithm).
+//! Hopcroft partition refinement: language-equivalence classes of DFA
+//! states, and DFA minimization as the quotient by them.
 
 use std::collections::VecDeque;
 
@@ -9,12 +10,12 @@ use crate::StateId;
 /// Returns the minimal *complete* DFA for `dfa`'s language.
 ///
 /// The input is completed and stripped of unreachable states first; the
-/// output's states are Hopcroft partition blocks, numbered in discovery
-/// order, so the result is canonical up to this deterministic numbering.
+/// output is the quotient by [`partition`], numbered by BFS from the
+/// initial block, so the result is canonical up to this deterministic
+/// numbering.
 pub(crate) fn minimize(dfa: &Dfa) -> Dfa {
     let d = dfa.complete().remove_unreachable();
-    let n = d.state_count();
-    if n == 0 {
+    if d.state_count() == 0 {
         // No states at all: represent ∅ with a single rejecting sink.
         let mut out = Dfa::new(d.alphabet().clone());
         let sink = out.add_state(false);
@@ -24,7 +25,19 @@ pub(crate) fn minimize(dfa: &Dfa) -> Dfa {
         }
         return out;
     }
+    quotient(&d, &partition(&d))
+}
 
+/// Hopcroft's partition refinement over *every* state of the complete DFA
+/// `d`: `block_of[p] == block_of[q]` iff `p` and `q` accept the same
+/// language. Reachability from the initial state plays no part, so one
+/// call classifies the states of a DFA with many roots at once.
+pub(crate) fn partition(d: &Dfa) -> Vec<usize> {
+    debug_assert!(d.is_complete(), "partition needs a complete DFA");
+    let n = d.state_count();
+    if n == 0 {
+        return Vec::new();
+    }
     // Inverse transition table: inv[a][q] = { p | δ(p, a) = q }.
     let k = d.alphabet().len();
     let mut inv: Vec<Vec<Vec<StateId>>> = vec![vec![Vec::new(); n]; k];
@@ -109,29 +122,36 @@ pub(crate) fn minimize(dfa: &Dfa) -> Dfa {
         }
     }
 
-    // Quotient automaton, numbered by BFS from the initial block.
+    block_of
+}
+
+/// The quotient of the complete DFA `d` by the blocks `block_of`, numbered
+/// by BFS from the initial block; each block is represented by its
+/// smallest state.
+fn quotient(d: &Dfa, block_of: &[usize]) -> Dfa {
+    let blocks = block_of.iter().max().map_or(0, |&b| b + 1);
+    let mut rep: Vec<Option<StateId>> = vec![None; blocks];
+    for (q, &b) in block_of.iter().enumerate() {
+        rep[b].get_or_insert(q);
+    }
+    let rep = |b: usize| rep[b].expect("refinement keeps blocks non-empty");
     let mut out = Dfa::new(d.alphabet().clone());
-    let mut number: Vec<Option<StateId>> = vec![None; blocks.len()];
+    let mut number: Vec<Option<StateId>> = vec![None; blocks];
     let b0 = block_of[d.initial()];
-    let rep = |b: usize, blocks: &Vec<StateSet>| -> StateId {
-        blocks[b]
-            .first()
-            .expect("refinement keeps blocks non-empty")
-    };
     let mut queue = VecDeque::from([b0]);
-    let q0 = out.add_state(d.is_accepting(rep(b0, &blocks)));
+    let q0 = out.add_state(d.is_accepting(rep(b0)));
     out.set_initial(q0);
     number[b0] = Some(q0);
     while let Some(b) = queue.pop_front() {
         let id = number[b].expect("every queued block was numbered first");
-        let r = rep(b, &blocks);
+        let r = rep(b);
         for a in d.alphabet().clone().symbols() {
             let t = d.next(r, a).expect("input was completed");
             let tb = block_of[t];
             let tid = match number[tb] {
                 Some(tid) => tid,
                 None => {
-                    let tid = out.add_state(d.is_accepting(rep(tb, &blocks)));
+                    let tid = out.add_state(d.is_accepting(rep(tb)));
                     number[tb] = Some(tid);
                     queue.push_back(tb);
                     tid

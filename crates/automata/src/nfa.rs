@@ -444,18 +444,16 @@ impl Nfa {
             .expect("an unlimited guard never trips")
     }
 
-    /// [`Nfa::is_prefix_closed`] under a resource [`Guard`] (the check
-    /// determinizes the language twice).
+    /// [`Nfa::is_prefix_closed`] under a resource [`Guard`]: one charged
+    /// determinization, then [`Dfa::is_prefix_closed`] (every live state
+    /// accepts).
     ///
     /// # Errors
     ///
     /// Returns a budget error when the guard trips during determinization.
     pub fn is_prefix_closed_with(&self, guard: &Guard) -> Result<bool, AutomataError> {
         let _span = guard.span("prefix_closed");
-        Ok(crate::equiv::dfa_equivalent(
-            &self.determinize_with(guard)?,
-            &self.prefix_closure().determinize_with(guard)?,
-        ))
+        Ok(self.determinize_with(guard)?.is_prefix_closed())
     }
 
     /// Subset construction: an equivalent [`Dfa`].
@@ -483,33 +481,67 @@ impl Nfa {
     /// [`AutomataError::BudgetExceeded`] or [`AutomataError::Cancelled`]
     /// when the guard trips; the error carries partial diagnostics.
     pub fn determinize_with(&self, guard: &Guard) -> Result<Dfa, AutomataError> {
+        let start: StateSet = self.initial.iter().copied().collect();
         if guard.op_cache().is_none() {
-            return self.determinize_inner(guard);
+            return Ok(self.determinize_roots_with(&[start], guard)?.0);
         }
         let hash = self.structural_hash();
         let entry = guard.cached::<(Arc<Nfa>, Dfa), AutomataError>(
             "nfa_determinize",
             hash,
             |e| *e.0 == *self,
-            || Ok((guard.operand(hash, self), self.determinize_inner(guard)?)),
+            || {
+                let (dfa, _) = self.determinize_roots_with(&[start], guard)?;
+                Ok((guard.operand(hash, self), dfa))
+            },
         )?;
         Ok(entry.1.clone())
     }
 
-    fn determinize_inner(&self, guard: &Guard) -> Result<Dfa, AutomataError> {
+    /// One subset construction from several start subsets at once.
+    ///
+    /// Returns the DFA together with the DFA state of each root, in `roots`
+    /// order; the first root's state is the DFA's initial state. A subset
+    /// reachable from several roots is materialized once, so asking for the
+    /// language of many states (`roots = [{q}]` for each `q`) costs one
+    /// construction over their union instead of one per state. Equal roots
+    /// share a state. Charged like [`Nfa::determinize_with`], without the
+    /// memo table.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::BudgetExceeded`] or [`AutomataError::Cancelled`]
+    /// when the guard trips.
+    pub fn determinize_roots_with(
+        &self,
+        roots: &[StateSet],
+        guard: &Guard,
+    ) -> Result<(Dfa, Vec<StateId>), AutomataError> {
         let _span = guard.span("determinize");
         let n = self.state_count();
         let mut index: Interner<StateSet> = Interner::new();
         let mut dfa = Dfa::new(self.alphabet.clone());
 
-        let start: StateSet = self.initial.iter().copied().collect();
-        guard.charge_state()?;
-        let q0 = dfa.add_state(start.iter().any(|q| self.accepting[q]));
-        index.intern(start);
-        dfa.set_initial(q0);
+        let mut work = VecDeque::new();
+        let mut root_states = Vec::with_capacity(roots.len());
+        for root in roots {
+            let d = match index.get(root) {
+                Some(d) => d,
+                None => {
+                    guard.charge_state()?;
+                    let d = dfa.add_state(root.iter().any(|q| self.accepting[q]));
+                    index.intern(root.clone());
+                    work.push_back(d);
+                    d
+                }
+            };
+            root_states.push(d);
+        }
+        if let Some(&q0) = root_states.first() {
+            dfa.set_initial(q0);
+        }
 
         let mut next = StateSet::with_universe(n);
-        let mut work = VecDeque::from([q0]);
         while let Some(d) = work.pop_front() {
             guard.note_frontier(work.len());
             let subset = index.key(d).clone();
@@ -537,7 +569,7 @@ impl Nfa {
                 dfa.set_transition(d, a, nd);
             }
         }
-        Ok(dfa)
+        Ok((dfa, root_states))
     }
 
     /// A deterministic structural hash of the automaton (alphabet names,
@@ -954,6 +986,32 @@ mod tests {
             }
             other => panic!("expected two BudgetExceeded errors, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn roots_share_one_subset_construction() {
+        let nfa = nth_from_end(4);
+        let n = nfa.state_count();
+        let roots: Vec<StateSet> = (0..n).map(|q| StateSet::from_iter([q])).collect();
+        let (dfa, root) = nfa
+            .determinize_roots_with(&roots, &Guard::unlimited())
+            .unwrap();
+        assert_eq!(dfa.initial(), root[0]);
+        for (q, &r) in root.iter().enumerate() {
+            let accepting = (0..n).filter(|&p| nfa.is_accepting(p));
+            let from_q =
+                Nfa::from_parts(nfa.alphabet.clone(), n, [q], accepting, nfa.transitions())
+                    .unwrap();
+            assert!(crate::equiv::dfa_equivalent(
+                &dfa.rooted_at(r),
+                &from_q.determinize()
+            ));
+        }
+        let twice = [roots[1].clone(), roots[1].clone()];
+        let (_, root) = nfa
+            .determinize_roots_with(&twice, &Guard::unlimited())
+            .unwrap();
+        assert_eq!(root[0], root[1]);
     }
 
     #[test]

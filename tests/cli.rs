@@ -89,7 +89,25 @@ fn simplicity_subcommand() {
         "request,result,reject",
     ]);
     assert_eq!(out.status.code(), Some(0));
-    assert!(stdout(&out).contains("simple: HOLDS"));
+    assert_eq!(
+        stdout(&out),
+        "homomorphism: {request↦request, yes↦ε, no↦ε, result↦result, reject↦reject, lock↦ε, free↦ε}\n\
+         simple: HOLDS (8 continuation pairs checked)\n"
+    );
+}
+
+#[test]
+fn simplicity_subcommand_names_the_violation() {
+    let out = rlcheck(&[
+        "simplicity",
+        "examples/systems/server_err.pn",
+        "--keep",
+        "request,result,reject",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "not simple => exit 1");
+    let text = stdout(&out);
+    assert!(text.contains("simple: fails"));
+    assert!(text.contains("violation word: lock\n"));
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! it to an ordinary [`Buchi`] automaton via the standard counter
 //! construction (one copy of the state space per acceptance set).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rl_automata::{Alphabet, AutomataError, StateId, Symbol};
 
@@ -131,22 +131,22 @@ impl GeneralizedBuchi {
         let in_set = |i: usize, q: StateId| -> bool {
             self.acceptance.get(i).is_none_or(|s| s.contains(&q))
         };
+        // Copy `c` of state `q` is state `q·k + c`: the loop below adds
+        // the states in exactly that order.
+        let index = |q: StateId, c: usize| q * k + c;
         let mut out = Buchi::new(self.alphabet.clone());
-        let mut index: BTreeMap<(StateId, usize), StateId> = BTreeMap::new();
         for q in 0..self.state_count {
             for c in 0..k {
-                let acc = c == k - 1 && in_set(k - 1, q);
-                let id = out.add_state(acc);
-                index.insert((q, c), id);
+                out.add_state(c == k - 1 && in_set(k - 1, q));
             }
         }
         for &q in &self.initial {
-            out.set_initial(index[&(q, 0)]);
+            out.set_initial(index(q, 0));
         }
         for &(p, a, q) in &self.transitions {
             for c in 0..k {
                 let c2 = if in_set(c, p) { (c + 1) % k } else { c };
-                out.add_transition(index[&(p, c)], a, index[&(q, c2)]);
+                out.add_transition(index(p, c), a, index(q, c2));
             }
         }
         out.reduce()

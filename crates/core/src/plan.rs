@@ -286,7 +286,8 @@ impl<'a> CheckPlan<'a> {
             None => {
                 let p = {
                     let _span = self.guard.span("translate");
-                    self.property.to_buchi(self.system.alphabet())?
+                    self.property
+                        .to_buchi_with(self.system.alphabet(), self.guard)?
                 };
                 let both = self.system.intersection_with(&p, self.guard)?;
                 prefixes(&both, self.guard)

@@ -7,7 +7,7 @@ use std::fmt;
 use rl_abstraction::AbstractionError;
 use rl_automata::{Alphabet, AutomataError, Guard};
 use rl_buchi::{complement_with, Buchi};
-use rl_logic::{formula_to_buchi, Formula, Labeling};
+use rl_logic::{formula_to_buchi_with, Formula, Labeling};
 
 /// Errors from the relative-liveness/safety deciders and pipelines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,14 +101,26 @@ impl Property {
     /// Returns an alphabet mismatch when a labeled formula or automaton was
     /// built for a different alphabet.
     pub fn to_buchi(&self, alphabet: &Alphabet) -> Result<Buchi, CoreError> {
+        self.to_buchi_with(alphabet, &Guard::unlimited())
+    }
+
+    /// [`Property::to_buchi`] under a resource [`Guard`]: formula
+    /// translation stops at the guard's deadline or cancellation (see
+    /// [`formula_to_buchi_with`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Property::to_buchi`], plus a budget or cancellation error
+    /// when the guard trips during translation.
+    pub fn to_buchi_with(&self, alphabet: &Alphabet, guard: &Guard) -> Result<Buchi, CoreError> {
         match self {
             Property::Formula(f) => {
                 let lam = Labeling::canonical(alphabet);
-                Ok(formula_to_buchi(f, &lam))
+                Ok(formula_to_buchi_with(f, &lam, guard)?)
             }
             Property::LabeledFormula(f, lam) => {
                 lam.alphabet().check_compatible(alphabet)?;
-                Ok(formula_to_buchi(f, lam))
+                Ok(formula_to_buchi_with(f, lam, guard)?)
             }
             Property::Automaton(b) => {
                 b.alphabet().check_compatible(alphabet)?;
@@ -131,15 +143,15 @@ impl Property {
     /// Automaton-given properties are complemented with the exponential
     /// rank-based construction, which charges the guard and can trip it.
     /// Formula-given properties negate the formula and translate it with
-    /// [`formula_to_buchi`], the GPVW tableau: exponential in the size of
-    /// the formula, and run *unguarded* — it charges nothing, so neither a
-    /// budget nor a cancel stops it (ROADMAP item 4 plans a guarded
-    /// variant).
+    /// [`formula_to_buchi_with`], the GPVW tableau. It is exponential in the
+    /// size of the formula and charges no states, but it polls the guard's
+    /// deadline and cancel token, so `--timeout` and cancellation stop it.
     ///
     /// # Errors
     ///
     /// Same as [`Property::to_buchi`], plus a budget error when the guard
-    /// trips during complementation.
+    /// trips during complementation, and a budget or cancellation error when
+    /// it trips during translation.
     pub fn negation_to_buchi_with(
         &self,
         alphabet: &Alphabet,
@@ -149,11 +161,11 @@ impl Property {
         match self {
             Property::Formula(f) => {
                 let lam = Labeling::canonical(alphabet);
-                Ok(formula_to_buchi(&f.clone().not(), &lam))
+                Ok(formula_to_buchi_with(&f.clone().not(), &lam, guard)?)
             }
             Property::LabeledFormula(f, lam) => {
                 lam.alphabet().check_compatible(alphabet)?;
-                Ok(formula_to_buchi(&f.clone().not(), lam))
+                Ok(formula_to_buchi_with(&f.clone().not(), lam, guard)?)
             }
             Property::Automaton(b) => {
                 b.alphabet().check_compatible(alphabet)?;

@@ -12,7 +12,8 @@
 //!   canonical `λ_Σ` and support for the homomorphism labeling `λ_hΣΣ'`
 //!   (Definition 7.3) via [`EPSILON_PROP`],
 //! * [`evaluate`] — exact semantics on ultimately periodic words,
-//! * [`formula_to_buchi`] — GPVW tableau translation to Büchi automata,
+//! * [`formula_to_buchi`] — GPVW tableau translation to Büchi automata
+//!   ([`formula_to_buchi_with`] stops at a guard's deadline),
 //! * [`transform_t`] / [`r_bar`] — the property transport of Definition 7.4
 //!   (Figure 5), reconstructed and verified against Lemma 7.5.
 //!
@@ -63,4 +64,4 @@ pub use labeling::{Labeling, EPSILON_PROP};
 pub use parser::{parse, ParseError};
 pub use simplify::simplify;
 pub use transform::{is_sigma_normal_form, r_bar, r_bar_strict, to_sigma_normal_form, transform_t};
-pub use translate::formula_to_buchi;
+pub use translate::{formula_to_buchi, formula_to_buchi_with};

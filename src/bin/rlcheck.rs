@@ -483,8 +483,9 @@ fn note_runtime_counters(
 
 fn cmd_check(path: &str, formula: &str, guard: &Guard) -> Result<ExitCode, CheckError> {
     let spec = CheckSpec::from_path(path, formula);
-    let mut out = String::new();
-    let result = run_check(&spec, guard, &mut out);
+    let (mut out, mut err) = (String::new(), String::new());
+    let result = run_check(&spec, guard, &mut out, &mut err);
+    eprint!("{err}");
     print!("{out}");
     Ok(if result? {
         ExitCode::SUCCESS

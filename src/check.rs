@@ -137,18 +137,25 @@ pub fn batch_job_deadline(remaining: Duration, unfinished: usize, threads: usize
     remaining / waves as u32
 }
 
-/// The `check` pipeline, writing its report into `out` (so batch and
-/// service modes can run checks concurrently and still emit them in a
-/// deterministic order). Returns whether relative liveness holds.
+/// The `check` pipeline, writing its report into `out` and warnings into
+/// `err` (so batch and service modes can run checks concurrently and still
+/// emit them in a deterministic order). Returns whether relative liveness
+/// holds.
 ///
 /// The three verdicts come from one [`CheckPlan`]: each shared automaton
 /// is built once, and Theorem 4.7 settles relative liveness and safety
 /// when the property holds classically, and relative safety when it is
 /// relatively live but not classically true.
-pub fn run_check(spec: &CheckSpec, guard: &Guard, out: &mut String) -> Result<bool, CheckError> {
+pub fn run_check(
+    spec: &CheckSpec,
+    guard: &Guard,
+    out: &mut String,
+    err: &mut String,
+) -> Result<bool, CheckError> {
     let _span = guard.span("check");
     let ts = spec.source.load()?;
     let eta = parse_formula(&spec.formula)?;
+    warn_unknown_atoms(&eta, &ts, err);
     let behaviors = behaviors_of_ts_with(&ts, guard).map_err(CheckError::from)?;
     // Test hooks: let the CLI/service tests exercise the panic-containment
     // paths with real partial state (some spans closed, some charges
@@ -196,13 +203,27 @@ pub fn run_check(spec: &CheckSpec, guard: &Guard, out: &mut String) -> Result<bo
     Ok(rl.holds)
 }
 
+/// Warns about every atom of `eta` that names no action of `ts`. Under the
+/// canonical labeling `λ_Σ` such an atom never holds, which is almost always
+/// a typo.
+fn warn_unknown_atoms(eta: &Formula, ts: &TransitionSystem, err: &mut String) {
+    for atom in eta.atoms() {
+        if ts.alphabet().symbol(&atom).is_none() {
+            let _ = writeln!(
+                err,
+                "warning: atom \"{atom}\" is not an action of the system; under λ_Σ it never holds"
+            );
+        }
+    }
+}
+
 /// Runs one check against `guard`, writing the report to `out` and
 /// diagnostics to `err`; returns the job's exit code (same scheme as the
 /// process exit codes: 0 holds, 1 fails, 2 input error, 3 budget).
 pub fn report_check(spec: &CheckSpec, guard: &Guard, out: &mut String, err: &mut String) -> u8 {
     let name = spec.source.display_name();
     let _ = writeln!(out, "=== {} {}", name, spec.formula);
-    match run_check(spec, guard, out) {
+    match run_check(spec, guard, out, err) {
         Ok(true) => 0,
         Ok(false) => 1,
         Err(e @ CheckError::BudgetExceeded { .. }) | Err(e @ CheckError::Cancelled { .. }) => {

@@ -194,6 +194,105 @@ fn zero_timeout_exits_3_with_wall_clock_report() {
     assert!(err.contains("wall-clock"), "stderr: {err}");
 }
 
+/// The one-state system whose behaviors are all of {a, b}^ω.
+const SIGMA_AB: &str = "system\nalphabet: a b\ninitial: s\ns a -> s\ns b -> s\n";
+
+/// Writes [`SIGMA_AB`] into a fresh temp directory named `dir`.
+fn sigma_ab_system(dir: &str) -> String {
+    let dir = std::env::temp_dir().join(dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("sigma_ab.ts");
+    std::fs::write(&path, SIGMA_AB).expect("system written");
+    path.to_str().expect("utf-8 path").to_owned()
+}
+
+#[test]
+fn formula_blow_up_stops_at_the_deadline() {
+    // The LTL→Büchi tableau of a 12-deep nested until runs for tens of
+    // seconds; translation polls the deadline, so a 1 s timeout ends the
+    // check with exit 3 instead.
+    let system = sigma_ab_system("rlcheck-formula-blow-up");
+    let formula = rl_bench::nested_until(12).to_string();
+    let started = std::time::Instant::now();
+    let out = rlcheck(&["check", &system, &formula, "--timeout", "1"]);
+    let took = started.elapsed();
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "took {took:?}; stderr: {}",
+        stderr(&out)
+    );
+    assert!(stderr(&out).contains("wall-clock"), "{}", stderr(&out));
+}
+
+#[test]
+fn atoms_outside_the_alphabet_are_warned_about() {
+    let out = rlcheck(&["check", "examples/systems/clock.ts", "[]<>c | <>chime"]);
+    let err = stderr(&out);
+    assert!(
+        err.contains(
+            "warning: atom \"c\" is not an action of the system; under λ_Σ it never holds"
+        ),
+        "stderr: {err}"
+    );
+    assert!(!err.contains("atom \"chime\""), "stderr: {err}");
+    // The warning changes neither the report nor the exit code.
+    let plain = rlcheck(&["check", "examples/systems/clock.ts", "[]<>chime"]);
+    assert!(stderr(&plain).is_empty(), "{}", stderr(&plain));
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout(&out).contains("rel-live   []<>c | <>chime: HOLDS"));
+}
+
+/// `rlcheck check` stdout and exit code for the nine fixtures with
+/// perfbench's formulas, then `rl_bench::fairness_chain(k)` over
+/// [`SIGMA_AB`]: the text `tests/golden/check_stdout.txt` pins.
+fn golden_check_stdout() -> String {
+    let sigma_ab = sigma_ab_system("rlcheck-golden-check");
+    let mut cases: Vec<(String, String, String)> = [
+        ("server.pn", "[]<>result"),
+        ("server_err.pn", "[]<>result"),
+        ("abp.ts", "[]<>deliver"),
+        ("clock.ts", "[]<>chime"),
+        ("filter_fallthrough.ts", "[]<>a"),
+        ("filter_mod3.ts", "[]<>a"),
+        ("filter_parikh.ts", "[]<>a"),
+        ("filter_sim.ts", "[]<>ack"),
+        ("needle24.ts", "[]<>a"),
+    ]
+    .into_iter()
+    .map(|(file, formula)| {
+        let path = format!("examples/systems/{file}");
+        (path.clone(), path, formula.to_owned())
+    })
+    .collect();
+    for k in [2, 4, 6] {
+        let formula = rl_bench::fairness_chain(k).to_string();
+        cases.push(("sigma_ab.ts".to_owned(), sigma_ab.clone(), formula));
+    }
+    let mut text = String::new();
+    for (label, path, formula) in &cases {
+        let out = rlcheck(&["check", path, formula]);
+        text.push_str(&format!("=== {label} {formula}\n"));
+        text.push_str(&stdout(&out));
+        let code = out.status.code().expect("rlcheck exits with a code");
+        text.push_str(&format!("exit {code}\n"));
+    }
+    text
+}
+
+#[test]
+fn check_stdout_matches_golden() {
+    let golden = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/check_stdout.txt"),
+    )
+    .expect("golden file readable");
+    let actual = golden_check_stdout();
+    for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of tests/golden/check_stdout.txt", i + 1);
+    }
+    assert_eq!(actual.lines().count(), golden.lines().count());
+}
+
 #[test]
 fn budget_flags_do_not_disturb_small_inputs() {
     // The same flags on an easy input leave the verdict (and exit 0) alone.

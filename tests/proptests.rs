@@ -8,6 +8,8 @@ use relative_liveness::prelude::*;
 // ---------- strategies ----------
 
 const SIGMA2: [&str; 2] = ["a", "b"];
+/// The atoms of [`SIGMA2`] plus the hidden-action proposition.
+const SIGMA2_EPS: [&str; 3] = ["a", "b", EPSILON_PROP];
 const SIGMA3: [&str; 3] = ["a", "b", "tau"];
 
 fn alphabet2() -> Alphabet {
@@ -286,15 +288,33 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// GPVW translation agrees with direct lasso evaluation.
+    /// GPVW translation agrees with direct lasso evaluation, and the
+    /// translation of `¬f` rejects exactly the lassos where `f` holds.
+    /// Both are checked under the canonical labeling and under one where
+    /// `a` carries the two propositions `a` and `b` and `b` carries only
+    /// `ε`.
     #[test]
     fn translation_matches_evaluation(
-        f in formula_strategy(&SIGMA2, 3),
+        f in formula_strategy(&SIGMA2_EPS, 3),
         w in upword_strategy(2),
     ) {
-        let lam = Labeling::canonical(&alphabet2());
-        let aut = formula_to_buchi(&f, &lam);
-        prop_assert_eq!(aut.accepts_upword(&w), evaluate(&f, &w, &lam), "formula {}", f);
+        let ab = alphabet2();
+        let a = ab.symbol("a").unwrap();
+        let merged = Labeling::from_fn(&ab, |s| {
+            if s == a {
+                vec!["a".to_owned(), "b".to_owned()]
+            } else {
+                vec![EPSILON_PROP.to_owned()]
+            }
+        })
+        .unwrap();
+        for lam in [Labeling::canonical(&ab), merged] {
+            let holds = evaluate(&f, &w, &lam);
+            let aut = formula_to_buchi(&f, &lam);
+            prop_assert_eq!(aut.accepts_upword(&w), holds, "formula {}", f);
+            let neg = formula_to_buchi(&f.clone().not(), &lam);
+            prop_assert_eq!(neg.accepts_upword(&w), !holds, "formula !({})", f);
+        }
     }
 
     /// PNF preserves semantics.

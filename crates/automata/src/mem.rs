@@ -54,6 +54,7 @@ macro_rules! inline_only {
 }
 
 inline_only!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool, char, f32, f64);
+inline_only!(crate::Symbol);
 
 impl MemFootprint for String {
     fn heap_bytes(&self) -> usize {

@@ -1,5 +1,6 @@
 //! Nondeterministic Büchi automata.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -8,7 +9,7 @@ use rl_automata::{
     Alphabet, AutomataError, FxHasher, Guard, Interner, MemFootprint, Nfa, StateId, Symbol,
 };
 
-use crate::emptiness;
+use crate::emptiness::{self, Poll};
 use crate::upword::UpWord;
 
 /// A nondeterministic Büchi automaton over an [`Alphabet`].
@@ -45,15 +46,18 @@ pub struct Buchi {
     alphabet: Alphabet,
     initial: BTreeSet<StateId>,
     accepting: Vec<bool>,
-    /// `delta[q][a.index()]` = sorted, deduplicated successors of `q` on `a`.
-    delta: Vec<Vec<Vec<StateId>>>,
+    /// `edges[q]` = the transitions leaving `q` as `(symbol, successor)`
+    /// pairs, sorted and deduplicated. A state stores only the letters it
+    /// enables, so every pass over the automaton is O(states + transitions)
+    /// however large the alphabet.
+    edges: Vec<Vec<(Symbol, StateId)>>,
 }
 
 impl MemFootprint for Buchi {
     fn heap_bytes(&self) -> usize {
         // The alphabet weighs as a pointer (interned per system, charged at
         // its creation site).
-        self.initial.heap_bytes() + self.accepting.heap_bytes() + self.delta.heap_bytes()
+        self.initial.heap_bytes() + self.accepting.heap_bytes() + self.edges.heap_bytes()
     }
 }
 
@@ -64,7 +68,7 @@ impl Buchi {
             alphabet,
             initial: BTreeSet::new(),
             accepting: Vec::new(),
-            delta: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -119,7 +123,7 @@ impl Buchi {
     /// Adds a state, returning its id.
     pub fn add_state(&mut self, accepting: bool) -> StateId {
         self.accepting.push(accepting);
-        self.delta.push(vec![Vec::new(); self.alphabet.len()]);
+        self.edges.push(Vec::new());
         self.accepting.len() - 1
     }
 
@@ -151,9 +155,9 @@ impl Buchi {
     pub fn add_transition(&mut self, from: StateId, symbol: Symbol, to: StateId) {
         assert!(from < self.state_count(), "invalid state {from}");
         assert!(to < self.state_count(), "invalid state {to}");
-        let row = &mut self.delta[from][symbol.index()];
-        if let Err(pos) = row.binary_search(&to) {
-            row.insert(pos, to);
+        let row = &mut self.edges[from];
+        if let Err(pos) = row.binary_search(&(symbol, to)) {
+            row.insert(pos, (symbol, to));
         }
     }
 
@@ -179,21 +183,25 @@ impl Buchi {
 
     /// Successors of `q` on `symbol`, in ascending order.
     pub fn successors(&self, q: StateId, symbol: Symbol) -> impl Iterator<Item = StateId> + '_ {
-        self.delta[q][symbol.index()].iter().copied()
+        let row = &self.edges[q];
+        let lo = row.partition_point(|&(a, _)| a < symbol);
+        let hi = lo + row[lo..].partition_point(|&(a, _)| a == symbol);
+        row[lo..hi].iter().map(|&(_, to)| to)
     }
 
-    /// Sorted successor list of `q` on `symbol`, as a slice.
-    fn successor_slice(&self, q: StateId, symbol: Symbol) -> &[StateId] {
-        &self.delta[q][symbol.index()]
+    /// The transitions leaving `q`, as `(symbol, successor)` pairs sorted by
+    /// symbol, then successor.
+    pub(crate) fn edges(&self, q: StateId) -> &[(Symbol, StateId)] {
+        &self.edges[q]
     }
 
-    /// Iterates over all transitions in sorted order.
+    /// Iterates over all transitions `(p, a, q)`, sorted by `p`, then `a`,
+    /// then `q`.
     pub fn transitions(&self) -> impl Iterator<Item = (StateId, Symbol, StateId)> + '_ {
-        self.delta.iter().enumerate().flat_map(|(p, row)| {
-            row.iter()
-                .enumerate()
-                .flat_map(move |(ai, tos)| tos.iter().map(move |&q| (p, Symbol::from_index(ai), q)))
-        })
+        self.edges
+            .iter()
+            .enumerate()
+            .flat_map(|(p, row)| row.iter().map(move |&(a, q)| (p, a, q)))
     }
 
     /// A deterministic structural hash of the automaton (alphabet names,
@@ -225,17 +233,33 @@ impl Buchi {
 
     /// Total number of transitions.
     pub fn transition_count(&self) -> usize {
-        self.transitions().count()
+        self.edges.iter().map(Vec::len).sum()
     }
 
     /// Whether the accepted ω-language is empty.
     pub fn is_empty_language(&self) -> bool {
-        emptiness::accepting_lasso(self).is_none()
+        self.accepted_upword().is_none()
     }
 
     /// An accepted ultimately periodic word, when the language is non-empty.
     pub fn accepted_upword(&self) -> Option<UpWord> {
-        emptiness::accepting_lasso(self)
+        self.accepted_upword_with(&Guard::unlimited())
+            .expect("an unlimited guard never trips")
+    }
+
+    /// [`Buchi::accepted_upword`] that stops at `guard`'s deadline or
+    /// cancellation.
+    ///
+    /// Every 64 visited states it calls [`Guard::check_now`]. It charges no
+    /// states or transitions and makes no [`Guard::tick`], so a search that
+    /// finishes leaves the guard's counters as they were.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::BudgetExceeded`] when the deadline passes and
+    /// [`AutomataError::Cancelled`] when the guard's token is cancelled.
+    pub fn accepted_upword_with(&self, guard: &Guard) -> Result<Option<UpWord>, AutomataError> {
+        emptiness::accepting_lasso(self, &mut Poll::new(guard))
     }
 
     /// Whether the automaton accepts the ultimately periodic word `w`.
@@ -250,7 +274,12 @@ impl Buchi {
     /// which no accepting run departs (and every unreachable state). The
     /// ω-language is unchanged.
     pub fn reduce(&self) -> Buchi {
-        let live = self.live_states();
+        self.reduce_with(&mut Poll::new(&Guard::unlimited()))
+            .expect("an unlimited guard never trips")
+    }
+
+    fn reduce_with(&self, poll: &mut Poll<'_>) -> Result<Buchi, AutomataError> {
+        let live = self.live_states_with(poll)?;
         let mut map: Vec<Option<StateId>> = vec![None; self.state_count()];
         let mut out = Buchi::new(self.alphabet.clone());
         for q in 0..self.state_count() {
@@ -268,13 +297,18 @@ impl Buchi {
                 out.add_transition(np, a, nq);
             }
         }
-        out
+        Ok(out)
     }
 
     /// Marks states that are reachable from the initial set *and* from which
     /// an accepting cycle is reachable ("live" states: some accepting run
     /// passes through them).
     pub fn live_states(&self) -> Vec<bool> {
+        self.live_states_with(&mut Poll::new(&Guard::unlimited()))
+            .expect("an unlimited guard never trips")
+    }
+
+    fn live_states_with(&self, poll: &mut Poll<'_>) -> Result<Vec<bool>, AutomataError> {
         let n = self.state_count();
         // Forward reachability.
         let mut reach = vec![false; n];
@@ -283,17 +317,16 @@ impl Buchi {
             reach[q] = true;
         }
         while let Some(p) = queue.pop_front() {
-            for tos in &self.delta[p] {
-                for &q in tos {
-                    if !reach[q] {
-                        reach[q] = true;
-                        queue.push_back(q);
-                    }
+            poll.visit()?;
+            for &(_, q) in &self.edges[p] {
+                if !reach[q] {
+                    reach[q] = true;
+                    queue.push_back(q);
                 }
             }
         }
         // States inside accepting cycles (within the reachable part).
-        let core = emptiness::accepting_cycle_states(self, &reach);
+        let core = emptiness::accepting_cycle_states(self, &reach, poll)?;
         // Backward reachability from the core.
         let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
         for (p, _, q) in self.transitions() {
@@ -308,6 +341,7 @@ impl Buchi {
             }
         }
         while let Some(p) = queue.pop_front() {
+            poll.visit()?;
             for &r in &rev[p] {
                 if !live[r] {
                     live[r] = true;
@@ -318,7 +352,7 @@ impl Buchi {
         for q in 0..n {
             live[q] &= reach[q];
         }
-        live
+        Ok(live)
     }
 
     /// Intersection product: accepts `L(self) ∩ L(other)`.
@@ -339,6 +373,13 @@ impl Buchi {
     /// budget and every product transition against its transition budget.
     /// When the guard carries an `OpCache`, a repeated intersection of
     /// structurally equal operands is answered from the memo table.
+    ///
+    /// Each product state's successors come from a merge-join of the two
+    /// components' edge lists on their symbols, so the product costs
+    /// O(product transitions), not O(product states × |Σ|). Successors are
+    /// interned and charged in `(symbol, left successor, right successor)`
+    /// order from a breadth-first worklist, which fixes the product's state
+    /// numbering and the exact charge at which a budget trips.
     ///
     /// # Errors
     ///
@@ -421,24 +462,36 @@ impl Buchi {
                 // Unreachable: every key on the worklist was interned first.
                 None => continue,
             };
-            for a in self.alphabet.symbols() {
-                for &p2 in self.successor_slice(p, a) {
-                    for &q2 in other.successor_slice(q, a) {
-                        let copy2 = match copy {
-                            1 if self.accepting[p] => 2,
-                            2 if other.accepting[q] => 1,
-                            c => c,
-                        };
-                        let nid = intern(
-                            (p2, q2, copy2),
-                            self.accepting[p2],
-                            &mut index,
-                            &mut out,
-                            &mut work,
-                            guard,
-                        )?;
-                        guard.charge_transition()?;
-                        out.add_transition(id, a, nid);
+            let copy2 = match copy {
+                1 if self.accepting[p] => 2,
+                2 if other.accepting[q] => 1,
+                c => c,
+            };
+            let (left, right) = (&self.edges[p], &other.edges[q]);
+            let (mut i, mut j) = (0, 0);
+            while i < left.len() && j < right.len() {
+                let a = left[i].0;
+                match a.cmp(&right[j].0) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        let i_end = i + left[i..].partition_point(|&(b, _)| b == a);
+                        let j_end = j + right[j..].partition_point(|&(b, _)| b == a);
+                        for &(_, p2) in &left[i..i_end] {
+                            for &(_, q2) in &right[j..j_end] {
+                                let nid = intern(
+                                    (p2, q2, copy2),
+                                    self.accepting[p2],
+                                    &mut index,
+                                    &mut out,
+                                    &mut work,
+                                    guard,
+                                )?;
+                                guard.charge_transition()?;
+                                out.add_transition(id, a, nid);
+                            }
+                        }
+                        (i, j) = (i_end, j_end);
                     }
                 }
             }
@@ -473,8 +526,28 @@ impl Buchi {
     /// every finite run prefix is the prefix of an accepted ω-word: the
     /// prefix NFA is the reduced graph with *all* states accepting.
     pub fn prefix_nfa(&self) -> Nfa {
-        let reduced = self.reduce();
+        self.prefix_nfa_with(&Guard::unlimited())
+            .expect("an unlimited guard never trips")
+    }
+
+    /// [`Buchi::prefix_nfa`] that stops at `guard`'s deadline or
+    /// cancellation.
+    ///
+    /// The reduction polls [`Guard::check_now`] every 64 visited states,
+    /// like [`Buchi::accepted_upword_with`], and charges nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::BudgetExceeded`] when the deadline passes and
+    /// [`AutomataError::Cancelled`] when the guard's token is cancelled.
+    pub fn prefix_nfa_with(&self, guard: &Guard) -> Result<Nfa, AutomataError> {
+        let reduced = self.reduce_with(&mut Poll::new(guard))?;
         let mut n = Nfa::new(reduced.alphabet.clone());
+        // When the ω-language is empty there are no prefixes at all — not
+        // even ε — so return an automaton of the empty language.
+        if reduced.state_count() == 0 || reduced.initial.is_empty() {
+            return Ok(n);
+        }
         for _ in 0..reduced.state_count() {
             n.add_state(true);
         }
@@ -484,12 +557,7 @@ impl Buchi {
         for (p, a, q) in reduced.transitions() {
             n.add_transition(p, a, q);
         }
-        // When the ω-language is empty there are no prefixes at all — not
-        // even ε — so return an automaton of the empty language.
-        if reduced.state_count() == 0 || reduced.initial.is_empty() {
-            return Nfa::new(reduced.alphabet.clone());
-        }
-        n
+        Ok(n)
     }
 
     /// A universal Büchi automaton accepting all of `Σ^ω`.
@@ -639,6 +707,38 @@ mod tests {
         let u = Buchi::universal(ab);
         assert!(u.accepts_upword(&UpWord::periodic(vec![a]).unwrap()));
         assert!(u.accepts_upword(&UpWord::new(vec![a, b, a], vec![b, b, a]).unwrap()));
+    }
+
+    #[test]
+    fn cancelled_guard_stops_emptiness_and_prefix_reduction() {
+        // A 100-state accepting ring: both searches visit more than the 64
+        // states between two polls.
+        let (ab, a, _) = ab2();
+        let ring = Buchi::from_parts(
+            ab,
+            100,
+            [0],
+            0..100,
+            (0..100).map(|q| (q, a, (q + 1) % 100)),
+        )
+        .unwrap();
+        let token = rl_automata::CancelToken::new();
+        token.cancel();
+        let guard = Guard::with_cancel(rl_automata::Budget::unlimited(), token);
+        assert!(matches!(
+            ring.accepted_upword_with(&guard),
+            Err(AutomataError::Cancelled(_))
+        ));
+        assert!(matches!(
+            ring.prefix_nfa_with(&guard),
+            Err(AutomataError::Cancelled(_))
+        ));
+        // Polling charges nothing.
+        assert_eq!(guard.progress().states, 0);
+        assert!(ring
+            .accepted_upword_with(&Guard::unlimited())
+            .unwrap()
+            .is_some());
     }
 
     #[test]

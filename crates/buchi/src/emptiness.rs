@@ -3,15 +3,46 @@
 
 use std::collections::VecDeque;
 
-use rl_automata::{StateId, Symbol};
+use rl_automata::{AutomataError, Guard, StateId, Symbol};
 
 use crate::buchi::Buchi;
 use crate::upword::UpWord;
 
+/// Visited states between two polls of the guard's deadline and cancel
+/// token.
+const POLL_INTERVAL: usize = 64;
+
+/// Counts the states a search visits and polls [`Guard::check_now`] every
+/// [`POLL_INTERVAL`] of them. It charges nothing, so a search that finishes
+/// leaves the guard's counters as they were.
+pub(crate) struct Poll<'g> {
+    guard: &'g Guard,
+    visited: usize,
+}
+
+impl<'g> Poll<'g> {
+    pub(crate) fn new(guard: &'g Guard) -> Poll<'g> {
+        Poll { guard, visited: 0 }
+    }
+
+    /// Counts one visited state.
+    pub(crate) fn visit(&mut self) -> Result<(), AutomataError> {
+        self.visited += 1;
+        if self.visited.is_multiple_of(POLL_INTERVAL) {
+            self.guard.check_now()?;
+        }
+        Ok(())
+    }
+}
+
 /// Iterative Tarjan SCC. Returns `comp[v]` = component id (ids are in
 /// reverse topological order of discovery) for all `n` nodes of the graph
-/// given by `succ`.
-fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
+/// given by `succ`; every node it indexes counts as visited.
+fn tarjan(
+    n: usize,
+    succ: &dyn Fn(usize) -> Vec<usize>,
+    poll: &mut Poll<'_>,
+) -> Result<Vec<usize>, AutomataError> {
     const UNSET: usize = usize::MAX;
     let mut index = vec![UNSET; n];
     let mut low = vec![0usize; n];
@@ -26,6 +57,7 @@ fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
         if index[root] != UNSET {
             continue;
         }
+        poll.visit()?;
         let mut call: Vec<(usize, Vec<usize>, usize)> = vec![(root, succ(root), 0)];
         index[root] = next_index;
         low[root] = next_index;
@@ -38,6 +70,7 @@ fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
                 let w = kids[i];
                 i += 1;
                 if index[w] == UNSET {
+                    poll.visit()?;
                     index[w] = next_index;
                     low[w] = next_index;
                     next_index += 1;
@@ -71,31 +104,33 @@ fn tarjan(n: usize, succ: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
             }
         }
     }
-    comp
+    Ok(comp)
 }
 
 /// Marks the states of `b` that lie on an *accepting cycle*: a cycle (within
 /// the states marked reachable in `reach`) whose SCC contains an accepting
 /// state. These are the recurrence cores of accepting runs.
-pub(crate) fn accepting_cycle_states(b: &Buchi, reach: &[bool]) -> Vec<bool> {
+pub(crate) fn accepting_cycle_states(
+    b: &Buchi,
+    reach: &[bool],
+    poll: &mut Poll<'_>,
+) -> Result<Vec<bool>, AutomataError> {
     let n = b.state_count();
     let succ = |v: usize| -> Vec<usize> {
         if !reach[v] {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        for a in b.alphabet().symbols() {
-            for q in b.successors(v, a) {
-                if reach[q] {
-                    out.push(q);
-                }
-            }
-        }
+        let mut out: Vec<usize> = b
+            .edges(v)
+            .iter()
+            .map(|&(_, q)| q)
+            .filter(|&q| reach[q])
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
     };
-    let comp = tarjan(n, &succ);
+    let comp = tarjan(n, &succ, poll)?;
     let ncomp = comp
         .iter()
         .filter(|&&c| c != usize::MAX)
@@ -118,14 +153,17 @@ pub(crate) fn accepting_cycle_states(b: &Buchi, reach: &[bool]) -> Vec<bool> {
             }
         }
     }
-    (0..n)
+    Ok((0..n)
         .map(|v| reach[v] && cyclic[comp[v]] && has_acc[comp[v]])
-        .collect()
+        .collect())
 }
 
 /// Finds an accepting lasso of `b`: an ultimately periodic word `u·v^ω`
 /// accepted by `b`, or `None` when `L(b) = ∅`.
-pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
+pub(crate) fn accepting_lasso(
+    b: &Buchi,
+    poll: &mut Poll<'_>,
+) -> Result<Option<UpWord>, AutomataError> {
     let n = b.state_count();
     let mut reach = vec![false; n];
     let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; n];
@@ -135,20 +173,21 @@ pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
         queue.push_back(q);
     }
     while let Some(p) = queue.pop_front() {
-        for a in b.alphabet().symbols() {
-            for q in b.successors(p, a) {
-                if !reach[q] {
-                    reach[q] = true;
-                    parent[q] = Some((p, a));
-                    queue.push_back(q);
-                }
+        poll.visit()?;
+        for &(a, q) in b.edges(p) {
+            if !reach[q] {
+                reach[q] = true;
+                parent[q] = Some((p, a));
+                queue.push_back(q);
             }
         }
     }
-    let core = accepting_cycle_states(b, &reach);
+    let core = accepting_cycle_states(b, &reach, poll)?;
     // Pick an accepting state inside a cyclic accepting SCC (one must exist
     // inside the core: the SCC contains an accepting state by definition).
-    let target = (0..n).find(|&q| core[q] && b.is_accepting(q))?;
+    let Some(target) = (0..n).find(|&q| core[q] && b.is_accepting(q)) else {
+        return Ok(None);
+    };
     // Prefix: initial → target.
     let mut prefix = Vec::new();
     let mut cur = target;
@@ -162,45 +201,41 @@ pub(crate) fn accepting_lasso(b: &Buchi) -> Option<UpWord> {
     let mut seen = vec![false; n];
     let mut queue: VecDeque<StateId> = VecDeque::new();
     // Start from target's successors so that the cycle has length ≥ 1.
-    for a in b.alphabet().symbols() {
-        for q in b.successors(target, a) {
+    for &(a, q) in b.edges(target) {
+        if !core[q] {
+            continue;
+        }
+        if q == target {
+            let w = UpWord::new(prefix, vec![a]).expect("period of length 1 is non-empty");
+            return Ok(Some(w));
+        }
+        if !seen[q] {
+            seen[q] = true;
+            cparent[q] = Some((target, a));
+            queue.push_back(q);
+        }
+    }
+    while let Some(p) = queue.pop_front() {
+        poll.visit()?;
+        for &(a, q) in b.edges(p) {
             if !core[q] {
                 continue;
             }
             if q == target {
-                return Some(
-                    UpWord::new(prefix, vec![a]).expect("period of length 1 is non-empty"),
-                );
+                // Reconstruct cycle labels: target → … → p → target.
+                let mut labels = vec![a];
+                let mut cur = p;
+                while let Some((r, c)) = cparent[cur] {
+                    labels.push(c);
+                    cur = r;
+                }
+                labels.reverse();
+                return Ok(Some(UpWord::new(prefix, labels).expect("non-empty cycle")));
             }
             if !seen[q] {
                 seen[q] = true;
-                cparent[q] = Some((target, a));
+                cparent[q] = Some((p, a));
                 queue.push_back(q);
-            }
-        }
-    }
-    while let Some(p) = queue.pop_front() {
-        for a in b.alphabet().symbols() {
-            for q in b.successors(p, a) {
-                if !core[q] {
-                    continue;
-                }
-                if q == target {
-                    // Reconstruct cycle labels: target → … → p → target.
-                    let mut labels = vec![a];
-                    let mut cur = p;
-                    while let Some((r, c)) = cparent[cur] {
-                        labels.push(c);
-                        cur = r;
-                    }
-                    labels.reverse();
-                    return Some(UpWord::new(prefix, labels).expect("non-empty cycle"));
-                }
-                if !seen[q] {
-                    seen[q] = true;
-                    cparent[q] = Some((p, a));
-                    queue.push_back(q);
-                }
             }
         }
     }
@@ -248,7 +283,8 @@ pub(crate) fn accepts_upword(b: &Buchi, w: &UpWord) -> bool {
         }
         succ(v).into_iter().filter(|&u| reach[u]).collect()
     };
-    let comp = tarjan(total, &succ_reach);
+    let comp = tarjan(total, &succ_reach, &mut Poll::new(&Guard::unlimited()))
+        .expect("an unlimited guard never trips");
     let ncomp = comp
         .iter()
         .filter(|&&c| c != usize::MAX)
@@ -281,7 +317,8 @@ mod tests {
     fn tarjan_finds_components() {
         // 0 → 1 → 2 → 0 (one SCC), 3 isolated, 2 → 3.
         let adj: Vec<Vec<usize>> = vec![vec![1], vec![2], vec![0, 3], vec![]];
-        let comp = tarjan(4, &|v| adj[v].clone());
+        let guard = Guard::unlimited();
+        let comp = tarjan(4, &|v| adj[v].clone(), &mut Poll::new(&guard)).unwrap();
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[0], comp[3]);
@@ -290,7 +327,8 @@ mod tests {
     #[test]
     fn tarjan_handles_self_loop() {
         let adj: Vec<Vec<usize>> = vec![vec![0], vec![]];
-        let comp = tarjan(2, &|v| adj[v].clone());
+        let guard = Guard::unlimited();
+        let comp = tarjan(2, &|v| adj[v].clone(), &mut Poll::new(&guard)).unwrap();
         assert_ne!(comp[0], comp[1]);
     }
 
@@ -301,7 +339,10 @@ mod tests {
         let y = ab.symbol("y").unwrap();
         // q0 --x--> q1(acc) --y--> q2 --x--> q1
         let b = Buchi::from_parts(ab, 3, [0], [1], [(0, x, 1), (1, y, 2), (2, x, 1)]).unwrap();
-        let w = accepting_lasso(&b).expect("nonempty");
+        let guard = Guard::unlimited();
+        let w = accepting_lasso(&b, &mut Poll::new(&guard))
+            .unwrap()
+            .expect("nonempty");
         assert!(accepts_upword(&b, &w));
         assert_eq!(w.prefix(), &[x]);
         assert_eq!(w.period().len(), 2);

@@ -130,7 +130,7 @@ impl<'a> CheckPlan<'a> {
     pub fn classical(&mut self) -> Result<SatisfactionVerdict, CoreError> {
         let guard = self.guard;
         let _span = guard.span("classical");
-        let cex = accepted_upword(self.violations()?, guard);
+        let cex = accepted_upword(self.violations()?, guard)?;
         let verdict = SatisfactionVerdict {
             holds: cex.is_none(),
             counterexample: cex,
@@ -166,7 +166,7 @@ impl<'a> CheckPlan<'a> {
         }
         let system = self.system;
         let pre_lp = self.good_prefixes()?;
-        let pre_l = prefixes(system, guard);
+        let pre_l = prefixes(system, guard)?;
         let decided = if guard.filters_enabled() {
             match crate::filters::prefilter_inclusion(&pre_l, pre_lp, guard)? {
                 crate::filters::FilterOutcome::Proved => Some(None),
@@ -249,7 +249,7 @@ impl<'a> CheckPlan<'a> {
         } else {
             self.violations()?.intersection_with(&lim, guard)?
         };
-        let escape = accepted_upword(&bad, guard);
+        let escape = accepted_upword(&bad, guard)?;
         Ok(RelativeSafetyVerdict {
             holds: escape.is_none(),
             escaping_behavior: escape,
@@ -290,7 +290,7 @@ impl<'a> CheckPlan<'a> {
                         .to_buchi_with(self.system.alphabet(), self.guard)?
                 };
                 let both = self.system.intersection_with(&p, self.guard)?;
-                prefixes(&both, self.guard)
+                prefixes(&both, self.guard)?
             }
         };
         Ok(self.good_prefixes.insert(pre))
@@ -304,15 +304,15 @@ fn is_limit_closed(b: &Buchi) -> bool {
     (0..b.state_count()).all(|q| b.is_accepting(q))
 }
 
-/// [`Buchi::prefix_nfa`] (reduce, then read all-accepting) in a `prefix`
-/// span.
-fn prefixes(b: &Buchi, guard: &Guard) -> Nfa {
+/// [`Buchi::prefix_nfa_with`] (reduce, then read all-accepting) in a
+/// `prefix` span.
+fn prefixes(b: &Buchi, guard: &Guard) -> Result<Nfa, CoreError> {
     let _span = guard.span("prefix");
-    b.prefix_nfa()
+    Ok(b.prefix_nfa_with(guard)?)
 }
 
-/// [`Buchi::accepted_upword`] in an `emptiness` span.
-fn accepted_upword(b: &Buchi, guard: &Guard) -> Option<UpWord> {
+/// [`Buchi::accepted_upword_with`] in an `emptiness` span.
+fn accepted_upword(b: &Buchi, guard: &Guard) -> Result<Option<UpWord>, CoreError> {
     let _span = guard.span("emptiness");
-    b.accepted_upword()
+    Ok(b.accepted_upword_with(guard)?)
 }

@@ -245,9 +245,20 @@ fn atoms_outside_the_alphabet_are_warned_about() {
 
 /// `rlcheck check` stdout and exit code for the nine fixtures with
 /// perfbench's formulas, then `rl_bench::fairness_chain(k)` over
-/// [`SIGMA_AB`]: the text `tests/golden/check_stdout.txt` pins.
+/// [`SIGMA_AB`], then the generated farms, rings and random systems whose
+/// alphabets grow with the system: the text `tests/golden/check_stdout.txt`
+/// pins.
 fn golden_check_stdout() -> String {
     let sigma_ab = sigma_ab_system("rlcheck-golden-check");
+    let generated_dir = std::env::temp_dir().join("rlcheck-golden-generated");
+    std::fs::create_dir_all(&generated_dir).expect("temp dir");
+    let generated = |label: String, ts: rl_automata::TransitionSystem, formula: &str| {
+        let path = generated_dir.join(format!("{label}.ts"));
+        std::fs::write(&path, relative_liveness::format::render_system(&ts))
+            .expect("system written");
+        let path = path.to_str().expect("utf-8 path").to_owned();
+        (label, path, formula.to_owned())
+    };
     let mut cases: Vec<(String, String, String)> = [
         ("server.pn", "[]<>result"),
         ("server_err.pn", "[]<>result"),
@@ -268,6 +279,19 @@ fn golden_check_stdout() -> String {
     for k in [2, 4, 6] {
         let formula = rl_bench::fairness_chain(k).to_string();
         cases.push(("sigma_ab.ts".to_owned(), sigma_ab.clone(), formula));
+    }
+    for k in [2, 3] {
+        let ts = rl_bench::server_farm(k);
+        cases.push(generated(format!("server_farm({k})"), ts, "[]<>result0"));
+    }
+    for n in [32, 128] {
+        let ts = rl_bench::token_ring(n);
+        cases.push(generated(format!("token_ring({n})"), ts, "[]<>pass0"));
+    }
+    for n in [200, 500] {
+        let ts = rl_bench::random_system(n as u64, n, 4, 0.4);
+        let label = format!("random_system({n})");
+        cases.push(generated(label, ts, "[]<>t0 | <>[]!t0"));
     }
     let mut text = String::new();
     for (label, path, formula) in &cases {

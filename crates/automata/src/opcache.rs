@@ -672,6 +672,7 @@ mod tests {
             .map(|t| {
                 let cache = cache.clone();
                 std::thread::spawn(move || {
+                    let mut held = Vec::new();
                     for round in 0..200u64 {
                         let key = round % 8;
                         let (v, _) = cache
@@ -685,12 +686,21 @@ mod tests {
                         assert_eq!(*v, key, "thread {t}");
                         let op = cache.intern_operand(key, &key);
                         assert_eq!(*op, key);
+                        held.push((key, Arc::as_ptr(&v) as usize, Arc::as_ptr(&op) as usize));
                     }
+                    held
                 })
             })
             .collect();
+        // Racers adopt the winner's entry: every caller of one key, on any
+        // thread, holds the same allocation, and so does every interning
+        // of one operand.
+        let mut first = std::collections::HashMap::new();
         for h in handles {
-            h.join().unwrap();
+            for (key, memo, op) in h.join().unwrap() {
+                let (memo0, op0) = *first.entry(key).or_insert((memo, op));
+                assert!(memo == memo0 && op == op0, "two Arcs for key {key}");
+            }
         }
         // Every lookup after the first per key is a hit; racing first
         // lookups may each build, but at most one entry per key survives

@@ -907,6 +907,10 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first().cloned() else {
         return fail(usage);
     };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{usage}");
+        return ExitCode::SUCCESS;
+    }
     // The flag wins over the RL_THREADS env var, and 0 (in either)
     // auto-detects the machine's cores.
     let jobs = match (cmd.as_str(), jobs_flag) {

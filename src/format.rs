@@ -100,28 +100,34 @@ fn parse_transition_system<'a>(
 
     for (n, line) in lines {
         if let Some(rest) = line.strip_prefix("alphabet:") {
+            if alphabet.is_some() {
+                return Err(err(n, "second 'alphabet:' line"));
+            }
             let names: Vec<&str> = rest.split_whitespace().collect();
             alphabet = Some(
                 Alphabet::new(names.iter().map(|s| s.to_string()))
                     .map_err(|e| err(n, e.to_string()))?,
             );
         } else if let Some(rest) = line.strip_prefix("initial:") {
-            initial_name = Some(rest.trim().to_owned());
+            if initial_name.is_some() {
+                return Err(err(n, "second 'initial:' line"));
+            }
+            let [name] = rest.split_whitespace().collect::<Vec<_>>()[..] else {
+                return Err(err(n, "'initial:' must name exactly one state"));
+            };
+            initial_name = Some(name.to_owned());
         } else {
             // "<src> <action> -> <dst>"
-            let Some((lhs, dst)) = line.split_once("->") else {
+            let Some((lhs, rhs)) = line.split_once("->") else {
                 return Err(err(n, format!("expected a transition, found {line:?}")));
             };
-            let parts: Vec<&str> = lhs.split_whitespace().collect();
-            let [src, action] = parts.as_slice() else {
+            let parts: Vec<&str> = (lhs.split_whitespace().chain(["->"]))
+                .chain(rhs.split_whitespace())
+                .collect();
+            let [src, action, "->", dst] = parts[..] else {
                 return Err(err(n, "transition must be '<src> <action> -> <dst>'"));
             };
-            transitions.push((
-                n,
-                src.to_string(),
-                action.to_string(),
-                dst.trim().to_owned(),
-            ));
+            transitions.push((n, src.to_owned(), action.to_owned(), dst.to_owned()));
         }
     }
     let alphabet = alphabet.ok_or_else(|| err(0, "missing 'alphabet:' line"))?;
@@ -308,6 +314,27 @@ trans take2: 2*pool -> out
 
         let bad3 = "system\ninitial: s0\ns0 a -> s1\n";
         assert!(parse_system(bad3).unwrap_err().message.contains("alphabet"));
+    }
+
+    #[test]
+    fn malformed_headers_and_state_names_are_rejected() {
+        let cases = [
+            ("alphabet: a\nalphabet: b\n", 3, "second 'alphabet:'"),
+            (
+                "alphabet: a\ninitial: s\ninitial: t\n",
+                4,
+                "second 'initial:'",
+            ),
+            ("alphabet: a\ninitial:\n", 3, "exactly one state"),
+            ("alphabet: a\ninitial: s t\n", 3, "exactly one state"),
+            ("alphabet: a\ninitial: x\nx a -> y z\n", 4, "<dst>"),
+            ("alphabet: a\ninitial: x\nx a ->\n", 4, "<dst>"),
+        ];
+        for (body, line, needle) in cases {
+            let e = parse_system(&format!("system\n{body}s a -> s\n")).unwrap_err();
+            assert_eq!(e.line, line, "{body:?}: {e}");
+            assert!(e.message.contains(needle), "{body:?}: {e}");
+        }
     }
 
     #[test]

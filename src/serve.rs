@@ -3,7 +3,7 @@
 //! A long-running daemon that accepts relative-liveness check jobs over a
 //! Unix domain socket, so heavy fan-in traffic shares one warm process and
 //! one warm [`OpCache`] instead of paying a fresh CLI start per check of
-//! the paper's `pre(L_ω) = pre(L_ω ∩ P)` criterion. Robustness is the
+//! the paper's `pre(L_ω) = pre(L_ω ∩ P)` test (Lemma 4.3). Robustness is the
 //! design driver; DESIGN.md §12 is the architecture chapter. In brief:
 //!
 //! * **Wire protocol** — line-delimited JSON, one request object per line,

@@ -145,6 +145,17 @@ fn bad_usage_exits_2() {
 }
 
 #[test]
+fn help_prints_usage_and_exits_0() {
+    for arg in ["help", "--help", "-h"] {
+        let out = rlcheck(&[arg]);
+        assert_eq!(out.status.code(), Some(0), "{arg}");
+        assert!(stdout(&out).starts_with("usage: rlcheck <check|"), "{arg}");
+        assert!(stderr(&out).is_empty(), "{arg}");
+    }
+    assert_eq!(rlcheck(&["--hlep"]).status.code(), Some(2));
+}
+
+#[test]
 fn abp_sample_file_checks() {
     let out = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver"]);
     assert_eq!(out.status.code(), Some(0));
@@ -243,12 +254,11 @@ fn atoms_outside_the_alphabet_are_warned_about() {
     assert!(stdout(&out).contains("rel-live   []<>c | <>chime: HOLDS"));
 }
 
-/// `rlcheck check` stdout and exit code for the nine fixtures with
-/// perfbench's formulas, then `rl_bench::fairness_chain(k)` over
+/// `(label, path, formula)` of the default golden cases: the nine fixtures
+/// with perfbench's formulas, then `rl_bench::fairness_chain(k)` over
 /// [`SIGMA_AB`], then the generated farms, rings and random systems whose
-/// alphabets grow with the system: the text `tests/golden/check_stdout.txt`
-/// pins.
-fn golden_check_stdout() -> String {
+/// alphabets grow with the system.
+fn golden_default_cases() -> Vec<(String, String, String)> {
     let sigma_ab = sigma_ab_system("rlcheck-golden-check");
     let generated_dir = std::env::temp_dir().join("rlcheck-golden-generated");
     std::fs::create_dir_all(&generated_dir).expect("temp dir");
@@ -293,28 +303,221 @@ fn golden_check_stdout() -> String {
         let label = format!("random_system({n})");
         cases.push(generated(label, ts, "[]<>t0 | <>[]!t0"));
     }
-    let mut text = String::new();
-    for (label, path, formula) in &cases {
-        let out = rlcheck(&["check", path, formula]);
-        text.push_str(&format!("=== {label} {formula}\n"));
-        text.push_str(&stdout(&out));
+    cases
+}
+
+/// One `rlcheck check <args> --metrics <file>` run of the golden tests.
+struct GoldenRun {
+    /// `label formula` for a default case, `path formula flags` otherwise.
+    header: String,
+    /// The arguments after `check`; a default case has only a path and a
+    /// formula.
+    args: Vec<String>,
+    stdout: String,
+    code: i32,
+    /// [`counter_block`] of the run's `--metrics` file.
+    counters: String,
+}
+
+impl GoldenRun {
+    /// Runs `rlcheck check <args> --metrics <temp dir>/<name>.jsonl`.
+    fn run(header: String, args: Vec<String>, name: &str) -> GoldenRun {
+        let metrics = std::env::temp_dir().join(format!("rlcheck-golden-generated/{name}.jsonl"));
+        let mut argv = vec!["check"];
+        argv.extend(args.iter().map(String::as_str));
+        argv.extend(["--metrics", metrics.to_str().expect("utf-8 path")]);
+        let out = rlcheck(&argv);
         let code = out.status.code().expect("rlcheck exits with a code");
-        text.push_str(&format!("exit {code}\n"));
+        let text = std::fs::read_to_string(&metrics).expect("--metrics wrote the file");
+        GoldenRun {
+            counters: counter_block(&text, code),
+            stdout: stdout(&out),
+            header,
+            args,
+            code,
+        }
     }
-    text
+
+    fn is_default(&self) -> bool {
+        self.args.len() == 2
+    }
+}
+
+/// The deterministic work one `--metrics` file records: every span as
+/// `path states transitions guard_charges` in `seq` order, the exit code,
+/// then the totals and their named counters. `opcache/resident_bytes` is
+/// an allocation size, not work, and is left out.
+fn counter_block(metrics: &str, code: i32) -> String {
+    let lines: Vec<rl_json::Json> = metrics
+        .lines()
+        .map(|l| rl_json::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}")))
+        .collect();
+    let work = |v: &rl_json::Json| {
+        let [s, t, g] = ["states", "transitions", "guard_charges"].map(|k| int_field(v, k));
+        format!("{s} {t} {g}")
+    };
+    let mut spans: Vec<_> = lines
+        .iter()
+        .filter(|v| str_field_of(v, "event") == "span")
+        .collect();
+    spans.sort_by_key(|v| int_field(v, "seq"));
+    let mut block = String::new();
+    for span in spans {
+        block += &format!("{} {}\n", str_field_of(span, "path"), work(span));
+    }
+    block += &format!("exit {code}\n");
+    let totals = lines.last().expect("a totals line");
+    assert_eq!(str_field_of(totals, "event"), "totals");
+    block += &format!("totals {}\n", work(totals));
+    if let Some(rl_json::Json::Obj(counters)) = totals.get("counters") {
+        for (name, value) in counters {
+            match value {
+                _ if name == "opcache/resident_bytes" => {}
+                rl_json::Json::Int(n) => block += &format!("  {name} {n}\n"),
+                other => panic!("counter {name} is not an int: {other:?}"),
+            }
+        }
+    }
+    block
+}
+
+/// Every golden run, made once per test binary: the default cases, then
+/// the five old trajectory cases under `--no-filters` and under
+/// `--no-filters --no-lazy` (needle24 with `--max-states 20000`, which the
+/// eager pipeline trips). No run takes a `--timeout`, so no line depends
+/// on the machine.
+fn golden_runs() -> &'static [GoldenRun] {
+    static RUNS: std::sync::OnceLock<Vec<GoldenRun>> = std::sync::OnceLock::new();
+    RUNS.get_or_init(|| {
+        let mut runs = Vec::new();
+        for (label, path, formula) in golden_default_cases() {
+            let header = format!("{label} {formula}");
+            let name = runs.len().to_string();
+            runs.push(GoldenRun::run(header, vec![path, formula], &name));
+        }
+        let trajectory = [
+            ("abp.ts", "[]<>deliver", &[][..]),
+            ("clock.ts", "[]<>tick", &[]),
+            ("server.pn", "[]<>result", &[]),
+            ("server_err.pn", "[]<>result", &[]),
+            ("needle24.ts", "[]<>a", &["--max-states", "20000"]),
+        ];
+        for pipeline in [&["--no-filters"][..], &["--no-filters", "--no-lazy"]] {
+            for (file, formula, budget) in trajectory {
+                let path = format!("examples/systems/{file}");
+                let args: Vec<String> = [path.as_str(), formula]
+                    .iter()
+                    .chain(pipeline)
+                    .chain(budget)
+                    .map(|a| a.to_string())
+                    .collect();
+                let name = runs.len().to_string();
+                runs.push(GoldenRun::run(args.join(" "), args, &name));
+            }
+        }
+        runs
+    })
+}
+
+fn assert_matches_golden(file: &str, actual: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let golden = std::fs::read_to_string(path).expect("golden file readable");
+    for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of tests/golden/{file}", i + 1);
+    }
+    assert_eq!(
+        actual.lines().count(),
+        golden.lines().count(),
+        "tests/golden/{file}"
+    );
 }
 
 #[test]
 fn check_stdout_matches_golden() {
-    let golden = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/check_stdout.txt"),
-    )
-    .expect("golden file readable");
-    let actual = golden_check_stdout();
-    for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(got, want, "line {} of tests/golden/check_stdout.txt", i + 1);
+    let mut text = String::new();
+    for run in golden_runs().iter().filter(|r| r.is_default()) {
+        text += &format!("=== {}\n{}exit {}\n", run.header, run.stdout, run.code);
     }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    assert_matches_golden("check_stdout.txt", &text);
+}
+
+#[test]
+fn check_counters_match_golden() {
+    let mut text = String::new();
+    for run in golden_runs() {
+        text += &format!("=== {}\n{}", run.header, run.counters);
+    }
+    assert_matches_golden("check_counters.txt", &text);
+    // Telemetry observes and never steers: the event tracer leaves every
+    // counter of every default case where it was.
+    for (i, run) in golden_runs().iter().enumerate() {
+        if !run.is_default() {
+            continue;
+        }
+        let trace = std::env::temp_dir().join(format!("rlcheck-golden-generated/{i}.trace.json"));
+        let mut args = run.args.clone();
+        args.extend(["--trace-out".to_owned(), trace.display().to_string()]);
+        let traced = GoldenRun::run(run.header.clone(), args, &format!("{i}.traced"));
+        assert_eq!(
+            traced.counters, run.counters,
+            "{} under --trace-out",
+            run.header
+        );
+    }
+}
+
+/// Deterministic work of one default in-process check: the `check` span's
+/// totals and every named counter, with or without latency histograms.
+fn check_work(file: &str, formula: &str, max_states: usize, hists: bool) -> Vec<(String, u64)> {
+    use relative_liveness::automata::{HistogramRegistry, OpCache};
+    use relative_liveness::core::{Budget, CheckPlan, Guard, Metric, MetricsRegistry, Property};
+    let text = std::fs::read_to_string(format!("examples/systems/{file}")).expect("fixture");
+    let ts = relative_liveness::format::parse_system(&text).expect("fixture parses");
+    let prop = Property::formula(relative_liveness::logic::parse(formula).expect("formula"));
+    let registry = MetricsRegistry::new();
+    let cache = OpCache::new();
+    let mut budget = Budget::unlimited();
+    budget.max_states = Some(max_states);
+    let mut guard = Guard::new(budget).with_metrics(registry.clone());
+    if hists {
+        let h = HistogramRegistry::new();
+        cache.set_histograms(h.clone());
+        guard = guard.with_histograms(h);
+    }
+    let guard = guard.with_op_cache(cache);
+    {
+        let _span = guard.span("check");
+        let behaviors = relative_liveness::buchi::behaviors_of_ts_with(&ts, &guard).expect("L");
+        CheckPlan::new(&behaviors, &prop, &guard)
+            .decide()
+            .expect("decided");
+    }
+    let mut work = registry.counters();
+    for metric in [
+        Metric::States,
+        Metric::Transitions,
+        Metric::GuardCharges,
+        Metric::CacheHits,
+    ] {
+        work.push((format!("{metric:?}"), registry.total(metric)));
+    }
+    work
+}
+
+#[test]
+fn histograms_move_no_counter() {
+    for (file, formula, max_states) in [
+        ("abp.ts", "[]<>deliver", usize::MAX),
+        ("clock.ts", "[]<>tick", usize::MAX),
+        ("server.pn", "[]<>result", usize::MAX),
+        ("server_err.pn", "[]<>result", usize::MAX),
+        ("needle24.ts", "[]<>a", 20_000),
+    ] {
+        let plain = check_work(file, formula, max_states, false);
+        assert_eq!(check_work(file, formula, max_states, true), plain, "{file}");
+    }
 }
 
 #[test]

@@ -481,3 +481,77 @@ proptest! {
         }
     }
 }
+
+/// The nine shipped fixtures, as text.
+const FIXTURES: [&str; 9] = [
+    include_str!("../examples/systems/abp.ts"),
+    include_str!("../examples/systems/clock.ts"),
+    include_str!("../examples/systems/filter_fallthrough.ts"),
+    include_str!("../examples/systems/filter_mod3.ts"),
+    include_str!("../examples/systems/filter_parikh.ts"),
+    include_str!("../examples/systems/filter_sim.ts"),
+    include_str!("../examples/systems/needle24.ts"),
+    include_str!("../examples/systems/server.pn"),
+    include_str!("../examples/systems/server_err.pn"),
+];
+
+/// What the `system` text of `ts` keeps, whatever the state numbering: the
+/// alphabet, the initial state's label, the state count and every
+/// transition by labels.
+type Labeled = (Vec<String>, String, usize, Vec<(String, String, String)>);
+
+fn labeled(ts: &TransitionSystem) -> Labeled {
+    let name = |q| ts.state_label(q).unwrap_or_default();
+    let mut edges: Vec<_> = ts
+        .transitions()
+        .map(|(p, a, q)| (name(p), ts.alphabet().name(a).to_string(), name(q)))
+        .collect();
+    edges.sort();
+    edges.dedup();
+    (
+        ts.alphabet().names(),
+        name(ts.initial()),
+        ts.state_count(),
+        edges,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Malformed input never panics: a fixture with lines truncated,
+    /// deleted or duplicated parses to `Ok` or `Err`, and every `Ok`
+    /// survives `render_system` → `parse_system` as the same system.
+    #[test]
+    fn mangled_fixtures_parse_or_fail_cleanly(
+        fixture in 0..9usize,
+        edits in proptest::collection::vec((0..3usize, 0..1000usize, 0..24usize), 1..4),
+    ) {
+        use relative_liveness::format::{parse_system, render_system};
+        let mut lines: Vec<String> = FIXTURES[fixture].lines().map(str::to_owned).collect();
+        for (op, at, cut) in edits {
+            if lines.is_empty() {
+                break;
+            }
+            let at = at % lines.len();
+            match op {
+                0 => {
+                    lines.truncate(at + 1);
+                    let keep = lines[at].char_indices().nth(cut).map_or(lines[at].len(), |(i, _)| i);
+                    lines[at].truncate(keep);
+                }
+                1 => drop(lines.remove(at)),
+                _ => lines.insert(at, lines[at].clone()),
+            }
+        }
+        let text = lines.join("\n");
+        let parsed = std::panic::catch_unwind(|| parse_system(&text));
+        prop_assert!(parsed.is_ok(), "parse_system panicked on {text:?}");
+        if let Ok(Ok(ts)) = parsed {
+            let rendered = render_system(&ts);
+            let back = parse_system(&rendered);
+            prop_assert!(back.is_ok(), "{rendered:?} does not parse: {back:?}");
+            prop_assert_eq!(labeled(&back.expect("checked")), labeled(&ts));
+        }
+    }
+}

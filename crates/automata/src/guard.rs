@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rl_obs::{HistogramRegistry, Metric, MetricsRegistry, Span};
+use rl_obs::{Metric, MetricsRegistry, Span};
 
 use crate::error::AutomataError;
 use crate::opcache::OpCache;
@@ -261,17 +261,15 @@ impl GuardProbe {
 ///
 /// The budget/clock/counter core is `Arc`-shared (see [`GuardProbe`]); the
 /// guard itself additionally carries the thread-local hooks
-/// ([`MetricsRegistry`], [`HistogramRegistry`], [`OpCache`]). The wall clock
+/// ([`MetricsRegistry`], [`OpCache`]). The wall clock
 /// and the cancel flag are consulted only every [`Guard::CHECK_INTERVAL`]
 /// charges, so guarding adds a few nanoseconds per iteration.
 #[derive(Debug)]
 pub struct Guard {
     core: Arc<GuardCore>,
     metrics: Option<MetricsRegistry>,
-    hists: Option<HistogramRegistry>,
     op_cache: Option<OpCache>,
     lazy: bool,
-    filters: bool,
 }
 
 impl Guard {
@@ -305,10 +303,8 @@ impl Guard {
                 until_clock_check: AtomicU32::new(Self::CHECK_INTERVAL),
             }),
             metrics: None,
-            hists: None,
             op_cache: None,
             lazy: true,
-            filters: true,
         }
     }
 
@@ -332,23 +328,11 @@ impl Guard {
         self.lazy
     }
 
-    /// Selects whether the semidecision pre-filter ladder (the default) runs
-    /// before the exact inclusion deciders.
-    ///
-    /// With filters on, the Lemma 4.3 prefix inclusion first passes through
-    /// near-linear sound abstractions — letter-count (Parikh) refutation,
-    /// counts-mod-k refutation, and a simulation fast-accept — and only falls
-    /// back to the exact (lazy or eager) decider when every stage returns
-    /// `Unknown`. `with_filters(false)` (the CLI's `--no-filters`) disables
-    /// the ladder entirely.
-    pub fn with_filters(mut self, filters: bool) -> Guard {
-        self.filters = filters;
+    /// Does nothing: the semidecision pre-filter ladder this once switched
+    /// no longer runs on any check path. Kept only so that callers built
+    /// against the old API still compile; it will be removed with them.
+    pub fn with_filters(self, _filters: bool) -> Guard {
         self
-    }
-
-    /// Whether the pre-filter ladder is selected (see [`Guard::with_filters`]).
-    pub fn filters_enabled(&self) -> bool {
-        self.filters
     }
 
     /// Attaches a [`MetricsRegistry`]: every subsequent charge is mirrored
@@ -365,23 +349,6 @@ impl Guard {
     /// The attached metrics registry, if any.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_ref()
-    }
-
-    /// Attaches a [`HistogramRegistry`]: latency-instrumented call sites
-    /// (the pre-filter ladder's per-stage elapsed, and whatever else the
-    /// embedding service wires in) record percentile samples into it.
-    ///
-    /// Histograms are pure telemetry on a separate registry: they never
-    /// touch the metric counters, so the deterministic totals are
-    /// bit-for-bit identical with and without one attached.
-    pub fn with_histograms(mut self, hists: HistogramRegistry) -> Guard {
-        self.hists = Some(hists);
-        self
-    }
-
-    /// The attached histogram registry, if any.
-    pub fn histograms(&self) -> Option<&HistogramRegistry> {
-        self.hists.as_ref()
     }
 
     /// Attaches an [`OpCache`]: guarded constructions memoize their results

@@ -1,6 +1,7 @@
-//! Semidecision kernels for the pre-filter ladder: sound, incomplete
-//! analyses that settle an NFA language inclusion `L(a) ⊆ L(b)` without
-//! running a PSPACE decision procedure.
+//! Semidecision kernels for NFA inclusion: sound, incomplete analyses
+//! that settle `L(a) ⊆ L(b)` without running a PSPACE decision procedure.
+//! No check path calls them; `rl_core::prefilter_inclusion` chains them
+//! for measurement and for their soundness tests.
 //!
 //! Three kernels live here, each near-linear in the automata:
 //!
@@ -20,8 +21,7 @@
 //! all-accepting automata of the Lemma 4.3 inclusion, where candidate paths
 //! are always accepted; on other automata they simply find fewer
 //! refutations. None of the kernels touches the guard's charge counters:
-//! they only poll deadlines/cancellation, so attached deterministic metrics
-//! are bit-for-bit those of a run without the ladder.
+//! they only poll deadlines/cancellation.
 
 use std::collections::VecDeque;
 
@@ -35,7 +35,7 @@ use crate::StateId;
 /// Largest `states × residue-classes` product [`modk_refute`] materializes
 /// before giving up (returning "no refutation found"). Deliberately small:
 /// the quotient is only worth exploring while it is orders of magnitude
-/// below the exact search space, and a ladder that falls through must not
+/// below the exact search space, and a semidecision that gives up must not
 /// have spent more than a sliver of the exact decider's time.
 const MODK_PAIR_CAP: usize = 1 << 16;
 
@@ -519,7 +519,7 @@ mod tests {
         initial: &[StateId],
         edges: &[(StateId, &str, StateId)],
     ) -> Nfa {
-        // All states accepting: the prefix-closed shape the ladder runs on.
+        // All states accepting: the prefix-closed shape of Lemma 4.3.
         Nfa::from_parts(
             ab.clone(),
             states,

@@ -83,13 +83,7 @@ struct Run {
 fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, cache: bool) -> Run {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let reg = MetricsRegistry::new();
-    // Filters off: this suite pins the *exact* pipelines against each
-    // other, so the pre-filter ladder must not settle the inclusion first
-    // (`filter_equiv` in rl-core pins the ladder itself).
-    let mut guard = Guard::unlimited()
-        .with_lazy(lazy)
-        .with_filters(false)
-        .with_metrics(reg.clone());
+    let mut guard = Guard::unlimited().with_lazy(lazy).with_metrics(reg.clone());
     if cache {
         guard = guard.with_op_cache(OpCache::new());
     }

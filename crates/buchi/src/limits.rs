@@ -95,10 +95,12 @@ pub fn limit_of_prefix_closed(nfa: &Nfa) -> Buchi {
 ///
 /// Every state is accepting, so the behaviors are exactly the infinite runs;
 /// deadlocked branches contribute nothing (they admit no infinite run).
-/// Transition systems are deterministic-or-not; the limit is taken on the
-/// determinized language to stay faithful to the definition.
+/// The system's NFA is prefix closed and all-accepting, so by König's lemma
+/// its limit is the same graph read with Büchi semantics
+/// ([`limit_of_prefix_closed`]): nothing is determinized, and a
+/// nondeterministic system such as `needle24.ts` stays polynomial.
 pub fn behaviors_of_ts(ts: &TransitionSystem) -> Buchi {
-    limit_of_regular(&ts.to_nfa())
+    limit_of_prefix_closed(&ts.to_nfa())
 }
 
 /// [`behaviors_of_ts`] under a resource [`Guard`]: determinizing a

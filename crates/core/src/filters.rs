@@ -1,199 +1,55 @@
-//! The semidecision pre-filter ladder for the Lemma 4.3 inclusion.
+//! Sound semidecisions for the Lemma 4.3 inclusion, off the check path.
 //!
-//! Deciding `pre(L_ω) ⊆ pre(L_ω ∩ P)` is PSPACE-hard in general, but a
-//! large slice of real inputs is settled by near-linear sound abstractions.
-//! This module chains three of them — in cost order — in front of the exact
-//! (lazy or eager) decider:
-//!
-//! 1. **Parikh / letter-count** ([`rl_automata::parikh_refute`]) — a prefix
-//!    whose per-letter counts are achievable on the left but provably not
-//!    on the right refutes the inclusion, O(states × alphabet).
-//! 2. **Counts mod k** ([`rl_automata::modk_refute`]) — quotient both sides
-//!    by Parikh vectors modulo `k` (`k ∈ {2, 3, 5}` by default, overridden
-//!    by the `RL_FILTER_MODK` environment variable) and refute when the
-//!    left reaches a residue class the right never does.
-//! 3. **Simulation fast-accept** ([`rl_automata::nfa_simulates`]) — when
-//!    the right automaton simulates the left, the inclusion holds outright
-//!    and the exact decider is skipped.
-//!
-//! Each stage answers [`FilterOutcome::Proved`],
-//! [`FilterOutcome::Refuted`] (with a concrete replay-validated witness in
-//! the usual shortest-witness format), or [`FilterOutcome::Unknown`]; only
-//! `Unknown` falls through to the next stage and finally to the exact
-//! decider, so the ladder can never flip a verdict — it can only answer
-//! early. Stages poll the guard's deadline/cancellation but never charge
-//! states or transitions: with the ladder falling through, the
-//! deterministic metric totals are bit-for-bit those of a `--no-filters`
-//! run. Effectiveness is measured instead through dedicated
-//! `filter/<stage>/{hit,miss}` counters, per-stage `filter/<stage>_us`
-//! latency histograms (when the guard carries a `HistogramRegistry`),
-//! ladder-level `filter/hit` / `filter/fallthrough` totals (the `--stats`
-//! hit-rate row), and `filter-hit` / `filter-fallthrough` trace instants.
-
-use std::time::Instant;
+//! [`prefilter_inclusion`] chains the near-linear kernels of
+//! [`rl_automata`] — letter-count refutation ([`parikh_refute`]), counts
+//! mod 2, 3 and 5 ([`modk_refute`]) and the simulation fast-accept
+//! ([`nfa_simulates`]) — and reports the first decisive answer. No decider
+//! calls it: [`crate::CheckPlan`] settles the inclusion with the exact
+//! lazy search alone (DESIGN.md §14 says why). It stays as a measured side
+//! call and as the kernels' soundness harness.
 
 use rl_automata::{modk_refute, nfa_simulates, parikh_refute, Guard, Nfa, Word};
 
 use crate::property::CoreError;
 
-/// Default counts-mod-k moduli the ladder tries, in order.
-const DEFAULT_MODULI: [usize; 3] = [2, 3, 5];
-
-/// Answer of one ladder stage (and of the ladder as a whole).
+/// Answer of [`prefilter_inclusion`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterOutcome {
-    /// The inclusion `pre(L_ω) ⊆ pre(L_ω ∩ P)` holds; the exact decider
-    /// can be skipped.
+    /// The inclusion holds.
     Proved,
-    /// The inclusion fails, witnessed by a concrete doomed prefix (replay
-    /// validated: accepted on the left, rejected on the right).
+    /// The inclusion fails, witnessed by a word accepted on the left and
+    /// rejected on the right.
     Refuted(Word),
-    /// The abstraction could not settle the question; fall through.
+    /// No kernel settled the question.
     Unknown,
 }
 
-/// Pure parse of an `RL_FILTER_MODK` value: the accepted moduli and, when
-/// anything was rejected (unparsable tokens, values below 2, or a list
-/// that came up empty), the warning text to emit. Side-effect free so the
-/// parallel test suite can cover the knob without mutating the process
-/// environment.
-pub fn parse_moduli(raw: &str) -> (Vec<usize>, Option<String>) {
-    let mut ks: Vec<usize> = Vec::new();
-    let mut rejected: Vec<&str> = Vec::new();
-    for tok in raw
-        .split(|c: char| c == ',' || c.is_whitespace())
-        .filter(|s| !s.is_empty())
-    {
-        match tok.parse::<usize>() {
-            Ok(k) if k >= 2 => ks.push(k),
-            _ => rejected.push(tok),
-        }
-    }
-    if ks.is_empty() && (!rejected.is_empty() || !raw.is_empty()) {
-        let warning = format!(
-            "warning: RL_FILTER_MODK={raw:?} has no valid moduli (integers >= 2); \
-             using default {DEFAULT_MODULI:?}"
-        );
-        return (DEFAULT_MODULI.to_vec(), Some(warning));
-    }
-    let warning = (!rejected.is_empty()).then(|| {
-        format!(
-            "warning: RL_FILTER_MODK: ignoring invalid moduli {rejected:?} \
-             (integers >= 2); using {ks:?}"
-        )
-    });
-    if ks.is_empty() {
-        (DEFAULT_MODULI.to_vec(), warning)
-    } else {
-        (ks, warning)
-    }
-}
-
-/// The moduli the mod-k stage tries: `RL_FILTER_MODK` (a comma- or
-/// space-separated list of integers ≥ 2, e.g. `RL_FILTER_MODK=4,7`) when
-/// set and non-empty, else `{2, 3, 5}`. Invalid tokens warn once on stderr
-/// instead of being silently dropped.
-pub fn modk_moduli() -> Vec<usize> {
-    match std::env::var("RL_FILTER_MODK") {
-        Ok(raw) => {
-            let (ks, warning) = parse_moduli(&raw);
-            if let Some(msg) = warning {
-                rl_automata::knobs::warn_once("RL_FILTER_MODK", &msg);
-            }
-            ks
-        }
-        Err(_) => DEFAULT_MODULI.to_vec(),
-    }
-}
-
-/// Records one stage's outcome: a `hit`/`miss` count on the guard's
-/// metrics, and the stage's wall-clock spend as a `filter/<stage>_us`
-/// histogram sample when a histogram registry is attached — so the ladder
-/// reports latency *percentiles*, not just a single elapsed total.
-fn note_stage(guard: &Guard, stage: &str, hit: bool, started: Instant) {
-    if let Some(m) = guard.metrics() {
-        let verdict = if hit { "hit" } else { "miss" };
-        m.counter(&format!("filter/{stage}/{verdict}")).inc();
-    }
-    if let Some(h) = guard.histograms() {
-        h.hist(&format!("filter/{stage}_us"))
-            .record_elapsed_us(started);
-    }
-}
-
-/// Records the ladder-level outcome: the headline `filter/hit` /
-/// `filter/fallthrough` counters and the matching trace instant.
-fn note_ladder(guard: &Guard, stage_index: Option<u64>) {
-    match stage_index {
-        Some(i) => {
-            if let Some(m) = guard.metrics() {
-                m.counter("filter/hit").inc();
-            }
-            guard.trace_instant("filter-hit", Some(("stage", i)));
-        }
-        None => {
-            if let Some(m) = guard.metrics() {
-                m.counter("filter/fallthrough").inc();
-            }
-            guard.trace_instant("filter-fallthrough", None);
-        }
-    }
-}
-
-/// Runs the pre-filter ladder on the Lemma 4.3 inclusion `L(a) ⊆ L(b)`,
-/// where `a` is the prefix NFA of the behaviors and `b` that of behaviors
-/// satisfying the property.
-///
-/// Stages run in cost order (Parikh, then each mod-k quotient, then the
-/// simulation fast-accept); the first decisive stage answers and later
-/// stages never run. A fully indecisive ladder returns
-/// [`FilterOutcome::Unknown`] — the caller's cue to run the exact decider.
+/// Tries the kernels on `L(a) ⊆ L(b)` in cost order: Parikh, counts mod
+/// 2, 3 and 5, then simulation. Records no counters and charges nothing.
 ///
 /// # Errors
 ///
-/// Propagates guard deadline/cancellation trips from the stage kernels
-/// (which never charge states or transitions).
+/// Propagates guard deadline/cancellation trips from the kernels.
 pub fn prefilter_inclusion(a: &Nfa, b: &Nfa, guard: &Guard) -> Result<FilterOutcome, CoreError> {
-    let _span = guard.span("prefilter");
-
-    let started = Instant::now();
-    let refuted = parikh_refute(a, b, guard)?;
-    note_stage(guard, "parikh", refuted.is_some(), started);
-    if let Some(w) = refuted {
-        note_ladder(guard, Some(0));
+    if let Some(w) = parikh_refute(a, b, guard)? {
         return Ok(FilterOutcome::Refuted(w));
     }
-
-    let started = Instant::now();
-    let mut refuted = None;
-    for k in modk_moduli() {
-        refuted = modk_refute(a, b, k, guard)?;
-        if refuted.is_some() {
-            break;
+    for k in [2, 3, 5] {
+        if let Some(w) = modk_refute(a, b, k, guard)? {
+            return Ok(FilterOutcome::Refuted(w));
         }
     }
-    note_stage(guard, "modk", refuted.is_some(), started);
-    if let Some(w) = refuted {
-        note_ladder(guard, Some(1));
-        return Ok(FilterOutcome::Refuted(w));
-    }
-
-    let started = Instant::now();
-    let proved = nfa_simulates(b, a, guard)?;
-    note_stage(guard, "sim", proved, started);
-    if proved {
-        note_ladder(guard, Some(2));
-        return Ok(FilterOutcome::Proved);
-    }
-
-    note_ladder(guard, None);
-    Ok(FilterOutcome::Unknown)
+    Ok(if nfa_simulates(b, a, guard)? {
+        FilterOutcome::Proved
+    } else {
+        FilterOutcome::Unknown
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_automata::{Alphabet, MetricsRegistry, Nfa};
+    use rl_automata::Alphabet;
 
     fn prefix_nfa(ab: &Alphabet, states: usize, edges: &[(usize, &str, usize)]) -> Nfa {
         Nfa::from_parts(
@@ -226,81 +82,5 @@ mod tests {
             prefilter_inclusion(&a_only, &any, &g).unwrap(),
             FilterOutcome::Proved
         );
-    }
-
-    #[test]
-    fn counters_track_hits_and_fallthroughs() {
-        let ab = Alphabet::new(["a", "b"]).unwrap();
-        let any = prefix_nfa(&ab, 1, &[(0, "a", 0), (0, "b", 0)]);
-        let a_only = prefix_nfa(&ab, 1, &[(0, "a", 0)]);
-        let m = MetricsRegistry::new();
-        let g = Guard::unlimited().with_metrics(m.clone());
-        prefilter_inclusion(&any, &a_only, &g).unwrap();
-        prefilter_inclusion(&a_only, &any, &g).unwrap();
-        let counters: std::collections::BTreeMap<String, u64> = m.counters().into_iter().collect();
-        assert_eq!(counters["filter/parikh/hit"], 1);
-        assert_eq!(counters["filter/parikh/miss"], 1);
-        assert_eq!(counters["filter/sim/hit"], 1);
-        assert_eq!(counters["filter/hit"], 2);
-        assert!(!counters.contains_key("filter/fallthrough"));
-    }
-
-    #[test]
-    fn moduli_default_and_parse() {
-        // Not a full env-var round trip (tests run in parallel; mutating
-        // the process environment would race), just the default path.
-        assert_eq!(modk_moduli(), vec![2, 3, 5]);
-    }
-
-    #[test]
-    fn parse_moduli_accepts_valid_lists_silently() {
-        assert_eq!(parse_moduli("4,7"), (vec![4, 7], None));
-        assert_eq!(parse_moduli("2 3  5"), (vec![2, 3, 5], None));
-        assert_eq!(parse_moduli(""), (vec![2, 3, 5], None));
-    }
-
-    #[test]
-    fn parse_moduli_warns_on_rejected_tokens() {
-        let (ks, warning) = parse_moduli("4,banana,1");
-        assert_eq!(ks, vec![4]);
-        let msg = warning.expect("partial rejection should warn");
-        assert!(msg.contains("RL_FILTER_MODK"), "names the knob: {msg}");
-        assert!(msg.contains("banana"), "names the rejected token: {msg}");
-
-        let (ks, warning) = parse_moduli("nope");
-        assert_eq!(ks, vec![2, 3, 5]);
-        let msg = warning.expect("fully invalid list should warn");
-        assert!(msg.contains("[2, 3, 5]"), "names the default: {msg}");
-
-        // Whitespace-only set value: nothing parsable, fall back loudly.
-        let (ks, warning) = parse_moduli("  ");
-        assert_eq!(ks, vec![2, 3, 5]);
-        assert!(warning.is_some());
-    }
-
-    #[test]
-    fn stage_latencies_land_in_histograms_not_counters() {
-        let ab = Alphabet::new(["a", "b"]).unwrap();
-        let any = prefix_nfa(&ab, 1, &[(0, "a", 0), (0, "b", 0)]);
-        let a_only = prefix_nfa(&ab, 1, &[(0, "a", 0)]);
-        let m = MetricsRegistry::new();
-        let h = rl_automata::HistogramRegistry::new();
-        let g = Guard::unlimited()
-            .with_metrics(m.clone())
-            .with_histograms(h.clone());
-        prefilter_inclusion(&any, &a_only, &g).unwrap();
-        prefilter_inclusion(&a_only, &any, &g).unwrap();
-        let snaps = h.snapshot();
-        let names: Vec<&str> = snaps.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"filter/parikh_us"), "got {names:?}");
-        assert!(names.contains(&"filter/sim_us"), "got {names:?}");
-        for (name, snap) in &snaps {
-            assert!(snap.count > 0, "{name} recorded no samples");
-        }
-        // Latency totals must no longer leak into the deterministic
-        // counter namespace.
-        for (name, _) in m.counters() {
-            assert!(!name.ends_with("elapsed_us"), "unexpected counter {name}");
-        }
     }
 }

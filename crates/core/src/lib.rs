@@ -69,7 +69,7 @@ mod topology;
 
 pub use ctl::{forall_always_exists_eventually, forall_always_recurrently};
 pub use fair::{implementation_faithful, synthesize_fair_implementation, FairImplementation};
-pub use filters::{modk_moduli, parse_moduli, prefilter_inclusion, FilterOutcome};
+pub use filters::{prefilter_inclusion, FilterOutcome};
 pub use guard::{
     chrome_trace_json, folded_stacks, render_jsonl, Counter, Metric, MetricsRegistry, ObsReport,
     RegistrySnapshot, Span, SpanRecord, TraceEvent, TracePhase, Tracer,

@@ -31,8 +31,8 @@ pub struct CheckVerdicts {
 ///
 /// 1. **Classical**: `L_ω ∩ ¬P` and one emptiness check. When it is empty
 ///    both relative verdicts hold, and `P` is never translated.
-/// 2. **Relative liveness**: `pre(L_ω) ⊆ pre(L_ω ∩ P)` through the filter
-///    ladder, the lazy search or the eager inclusion.
+/// 2. **Relative liveness**: `pre(L_ω) ⊆ pre(L_ω ∩ P)` through the lazy
+///    search, or the eager inclusion under `Guard::with_lazy(false)`.
 /// 3. **Relative safety**: when rel-live holds (and classical failed) it
 ///    fails, and the classical counterexample `x ∈ L_ω \ P` is a Lemma 4.4
 ///    escape — every prefix of `x` lies in `pre(L_ω) = pre(L_ω ∩ P)`, so
@@ -144,13 +144,11 @@ impl<'a> CheckPlan<'a> {
     /// that `P` holds classically, it holds by Theorem 4.7 and nothing is
     /// built.
     ///
-    /// Unless [`Guard::with_filters`] turned them off, the inclusion first
-    /// passes through the semidecision pre-filter ladder
-    /// ([`crate::prefilter_inclusion`]); only `Unknown` falls through to an
-    /// exact decider. By default ([`Guard::lazy_enabled`]) that is the
+    /// By default ([`Guard::lazy_enabled`]) the inclusion is decided by the
     /// fused antichain search [`nfa_included_lazy`], which never
     /// determinizes; `Guard::with_lazy(false)` determinizes both prefix
-    /// automata and runs the DFA inclusion product instead.
+    /// automata and runs the DFA inclusion product instead. Both are exact
+    /// and return a shortest doomed prefix.
     ///
     /// # Errors
     ///
@@ -167,31 +165,20 @@ impl<'a> CheckPlan<'a> {
         let system = self.system;
         let pre_lp = self.good_prefixes()?;
         let pre_l = prefixes(system, guard)?;
-        let decided = if guard.filters_enabled() {
-            match crate::filters::prefilter_inclusion(&pre_l, pre_lp, guard)? {
-                crate::filters::FilterOutcome::Proved => Some(None),
-                crate::filters::FilterOutcome::Refuted(w) => Some(Some(w)),
-                crate::filters::FilterOutcome::Unknown => None,
-            }
-        } else {
-            None
-        };
-        let doomed = match decided {
-            Some(doomed) => doomed,
+        let doomed = if guard.lazy_enabled() {
             // Both prefix NFAs are all-accepting (prefix-closed) by
             // construction, so acceptance along the lazy product is run-set
             // non-emptiness and the antichain search decides the inclusion
             // without a single subset construction.
-            None if guard.lazy_enabled() => nfa_included_lazy(&pre_l, pre_lp, guard)?,
-            None => {
-                let pre_l_dfa = pre_l.determinize_with(guard)?;
-                let pre_lp_dfa = pre_lp.determinize_with(guard)?;
-                debug_assert!(
-                    dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
-                    "pre(L ∩ P) ⊈ pre(L): construction bug"
-                );
-                dfa_included_with(&pre_l_dfa, &pre_lp_dfa, guard)?
-            }
+            nfa_included_lazy(&pre_l, pre_lp, guard)?
+        } else {
+            let pre_l_dfa = pre_l.determinize_with(guard)?;
+            let pre_lp_dfa = pre_lp.determinize_with(guard)?;
+            debug_assert!(
+                dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
+                "pre(L ∩ P) ⊈ pre(L): construction bug"
+            );
+            dfa_included_with(&pre_l_dfa, &pre_lp_dfa, guard)?
         };
         self.live = Some(doomed.is_none());
         Ok(RelativeLivenessVerdict {

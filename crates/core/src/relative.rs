@@ -83,8 +83,8 @@ pub fn is_relative_liveness(
 
 /// [`is_relative_liveness`] under a resource [`Guard`]: a single-verdict
 /// [`CheckPlan`], deciding the Lemma 4.3 inclusion as
-/// [`CheckPlan::relative_liveness`] describes (filter ladder, then the lazy
-/// search or, with `Guard::with_lazy(false)`, the eager inclusion). Every
+/// [`CheckPlan::relative_liveness`] describes (the lazy search or, with
+/// `Guard::with_lazy(false)`, the eager inclusion). Every
 /// expansion is charged against the guard's budget; on exhaustion the
 /// decider returns a budget error with partial diagnostics instead of
 /// hanging.

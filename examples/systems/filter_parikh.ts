@@ -1,8 +1,9 @@
 # Parikh-refutable instance: the letter `c` leads into a b-only tail, so
 # no behavior with infinitely many `a`s ever contains a `c` — the support
-# analysis of the pre-filter ladder refutes `[]<>a` from letter counts
-# alone, with the shortest system word containing `c` as the doomed
-# prefix. The needle window (a 14-deep history guess, as in needle24.ts)
+# analysis of `rl_automata::parikh_refute` refutes `[]<>a` from letter
+# counts alone, with the shortest system word containing `c` as its
+# witness (`rlcheck check` reports the lazy search's shortest doomed
+# prefix, of the same length). The needle window (a 14-deep history guess, as in needle24.ts)
 # makes the exact core pay a 2^14 subset construction for the same answer.
 # Try: rlcheck check examples/systems/filter_parikh.ts "[]<>a" --stats
 system

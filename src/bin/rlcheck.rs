@@ -89,11 +89,6 @@
 //!                      subset constructions and differences eagerly instead
 //!                      of exploring the on-the-fly product with antichain
 //!                      subsumption (verdicts are identical either way)
-//! --no-filters         opt out of the semidecision pre-filter ladder
-//!                      (Parikh letter counts, counts mod k, simulation
-//!                      fast-accept) that short-circuits the exact inclusion
-//!                      decider when an abstraction already settles the
-//!                      verdict (verdicts are identical either way)
 //! --cache-bytes <n>    byte budget for that cache: resident entries are
 //!                      size-accounted and evicted cost-aware-LRU so the
 //!                      cache never holds more than <n> bytes (verdicts and
@@ -249,18 +244,10 @@ fn extract_no_lazy(args: &mut Vec<String>) -> bool {
     disabled
 }
 
-/// Extracts `--no-filters` from the argument list. The semidecision
-/// pre-filter ladder (Parikh, counts-mod-k, simulation fast-accept) runs in
-/// front of the exact inclusion decider by default; this flag disables it so
-/// every check exercises the exact (lazy or eager) core — for debugging,
-/// differential testing, and apples-to-apples benchmarks.
-fn extract_no_filters(args: &mut Vec<String>) -> bool {
-    let mut disabled = false;
-    while let Some(idx) = args.iter().position(|a| a == "--no-filters") {
-        args.remove(idx);
-        disabled = true;
-    }
-    disabled
+/// The first argument after the subcommand that looks like a flag but was
+/// consumed by no extractor.
+fn unknown_flag(args: &[String]) -> Option<&String> {
+    args.iter().skip(1).find(|a| a.starts_with("--"))
 }
 
 /// Extracts a `<flag> <value>` pair from the argument list (every
@@ -320,12 +307,10 @@ struct GuardSeed {
     budget: Budget,
     cancel: CancelToken,
     lazy: bool,
-    filters: bool,
-    /// Shared percentile registry. Unlike the counter registry (sharded
-    /// per job and absorbed in submission order for determinism), the
-    /// histogram registry is attached directly: records are lock-free
-    /// atomic increments and quantiles are order-independent, so jobs can
-    /// share one set of bucket arrays.
+    /// Percentile registry of the batch's pool. Unlike the counter
+    /// registry (sharded per job and absorbed in submission order for
+    /// determinism), it is shared: records are lock-free atomic increments
+    /// and quantiles are order-independent.
     hists: Option<HistogramRegistry>,
 }
 
@@ -358,8 +343,6 @@ fn cmd_batch(
             let budget = seed.budget.clone();
             let cancel = seed.cancel.clone();
             let lazy = seed.lazy;
-            let filters = seed.filters;
-            let hists = seed.hists.clone();
             let cache = shared_cache.clone();
             let tracer = tracer.cloned();
             let finished = Arc::clone(&finished);
@@ -381,17 +364,12 @@ fn cmd_batch(
                 // sharded collector, so the job's span events land on the
                 // worker's own timeline track.
                 let reg = want_snapshots.then(MetricsRegistry::new);
-                let mut guard = Guard::with_cancel(budget, cancel)
-                    .with_lazy(lazy)
-                    .with_filters(filters);
+                let mut guard = Guard::with_cancel(budget, cancel).with_lazy(lazy);
                 if let Some(r) = &reg {
                     if let Some(t) = tracer {
                         r.set_tracer(t);
                     }
                     guard = guard.with_metrics(r.clone());
-                }
-                if let Some(h) = hists {
-                    guard = guard.with_histograms(h);
                 }
                 if let Some(cache) = cache {
                     guard = guard.with_op_cache(cache);
@@ -876,7 +854,7 @@ fn main() -> ExitCode {
                  [--job <id>] [--metrics-dir <dir>] [--dir <journal-dir>] \
                  [--stats] [--metrics <file>] [--trace-out <file>] \
                  [--flame-out <file>] [--progress] [--no-op-cache] \
-                 [--no-lazy] [--no-filters] [--cache-bytes <n>]";
+                 [--no-lazy] [--cache-bytes <n>]";
     let budget = match extract_budget(&mut args) {
         Ok(b) => b,
         Err(e) => return fail(format!("{e}\n{usage}")),
@@ -887,7 +865,6 @@ fn main() -> ExitCode {
     };
     let no_op_cache = extract_no_op_cache(&mut args);
     let no_lazy = extract_no_lazy(&mut args);
-    let no_filters = extract_no_filters(&mut args);
     let cache_bytes = match extract_value_flag(&mut args, "--cache-bytes") {
         Ok(None) => None,
         Ok(Some(raw)) => match raw.parse::<usize>() {
@@ -955,14 +932,9 @@ fn main() -> ExitCode {
     // half-flushed sinks. Serve mode reads it as the drain trigger.
     let cancel = CancelToken::new();
     sig::install(cancel.clone());
-    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone())
-        .with_lazy(!no_lazy)
-        .with_filters(!no_filters);
+    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone()).with_lazy(!no_lazy);
     if let Some(reg) = &registry {
         guard = guard.with_metrics(reg.clone());
-    }
-    if let Some(h) = &hist_registry {
-        guard = guard.with_histograms(h.clone());
     }
     if let Some(cache) = &op_cache {
         guard = guard.with_op_cache(cache.clone());
@@ -992,6 +964,9 @@ fn main() -> ExitCode {
                     Err(e) => return fail(format!("--manifest {path}: {e}")),
                 }
             }
+            if let Some(flag) = unknown_flag(&args) {
+                return fail(format!("batch: unknown flag {flag:?}\n{usage}"));
+            }
             let files: Vec<String> = args[1..].to_vec();
             if !files.is_empty() {
                 let Some(formula) = formula.clone() else {
@@ -1018,7 +993,6 @@ fn main() -> ExitCode {
                     budget: budget.clone(),
                     cancel: cancel.clone(),
                     lazy: !no_lazy,
-                    filters: !no_filters,
                     hists: hist_registry.clone(),
                 },
                 registry.as_ref(),
@@ -1056,6 +1030,9 @@ fn main() -> ExitCode {
                     Ok(d) => d,
                     Err(e) => return fail(format!("{e}\n{usage}")),
                 };
+                if let Some(flag) = unknown_flag(&args) {
+                    return fail(format!("serve: unknown flag {flag:?}\n{usage}"));
+                }
                 let config = relative_liveness::serve::ServeConfig {
                     socket,
                     threads: jobs,
@@ -1065,7 +1042,6 @@ fn main() -> ExitCode {
                     cache: op_cache.clone(),
                     tracer: tracer.clone(),
                     no_lazy,
-                    no_filters,
                     metrics_dir,
                 };
                 let shutdown = cancel.clone();
@@ -1126,8 +1102,9 @@ fn main() -> ExitCode {
                 _ => fail("slo needs <baseline.json> --dir <journal-dir>"),
             }
         }
-        "check" => match (args.get(1), args.get(2)) {
-            (Some(path), Some(f)) => govern(|| cmd_check(path, f, &guard)),
+        "check" => match &args[1..] {
+            [path, f] => govern(|| cmd_check(path, f, &guard)),
+            [_, _, extra, ..] => fail(format!("check: unexpected argument {extra:?}\n{usage}")),
             _ => fail(usage),
         },
         "abstract" => match (args.get(1), args.get(2), keep_list(&args)) {

@@ -12,8 +12,7 @@
 //!   README for examples.
 //! * **Percentile telemetry** — a service-global [`HistogramRegistry`]
 //!   records queue wait, job wall time, admission latency, subscriber
-//!   write stalls, cache probe/lock-wait and pool steal/park latencies,
-//!   plus every job's filter-stage histograms (absorbed at completion).
+//!   write stalls, cache probe/lock-wait and pool steal/park latencies.
 //!   The `metrics` verb exposes it as Prometheus text exposition (or
 //!   rl-obs/v3 JSONL), and `--metrics-dir` persists interval snapshots to
 //!   a rotating journal that `rlcheck report --dir` renders and
@@ -98,10 +97,6 @@ pub struct ServeConfig {
     /// instead of the lazy fused one. A `submit` may also opt out per job
     /// with a `no_lazy` field.
     pub no_lazy: bool,
-    /// Service-wide `--no-filters`: jobs skip the semidecision pre-filter
-    /// ladder and always run the exact inclusion decider. A `submit` may
-    /// also opt out per job with a `no_filters` field.
-    pub no_filters: bool,
     /// Directory of the persistent metrics journal (`--metrics-dir`):
     /// the sampler appends interval snapshots of the service counters and
     /// histograms to rotating JSONL segments that survive restarts and are
@@ -201,9 +196,6 @@ struct JobRecord {
     /// Whether this job runs the lazy fused pipeline (service default,
     /// overridable per submit via `no_lazy`).
     lazy: bool,
-    /// Whether this job runs the pre-filter ladder (service default,
-    /// overridable per submit via `no_filters`).
-    filters: bool,
     /// Admission weight (declared max-states, or [`DEFAULT_JOB_WEIGHT`]).
     weight: u64,
     /// Id of the submitting connection — disconnects cancel by this.
@@ -228,9 +220,6 @@ struct JobRecord {
 struct JobStream {
     probe: GuardProbe,
     tracer: Arc<Tracer>,
-    /// The job's own histogram registry (filter-stage latencies); the
-    /// sampler streams its cumulative snapshots as `hist` events.
-    hists: HistogramRegistry,
     /// Serializes sampler ticks against the completion flush so the final
     /// heartbeat and trace tail always precede the `done` record.
     publish: Mutex<()>,
@@ -309,16 +298,12 @@ struct Core {
     /// Service-wide lazy opt-out (`--no-lazy`), the default for submits
     /// that carry no `no_lazy` field.
     no_lazy: bool,
-    /// Service-wide filter opt-out (`--no-filters`), the default for
-    /// submits that carry no `no_filters` field.
-    no_filters: bool,
     /// The subscriber fan-out plane.
     bus: StreamBus,
     /// Service-global percentile plane: queue wait, job wall time,
     /// admission latency, subscriber write stalls, the shared cache's and
-    /// pool's latencies, plus every finished job's filter-stage histograms
-    /// (absorbed at completion). Exposed by the `metrics` verb and
-    /// journaled by the sampler.
+    /// pool's latencies. Exposed by the `metrics` verb and journaled by the
+    /// sampler.
     hists: HistogramRegistry,
     /// The persistent metrics journal (`--metrics-dir`), appended by the
     /// sampler thread and once more at drain.
@@ -423,7 +408,7 @@ fn settle_locked(t: &mut Table, id: u64, mut result: JobResult) {
 /// Executes one job on a pool worker: builds the per-job guard, runs the
 /// shared check pipeline behind `catch_unwind`, and records the result.
 fn run_job(core: &Arc<Core>, id: u64) {
-    let (spec, budget, cancel, lazy, filters, submitted_at) = {
+    let (spec, budget, cancel, lazy, submitted_at) = {
         let t = core.lock();
         let Some(e) = t.entries.get(&id) else {
             return;
@@ -433,7 +418,6 @@ fn run_job(core: &Arc<Core>, id: u64) {
             e.budget.clone(),
             e.cancel.clone(),
             e.lazy,
-            e.filters,
             e.submitted_at,
         )
     };
@@ -450,22 +434,15 @@ fn run_job(core: &Arc<Core>, id: u64) {
     let global_offset = core.tracer.as_ref().map(|t| t.now_us());
     reg.set_tracer(Arc::clone(&job_tracer));
     let was_cancelled = cancel.clone();
-    // The per-job histogram registry keeps this job's filter-stage latency
-    // percentiles separable on the stream; the whole shard is absorbed
-    // into the service-global registry once the job settles.
-    let job_hists = HistogramRegistry::new();
     let mut guard = Guard::with_cancel(budget, cancel)
         .with_lazy(lazy)
-        .with_filters(filters)
-        .with_metrics(reg.clone())
-        .with_histograms(job_hists.clone());
+        .with_metrics(reg.clone());
     if let Some(c) = &core.cache {
         guard = guard.with_op_cache(c.clone());
     }
     let stream = Arc::new(JobStream {
         probe: guard.probe(),
         tracer: Arc::clone(&job_tracer),
-        hists: job_hists.clone(),
         publish: Mutex::new(()),
         finished: AtomicBool::new(false),
     });
@@ -522,9 +499,6 @@ fn run_job(core: &Arc<Core>, id: u64) {
     if let Some((global, offset)) = core.tracer.as_ref().zip(global_offset) {
         global.absorb_events(offset, &job_tracer.events());
     }
-    // Fold the job's filter-stage histograms into the service-global
-    // registry so the `metrics` verb and the journal aggregate across jobs.
-    core.hists.absorb(&job_hists.snapshot());
     complete(core, id, result, was_cancelled.is_cancelled());
 }
 
@@ -571,20 +545,8 @@ fn publish_job_trace(core: &Core, id: u64, stream: &JobStream) {
     }
 }
 
-/// Streams the job's cumulative histogram snapshots as `hist` events.
-/// Snapshots repeat and grow tick over tick; consumers keep the latest per
-/// `(job, family)` (`rlcheck report`/`top` both do), so re-sending is
-/// idempotent rather than double-counting.
-fn publish_job_hists(core: &Core, id: u64, stream: &JobStream) {
-    for (name, snap) in stream.hists.snapshot() {
-        if snap.count > 0 {
-            publish_json(core, id, &hist_event_json(&name, Some(id), &snap));
-        }
-    }
-}
-
 /// One sampler tick for a running job: a heartbeat, then the fresh trace
-/// events, then the histogram snapshots.
+/// events.
 fn publish_job_tick(core: &Core, id: u64, stream: &JobStream) {
     let _order = stream
         .publish
@@ -595,7 +557,6 @@ fn publish_job_tick(core: &Core, id: u64, stream: &JobStream) {
     }
     publish_json(core, id, &job_heartbeat_json(core, id, stream));
     publish_job_trace(core, id, stream);
-    publish_job_hists(core, id, stream);
 }
 
 /// The completion flush: guarantees at least one heartbeat and the whole
@@ -608,7 +569,6 @@ fn publish_job_final(core: &Core, id: u64, stream: &JobStream, code: u8) {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     publish_json(core, id, &job_heartbeat_json(core, id, stream));
     publish_job_trace(core, id, stream);
-    publish_job_hists(core, id, stream);
     publish_json(core, id, &done_json(id, code));
     stream.finished.store(true, Ordering::Release);
 }
@@ -1087,7 +1047,6 @@ fn handle_submit(core: &Arc<Core>, conn: u64, v: &Json) -> Json {
     }
     let weight = budget.max_states.map_or(DEFAULT_JOB_WEIGHT, |n| n as u64);
     let lazy = !bool_field(v, "no_lazy").unwrap_or(core.no_lazy);
-    let filters = !bool_field(v, "no_filters").unwrap_or(core.no_filters);
     let spec = CheckSpec { source, formula };
 
     let admit_started = Instant::now();
@@ -1115,7 +1074,6 @@ fn handle_submit(core: &Arc<Core>, conn: u64, v: &Json) -> Json {
                 spec,
                 budget,
                 lazy,
-                filters,
                 weight,
                 conn,
                 submitted_at: Instant::now(),
@@ -1344,7 +1302,6 @@ pub fn serve(
         queue_cap: config.queue_cap,
         default_budget: config.job_budget.clone(),
         no_lazy: config.no_lazy,
-        no_filters: config.no_filters,
         bus: StreamBus::new(),
         hists: HistogramRegistry::new(),
         journal,

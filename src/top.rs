@@ -37,7 +37,7 @@ struct JobRow {
     stacks: BTreeMap<u64, Vec<String>>,
     /// The currently displayed phase name.
     phase: String,
-    /// The most recent algorithm instant (`lazy-*` / `filter-*`), shown
+    /// The most recent algorithm instant (`lazy-*`), shown
     /// beside the phase — "what the kernel just did" at one glance.
     note: String,
     /// Latest cumulative histogram snapshot per family, from streamed
@@ -143,12 +143,9 @@ impl TopView {
                         TracePhase::Instant => {}
                     }
                     self.dirty = true;
-                } else if e.phase == TracePhase::Instant
-                    && (e.name.starts_with("lazy-") || e.name.starts_with("filter-"))
-                {
-                    // The fused search and the pre-filter ladder narrate
-                    // themselves through kernel instants; surface the latest
-                    // one beside the phase.
+                } else if e.phase == TracePhase::Instant && e.name.starts_with("lazy-") {
+                    // The fused search narrates itself through kernel
+                    // instants; surface the latest one beside the phase.
                     row.note = e.name;
                     self.dirty = true;
                 }
@@ -437,7 +434,7 @@ mod tests {
         assert!(view.render("s", None).contains('-'));
         // A cumulative snapshot: 10 samples at exactly 4µs (buckets 0-7
         // are exact, so p50 = p99 = 4).
-        let replaced = "{\"event\":\"hist\",\"job\":7,\"name\":\"filter/parikh_us\",\
+        let replaced = "{\"event\":\"hist\",\"job\":7,\"name\":\"serve/queue_wait_us\",\
              \"count\":10,\"sum\":40,\"max\":4,\"buckets\":[[4,10]]}";
         assert!(view.take_line(replaced).is_none(), "no plain line");
         let row = view.jobs.get(&7).expect("row");
@@ -448,7 +445,7 @@ mod tests {
         assert_eq!(view.jobs[&7].merged_hist().expect("hist").count, 10);
         // A second family merges into the displayed distribution.
         view.take_line(
-            "{\"event\":\"hist\",\"job\":7,\"name\":\"filter/sim_us\",\
+            "{\"event\":\"hist\",\"job\":7,\"name\":\"serve/job_wall_us\",\
              \"count\":2,\"sum\":12,\"max\":6,\"buckets\":[[6,2]]}",
         );
         assert_eq!(view.jobs[&7].merged_hist().expect("hist").count, 12);
@@ -478,22 +475,24 @@ mod tests {
         let mut view = TopView::default();
         view.take_line(
             "{\"event\":\"trace\",\"job\":3,\"ph\":\"B\",\"track\":0,\
-             \"cat\":\"span\",\"name\":\"prefilter\",\"ts_us\":1}",
+             \"cat\":\"span\",\"name\":\"lazy_inclusion\",\"ts_us\":1}",
         );
         view.take_line(
             "{\"event\":\"trace\",\"job\":3,\"ph\":\"I\",\"track\":0,\
-             \"cat\":\"kernel\",\"name\":\"filter-hit\",\"ts_us\":2,\
-             \"arg\":{\"stage\":2}}",
+             \"cat\":\"kernel\",\"name\":\"lazy-layer\",\"ts_us\":2,\
+             \"arg\":{\"width\":2}}",
         );
         let table = view.render("/tmp/x.sock", None);
-        assert!(table.contains("prefilter [filter-hit]"), "{table}");
-        // Lazy pipeline instants surface the same way.
+        assert!(table.contains("lazy_inclusion [lazy-layer]"), "{table}");
+        // The latest instant replaces the note.
         view.take_line(
             "{\"event\":\"trace\",\"job\":3,\"ph\":\"I\",\"track\":0,\
              \"cat\":\"kernel\",\"name\":\"lazy-prune\",\"ts_us\":3,\
              \"arg\":{\"count\":7}}",
         );
-        assert!(view.render("s", None).contains("prefilter [lazy-prune]"));
+        assert!(view
+            .render("s", None)
+            .contains("lazy_inclusion [lazy-prune]"));
         // Other kernel instants are not phase narration and stay out of
         // the column.
         view.jobs.get_mut(&3).expect("row").note.clear();

@@ -382,10 +382,9 @@ fn counter_block(metrics: &str, code: i32) -> String {
 }
 
 /// Every golden run, made once per test binary: the default cases, then
-/// the five old trajectory cases under `--no-filters` and under
-/// `--no-filters --no-lazy` (needle24 with `--max-states 20000`, which the
-/// eager pipeline trips). No run takes a `--timeout`, so no line depends
-/// on the machine.
+/// five trajectory cases under `--no-lazy` (needle24 with `--max-states
+/// 20000`, which the eager pipeline trips). No run takes a `--timeout`, so
+/// no line depends on the machine.
 fn golden_runs() -> &'static [GoldenRun] {
     static RUNS: std::sync::OnceLock<Vec<GoldenRun>> = std::sync::OnceLock::new();
     RUNS.get_or_init(|| {
@@ -402,18 +401,15 @@ fn golden_runs() -> &'static [GoldenRun] {
             ("server_err.pn", "[]<>result", &[]),
             ("needle24.ts", "[]<>a", &["--max-states", "20000"]),
         ];
-        for pipeline in [&["--no-filters"][..], &["--no-filters", "--no-lazy"]] {
-            for (file, formula, budget) in trajectory {
-                let path = format!("examples/systems/{file}");
-                let args: Vec<String> = [path.as_str(), formula]
-                    .iter()
-                    .chain(pipeline)
-                    .chain(budget)
-                    .map(|a| a.to_string())
-                    .collect();
-                let name = runs.len().to_string();
-                runs.push(GoldenRun::run(args.join(" "), args, &name));
-            }
+        for (file, formula, budget) in trajectory {
+            let path = format!("examples/systems/{file}");
+            let args: Vec<String> = [path.as_str(), formula, "--no-lazy"]
+                .iter()
+                .chain(budget)
+                .map(|a| a.to_string())
+                .collect();
+            let name = runs.len().to_string();
+            runs.push(GoldenRun::run(args.join(" "), args, &name));
         }
         runs
     })
@@ -480,13 +476,12 @@ fn check_work(file: &str, formula: &str, max_states: usize, hists: bool) -> Vec<
     let cache = OpCache::new();
     let mut budget = Budget::unlimited();
     budget.max_states = Some(max_states);
-    let mut guard = Guard::new(budget).with_metrics(registry.clone());
     if hists {
-        let h = HistogramRegistry::new();
-        cache.set_histograms(h.clone());
-        guard = guard.with_histograms(h);
+        cache.set_histograms(HistogramRegistry::new());
     }
-    let guard = guard.with_op_cache(cache);
+    let guard = Guard::new(budget)
+        .with_metrics(registry.clone())
+        .with_op_cache(cache);
     {
         let _span = guard.span("check");
         let behaviors = relative_liveness::buchi::behaviors_of_ts_with(&ts, &guard).expect("L");
@@ -561,15 +556,7 @@ fn stats_rows(err: &str) -> Vec<(String, u64)> {
 
 #[test]
 fn stats_flag_prints_phase_table_on_stderr() {
-    // --no-filters: this test pins the lazy pipeline's instrumentation,
-    // which the pre-filter ladder would legitimately bypass on abp.
-    let out = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--stats",
-        "--no-filters",
-    ]);
+    let out = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver", "--stats"]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -615,7 +602,6 @@ fn stats_flag_prints_phase_table_on_stderr() {
         "examples/systems/server_err.pn",
         "[]<>result",
         "--stats",
-        "--no-filters",
     ]);
     assert_eq!(doomed.status.code(), Some(1));
     let rows = stats_rows(&stderr(&doomed));
@@ -631,7 +617,6 @@ fn stats_flag_prints_phase_table_on_stderr() {
         "[]<>deliver",
         "--stats",
         "--no-lazy",
-        "--no-filters",
     ]);
     assert_eq!(eager.status.code(), Some(0));
     assert_eq!(
@@ -648,39 +633,37 @@ fn stats_flag_prints_phase_table_on_stderr() {
 }
 
 #[test]
-fn filter_ladder_short_circuits_and_preserves_the_verdict() {
-    // With filters on (the default) the abp inclusion is settled by the
-    // simulation fast-accept before the exact core runs at all.
-    let filtered = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver", "--stats"]);
-    assert_eq!(filtered.status.code(), Some(0));
-    let err = stderr(&filtered);
-    assert!(err.contains("prefilter"), "no prefilter span row: {err}");
-    for counter in ["filter/hit", "filter/sim/hit"] {
-        assert!(err.contains(counter), "no {counter} row in stderr: {err}");
-    }
+fn default_check_decides_lemma_4_3_by_the_lazy_search_alone() {
+    // One exact decider per pipeline: a default check opens the lazy
+    // inclusion span and no pre-filter span.
+    let out = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver", "--stats"]);
+    assert_eq!(out.status.code(), Some(0));
+    let err = stderr(&out);
+    let rows = stats_rows(&err);
     assert!(
-        err.contains("filter hit-rate"),
-        "no hit-rate headline: {err}"
+        rows.iter()
+            .any(|(path, _)| path == "check/relative_liveness/lazy_inclusion"),
+        "no lazy_inclusion span: {rows:?}"
     );
     assert!(
-        !err.contains("lazy_inclusion"),
-        "ladder hit must bypass the exact search: {err}"
+        !rows.iter().any(|(path, _)| path.contains("prefilter")),
+        "a pre-filter span ran: {rows:?}"
     );
-    // The verdict (and everything else on stdout) is byte-identical with
-    // the ladder disabled.
-    let unfiltered = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--no-filters",
-    ]);
-    assert_eq!(unfiltered.status.code(), Some(0));
-    let plain = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver"]);
-    assert_eq!(
-        stdout(&plain),
-        stdout(&unfiltered),
-        "--no-filters must not change the report"
+    assert!(!err.contains("filter/"), "filter counters recorded: {err}");
+}
+
+#[test]
+fn retired_ladder_flag_is_a_usage_error() {
+    // `check` rejects stray arguments, the retired ladder switch included.
+    let flag = concat!("--no-", "filters");
+    let out = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver", flag]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(
+        err.contains(&format!("unexpected argument {flag:?}")),
+        "{err}"
     );
+    assert!(err.contains("usage: rlcheck"), "no usage line: {err}");
 }
 
 #[test]
@@ -701,7 +684,6 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
             "check",
             &format!("examples/systems/{file}"),
             formula,
-            "--no-filters",
             "--metrics",
             path.to_str().expect("utf-8 temp path"),
         ]);
@@ -831,7 +813,6 @@ fn budget_report_names_the_exhausted_phase() {
         "--max-states",
         "250",
         "--stats",
-        "--no-filters",
     ]);
     assert_eq!(lazy.status.code(), Some(3));
     let lerr = stderr(&lazy);

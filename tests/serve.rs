@@ -1032,14 +1032,13 @@ fn metrics_verb_emits_prometheus_exposition_and_jsonl() {
     assert_eq!(str_field(&m, "format"), "prometheus");
     let body = str_field(&m, "body");
     assert!(body.contains("rl_serve_submitted_total 1"), "{body}");
-    // The acceptance families: queue wait, job wall time, filter-stage
-    // latency, op cache probe (plus admission latency) — each a well-formed
-    // histogram with cumulative buckets closed by +Inf.
+    // The acceptance families: queue wait, job wall time, op cache probe
+    // (plus admission latency) — each a well-formed histogram with
+    // cumulative buckets closed by +Inf.
     for family in [
         "rl_serve_queue_wait_us",
         "rl_serve_job_wall_us",
         "rl_serve_admission_us",
-        "rl_filter_parikh_us",
         "rl_opcache_probe_us",
     ] {
         assert!(

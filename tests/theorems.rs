@@ -427,3 +427,87 @@ fn theorem_8_3_requires_strict_r_bar() {
     // And via the public API:
     assert!(!check_transported_concrete(&ts, &h, &eta).unwrap().holds);
 }
+
+/// Definition 6.2 with `h = id`: the unguarded `behaviors_of_ts` façade
+/// reads the system graph as a Büchi automaton (König's lemma) and never
+/// determinizes, so it returns on needle24 (2^24 subset states) and agrees
+/// with the guarded constructor — and, where determinizing is feasible,
+/// with the determinized limit — on every short lasso.
+#[test]
+fn behaviors_facade_needs_no_determinization() {
+    fn words(sigma: &[Symbol], max: usize) -> Vec<Vec<Symbol>> {
+        let mut all = vec![Vec::new()];
+        let mut layer = vec![Vec::new()];
+        for _ in 0..max {
+            layer = layer
+                .iter()
+                .flat_map(|w: &Vec<Symbol>| {
+                    sigma.iter().map(move |&s| {
+                        let mut w = w.clone();
+                        w.push(s);
+                        w
+                    })
+                })
+                .collect();
+            all.extend(layer.iter().cloned());
+        }
+        all
+    }
+    for file in [
+        "needle24.ts",
+        "abp.ts",
+        "clock.ts",
+        "server.pn",
+        "server_err.pn",
+    ] {
+        let text = std::fs::read_to_string(format!("examples/systems/{file}")).expect("fixture");
+        let ts = relative_liveness::format::parse_system(&text).expect("fixture parses");
+        let facade = behaviors_of_ts(&ts);
+        let mut references = vec![behaviors_of_ts_with(&ts, &Guard::unlimited()).expect("L")];
+        if file != "needle24.ts" {
+            let eager = Guard::unlimited().with_lazy(false);
+            references.push(behaviors_of_ts_with(&ts, &eager).expect("determinized L"));
+        }
+        // Every short lasso, then lassos closed by seeded random walks
+        // through the system (behaviors, unless the walk deadlocks).
+        let sigma: Vec<Symbol> = ts.alphabet().symbols().collect();
+        let mut lassos = Vec::new();
+        for prefix in words(&sigma, 2) {
+            for period in words(&sigma, 2).into_iter().filter(|w| !w.is_empty()) {
+                lassos.push(UpWord::new(prefix.clone(), period).expect("non-empty period"));
+            }
+        }
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..64 {
+            let (mut visited, mut symbols) = (vec![ts.initial()], Vec::new());
+            while let Some(&q) = visited.last() {
+                let enabled = ts.enabled(q);
+                if enabled.is_empty() {
+                    break;
+                }
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let (symbol, next) = enabled[(seed >> 33) as usize % enabled.len()];
+                symbols.push(symbol);
+                if let Some(i) = visited.iter().position(|&p| p == next) {
+                    let period = symbols.split_off(i);
+                    lassos.push(UpWord::new(symbols, period).expect("non-empty period"));
+                    break;
+                }
+                visited.push(next);
+            }
+        }
+        let mut accepted = 0;
+        for lasso in &lassos {
+            let want = facade.accepts_upword(lasso);
+            for reference in &references {
+                assert_eq!(reference.accepts_upword(lasso), want, "{file}: {lasso:?}");
+            }
+            accepted += usize::from(want);
+        }
+        assert!(accepted > 0, "{file}: no sampled lasso is a behavior");
+        assert!(
+            accepted < lassos.len() || file == "needle24.ts",
+            "{file}: all accepted"
+        );
+    }
+}

@@ -29,6 +29,15 @@
 //! waited (*retro-pruning*); within a layer every node is expanded in FIFO
 //! order, so verdicts, charge sequences, and the `lazy/*` counters are
 //! deterministic.
+//!
+//! The search reads its operands through [`EdgeRows`]: each state's
+//! transitions as `(symbol, successor)` pairs sorted by symbol, then
+//! successor. An expanded node visits only the letters its `A` state
+//! enables, so on Büchi edge lists a step costs O(transitions) however
+//! large the alphabet; an [`Nfa`] walks its alphabet-indexed rows in the
+//! same order and gives the same search.
+
+use std::collections::BTreeSet;
 
 use crate::error::AutomataError;
 use crate::guard::Guard;
@@ -36,6 +45,51 @@ use crate::nfa::Nfa;
 use crate::stateset::{FxHashMap, StateSet};
 use crate::word::Word;
 use crate::{StateId, Symbol};
+
+/// An automaton over finite words as the lazy search reads it: dense
+/// states, initial and accepting sets, and per state the outgoing
+/// transitions in `(symbol, successor)` order.
+///
+/// [`Nfa`] implements it over its alphabet-indexed rows, and `rl-buchi`'s
+/// `Buchi` over its edge lists (read as an NFA: a finite word is accepted
+/// when some run on it ends in an accepting state).
+pub trait EdgeRows {
+    /// Number of states.
+    fn state_count(&self) -> usize;
+    /// The initial states.
+    fn initial(&self) -> &BTreeSet<StateId>;
+    /// Whether `q` accepts.
+    fn is_accepting(&self, q: StateId) -> bool;
+    /// The transitions leaving `q`, sorted by symbol, then successor, with
+    /// no duplicates.
+    fn row(&self, q: StateId) -> impl Iterator<Item = (Symbol, StateId)> + '_;
+    /// The successors of `q` on `symbol`, ascending.
+    fn successors_on(&self, q: StateId, symbol: Symbol) -> impl Iterator<Item = StateId> + '_;
+}
+
+impl EdgeRows for Nfa {
+    fn state_count(&self) -> usize {
+        Nfa::state_count(self)
+    }
+
+    fn initial(&self) -> &BTreeSet<StateId> {
+        Nfa::initial(self)
+    }
+
+    fn is_accepting(&self, q: StateId) -> bool {
+        Nfa::is_accepting(self, q)
+    }
+
+    fn row(&self, q: StateId) -> impl Iterator<Item = (Symbol, StateId)> + '_ {
+        self.alphabet()
+            .symbols()
+            .flat_map(move |a| self.successor_slice(q, a).iter().map(move |&to| (a, to)))
+    }
+
+    fn successors_on(&self, q: StateId, symbol: Symbol) -> impl Iterator<Item = StateId> + '_ {
+        self.successor_slice(q, symbol).iter().copied()
+    }
+}
 
 /// One frontier node: a single `A` state paired with the `B` macro-state
 /// reached on the same word, plus the edge that discovered it (for witness
@@ -49,9 +103,9 @@ struct Node {
     dead: bool,
 }
 
-struct Search<'x> {
-    a: &'x Nfa,
-    b: &'x Nfa,
+struct Search<'x, A: ?Sized, B: ?Sized> {
+    a: &'x A,
+    b: &'x B,
     guard: &'x Guard,
     nodes: Vec<Node>,
     /// Per `A` state, the minimal (antichain) macro-states admitted so far,
@@ -60,7 +114,7 @@ struct Search<'x> {
     antichain: FxHashMap<StateId, Vec<(StateSet, usize)>>,
 }
 
-impl Search<'_> {
+impl<A: EdgeRows + ?Sized, B: EdgeRows + ?Sized> Search<'_, A, B> {
     fn count(&self, name: &'static str) {
         if let Some(m) = self.guard.metrics() {
             m.counter(name).inc();
@@ -131,6 +185,12 @@ impl Search<'_> {
 /// Decides `L(a) ⊆ L(b)` by lazy antichain search; on failure returns a
 /// shortest witness word in `L(a) \ L(b)`.
 ///
+/// Both operands are read as automata over finite words through
+/// [`EdgeRows`], so either may be an [`Nfa`] or a Büchi edge-list graph.
+/// Successor candidates are generated in the `A` state's row order —
+/// symbols ascending, then successors ascending — so both layouts of the
+/// same automaton admit, charge and count identically.
+///
 /// Semantically equivalent to determinizing both automata and running
 /// [`crate::dfa_included_with`], but only ever expands (state, macro-state)
 /// pairs the counterexample search actually reaches, prunes
@@ -148,9 +208,12 @@ impl Search<'_> {
 ///
 /// [`AutomataError::BudgetExceeded`] or [`AutomataError::Cancelled`] when
 /// the guard trips.
-pub fn nfa_included_lazy(a: &Nfa, b: &Nfa, guard: &Guard) -> Result<Option<Word>, AutomataError> {
+pub fn nfa_included_lazy<A, B>(a: &A, b: &B, guard: &Guard) -> Result<Option<Word>, AutomataError>
+where
+    A: EdgeRows + ?Sized,
+    B: EdgeRows + ?Sized,
+{
     let _span = guard.span("lazy_inclusion");
-    let symbols: Vec<Symbol> = a.alphabet().symbols().collect();
     let mut search = Search {
         a,
         b,
@@ -191,22 +254,22 @@ pub fn nfa_included_lazy(a: &Nfa, b: &Nfa, guard: &Guard) -> Result<Option<Word>
             guard.note_frontier((m - 1 - li) + next_layer.len());
             search.count("lazy/expanded");
             let left = search.nodes[ni].left;
-            for &sym in &symbols {
-                let targets = a.successor_slice(left, sym);
-                if targets.is_empty() {
-                    continue;
-                }
-                next.clear();
-                for q in search.nodes[ni].right.iter() {
-                    for &q2 in b.successor_slice(q, sym) {
-                        next.insert(q2);
+            // The row groups `left`'s transitions by symbol: the macro-state
+            // successor is computed once per letter, on its first target.
+            let mut letter = None;
+            for (sym, q2) in a.row(left) {
+                if letter != Some(sym) {
+                    letter = Some(sym);
+                    next.clear();
+                    for q in search.nodes[ni].right.iter() {
+                        for q3 in b.successors_on(q, sym) {
+                            next.insert(q3);
+                        }
                     }
                 }
-                for &q2 in targets {
-                    guard.charge_transition()?;
-                    if let Some(w) = search.admit(q2, &next, Some((ni, sym)), &mut next_layer)? {
-                        return Ok(Some(w));
-                    }
+                guard.charge_transition()?;
+                if let Some(w) = search.admit(q2, &next, Some((ni, sym)), &mut next_layer)? {
+                    return Ok(Some(w));
                 }
             }
         }

@@ -89,7 +89,7 @@ pub use dfa::Dfa;
 pub use equiv::{dfa_equivalent, dfa_included, dfa_included_with, equivalent_states};
 pub use error::AutomataError;
 pub use guard::{Budget, CancelToken, Guard, GuardProbe, Progress, Resource};
-pub use lazy::nfa_included_lazy;
+pub use lazy::{nfa_included_lazy, EdgeRows};
 pub use mem::MemFootprint;
 pub use nfa::Nfa;
 pub use opcache::OpCache;

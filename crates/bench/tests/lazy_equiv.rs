@@ -14,7 +14,7 @@ use rl_automata::{
     Symbol, TransitionSystem, Word,
 };
 use rl_bench::random_system;
-use rl_buchi::{behaviors_of_ts_with, UpWord};
+use rl_buchi::{behaviors_of_ts_with, limit_of_prefix_closed, Buchi, UpWord};
 use rl_core::{is_relative_liveness_with, is_relative_safety_with, satisfies_with, Property};
 use rl_logic::parse;
 
@@ -223,5 +223,119 @@ proptest! {
         prop_assert_eq!(lazy.live, uncached.live);
         prop_assert_eq!(&lazy.doomed, &uncached.doomed);
         prop_assert_eq!(&lazy.escape, &uncached.escape);
+    }
+}
+
+/// What one lazy inclusion run reports: the witness, then the `lazy/*`
+/// counters (expanded, subsumed, early exit) and the guard's charges
+/// (states, transitions, total charges).
+type LazyRun = (Option<Word>, [u64; 3], [u64; 3]);
+
+fn lazy_run(run: impl FnOnce(&Guard) -> Option<Word>) -> LazyRun {
+    let reg = MetricsRegistry::new();
+    let guard = Guard::unlimited().with_metrics(reg.clone());
+    let witness = run(&guard);
+    let progress = guard.progress();
+    (
+        witness,
+        ["lazy/expanded", "lazy/subsumed", "lazy/early_exit"].map(|c| reg.counter(c).get()),
+        [
+            progress.states as u64,
+            progress.transitions as u64,
+            reg.total(Metric::GuardCharges),
+        ],
+    )
+}
+
+/// `pre(a) ⊆ pre(b)` decided over the two prefix graphs and over their
+/// `prefix_nfa()` NFAs must agree in every observable.
+fn assert_layouts_agree(a: &Buchi, b: &Buchi) {
+    let unlimited = Guard::unlimited();
+    let graphs = (
+        a.prefix_graph_with(&unlimited).expect("unlimited guard"),
+        b.prefix_graph_with(&unlimited).expect("unlimited guard"),
+    );
+    let nfas = (a.prefix_nfa(), b.prefix_nfa());
+    let on_graphs = lazy_run(|g| nfa_included_lazy(&graphs.0, &graphs.1, g).expect("no budget"));
+    let on_nfas = lazy_run(|g| nfa_included_lazy(&nfas.0, &nfas.1, g).expect("no budget"));
+    assert_eq!(on_graphs, on_nfas);
+}
+
+/// The Lemma 4.3 inclusion `pre(L) ⊆ pre(L ∩ P)` of one check, across
+/// layouts.
+fn assert_check_layouts_agree(ts: &TransitionSystem, formula: &str) {
+    let behaviors = behaviors_of_ts_with(ts, &Guard::unlimited()).expect("behaviors");
+    let p = Property::formula(parse(formula).expect("formula parses"))
+        .to_buchi(behaviors.alphabet())
+        .expect("property to Büchi");
+    let both = behaviors.intersection(&p).expect("intersection");
+    assert_layouts_agree(&behaviors, &both);
+}
+
+/// The nine fixtures with the formulas the golden check runs on them.
+fn all_fixtures() -> impl Iterator<Item = (&'static str, &'static str)> {
+    FIXTURES.into_iter().chain([
+        ("filter_fallthrough.ts", "[]<>a"),
+        ("filter_mod3.ts", "[]<>a"),
+        ("filter_parikh.ts", "[]<>a"),
+        ("filter_sim.ts", "[]<>ack"),
+        ("needle24.ts", "[]<>a"),
+    ])
+}
+
+#[test]
+fn fixtures_decide_lemma_4_3_alike_on_both_layouts() {
+    for (file, formula) in all_fixtures() {
+        assert_check_layouts_agree(&fixture(file), formula);
+    }
+}
+
+/// The behaviors built straight from a system's transitions equal its NFA
+/// read as a Büchi automaton.
+fn assert_behaviors_match_nfa(ts: &TransitionSystem) {
+    let direct = behaviors_of_ts_with(ts, &Guard::unlimited()).expect("unlimited guard");
+    assert_eq!(direct, limit_of_prefix_closed(&ts.to_nfa()));
+}
+
+#[test]
+fn fixture_behaviors_match_their_nfas() {
+    for (file, _) in all_fixtures() {
+        assert_behaviors_match_nfa(&fixture(file));
+    }
+}
+
+/// Random Büchi automaton over {a, b} with exactly `n` states.
+fn buchi_strategy(n: usize) -> impl Strategy<Value = Buchi> {
+    nfa_strategy(n).prop_map(|nfa| Buchi::from_nfa_structure(&nfa))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random Büchi pairs: the search over prefix graphs and over their
+    /// NFAs returns the same witness, counters and charges.
+    #[test]
+    fn lazy_search_agrees_across_layouts(a in buchi_strategy(5), b in buchi_strategy(5)) {
+        assert_layouts_agree(&a, &b);
+    }
+
+    #[test]
+    fn random_behaviors_match_their_nfas(
+        seed in 0u64..10_000,
+        n in 1usize..9,
+        density in proptest::sample::select(&[0.2f64, 0.4, 0.7][..]),
+    ) {
+        assert_behaviors_match_nfa(&random_system(seed, n, 3, density));
+    }
+
+    /// Random systems against a few properties, across layouts.
+    #[test]
+    fn random_checks_agree_across_layouts(
+        seed in 0u64..10_000,
+        n in 2usize..7,
+        density in proptest::sample::select(&[0.2f64, 0.4, 0.7][..]),
+        formula in proptest::sample::select(&["[]<>t0", "<>t1", "[]t0", "[]<>t0 | <>[]!t0"][..]),
+    ) {
+        assert_check_layouts_agree(&random_system(seed, n, 2, density), formula);
     }
 }

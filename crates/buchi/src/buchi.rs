@@ -6,7 +6,8 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 use rl_automata::{
-    Alphabet, AutomataError, FxHasher, Guard, Interner, MemFootprint, Nfa, StateId, Symbol,
+    Alphabet, AutomataError, EdgeRows, FxHasher, Guard, Interner, MemFootprint, Nfa, StateId,
+    Symbol,
 };
 
 use crate::emptiness::{self, Poll};
@@ -327,10 +328,25 @@ impl Buchi {
         }
         // States inside accepting cycles (within the reachable part).
         let core = emptiness::accepting_cycle_states(self, &reach, poll)?;
-        // Backward reachability from the core.
-        let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for (p, _, q) in self.transitions() {
-            rev[q].push(p);
+        // Backward reachability from the core, over the reversed edges of
+        // the reachable part in one flat array: `rev[start[q]..start[q + 1]]`
+        // are the predecessors of `q`.
+        let mut start = vec![0usize; n + 1];
+        for p in (0..n).filter(|&p| reach[p]) {
+            for &(_, q) in &self.edges[p] {
+                start[q + 1] += 1;
+            }
+        }
+        for q in 0..n {
+            start[q + 1] += start[q];
+        }
+        let mut fill = start.clone();
+        let mut rev = vec![0; start[n]];
+        for p in (0..n).filter(|&p| reach[p]) {
+            for &(_, q) in &self.edges[p] {
+                rev[fill[q]] = p;
+                fill[q] += 1;
+            }
         }
         let mut live = vec![false; n];
         let mut queue: VecDeque<StateId> = VecDeque::new();
@@ -342,15 +358,12 @@ impl Buchi {
         }
         while let Some(p) = queue.pop_front() {
             poll.visit()?;
-            for &r in &rev[p] {
+            for &r in &rev[start[p]..start[p + 1]] {
                 if !live[r] {
                     live[r] = true;
                     queue.push_back(r);
                 }
             }
-        }
-        for q in 0..n {
-            live[q] &= reach[q];
         }
         Ok(live)
     }
@@ -520,18 +533,24 @@ impl Buchi {
         Ok(out)
     }
 
-    /// The NFA of finite prefixes `pre(L(self))` of accepted ω-words.
-    ///
-    /// After reduction, every remaining state lies on some accepting run, so
-    /// every finite run prefix is the prefix of an accepted ω-word: the
-    /// prefix NFA is the reduced graph with *all* states accepting.
+    /// The NFA of finite prefixes `pre(L(self))` of accepted ω-words: the
+    /// [`Buchi::prefix_graph_with`] graph in the alphabet-indexed layout.
     pub fn prefix_nfa(&self) -> Nfa {
-        self.prefix_nfa_with(&Guard::unlimited())
+        self.prefix_graph_with(&Guard::unlimited())
             .expect("an unlimited guard never trips")
+            .to_nfa_structure()
     }
 
-    /// [`Buchi::prefix_nfa`] that stops at `guard`'s deadline or
-    /// cancellation.
+    /// The prefix graph of the language: the reduced automaton with every
+    /// state accepting, or the empty automaton when `L(self) = ∅`.
+    ///
+    /// After reduction every remaining state lies on some accepting run, so
+    /// every finite run prefix is the prefix of an accepted ω-word. Read as
+    /// an NFA (through [`EdgeRows`]) the graph accepts exactly
+    /// `pre(L(self))`. Read as a Büchi automaton it accepts
+    /// `lim(pre(L(self)))`: by König's lemma an ω-word all of whose
+    /// prefixes have runs in a finitely branching graph has an infinite
+    /// run, and every state accepts.
     ///
     /// The reduction polls [`Guard::check_now`] every 64 visited states,
     /// like [`Buchi::accepted_upword_with`], and charges nothing.
@@ -540,24 +559,15 @@ impl Buchi {
     ///
     /// [`AutomataError::BudgetExceeded`] when the deadline passes and
     /// [`AutomataError::Cancelled`] when the guard's token is cancelled.
-    pub fn prefix_nfa_with(&self, guard: &Guard) -> Result<Nfa, AutomataError> {
-        let reduced = self.reduce_with(&mut Poll::new(guard))?;
-        let mut n = Nfa::new(reduced.alphabet.clone());
+    pub fn prefix_graph_with(&self, guard: &Guard) -> Result<Buchi, AutomataError> {
+        let mut reduced = self.reduce_with(&mut Poll::new(guard))?;
         // When the ω-language is empty there are no prefixes at all — not
         // even ε — so return an automaton of the empty language.
-        if reduced.state_count() == 0 || reduced.initial.is_empty() {
-            return Ok(n);
+        if reduced.initial.is_empty() {
+            return Ok(Buchi::new(reduced.alphabet));
         }
-        for _ in 0..reduced.state_count() {
-            n.add_state(true);
-        }
-        for &q in &reduced.initial {
-            n.set_initial(q);
-        }
-        for (p, a, q) in reduced.transitions() {
-            n.add_transition(p, a, q);
-        }
-        Ok(n)
+        reduced.accepting.fill(true);
+        Ok(reduced)
     }
 
     /// A universal Büchi automaton accepting all of `Σ^ω`.
@@ -574,6 +584,28 @@ impl Buchi {
     /// Renders the automaton in Graphviz DOT syntax.
     pub fn to_dot(&self, name: &str) -> String {
         self.to_nfa_structure().to_dot(name)
+    }
+}
+
+impl EdgeRows for Buchi {
+    fn state_count(&self) -> usize {
+        Buchi::state_count(self)
+    }
+
+    fn initial(&self) -> &BTreeSet<StateId> {
+        &self.initial
+    }
+
+    fn is_accepting(&self, q: StateId) -> bool {
+        self.accepting[q]
+    }
+
+    fn row(&self, q: StateId) -> impl Iterator<Item = (Symbol, StateId)> + '_ {
+        self.edges[q].iter().copied()
+    }
+
+    fn successors_on(&self, q: StateId, symbol: Symbol) -> impl Iterator<Item = StateId> + '_ {
+        Buchi::successors(self, q, symbol)
     }
 }
 
@@ -730,7 +762,7 @@ mod tests {
             Err(AutomataError::Cancelled(_))
         ));
         assert!(matches!(
-            ring.prefix_nfa_with(&guard),
+            ring.prefix_graph_with(&guard),
             Err(AutomataError::Cancelled(_))
         ));
         // Polling charges nothing.

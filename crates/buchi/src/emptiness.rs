@@ -35,12 +35,20 @@ impl<'g> Poll<'g> {
     }
 }
 
-/// Iterative Tarjan SCC. Returns `comp[v]` = component id (ids are in
-/// reverse topological order of discovery) for all `n` nodes of the graph
-/// given by `succ`; every node it indexes counts as visited.
+/// Iterative Tarjan SCC over the nodes reachable from `roots`, where
+/// `succ(v, i)` is the `i`-th successor of `v` (`None` past the last).
+/// Returns `comp[v]` = component id (ids are in reverse topological order
+/// of discovery), or `usize::MAX` for a node no root reaches; every node it
+/// indexes counts as visited.
+///
+/// The DFS stack holds `(node, next successor position)` pairs and reads
+/// successors in place, so the pass allocates nothing per node. Duplicate
+/// edges are harmless: a second edge to an indexed node only repeats a
+/// `low` update.
 fn tarjan(
     n: usize,
-    succ: &dyn Fn(usize) -> Vec<usize>,
+    roots: impl IntoIterator<Item = usize>,
+    succ: impl Fn(usize, usize) -> Option<usize>,
     poll: &mut Poll<'_>,
 ) -> Result<Vec<usize>, AutomataError> {
     const UNSET: usize = usize::MAX;
@@ -49,26 +57,24 @@ fn tarjan(
     let mut comp = vec![UNSET; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
+    let mut call: Vec<(usize, usize)> = Vec::new();
     let mut next_index = 0usize;
     let mut next_comp = 0usize;
 
-    // Explicit DFS stack: (node, iterator position over successors).
-    for root in 0..n {
+    for root in roots {
         if index[root] != UNSET {
             continue;
         }
         poll.visit()?;
-        let mut call: Vec<(usize, Vec<usize>, usize)> = vec![(root, succ(root), 0)];
         index[root] = next_index;
         low[root] = next_index;
         next_index += 1;
         stack.push(root);
         on_stack[root] = true;
-        while let Some((v, kids, mut i)) = call.pop() {
-            let mut descended = false;
-            while i < kids.len() {
-                let w = kids[i];
-                i += 1;
+        call.push((root, 0));
+        while let Some(&mut (v, ref mut i)) = call.last_mut() {
+            if let Some(w) = succ(v, *i) {
+                *i += 1;
                 if index[w] == UNSET {
                     poll.visit()?;
                     index[w] = next_index;
@@ -76,18 +82,14 @@ fn tarjan(
                     next_index += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call.push((v, kids, i));
-                    call.push((w, succ(w), 0));
-                    descended = true;
-                    break;
+                    call.push((w, 0));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
-            }
-            if descended {
                 continue;
             }
             // All successors processed: maybe pop an SCC.
+            call.pop();
             if low[v] == index[v] {
                 loop {
                     let w = stack.pop().expect("tarjan stack underflow");
@@ -99,7 +101,7 @@ fn tarjan(
                 }
                 next_comp += 1;
             }
-            if let Some(&mut (parent, _, _)) = call.last_mut() {
+            if let Some(&(parent, _)) = call.last() {
                 low[parent] = low[parent].min(low[v]);
             }
         }
@@ -107,30 +109,21 @@ fn tarjan(
     Ok(comp)
 }
 
-/// Marks the states of `b` that lie on an *accepting cycle*: a cycle (within
-/// the states marked reachable in `reach`) whose SCC contains an accepting
-/// state. These are the recurrence cores of accepting runs.
+/// Marks the states of `b` that lie on an *accepting cycle*: a cycle whose
+/// SCC contains an accepting state. These are the recurrence cores of
+/// accepting runs.
+///
+/// `reach` must be closed under successors (the states reachable from the
+/// initial set): Tarjan starts only from its states and walks `b`'s edge
+/// rows in place.
 pub(crate) fn accepting_cycle_states(
     b: &Buchi,
     reach: &[bool],
     poll: &mut Poll<'_>,
 ) -> Result<Vec<bool>, AutomataError> {
     let n = b.state_count();
-    let succ = |v: usize| -> Vec<usize> {
-        if !reach[v] {
-            return Vec::new();
-        }
-        let mut out: Vec<usize> = b
-            .edges(v)
-            .iter()
-            .map(|&(_, q)| q)
-            .filter(|&q| reach[q])
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    };
-    let comp = tarjan(n, &succ, poll)?;
+    let succ = |v: usize, i: usize| b.edges(v).get(i).map(|&(_, q)| q);
+    let comp = tarjan(n, (0..n).filter(|&v| reach[v]), succ, poll)?;
     let ncomp = comp
         .iter()
         .filter(|&&c| c != usize::MAX)
@@ -140,17 +133,12 @@ pub(crate) fn accepting_cycle_states(
     // non-trivial SCCs alike).
     let mut cyclic = vec![false; ncomp];
     let mut has_acc = vec![false; ncomp];
-    for v in 0..n {
-        if !reach[v] {
-            continue;
-        }
+    for v in (0..n).filter(|&v| reach[v]) {
         if b.is_accepting(v) {
             has_acc[comp[v]] = true;
         }
-        for w in succ(v) {
-            if comp[w] == comp[v] {
-                cyclic[comp[v]] = true;
-            }
+        if b.edges(v).iter().any(|&(_, w)| comp[w] == comp[v]) {
+            cyclic[comp[v]] = true;
         }
     }
     Ok((0..n)
@@ -251,11 +239,10 @@ pub(crate) fn accepts_upword(b: &Buchi, w: &UpWord) -> bool {
     let len = w.lasso_len();
     let total = n * len;
     let node = |q: StateId, i: usize| q * len + i;
-    let succ = |v: usize| -> Vec<usize> {
+    let succs = |v: usize| {
         let (q, i) = (v / len, v % len);
-        let a = w.at(i);
         let j = w.lasso_next(i);
-        b.successors(q, a).map(|q2| node(q2, j)).collect()
+        b.successors(q, w.at(i)).map(move |q2| node(q2, j))
     };
     // Reachability from initial nodes.
     let mut reach = vec![false; total];
@@ -268,7 +255,7 @@ pub(crate) fn accepts_upword(b: &Buchi, w: &UpWord) -> bool {
         }
     }
     while let Some(v) = queue.pop_front() {
-        for u in succ(v) {
+        for u in succs(v) {
             if !reach[u] {
                 reach[u] = true;
                 queue.push_back(u);
@@ -277,14 +264,13 @@ pub(crate) fn accepts_upword(b: &Buchi, w: &UpWord) -> bool {
     }
     // A run of b over w exists with infinitely many accepting states iff the
     // product graph has a reachable cycle through an accepting node.
-    let succ_reach = |v: usize| -> Vec<usize> {
-        if !reach[v] {
-            return Vec::new();
-        }
-        succ(v).into_iter().filter(|&u| reach[u]).collect()
-    };
-    let comp = tarjan(total, &succ_reach, &mut Poll::new(&Guard::unlimited()))
-        .expect("an unlimited guard never trips");
+    let comp = tarjan(
+        total,
+        (0..total).filter(|&v| reach[v]),
+        |v, k| succs(v).nth(k),
+        &mut Poll::new(&Guard::unlimited()),
+    )
+    .expect("an unlimited guard never trips");
     let ncomp = comp
         .iter()
         .filter(|&&c| c != usize::MAX)
@@ -292,17 +278,12 @@ pub(crate) fn accepts_upword(b: &Buchi, w: &UpWord) -> bool {
         .map_or(0, |&m| m + 1);
     let mut cyclic = vec![false; ncomp];
     let mut has_acc = vec![false; ncomp];
-    for v in 0..total {
-        if !reach[v] {
-            continue;
-        }
+    for v in (0..total).filter(|&v| reach[v]) {
         if b.is_accepting(v / len) {
             has_acc[comp[v]] = true;
         }
-        for u in succ_reach(v) {
-            if comp[u] == comp[v] {
-                cyclic[comp[v]] = true;
-            }
+        if succs(v).any(|u| comp[u] == comp[v]) {
+            cyclic[comp[v]] = true;
         }
     }
     (0..ncomp).any(|c| cyclic[c] && has_acc[c])
@@ -318,7 +299,13 @@ mod tests {
         // 0 → 1 → 2 → 0 (one SCC), 3 isolated, 2 → 3.
         let adj: Vec<Vec<usize>> = vec![vec![1], vec![2], vec![0, 3], vec![]];
         let guard = Guard::unlimited();
-        let comp = tarjan(4, &|v| adj[v].clone(), &mut Poll::new(&guard)).unwrap();
+        let comp = tarjan(
+            4,
+            0..4,
+            |v, i| adj[v].get(i).copied(),
+            &mut Poll::new(&guard),
+        )
+        .unwrap();
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[0], comp[3]);
@@ -328,7 +315,13 @@ mod tests {
     fn tarjan_handles_self_loop() {
         let adj: Vec<Vec<usize>> = vec![vec![0], vec![]];
         let guard = Guard::unlimited();
-        let comp = tarjan(2, &|v| adj[v].clone(), &mut Poll::new(&guard)).unwrap();
+        let comp = tarjan(
+            2,
+            0..2,
+            |v, i| adj[v].get(i).copied(),
+            &mut Poll::new(&guard),
+        )
+        .unwrap();
         assert_ne!(comp[0], comp[1]);
     }
 

@@ -78,10 +78,10 @@ pub fn limit_of_regular_with(nfa: &Nfa, guard: &Guard) -> Result<Buchi, Automata
 /// `lim(L)` is the same graph read with Büchi semantics, and the
 /// exponential subset construction is skipped entirely.
 ///
-/// This is the limit constructor of the lazy fused pipeline
-/// ([`Guard::lazy_enabled`]); callers must uphold the all-states-accepting
-/// precondition (transition-system NFAs and [`Buchi::prefix_nfa`] outputs
-/// do by construction).
+/// Callers must uphold the all-states-accepting precondition
+/// (transition-system NFAs and [`Buchi::prefix_nfa`] outputs do by
+/// construction). The check path needs no conversion: its behaviors and
+/// prefix graphs ([`Buchi::prefix_graph_with`]) are Büchi automata already.
 pub fn limit_of_prefix_closed(nfa: &Nfa) -> Buchi {
     debug_assert!(
         (0..nfa.state_count()).all(|q| nfa.is_accepting(q)),
@@ -95,40 +95,45 @@ pub fn limit_of_prefix_closed(nfa: &Nfa) -> Buchi {
 ///
 /// Every state is accepting, so the behaviors are exactly the infinite runs;
 /// deadlocked branches contribute nothing (they admit no infinite run).
-/// The system's NFA is prefix closed and all-accepting, so by König's lemma
-/// its limit is the same graph read with Büchi semantics
+/// The system's language is prefix closed and all-accepting, so by König's
+/// lemma its limit is the system's graph read with Büchi semantics
 /// ([`limit_of_prefix_closed`]): nothing is determinized, and a
 /// nondeterministic system such as `needle24.ts` stays polynomial.
 pub fn behaviors_of_ts(ts: &TransitionSystem) -> Buchi {
-    limit_of_prefix_closed(&ts.to_nfa())
+    behaviors_of_ts_with(ts, &Guard::unlimited()).expect("an unlimited guard never trips")
 }
 
-/// [`behaviors_of_ts`] under a resource [`Guard`]: determinizing a
-/// nondeterministic transition system can blow up exponentially, so the
-/// subset construction is charged against the guard's budget.
+/// [`behaviors_of_ts`] under a resource [`Guard`].
+///
+/// By default the Büchi automaton is built straight from the system's
+/// transitions, one state per system state and one edge per transition, in
+/// a `limit` span that charges every state, then every transition. Under
+/// `Guard::with_lazy(false)` the system's NFA is determinized instead
+/// ([`limit_of_regular_with`]), and that subset construction is charged.
 ///
 /// # Errors
 ///
 /// Returns a budget error when the guard trips.
 pub fn behaviors_of_ts_with(ts: &TransitionSystem, guard: &Guard) -> Result<Buchi, AutomataError> {
     let _span = guard.span("behaviors");
-    let nfa = ts.to_nfa();
-    if guard.lazy_enabled() {
-        // Lazy pipeline: a transition system's NFA is all-accepting and
-        // prefix-closed, so `lim` is the graph itself under Büchi semantics
-        // (see `limit_of_prefix_closed`) — the subset construction that
-        // dominates worst cases like needle24.ts is skipped. The copied
-        // graph is still charged so budgets and counters stay honest.
-        let _lim = guard.span("limit");
-        for _ in 0..nfa.state_count() {
-            guard.charge_state()?;
-        }
-        for _ in 0..nfa.transition_count() {
-            guard.charge_transition()?;
-        }
-        return Ok(limit_of_prefix_closed(&nfa));
+    if !guard.lazy_enabled() {
+        return limit_of_regular_with(&ts.to_nfa(), guard);
     }
-    limit_of_regular_with(&nfa, guard)
+    let _lim = guard.span("limit");
+    let mut b = Buchi::new(ts.alphabet().clone());
+    for _ in 0..ts.state_count() {
+        guard.charge_state()?;
+        b.add_state(true);
+    }
+    if ts.state_count() > 0 {
+        b.set_initial(ts.initial());
+    }
+    // Sorted by source, symbol, then target: every edge appends to its row.
+    for (p, a, q) in ts.transitions() {
+        guard.charge_transition()?;
+        b.add_transition(p, a, q);
+    }
+    Ok(b)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! One check, three verdicts: the shared plan behind `rlcheck check`.
 
-use rl_automata::{dfa_included, dfa_included_with, nfa_included_lazy, Guard, Nfa};
-use rl_buchi::{limit_of_dfa, limit_of_prefix_closed, Buchi, UpWord};
+use rl_automata::{dfa_included, dfa_included_with, nfa_included_lazy, Guard};
+use rl_buchi::{limit_of_dfa, Buchi, UpWord};
 
 use crate::property::{CoreError, Property};
 use crate::relative::{RelativeLivenessVerdict, RelativeSafetyVerdict, SatisfactionVerdict};
@@ -24,8 +24,11 @@ pub struct CheckVerdicts {
 /// Classical satisfaction (Definition 3.2), relative liveness (Lemma 4.3)
 /// and relative safety (Lemma 4.4) are three views of the same automata:
 /// `¬P`, `L_ω ∩ ¬P`, `P`, `L_ω ∩ P`, `pre(L_ω)` and `pre(L_ω ∩ P)`. The
-/// plan builds each at most once, on first use. It also remembers the
-/// verdicts it has decided, and a later decision skips every step Theorem
+/// plan builds each at most once, on first use. Every one is a Büchi
+/// automaton: `pre(·)` is the reduced graph read all-accepting
+/// ([`Buchi::prefix_graph_with`]), which as an NFA accepts the prefixes
+/// and, by König's lemma, as a Büchi automaton accepts their limit. The
+/// plan also remembers the verdicts it has decided, and a later decision skips every step Theorem
 /// 4.7 (`L_ω ⊆ P` ⇔ rel-live ∧ rel-safe) settles from them. Decided in
 /// [`CheckPlan::decide`]'s order:
 ///
@@ -78,10 +81,13 @@ pub struct CheckPlan<'a> {
     guard: &'a Guard,
     /// `¬P`, translated on first use.
     negation: Option<Buchi>,
-    /// `L_ω ∩ ¬P`, the classical violation product.
+    /// `L_ω ∩ ¬P`, the classical violation product. Dropped after the
+    /// classical verdict when `L_ω` is limit closed: relative safety then
+    /// never reads it.
     violations: Option<Buchi>,
-    /// `pre(L_ω ∩ P)`; `P` and `L_ω ∩ P` are built only to derive it.
-    good_prefixes: Option<Nfa>,
+    /// The prefix graph of `L_ω ∩ P`; `P` and `L_ω ∩ P` are built only to
+    /// derive it.
+    good_prefixes: Option<Buchi>,
     /// The classical verdict, once decided.
     satisfaction: Option<SatisfactionVerdict>,
     /// Whether `P` is relatively live, once decided.
@@ -131,6 +137,9 @@ impl<'a> CheckPlan<'a> {
         let guard = self.guard;
         let _span = guard.span("classical");
         let cex = accepted_upword(self.violations()?, guard)?;
+        if is_limit_closed(self.system) {
+            self.violations = None;
+        }
         let verdict = SatisfactionVerdict {
             holds: cex.is_none(),
             counterexample: cex,
@@ -145,10 +154,11 @@ impl<'a> CheckPlan<'a> {
     /// built.
     ///
     /// By default ([`Guard::lazy_enabled`]) the inclusion is decided by the
-    /// fused antichain search [`nfa_included_lazy`], which never
-    /// determinizes; `Guard::with_lazy(false)` determinizes both prefix
-    /// automata and runs the DFA inclusion product instead. Both are exact
-    /// and return a shortest doomed prefix.
+    /// fused antichain search [`nfa_included_lazy`] over the two prefix
+    /// graphs' edge lists, which never determinizes; `Guard::with_lazy(false)`
+    /// converts both graphs to NFAs, determinizes them and runs the DFA
+    /// inclusion product instead. Both are exact and return a shortest
+    /// doomed prefix.
     ///
     /// # Errors
     ///
@@ -166,14 +176,14 @@ impl<'a> CheckPlan<'a> {
         let pre_lp = self.good_prefixes()?;
         let pre_l = prefixes(system, guard)?;
         let doomed = if guard.lazy_enabled() {
-            // Both prefix NFAs are all-accepting (prefix-closed) by
+            // Both prefix graphs are all-accepting (prefix-closed) by
             // construction, so acceptance along the lazy product is run-set
             // non-emptiness and the antichain search decides the inclusion
             // without a single subset construction.
             nfa_included_lazy(&pre_l, pre_lp, guard)?
         } else {
-            let pre_l_dfa = pre_l.determinize_with(guard)?;
-            let pre_lp_dfa = pre_lp.determinize_with(guard)?;
+            let pre_l_dfa = pre_l.to_nfa_structure().determinize_with(guard)?;
+            let pre_lp_dfa = pre_lp.to_nfa_structure().determinize_with(guard)?;
             debug_assert!(
                 dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
                 "pre(L ∩ P) ⊈ pre(L): construction bug"
@@ -199,9 +209,9 @@ impl<'a> CheckPlan<'a> {
     /// `pre(L_ω) = pre(L_ω ∩ P)`, so `x ∈ lim(pre(L_ω ∩ P))`.
     ///
     /// By default ([`Guard::lazy_enabled`]) `lim(pre(L_ω ∩ P))` is the
-    /// prefix automaton itself read with Büchi semantics
-    /// ([`limit_of_prefix_closed`], König's lemma); `Guard::with_lazy(false)`
-    /// takes the limit of its determinization instead. When `L_ω` is limit
+    /// prefix graph itself (König's lemma, see [`Buchi::prefix_graph_with`]);
+    /// `Guard::with_lazy(false)` takes the limit of its determinization
+    /// instead. When `L_ω` is limit
     /// closed — every state of `system` accepting, as the behaviors of a
     /// transition system are — `lim(pre(L_ω ∩ P)) ⊆ lim(pre(L_ω)) = L_ω`,
     /// so the `L_ω` factor is dropped and the product is
@@ -222,20 +232,26 @@ impl<'a> CheckPlan<'a> {
                 });
             }
         }
-        let pre_lp = self.good_prefixes()?;
-        let lim = {
+        let pre_lp = self.take_good_prefixes()?;
+        let eager_lim = {
+            // Opened on the lazy path too, where the limit is free, so the
+            // span tree has the same shape under both pipelines.
             let _span = guard.span("limit");
             if guard.lazy_enabled() {
-                limit_of_prefix_closed(pre_lp)
+                None
             } else {
-                limit_of_dfa(&pre_lp.determinize_with(guard)?)
+                Some(limit_of_dfa(
+                    &pre_lp.to_nfa_structure().determinize_with(guard)?,
+                ))
             }
         };
+        let lim = eager_lim.as_ref().unwrap_or(&pre_lp);
         let bad = if is_limit_closed(self.system) {
             lim.intersection_with(self.negation()?, guard)?
         } else {
-            self.violations()?.intersection_with(&lim, guard)?
+            self.violations()?.intersection_with(lim, guard)?
         };
+        self.good_prefixes = Some(pre_lp);
         let escape = accepted_upword(&bad, guard)?;
         Ok(RelativeSafetyVerdict {
             holds: escape.is_none(),
@@ -266,21 +282,25 @@ impl<'a> CheckPlan<'a> {
         Ok(self.violations.insert(product))
     }
 
-    /// `pre(L_ω ∩ P)`: translates `P` and builds `L_ω ∩ P` once.
-    fn good_prefixes(&mut self) -> Result<&Nfa, CoreError> {
-        let pre = match self.good_prefixes.take() {
-            Some(pre) => pre,
-            None => {
-                let p = {
-                    let _span = self.guard.span("translate");
-                    self.property
-                        .to_buchi_with(self.system.alphabet(), self.guard)?
-                };
-                let both = self.system.intersection_with(&p, self.guard)?;
-                prefixes(&both, self.guard)?
-            }
-        };
+    /// The prefix graph of `L_ω ∩ P`, built once.
+    fn good_prefixes(&mut self) -> Result<&Buchi, CoreError> {
+        let pre = self.take_good_prefixes()?;
         Ok(self.good_prefixes.insert(pre))
+    }
+
+    /// Takes the prefix graph of `L_ω ∩ P` out of the plan, first
+    /// translating `P` and building `L_ω ∩ P` when it is not built yet.
+    fn take_good_prefixes(&mut self) -> Result<Buchi, CoreError> {
+        if let Some(pre) = self.good_prefixes.take() {
+            return Ok(pre);
+        }
+        let p = {
+            let _span = self.guard.span("translate");
+            self.property
+                .to_buchi_with(self.system.alphabet(), self.guard)?
+        };
+        let both = self.system.intersection_with(&p, self.guard)?;
+        prefixes(&both, self.guard)
     }
 }
 
@@ -291,11 +311,11 @@ fn is_limit_closed(b: &Buchi) -> bool {
     (0..b.state_count()).all(|q| b.is_accepting(q))
 }
 
-/// [`Buchi::prefix_nfa_with`] (reduce, then read all-accepting) in a
+/// [`Buchi::prefix_graph_with`] (reduce, then read all-accepting) in a
 /// `prefix` span.
-fn prefixes(b: &Buchi, guard: &Guard) -> Result<Nfa, CoreError> {
+fn prefixes(b: &Buchi, guard: &Guard) -> Result<Buchi, CoreError> {
     let _span = guard.span("prefix");
-    Ok(b.prefix_nfa_with(guard)?)
+    Ok(b.prefix_graph_with(guard)?)
 }
 
 /// [`Buchi::accepted_upword_with`] in an `emptiness` span.

@@ -15,6 +15,11 @@
 //!
 //! `F`/`<>` are eventually, `G`/`[]` always. Identifiers are
 //! `[A-Za-z_][A-Za-z0-9_]*` except the keywords.
+//!
+//! Formulas nest at most [`MAX_DEPTH`] levels deep, counting operators and
+//! parentheses: every later pass over a formula recurses on its structure,
+//! and a deeper input would overflow a worker thread's stack instead of
+//! failing cleanly.
 
 use std::error::Error;
 use std::fmt;
@@ -157,10 +162,23 @@ fn lex(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     Ok(toks)
 }
 
+/// The deepest formula [`parse`] accepts. A formula's depth is its height
+/// as a syntax tree, and the parser also counts each open parenthesis,
+/// prefix operator and right-associative step while it descends. At this
+/// depth a formula still parses, translates and checks on a 2 MiB worker
+/// stack in an unoptimized build; one level more is a [`ParseError`].
+pub const MAX_DEPTH: usize = 200;
+
+/// A parsed subformula and its depth.
+type Term = (Formula, usize);
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
     end: usize,
+    /// Parentheses, prefix operators and right-associative steps open on
+    /// the current descent.
+    open: usize,
 }
 
 impl Parser {
@@ -187,117 +205,122 @@ impl Parser {
         }
     }
 
-    fn iff(&mut self) -> Result<Formula, ParseError> {
+    /// `depth`, or an error when it exceeds [`MAX_DEPTH`].
+    fn within(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.error(format!("formula nests deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(depth)
+    }
+
+    /// Parses `inner` one level further down the descent.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Parser) -> Result<Term, ParseError>,
+    ) -> Result<Term, ParseError> {
+        self.open = self.within(self.open + 1)?;
+        let term = inner(self)?;
+        self.open -= 1;
+        Ok(term)
+    }
+
+    fn binary_node(
+        &self,
+        (l, dl): Term,
+        (r, dr): Term,
+        op: fn(Formula, Formula) -> Formula,
+    ) -> Result<Term, ParseError> {
+        Ok((op(l, r), self.within(dl.max(dr) + 1)?))
+    }
+
+    fn iff(&mut self) -> Result<Term, ParseError> {
         let mut left = self.imp()?;
         while self.peek() == Some(&Tok::Iff) {
             self.bump();
             let right = self.imp()?;
-            left = left.iff(right);
+            left = self.binary_node(left, right, Formula::iff)?;
         }
         Ok(left)
     }
 
-    fn imp(&mut self) -> Result<Formula, ParseError> {
+    fn imp(&mut self) -> Result<Term, ParseError> {
         let left = self.or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.bump();
-            let right = self.imp()?;
-            Ok(left.implies(right))
+            let right = self.nested(Parser::imp)?;
+            self.binary_node(left, right, Formula::implies)
         } else {
             Ok(left)
         }
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
+    fn or(&mut self) -> Result<Term, ParseError> {
         let mut left = self.and()?;
         while self.peek() == Some(&Tok::Or) {
             self.bump();
             let right = self.and()?;
-            left = left.or(right);
+            left = self.binary_node(left, right, Formula::or)?;
         }
         Ok(left)
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
+    fn and(&mut self) -> Result<Term, ParseError> {
         let mut left = self.until()?;
         while self.peek() == Some(&Tok::And) {
             self.bump();
             let right = self.until()?;
-            left = left.and(right);
+            left = self.binary_node(left, right, Formula::and)?;
         }
         Ok(left)
     }
 
-    fn until(&mut self) -> Result<Formula, ParseError> {
+    fn until(&mut self) -> Result<Term, ParseError> {
         let left = self.unary()?;
-        match self.peek() {
-            Some(&Tok::Until) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.until(right))
-            }
-            Some(&Tok::Release) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.release(right))
-            }
-            Some(&Tok::Before) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.before(right))
-            }
-            Some(&Tok::WeakUntil) => {
-                self.bump();
-                let right = self.until()?;
-                Ok(left.weak_until(right))
-            }
-            _ => Ok(left),
-        }
+        let op: fn(Formula, Formula) -> Formula = match self.peek() {
+            Some(&Tok::Until) => Formula::until,
+            Some(&Tok::Release) => Formula::release,
+            Some(&Tok::Before) => Formula::before,
+            Some(&Tok::WeakUntil) => Formula::weak_until,
+            _ => return Ok(left),
+        };
+        self.bump();
+        let right = self.nested(Parser::until)?;
+        self.binary_node(left, right, op)
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
-        match self.peek() {
-            Some(&Tok::Not) => {
-                self.bump();
-                Ok(self.unary()?.not())
-            }
-            Some(&Tok::Next) => {
-                self.bump();
-                Ok(self.unary()?.next())
-            }
-            Some(&Tok::Eventually) => {
-                self.bump();
-                Ok(self.unary()?.eventually())
-            }
-            Some(&Tok::Always) => {
-                self.bump();
-                Ok(self.unary()?.always())
-            }
+    fn unary(&mut self) -> Result<Term, ParseError> {
+        let op: fn(Formula) -> Formula = match self.peek() {
+            Some(&Tok::Not) => Formula::not,
+            Some(&Tok::Next) => Formula::next,
+            Some(&Tok::Eventually) => Formula::eventually,
+            Some(&Tok::Always) => Formula::always,
             Some(&Tok::True) => {
                 self.bump();
-                Ok(Formula::True)
+                return Ok((Formula::True, 1));
             }
             Some(&Tok::False) => {
                 self.bump();
-                Ok(Formula::False)
+                return Ok((Formula::False, 1));
             }
             Some(Tok::Ident(_)) => {
-                if let Some(Tok::Ident(name)) = self.bump() {
-                    Ok(Formula::atom(name))
-                } else {
+                let Some(Tok::Ident(name)) = self.bump() else {
                     unreachable!()
-                }
+                };
+                return Ok((Formula::atom(name), 1));
             }
             Some(&Tok::LParen) => {
                 self.bump();
-                let inner = self.iff()?;
+                let inner = self.nested(Parser::iff)?;
                 if self.bump() != Some(Tok::RParen) {
                     return Err(self.error("expected ')'"));
                 }
-                Ok(inner)
+                return Ok(inner);
             }
-            _ => Err(self.error("expected a formula")),
-        }
+            _ => return Err(self.error("expected a formula")),
+        };
+        self.bump();
+        let (operand, depth) = self.nested(Parser::unary)?;
+        Ok((op(operand), self.within(depth + 1)?))
     }
 }
 
@@ -326,8 +349,9 @@ pub fn parse(input: &str) -> Result<Formula, ParseError> {
         toks,
         pos: 0,
         end: input.len(),
+        open: 0,
     };
-    let f = p.iff()?;
+    let (f, _) = p.iff()?;
     if p.pos != p.toks.len() {
         return Err(p.error("trailing input"));
     }
@@ -387,6 +411,43 @@ mod tests {
         assert_eq!(err.position, 2);
         let err = parse("(a").unwrap_err();
         assert!(err.message.contains(")"));
+    }
+
+    /// Formulas of depth `d` in each shape the cap must see: parentheses,
+    /// prefix operators, right-associative chains and left-associative
+    /// chains.
+    fn deep(d: usize) -> Vec<String> {
+        let chain = |op: &str| vec!["a"; d].join(op);
+        vec![
+            format!("{}a{}", "(".repeat(d), ")".repeat(d)),
+            format!("{}a", "X ".repeat(d - 1)),
+            format!("{}a", "!".repeat(d - 1)),
+            format!(
+                "{}{}a{}",
+                "X ".repeat(d % 2),
+                "X(".repeat(d / 2),
+                ")".repeat(d / 2)
+            ),
+            chain(" -> "),
+            chain(" U "),
+            chain(" & "),
+            chain(" <-> "),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for text in deep(MAX_DEPTH) {
+            assert!(parse(&text).is_ok(), "{text}");
+        }
+        for text in deep(MAX_DEPTH + 1) {
+            let err = parse(&text).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("formula nests deeper than {MAX_DEPTH} levels"),
+                "{text}"
+            );
+        }
     }
 
     #[test]

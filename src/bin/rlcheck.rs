@@ -113,6 +113,7 @@
 //! System files use the `system`/`petri` formats of
 //! [`relative_liveness::format`].
 
+use std::ffi::OsString;
 use std::panic::{self, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -845,7 +846,10 @@ fn govern(body: impl FnOnce() -> Result<ExitCode, CheckError>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Result<Vec<String>, _> = std::env::args_os()
+        .skip(1)
+        .map(OsString::into_string)
+        .collect();
     let usage = "usage: rlcheck <check|abstract|simplicity|fair|dot|batch|report|serve|top|slo> \
                  <system-file>... [<formula>] [--keep a,b,c] [--steps N] \
                  [--timeout <secs>] [--max-states <n>] [--jobs <n>] \
@@ -855,6 +859,9 @@ fn main() -> ExitCode {
                  [--stats] [--metrics <file>] [--trace-out <file>] \
                  [--flame-out <file>] [--progress] [--no-op-cache] \
                  [--no-lazy] [--cache-bytes <n>]";
+    let Ok(mut args) = args else {
+        return fail(format!("arguments must be valid UTF-8\n{usage}"));
+    };
     let budget = match extract_budget(&mut args) {
         Ok(b) => b,
         Err(e) => return fail(format!("{e}\n{usage}")),

@@ -31,7 +31,7 @@
 //! weighted as `k*<place>`. The net's behavior is its bounded reachability
 //! graph.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -94,59 +94,66 @@ fn parse_transition_system<'a>(
     lines: impl Iterator<Item = (usize, &'a str)>,
 ) -> Result<TransitionSystem, FormatError> {
     let mut alphabet: Option<Alphabet> = None;
-    let mut initial_name: Option<String> = None;
-    let mut states: BTreeMap<String, usize> = BTreeMap::new();
-    let mut transitions: Vec<(usize, String, String, String)> = Vec::new();
+    let mut initial_name: Option<&str> = None;
+    let mut transitions: Vec<(usize, &str, &str, &str)> = Vec::new();
 
     for (n, line) in lines {
         if let Some(rest) = line.strip_prefix("alphabet:") {
             if alphabet.is_some() {
                 return Err(err(n, "second 'alphabet:' line"));
             }
-            let names: Vec<&str> = rest.split_whitespace().collect();
-            alphabet = Some(
-                Alphabet::new(names.iter().map(|s| s.to_string()))
-                    .map_err(|e| err(n, e.to_string()))?,
-            );
+            alphabet =
+                Some(Alphabet::new(rest.split_whitespace()).map_err(|e| err(n, e.to_string()))?);
         } else if let Some(rest) = line.strip_prefix("initial:") {
             if initial_name.is_some() {
                 return Err(err(n, "second 'initial:' line"));
             }
-            let [name] = rest.split_whitespace().collect::<Vec<_>>()[..] else {
+            let mut names = rest.split_whitespace();
+            let (Some(name), None) = (names.next(), names.next()) else {
                 return Err(err(n, "'initial:' must name exactly one state"));
             };
-            initial_name = Some(name.to_owned());
+            initial_name = Some(name);
         } else {
             // "<src> <action> -> <dst>"
             let Some((lhs, rhs)) = line.split_once("->") else {
                 return Err(err(n, format!("expected a transition, found {line:?}")));
             };
-            let parts: Vec<&str> = (lhs.split_whitespace().chain(["->"]))
-                .chain(rhs.split_whitespace())
-                .collect();
-            let [src, action, "->", dst] = parts[..] else {
+            let mut parts = lhs
+                .split_whitespace()
+                .chain(["->"])
+                .chain(rhs.split_whitespace());
+            let (Some(src), Some(action), Some("->"), Some(dst), None) = (
+                parts.next(),
+                parts.next(),
+                parts.next(),
+                parts.next(),
+                parts.next(),
+            ) else {
                 return Err(err(n, "transition must be '<src> <action> -> <dst>'"));
             };
-            transitions.push((n, src.to_owned(), action.to_owned(), dst.to_owned()));
+            transitions.push((n, src, action, dst));
         }
     }
     let alphabet = alphabet.ok_or_else(|| err(0, "missing 'alphabet:' line"))?;
     let initial_name = initial_name.ok_or_else(|| err(0, "missing 'initial:' line"))?;
 
     let mut ts = TransitionSystem::new(alphabet.clone());
-    let mut intern = |name: &str, ts: &mut TransitionSystem| -> usize {
+    // State names come from outside the program: keep the default,
+    // collision-resistant hasher.
+    let mut states: HashMap<&str, usize> = HashMap::new();
+    let mut intern = |name: &'a str, ts: &mut TransitionSystem| -> usize {
         *states
-            .entry(name.to_owned())
+            .entry(name)
             .or_insert_with(|| ts.add_labeled_state(name))
     };
-    let init = intern(&initial_name, &mut ts);
+    let init = intern(initial_name, &mut ts);
     ts.set_initial(init);
     for (n, src, action, dst) in transitions {
         let sym = alphabet
-            .symbol(&action)
+            .symbol(action)
             .ok_or_else(|| err(n, format!("unknown action {action:?}")))?;
-        let s = intern(&src, &mut ts);
-        let d = intern(&dst, &mut ts);
+        let s = intern(src, &mut ts);
+        let d = intern(dst, &mut ts);
         ts.add_transition(s, sym, d);
     }
     Ok(ts)

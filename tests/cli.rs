@@ -144,6 +144,70 @@ fn bad_usage_exits_2() {
     assert_eq!(out3.status.code(), Some(2));
 }
 
+#[cfg(unix)]
+#[test]
+fn non_utf8_arguments_exit_2_with_usage() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+    let out = Command::new(env!("CARGO_BIN_EXE_rlcheck"))
+        .args(["check", "examples/systems/clock.ts"])
+        .arg(OsStr::from_bytes(b"tick\xff"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("rlcheck binary runs");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("usage: rlcheck"), "{}", stderr(&out));
+}
+
+/// `depth` parentheses around `tick`: the shape that costs the parser the
+/// most stack per level.
+fn parenthesized(depth: usize) -> String {
+    format!("{}tick{}", "(".repeat(depth), ")".repeat(depth))
+}
+
+#[test]
+fn deep_formulas_are_parse_errors_not_aborts() {
+    use relative_liveness::logic::MAX_DEPTH;
+    let batch = |formula: &str| {
+        rlcheck(&[
+            "batch",
+            "examples/systems/clock.ts",
+            "--formula",
+            formula,
+            "--jobs",
+            "2",
+        ])
+    };
+    // At the cap a formula still checks on a pool worker's stack.
+    for formula in [
+        parenthesized(MAX_DEPTH),
+        format!("{}tick", "X ".repeat(MAX_DEPTH - 1)),
+    ] {
+        let out = batch(&formula);
+        assert!(
+            matches!(out.status.code(), Some(0 | 1)),
+            "{:?}: {}",
+            out.status,
+            stderr(&out)
+        );
+    }
+    let too_deep = format!("formula nests deeper than {MAX_DEPTH} levels");
+    for formula in [
+        parenthesized(MAX_DEPTH + 1),
+        parenthesized(2000),
+        format!("{}tick", "tick -> ".repeat(10_000)),
+        format!("{}tick", "X ".repeat(10_000)),
+    ] {
+        let out = batch(&formula);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains(&too_deep), "{}", stderr(&out));
+    }
+    // `check` parses on the main thread and fails the same way.
+    let out = rlcheck(&["check", "examples/systems/clock.ts", &parenthesized(20_000)]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains(&too_deep), "{}", stderr(&out));
+}
+
 #[test]
 fn help_prints_usage_and_exits_0() {
     for arg in ["help", "--help", "-h"] {

@@ -555,3 +555,55 @@ proptest! {
         }
     }
 }
+
+/// Grammar tokens of the LTL syntax, plus a few near misses the lexer
+/// rejects.
+const LTL_TOKENS: [&str; 28] = [
+    "(", ")", "!", "&", "&&", "|", "||", "->", "<->", "X", "F", "G", "[]", "<>", "U", "R", "B",
+    "W", "true", "false", "a", "b", "-", "<", "[", "@", " ", "_x1",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Malformed LTL never panics: a formula's text truncated, with a
+    /// slice duplicated or a grammar token spliced in, and soups of grammar
+    /// tokens all parse to `Ok` or `Err`. Every `Ok` prints back to text
+    /// that parses to the same formula.
+    #[test]
+    fn malformed_ltl_parses_or_fails_cleanly(
+        f in formula_pool(),
+        edits in proptest::collection::vec((0..3usize, 0..64usize, 0..64usize, 0..28usize), 0..4),
+        soup in proptest::collection::vec(0..28usize, 0..16),
+        spaced in 0..2usize,
+    ) {
+        let mut chars: Vec<char> = f.to_string().chars().collect();
+        for (op, at, len, token) in edits {
+            let at = at % (chars.len() + 1);
+            match op {
+                0 => chars.truncate(at),
+                1 => {
+                    let end = (at + len).min(chars.len());
+                    let slice = chars[at..end].to_vec();
+                    chars.splice(at..at, slice);
+                }
+                _ => {
+                    chars.splice(at..at, LTL_TOKENS[token].chars());
+                }
+            }
+        }
+        let mangled: String = chars.into_iter().collect();
+        let soup = soup
+            .into_iter()
+            .map(|t| LTL_TOKENS[t])
+            .collect::<Vec<_>>()
+            .join(if spaced == 1 { " " } else { "" });
+        for text in [mangled, soup] {
+            let parsed = std::panic::catch_unwind(|| parse(&text));
+            prop_assert!(parsed.is_ok(), "parse panicked on {text:?}");
+            if let Ok(Ok(g)) = parsed {
+                prop_assert_eq!(parse(&g.to_string()), Ok(g), "{}", text);
+            }
+        }
+    }
+}

@@ -1172,3 +1172,35 @@ fn misconfigured_knobs_warn_once_on_daemon_stderr() {
         "stderr: {err}"
     );
 }
+
+#[test]
+fn deep_formula_is_a_parse_error_and_the_daemon_keeps_serving() {
+    // 2000 nested parentheses once overflowed the pool worker's stack and
+    // aborted the daemon with every sibling job; now the parser's depth cap
+    // turns it into a usage error for this job alone.
+    let mut d = start_daemon("deep", &["--jobs", "2"], &[]);
+    let mut c = connect(&d);
+    let deep = format!("{}tick{}", "(".repeat(2000), ")".repeat(2000));
+    let r = c.request(&submit_line(&[
+        ("path", s("examples/systems/clock.ts")),
+        ("formula", s(&deep)),
+    ]));
+    assert!(bool_field(&r, "ok"), "{r:?}");
+    let done = c.wait_job(int_field(&r, "id"));
+    assert_eq!(int_field(&done, "code"), 2, "{done:?}");
+    assert!(
+        str_field(&done, "diagnostics").contains("formula nests deeper than"),
+        "{done:?}"
+    );
+
+    let r = c.request(&submit_line(&[
+        ("path", s("examples/systems/clock.ts")),
+        ("formula", s("[]<>tick")),
+    ]));
+    assert!(bool_field(&r, "ok"), "{r:?}");
+    let done = c.wait_job(int_field(&r, "id"));
+    assert_eq!(int_field(&done, "code"), 0, "{done:?}");
+
+    assert_eq!(str_field(&c.shutdown(), "status"), "draining");
+    assert_eq!(d.wait_exit(), 0, "clean drain exits 0");
+}

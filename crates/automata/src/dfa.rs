@@ -137,16 +137,6 @@ impl Dfa {
         self.initial = q;
     }
 
-    /// Sets whether `q` accepts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn set_accepting(&mut self, q: StateId, accepting: bool) {
-        assert!(q < self.state_count(), "invalid state {q}");
-        self.accepting[q] = accepting;
-    }
-
     /// Sets (overwrites) the transition `from --symbol--> to`.
     ///
     /// # Panics

@@ -70,7 +70,6 @@ mod equiv;
 mod error;
 pub mod fault;
 mod guard;
-mod json;
 pub mod lazy;
 pub mod mem;
 mod minimize;
@@ -78,7 +77,6 @@ mod nfa;
 mod opcache;
 mod par;
 mod prefilter;
-mod regex;
 mod sim;
 mod stateset;
 mod ts;
@@ -95,7 +93,6 @@ pub use nfa::Nfa;
 pub use opcache::OpCache;
 pub use par::{resolve_jobs, Pool, PoolCounters};
 pub use prefilter::{modk_refute, nfa_simulates, parikh_refute};
-pub use regex::Regex;
 pub use rl_obs::knobs;
 pub use rl_obs::{
     chrome_trace_json, folded_stacks, render_jsonl, set_thread_track, thread_track, track_name,

@@ -138,16 +138,6 @@ impl Buchi {
         self.initial.insert(q);
     }
 
-    /// Sets whether `q` is accepting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn set_accepting(&mut self, q: StateId, accepting: bool) {
-        assert!(q < self.state_count(), "invalid state {q}");
-        self.accepting[q] = accepting;
-    }
-
     /// Adds the transition `from --symbol--> to`.
     ///
     /// # Panics

@@ -113,11 +113,6 @@ impl GeneralizedBuchi {
         self.state_count
     }
 
-    /// Number of acceptance sets.
-    pub fn acceptance_count(&self) -> usize {
-        self.acceptance.len()
-    }
-
     /// Counter-based degeneralization into an ordinary Büchi automaton.
     ///
     /// With `k` acceptance sets the result has up to `k·n` states: a counter

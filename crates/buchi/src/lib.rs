@@ -14,8 +14,7 @@
 //!   "reduced Büchi automaton" of Theorem 5.1),
 //! * `pre(·)` — the NFA of finite prefixes of accepted ω-words,
 //! * `lim(·)` — the Büchi automaton accepting the limit of a DFA's language,
-//! * rank-based (Kupferman–Vardi) complementation, ω-language inclusion and
-//!   equivalence,
+//! * rank-based (Kupferman–Vardi) complementation and ω-language inclusion,
 //! * membership of ultimately periodic words.
 //!
 //! # Example
@@ -52,19 +51,11 @@ mod buchi;
 mod complement;
 mod emptiness;
 mod generalized;
-mod json;
 mod limits;
-mod omega_regex;
 mod upword;
 
 pub use buchi::Buchi;
-pub use complement::{
-    complement, complement_with, omega_equivalent, omega_included, omega_included_with,
-};
+pub use complement::{complement, complement_with, omega_included, omega_included_with};
 pub use generalized::GeneralizedBuchi;
-pub use limits::{
-    behaviors_of_ts, behaviors_of_ts_with, limit_of_dfa, limit_of_prefix_closed, limit_of_regular,
-    limit_of_regular_with,
-};
-pub use omega_regex::OmegaRegex;
+pub use limits::{behaviors_of_ts, behaviors_of_ts_with, limit_of_dfa, limit_of_prefix_closed};
 pub use upword::UpWord;

@@ -13,8 +13,8 @@ use crate::buchi::Buchi;
 /// For a DFA the unique run of `x` visits accepting states at exactly the
 /// positions whose prefix is in `L`, so `x ∈ lim(L)` iff the run hits
 /// acceptance infinitely often — i.e. the same graph read with Büchi
-/// semantics. (This correspondence is false for NFAs, which is why
-/// [`limit_of_regular`] determinizes first.)
+/// semantics. (This correspondence is false for NFAs in general, which is
+/// why a nondeterministic language is determinized first.)
 ///
 /// # Example
 ///
@@ -49,29 +49,13 @@ pub fn limit_of_dfa(d: &Dfa) -> Buchi {
     b
 }
 
-/// The Büchi automaton accepting `lim(L(nfa))`, via determinization.
-pub fn limit_of_regular(nfa: &Nfa) -> Buchi {
-    limit_of_dfa(&nfa.determinize())
-}
-
-/// [`limit_of_regular`] under a resource [`Guard`]: the subset construction
-/// is charged against the guard's budget.
-///
-/// # Errors
-///
-/// Returns a budget error when the guard trips.
-pub fn limit_of_regular_with(nfa: &Nfa, guard: &Guard) -> Result<Buchi, AutomataError> {
-    let _span = guard.span("limit");
-    Ok(limit_of_dfa(&nfa.determinize_with(guard)?))
-}
-
 /// The Büchi automaton accepting `lim(L(nfa))` for a prefix-closed NFA
 /// with *every state accepting* — no determinization.
 ///
 /// For such an automaton König's lemma closes the gap that makes
-/// [`limit_of_regular`] determinize in general: the run tree of an ω-word
-/// `x` has a node at depth `n` exactly when `x`'s length-`n` prefix is in
-/// `L`, every node's parent is a node (prefixes of prefixes are reachable
+/// [`limit_of_dfa`] need a deterministic automaton in general: the run
+/// tree of an ω-word `x` has a node at depth `n` exactly when `x`'s
+/// length-`n` prefix is in `L`, every node's parent is a node (prefixes of prefixes are reachable
 /// through the same run), and branching is finite — so *all* prefixes of
 /// `x` being in `L` yields an infinite path, i.e. an infinite run. With
 /// all states accepting, that run is Büchi-accepting verbatim. Hence
@@ -108,18 +92,18 @@ pub fn behaviors_of_ts(ts: &TransitionSystem) -> Buchi {
 /// By default the Büchi automaton is built straight from the system's
 /// transitions, one state per system state and one edge per transition, in
 /// a `limit` span that charges every state, then every transition. Under
-/// `Guard::with_lazy(false)` the system's NFA is determinized instead
-/// ([`limit_of_regular_with`]), and that subset construction is charged.
+/// `Guard::with_lazy(false)` the system's NFA is determinized instead and
+/// read with [`limit_of_dfa`], and that subset construction is charged.
 ///
 /// # Errors
 ///
 /// Returns a budget error when the guard trips.
 pub fn behaviors_of_ts_with(ts: &TransitionSystem, guard: &Guard) -> Result<Buchi, AutomataError> {
     let _span = guard.span("behaviors");
-    if !guard.lazy_enabled() {
-        return limit_of_regular_with(&ts.to_nfa(), guard);
-    }
     let _lim = guard.span("limit");
+    if !guard.lazy_enabled() {
+        return Ok(limit_of_dfa(&ts.to_nfa().determinize_with(guard)?));
+    }
     let mut b = Buchi::new(ts.alphabet().clone());
     for _ in 0..ts.state_count() {
         guard.charge_state()?;

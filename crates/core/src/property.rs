@@ -173,15 +173,6 @@ impl Property {
             }
         }
     }
-
-    /// A short human-readable description.
-    pub fn describe(&self) -> String {
-        match self {
-            Property::Formula(f) => format!("⊨ {f}"),
-            Property::LabeledFormula(f, _) => format!("⊨ {f} (custom labeling)"),
-            Property::Automaton(b) => format!("Büchi property ({} states)", b.state_count()),
-        }
-    }
 }
 
 impl From<Formula> for Property {

@@ -38,15 +38,6 @@ impl Run {
         counts
     }
 
-    /// How often each state was visited.
-    pub fn state_visits(&self, state_count: usize) -> Vec<usize> {
-        let mut visits = vec![0usize; state_count];
-        for &q in &self.states {
-            visits[q] += 1;
-        }
-        visits
-    }
-
     /// The largest gap (in steps) between consecutive visits to any state in
     /// `targets`, measuring how "recurrent" the target set is. Returns
     /// `None` when the run never visits a target.

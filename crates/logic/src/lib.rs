@@ -51,7 +51,6 @@
 
 mod ast;
 mod eval;
-mod json;
 mod labeling;
 mod parser;
 mod simplify;

@@ -391,15 +391,12 @@ impl HistogramRegistry {
     }
 }
 
-/// One `hist` JSONL event: the wire form of a named (optionally per-job)
-/// cumulative snapshot, used by `rl-obs/v3` files and the serve telemetry
-/// stream. The snapshot's own fields (`count`/`sum`/`max`/`buckets`) are
-/// inlined, so [`HistogramSnapshot::from_json`] parses the event directly.
-pub fn hist_event_json(name: &str, job: Option<u64>, snap: &HistogramSnapshot) -> Json {
+/// One `hist` JSONL event: the wire form of a named cumulative snapshot,
+/// used by `rl-obs/v3` files and the serve `metrics` verb's JSONL body. The
+/// snapshot's own fields (`count`/`sum`/`max`/`buckets`) are inlined, so
+/// [`HistogramSnapshot::from_json`] parses the event directly.
+pub fn hist_event_json(name: &str, snap: &HistogramSnapshot) -> Json {
     let mut b = ObjBuilder::new().field("event", "hist").field("name", name);
-    if let Some(job) = job {
-        b = b.field("job", job);
-    }
     let Json::Obj(fields) = snap.to_json() else {
         unreachable!("snapshot serializes to an object");
     };

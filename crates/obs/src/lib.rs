@@ -366,7 +366,7 @@ pub fn render_jsonl_with_hists(
         lines.push(compact(&e.to_json()));
     }
     for (name, snap) in hists {
-        lines.push(compact(&hist_event_json(name, None, snap)));
+        lines.push(compact(&hist_event_json(name, snap)));
     }
     let mut totals = ObjBuilder::new().field("event", "totals");
     for m in Metric::ALL {

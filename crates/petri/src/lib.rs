@@ -33,7 +33,6 @@
 
 mod analysis;
 pub mod examples;
-mod json;
 mod net;
 mod reachability;
 

@@ -168,11 +168,6 @@ impl PetriNet {
         &self.transitions
     }
 
-    /// Looks up a place id by name.
-    pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
-        self.place_index.get(name).copied()
-    }
-
     /// Looks up a transition id by name.
     pub fn transition_by_name(&self, name: &str) -> Option<TransitionId> {
         self.transitions.iter().position(|t| t.name == name)

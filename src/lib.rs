@@ -74,13 +74,12 @@ pub mod prelude {
     };
     pub use rl_automata::{
         dfa_equivalent, dfa_included, dfa_included_with, format_word, largest_simulation,
-        parse_word, resolve_jobs, simulates, Alphabet, Dfa, GuardProbe, Nfa, OpCache, Pool, Regex,
+        parse_word, resolve_jobs, simulates, Alphabet, Dfa, GuardProbe, Nfa, OpCache, Pool,
         RegistrySnapshot, Symbol, TransitionSystem, Word,
     };
     pub use rl_buchi::{
         behaviors_of_ts, behaviors_of_ts_with, complement, complement_with, limit_of_dfa,
-        limit_of_regular, limit_of_regular_with, omega_equivalent, omega_included,
-        omega_included_with, Buchi, OmegaRegex, UpWord,
+        omega_included, omega_included_with, Buchi, UpWord,
     };
     pub use rl_core::{
         cantor_distance, certify_density, check_transported_concrete, chrome_trace_json,

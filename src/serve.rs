@@ -74,6 +74,12 @@ use crate::check::{report_check, CheckSpec, SystemSource};
 /// this is its assumed weight (states) against the in-flight ceiling.
 pub const DEFAULT_JOB_WEIGHT: u64 = 1 << 20;
 
+/// The longest request line a connection may hold pending (16 MiB), far
+/// above any inline `system` a client sends. A connection whose unfinished
+/// line grows past it gets an error reply and is closed, so one client
+/// streaming bytes without a newline cannot grow the daemon's memory.
+const MAX_REQUEST_LINE: usize = 16 << 20;
+
 /// Configuration of one service instance, assembled by the CLI front end.
 pub struct ServeConfig {
     /// Path of the Unix domain socket to listen on.
@@ -939,7 +945,7 @@ fn metrics_reply(core: &Arc<Core>, format: Option<&str>) -> Json {
         Some("jsonl") => {
             let mut body = String::new();
             for (name, snap) in &hists {
-                if let Ok(line) = rl_json::to_string(&hist_event_json(name, None, snap)) {
+                if let Ok(line) = rl_json::to_string(&hist_event_json(name, snap)) {
                     body.push_str(&line);
                     body.push('\n');
                 }
@@ -1126,11 +1132,15 @@ fn handle_conn(core: Arc<Core>, mut stream: UnixStream, conn: u64) {
     let _ = stream.set_write_timeout(Some(drain_grace()));
     let mut state = ConnState::default();
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` is known to hold no newline: each read scans only
+    // the bytes it added.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     'conn: loop {
         // Drain complete lines first.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
+        while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let line_bytes: Vec<u8> = buf.drain(..=scanned + off).collect();
+            scanned = 0;
             let line = String::from_utf8_lossy(&line_bytes);
             let line = line.trim();
             if line.is_empty() {
@@ -1150,6 +1160,14 @@ fn handle_conn(core: Arc<Core>, mut stream: UnixStream, conn: u64) {
             if matches!(action, Action::Close) {
                 break 'conn;
             }
+        }
+        scanned = buf.len();
+        if scanned > MAX_REQUEST_LINE {
+            let reply = error_reply(format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+            if let Ok(text) = rl_json::to_string(&reply) {
+                let _ = stream.write_all(format!("{text}\n").as_bytes());
+            }
+            break 'conn;
         }
         if !flush_subscription(&core, &mut stream, &mut state) {
             break 'conn;

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use rl_automata::CancelToken;
 use rl_core::CheckError;
 use rl_json::{FromJson, Json};
-use rl_obs::{Heartbeat, HistogramSnapshot, TraceEvent, TracePhase};
+use rl_obs::{Heartbeat, TraceEvent, TracePhase};
 
 /// One row of the live table: the latest observed state of a job.
 #[derive(Default)]
@@ -40,10 +40,6 @@ struct JobRow {
     /// The most recent algorithm instant (`lazy-*`), shown
     /// beside the phase — "what the kernel just did" at one glance.
     note: String,
-    /// Latest cumulative histogram snapshot per family, from streamed
-    /// `hist` events. Each event replaces its family (snapshots are
-    /// cumulative, so latest-wins is idempotent under redelivery).
-    hists: Vec<(String, HistogramSnapshot)>,
     /// The exit code from the job's `done` record, once it settles.
     done: Option<u64>,
 }
@@ -73,24 +69,6 @@ impl JobRow {
             Some(code) => format!("done({code})"),
             None => "running".to_owned(),
         }
-    }
-
-    /// Merges the job's streamed histogram families into one distribution
-    /// (all families are microsecond latencies, so quantiles over the
-    /// union answer "how slow are this job's instrumented operations").
-    /// `None` until the first `hist` event with a sample arrives.
-    fn merged_hist(&self) -> Option<HistogramSnapshot> {
-        let mut merged: Option<HistogramSnapshot> = None;
-        for (_, snap) in &self.hists {
-            if snap.count == 0 {
-                continue;
-            }
-            match &mut merged {
-                Some(m) => m.merge(snap),
-                None => merged = Some(snap.clone()),
-            }
-        }
-        merged
     }
 }
 
@@ -158,21 +136,6 @@ impl TopView {
                 self.dirty = true;
                 Some(format!("job {job}: done code {code}"))
             }
-            "hist" => {
-                let job = u64_field(&value, "job")?;
-                let name = match value.get("name") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => return None,
-                };
-                let snap = HistogramSnapshot::from_json(&value).ok()?;
-                let row = self.jobs.entry(job).or_default();
-                match row.hists.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, old)) => *old = snap,
-                    None => row.hists.push((name, snap)),
-                }
-                self.dirty = true;
-                None // percentiles render in the table, not as plain lines
-            }
             "dropped" => {
                 if let Some(n) = u64_field(&value, "count") {
                     self.dropped += n;
@@ -198,24 +161,14 @@ impl TopView {
         );
         let _ = writeln!(
             out,
-            "{:>5}  {:<9} {:>9} {:>12} {:>10} {:>9} {:>7} {:>7} {:>8} {:>8}  PHASE",
-            "JOB",
-            "STATUS",
-            "ELAPSED",
-            "STATES",
-            "RATE/S",
-            "FRONTIER",
-            "BUDGET%",
-            "CACHE%",
-            "P50US",
-            "P99US"
+            "{:>5}  {:<9} {:>9} {:>12} {:>10} {:>9} {:>7} {:>7}  PHASE",
+            "JOB", "STATUS", "ELAPSED", "STATES", "RATE/S", "FRONTIER", "BUDGET%", "CACHE%"
         );
         for (id, row) in &self.jobs {
             let hb = row.last.as_ref();
-            let merged = row.merged_hist();
             let _ = writeln!(
                 out,
-                "{:>5}  {:<9} {:>8.1}s {:>12} {:>10} {:>9} {:>7} {:>7} {:>8} {:>8}  {}",
+                "{:>5}  {:<9} {:>8.1}s {:>12} {:>10} {:>9} {:>7} {:>7}  {}",
                 id,
                 row.status(),
                 hb.map_or(0.0, |h| h.elapsed_us as f64 / 1e6),
@@ -226,12 +179,6 @@ impl TopView {
                     .map_or_else(|| "-".to_owned(), |p| p.to_string()),
                 row.cache_pct()
                     .map_or_else(|| "-".to_owned(), |p| p.to_string()),
-                merged
-                    .as_ref()
-                    .map_or_else(|| "-".to_owned(), |h| h.p50().to_string()),
-                merged
-                    .as_ref()
-                    .map_or_else(|| "-".to_owned(), |h| h.p99().to_string()),
                 if row.note.is_empty() {
                     row.phase.clone()
                 } else {
@@ -427,30 +374,22 @@ mod tests {
     }
 
     #[test]
-    fn hist_events_surface_percentile_columns() {
+    fn hist_events_leave_the_table_unchanged() {
         let mut view = TopView::default();
-        // Before any hist event: dashes in the percentile columns.
         view.take_line("{\"event\":\"done\",\"job\":7,\"code\":0}");
-        assert!(view.render("s", None).contains('-'));
-        // A cumulative snapshot: 10 samples at exactly 4µs (buckets 0-7
-        // are exact, so p50 = p99 = 4).
-        let replaced = "{\"event\":\"hist\",\"job\":7,\"name\":\"serve/queue_wait_us\",\
-             \"count\":10,\"sum\":40,\"max\":4,\"buckets\":[[4,10]]}";
-        assert!(view.take_line(replaced).is_none(), "no plain line");
-        let row = view.jobs.get(&7).expect("row");
-        let merged = row.merged_hist().expect("merged hist");
-        assert_eq!((merged.p50(), merged.p99()), (4, 4));
-        // A newer snapshot for the same family replaces, never doubles.
-        view.take_line(replaced);
-        assert_eq!(view.jobs[&7].merged_hist().expect("hist").count, 10);
-        // A second family merges into the displayed distribution.
-        view.take_line(
-            "{\"event\":\"hist\",\"job\":7,\"name\":\"serve/job_wall_us\",\
-             \"count\":2,\"sum\":12,\"max\":6,\"buckets\":[[6,2]]}",
-        );
-        assert_eq!(view.jobs[&7].merged_hist().expect("hist").count, 12);
-        let table = view.render("s", None);
-        assert!(table.contains("P50US"), "{table}");
+        let before = view.render("s", None);
+        // No stream carries per-job histograms any more: a `hist` line is
+        // an unknown kind, so it opens no row and prints no plain line.
+        for job in [7, 8] {
+            let line = format!(
+                "{{\"event\":\"hist\",\"job\":{job},\"name\":\"serve/queue_wait_us\",\
+                 \"count\":10,\"sum\":40,\"max\":4,\"buckets\":[[4,10]]}}"
+            );
+            assert!(view.take_line(&line).is_none(), "no plain line");
+        }
+        assert_eq!(view.render("s", None), before);
+        assert_eq!(view.jobs.len(), 1);
+        assert!(!before.contains("P50US"), "{before}");
     }
 
     #[test]

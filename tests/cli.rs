@@ -301,6 +301,34 @@ fn formula_blow_up_stops_at_the_deadline() {
 }
 
 #[test]
+fn large_alphabet_product_trips_max_states_at_a_pinned_charge() {
+    // token_ring(128): 128 states over 256 actions. The classical
+    // product's charge order and worklist fix where the budget trips.
+    let mut text = String::from("system\nalphabet:");
+    for i in 0..128 {
+        text += &format!(" pass{i} work{i}");
+    }
+    text += "\ninitial: token@0\n";
+    for i in 0..128 {
+        text += &format!("token@{i} pass{i} -> token@{}\n", (i + 1) % 128);
+        text += &format!("token@{i} work{i} -> token@{i}\n");
+    }
+    let dir = std::env::temp_dir().join("rlcheck-ring128");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("ring128.ts");
+    std::fs::write(&path, text).expect("system written");
+    let path = path.to_str().expect("utf-8 path");
+    let out = rlcheck(&["check", path, "[]<>pass0", "--max-states", "600"]);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.lines()
+            .any(|l| l.contains("601 states, 1422 transitions explored (frontier 4)")),
+        "stderr: {err}"
+    );
+}
+
+#[test]
 fn atoms_outside_the_alphabet_are_warned_about() {
     let out = rlcheck(&["check", "examples/systems/clock.ts", "[]<>c | <>chime"]);
     let err = stderr(&out);

@@ -277,57 +277,8 @@ proptest! {
     }
 }
 
-// ---------- regex layer ----------
-
-/// Random regex over a 2-letter alphabet.
-fn regex_strategy() -> BoxedStrategy<rl_automata::Regex> {
-    use rl_automata::Regex;
-    let ab = alphabet2();
-    let a = ab.symbol("a").unwrap();
-    let b = ab.symbol("b").unwrap();
-    let leaf = prop_oneof![
-        Just(Regex::Epsilon),
-        Just(Regex::Empty),
-        Just(Regex::symbol(&ab, a)),
-        Just(Regex::symbol(&ab, b)),
-    ];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| x.then(y)),
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| x.or(y)),
-            inner.prop_map(|x| x.star()),
-        ]
-    })
-    .boxed()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Thompson construction and Brzozowski derivatives agree (exhaustive
-    /// on words up to length 5).
-    #[test]
-    fn regex_nfa_matches_derivatives(re in regex_strategy()) {
-        let ab = alphabet2();
-        let nfa = re.to_nfa_over(&ab).unwrap();
-        let mut layer: Vec<Vec<Symbol>> = vec![vec![]];
-        for len in 0..=5usize {
-            for w in &layer {
-                prop_assert_eq!(nfa.accepts(w), re.matches(w), "re {} word {:?}", re, w);
-            }
-            if len < 5 {
-                let mut next = Vec::new();
-                for w in &layer {
-                    for s in ab.symbols() {
-                        let mut w2 = w.clone();
-                        w2.push(s);
-                        next.push(w2);
-                    }
-                }
-                layer = next;
-            }
-        }
-    }
 
     /// Simplification preserves PLTL semantics on random formula/word pairs.
     #[test]
@@ -427,23 +378,6 @@ proptest! {
         prop_assert_eq!(evaluate(&weak, &w, &lam), evaluate(&def, &w, &lam));
         let aut = formula_to_buchi(&weak, &lam);
         prop_assert_eq!(aut.accepts_upword(&w), evaluate(&def, &w, &lam));
-    }
-
-    /// JSON round-trips preserve NFA languages on random machines.
-    #[test]
-    fn serde_nfa_roundtrip(raw in proptest::collection::vec((0..4usize, 0..2usize, 0..4usize), 0..12)) {
-        let ab = alphabet2();
-        let nfa = Nfa::from_parts(
-            ab,
-            4,
-            [0],
-            [1, 3],
-            raw.into_iter().map(|(p, s, q)| (p, Symbol::from_index(s), q)),
-        )
-        .unwrap();
-        let json = relative_liveness::json::to_string(&nfa).unwrap();
-        let back: Nfa = relative_liveness::json::from_str(&json).unwrap();
-        prop_assert!(dfa_equivalent(&nfa.determinize(), &back.determinize()));
     }
 }
 

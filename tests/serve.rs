@@ -1204,3 +1204,146 @@ fn deep_formula_is_a_parse_error_and_the_daemon_keeps_serving() {
     assert_eq!(str_field(&c.shutdown(), "status"), "draining");
     assert_eq!(d.wait_exit(), 0, "clean drain exits 0");
 }
+
+#[test]
+fn oversize_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let mut d = start_daemon("bigline", &["--jobs", "2"], &[]);
+    let mut c = connect(&d);
+    // A daemon that keeps buffering fails the test instead of hanging it.
+    c.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    // One byte past the 16 MiB pending-line cap, and no newline.
+    c.writer
+        .write_all(&vec![b'x'; (16 << 20) + 1])
+        .expect("oversize write");
+    let r = c.try_recv().expect("an error reply before the close");
+    assert!(!bool_field(&r, "ok"), "{r:?}");
+    assert!(str_field(&r, "error").contains("exceeds"), "{r:?}");
+    assert!(c.try_recv().is_none(), "the connection is closed");
+
+    let mut c = connect(&d);
+    let r = c.request(&submit_line(&[
+        ("path", s("examples/systems/clock.ts")),
+        ("formula", s("[]<>tick")),
+    ]));
+    assert!(bool_field(&r, "ok"), "{r:?}");
+    let done = c.wait_job(int_field(&r, "id"));
+    assert_eq!(int_field(&done, "code"), 0, "{done:?}");
+    assert_eq!(str_field(&c.shutdown(), "status"), "draining");
+    assert_eq!(d.wait_exit(), 0, "clean drain exits 0");
+}
+
+/// One seeded mutation of a valid request line: a truncation, byte flips,
+/// a field of the wrong type, an out-of-range id or an unknown verb. The
+/// result never contains a newline and never trims to empty, so the daemon
+/// owes it exactly one reply.
+fn mutate(rng: &mut rand::rngs::StdRng, valid: &str) -> Vec<u8> {
+    use rand::Rng;
+    let bytes = valid.as_bytes();
+    let pick = |rng: &mut rand::rngs::StdRng, options: &[&str]| {
+        options[rng.gen_range(0..options.len())].to_owned()
+    };
+    let line = match rng.gen_range(0..5u32) {
+        0 => return bytes[..rng.gen_range(1..bytes.len())].to_vec(),
+        1 => {
+            let mut out = bytes.to_vec();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(0..out.len());
+                out[at] = match rng.gen_range(0..256u32) as u8 {
+                    b'\n' => b'?',
+                    b => b,
+                };
+            }
+            return out;
+        }
+        2 => pick(
+            rng,
+            &[
+                r#"{"cmd":"status","id":"1"}"#,
+                r#"{"cmd":"wait","id":[1]}"#,
+                r#"{"cmd":"wait","id":{"id":1}}"#,
+                r#"{"cmd":"status","id":1.5}"#,
+                r#"{"cmd":7}"#,
+                r#"{"cmd":null,"id":1}"#,
+                r#"["submit"]"#,
+                r#""wait""#,
+                r#"{"cmd":"submit","path":7,"formula":"[]<>tick"}"#,
+                r#"{"cmd":"submit","path":"examples/systems/clock.ts","formula":null}"#,
+                r#"{"cmd":"submit","system":false,"formula":"[]<>tick"}"#,
+                r#"{"cmd":"submit","path":"examples/systems/clock.ts","formula":"[]<>tick","max_states":"many"}"#,
+                r#"{"cmd":"submit","path":"examples/systems/clock.ts","formula":"[]<>tick","timeout_ms":-5}"#,
+                r#"{"cmd":"submit","path":"examples/systems/clock.ts","formula":"[]<>tick","no_lazy":"yes"}"#,
+            ],
+        ),
+        3 => format!(
+            r#"{{"cmd":"{}","id":{}}}"#,
+            pick(rng, &["status", "wait", "cancel"]),
+            pick(
+                rng,
+                &[
+                    "-1",
+                    "-9223372036854775808",
+                    "9223372036854775807",
+                    "18446744073709551616",
+                    "99999999999999999999999999",
+                    "1e300",
+                    "-0",
+                ],
+            )
+        ),
+        _ => format!(
+            r#"{{"cmd":"{}","id":1}}"#,
+            pick(
+                rng,
+                &["frob", "SUBMIT", "wait ", "", "submit\\u0000", "stat"]
+            )
+        ),
+    };
+    line.into_bytes()
+}
+
+#[test]
+fn malformed_wire_lines_get_one_reply_each_and_the_connection_survives() {
+    use rand::SeedableRng;
+    let mut d = start_daemon("fuzz", &["--jobs", "2"], &[]);
+    let mut c = connect(&d);
+    // A lost reply fails the test instead of hanging it.
+    c.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let valid = [
+        submit_line(&[
+            ("path", s("examples/systems/clock.ts")),
+            ("formula", s("[]<>tick")),
+        ]),
+        r#"{"cmd":"status","id":1}"#.to_owned(),
+        r#"{"cmd":"wait","id":1}"#.to_owned(),
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+    for case in 0..300 {
+        let mut line = mutate(&mut rng, &valid[case % valid.len()]);
+        let shown = String::from_utf8_lossy(&line).into_owned();
+        line.push(b'\n');
+        c.writer.write_all(&line).expect("mutated line write");
+        // The mutated line's reply, then the reply to a `stats` probe: a
+        // missing or doubled reply shows up as a misplaced `uptime_ms`.
+        let reply = c
+            .try_recv()
+            .unwrap_or_else(|| panic!("connection closed after {shown:?}"));
+        assert!(reply.get("ok").is_some(), "{shown:?} -> {reply:?}");
+        assert!(reply.get("uptime_ms").is_none(), "{shown:?} got no reply");
+        let probe = c.stats();
+        assert!(
+            probe.get("uptime_ms").is_some(),
+            "{shown:?} got more than one reply: {probe:?}"
+        );
+    }
+    let stats = c.stats();
+    assert!(bool_field(&stats, "ok"), "{stats:?}");
+    assert_eq!(int_field(&stats, "panicked"), 0, "{stats:?}");
+    assert_eq!(str_field(&c.shutdown(), "status"), "draining");
+    assert_eq!(d.wait_exit(), 0, "clean drain exits 0");
+}

@@ -45,7 +45,10 @@ pub struct TransitionSystem {
     alphabet: Alphabet,
     initial: StateId,
     labels: Vec<Option<String>>,
-    delta: Vec<BTreeMap<Symbol, Vec<StateId>>>,
+    /// `delta[q]` = the transitions leaving `q` as `(symbol, successor)`
+    /// pairs, sorted and deduplicated: the same row layout as a Büchi
+    /// automaton's, so building the system's behaviors copies rows.
+    delta: Vec<Vec<(Symbol, StateId)>>,
 }
 
 impl TransitionSystem {
@@ -62,7 +65,7 @@ impl TransitionSystem {
     /// Adds a state, returning its id.
     pub fn add_state(&mut self) -> StateId {
         self.labels.push(None);
-        self.delta.push(BTreeMap::new());
+        self.delta.push(Vec::new());
         self.labels.len() - 1
     }
 
@@ -91,10 +94,9 @@ impl TransitionSystem {
     pub fn add_transition(&mut self, from: StateId, symbol: Symbol, to: StateId) {
         assert!(from < self.state_count(), "invalid state {from}");
         assert!(to < self.state_count(), "invalid state {to}");
-        let row = self.delta[from].entry(symbol).or_default();
-        if !row.contains(&to) {
-            row.push(to);
-            row.sort_unstable();
+        let row = &mut self.delta[from];
+        if let Err(pos) = row.binary_search(&(symbol, to)) {
+            row.insert(pos, (symbol, to));
         }
     }
 
@@ -120,28 +122,33 @@ impl TransitionSystem {
 
     /// Enabled `(symbol, successor)` pairs in state `q`, sorted.
     pub fn enabled(&self, q: StateId) -> Vec<(Symbol, StateId)> {
-        self.delta[q]
-            .iter()
-            .flat_map(|(&a, tos)| tos.iter().map(move |&t| (a, t)))
-            .collect()
+        self.delta[q].clone()
+    }
+
+    /// The part of `q`'s row that carries `symbol`.
+    fn row_on(&self, q: StateId, symbol: Symbol) -> &[(Symbol, StateId)] {
+        let row = &self.delta[q];
+        let lo = row.partition_point(|&(a, _)| a < symbol);
+        let len = row[lo..].partition_point(|&(a, _)| a == symbol);
+        &row[lo..lo + len]
     }
 
     /// Whether `q` is a deadlock (no enabled transitions).
     pub fn is_deadlock(&self, q: StateId) -> bool {
-        self.delta[q].values().all(|tos| tos.is_empty())
+        self.delta[q].is_empty()
     }
 
     /// Iterates over all transitions in sorted order.
     pub fn transitions(&self) -> impl Iterator<Item = (StateId, Symbol, StateId)> + '_ {
-        self.delta.iter().enumerate().flat_map(|(p, row)| {
-            row.iter()
-                .flat_map(move |(&a, tos)| tos.iter().map(move |&q| (p, a, q)))
-        })
+        self.delta
+            .iter()
+            .enumerate()
+            .flat_map(|(p, row)| row.iter().map(move |&(a, q)| (p, a, q)))
     }
 
     /// Total number of transitions.
     pub fn transition_count(&self) -> usize {
-        self.transitions().count()
+        self.delta.iter().map(Vec::len).sum()
     }
 
     /// The prefix-closed finite-word language of the system, as an NFA with
@@ -197,11 +204,9 @@ impl TransitionSystem {
         for &a in word {
             let mut next: Vec<StateId> = Vec::new();
             for &q in &cur {
-                if let Some(tos) = self.delta[q].get(&a) {
-                    for &t in tos {
-                        if !next.contains(&t) {
-                            next.push(t);
-                        }
+                for &(_, t) in self.row_on(q, a) {
+                    if !next.contains(&t) {
+                        next.push(t);
                     }
                 }
             }
@@ -267,7 +272,7 @@ impl TransitionSystem {
         while let Some((p, q)) = work.pop_front() {
             let id = index[&(p, q)];
             let mut moves: Vec<(Symbol, StateId, StateId)> = Vec::new();
-            for (a, p2) in self.enabled(p) {
+            for &(a, p2) in &self.delta[p] {
                 let ca = lmap[a.index()];
                 if shared[ca.index()] {
                     // Synchronize: the right side must also move on this name.
@@ -275,16 +280,14 @@ impl TransitionSystem {
                         .alphabet
                         .symbol(out.alphabet.name(ca))
                         .expect("shared");
-                    if let Some(tos) = other.delta[q].get(&ra) {
-                        for &q2 in tos {
-                            moves.push((ca, p2, q2));
-                        }
+                    for &(_, q2) in other.row_on(q, ra) {
+                        moves.push((ca, p2, q2));
                     }
                 } else {
                     moves.push((ca, p2, q));
                 }
             }
-            for (a, q2) in other.enabled(q) {
+            for &(a, q2) in &other.delta[q] {
                 let ca = rmap[a.index()];
                 if !shared[ca.index()] {
                     moves.push((ca, p, q2));

@@ -6,7 +6,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 use rl_automata::{
-    Alphabet, AutomataError, EdgeRows, FxHasher, Guard, Interner, MemFootprint, Nfa, StateId,
+    Alphabet, AutomataError, EdgeRows, FxHasher, Guard, MemFootprint, Nfa, PairTable, StateId,
     Symbol,
 };
 
@@ -70,6 +70,28 @@ impl Buchi {
             initial: BTreeSet::new(),
             accepting: Vec::new(),
             edges: Vec::new(),
+        }
+    }
+
+    /// Assembles an automaton whose rows were each written once.
+    ///
+    /// Every row must already be sorted and deduplicated, and every
+    /// successor must be a state of the automaton.
+    pub(crate) fn from_rows(
+        alphabet: Alphabet,
+        initial: BTreeSet<StateId>,
+        accepting: Vec<bool>,
+        edges: Vec<Vec<(Symbol, StateId)>>,
+    ) -> Buchi {
+        debug_assert_eq!(accepting.len(), edges.len());
+        debug_assert!(edges.iter().all(|row| {
+            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&(_, q)| q < edges.len())
+        }));
+        Buchi {
+            alphabet,
+            initial,
+            accepting,
+            edges,
         }
     }
 
@@ -272,23 +294,28 @@ impl Buchi {
     fn reduce_with(&self, poll: &mut Poll<'_>) -> Result<Buchi, AutomataError> {
         let live = self.live_states_with(poll)?;
         let mut map: Vec<Option<StateId>> = vec![None; self.state_count()];
-        let mut out = Buchi::new(self.alphabet.clone());
-        for q in 0..self.state_count() {
-            if live[q] {
-                map[q] = Some(out.add_state(self.accepting[q]));
-            }
+        let mut accepting = Vec::new();
+        for q in (0..self.state_count()).filter(|&q| live[q]) {
+            map[q] = Some(accepting.len());
+            accepting.push(self.accepting[q]);
         }
-        for &q in &self.initial {
-            if let Some(nq) = map[q] {
-                out.initial.insert(nq);
-            }
-        }
-        for (p, a, q) in self.transitions() {
-            if let (Some(np), Some(nq)) = (map[p], map[q]) {
-                out.add_transition(np, a, nq);
-            }
-        }
-        Ok(out)
+        let initial = self.initial.iter().filter_map(|&q| map[q]).collect();
+        // `map` is increasing, so filtering a sorted row keeps it sorted.
+        let edges = (0..self.state_count())
+            .filter(|&p| live[p])
+            .map(|p| {
+                self.edges[p]
+                    .iter()
+                    .filter_map(|&(a, q)| map[q].map(|nq| (a, nq)))
+                    .collect()
+            })
+            .collect();
+        Ok(Buchi::from_rows(
+            self.alphabet.clone(),
+            initial,
+            accepting,
+            edges,
+        ))
     }
 
     /// Marks states that are reachable from the initial set *and* from which
@@ -415,59 +442,60 @@ impl Buchi {
     fn intersection_inner(&self, other: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
         let _span = guard.span("buchi_intersection");
         self.alphabet.check_compatible(&other.alphabet)?;
-        // Classical two-copy product: in copy 1 we wait for `self` to accept,
-        // in copy 2 for `other`; acceptance = copy-1 states whose left
+        // Classical two-copy product: in copy 0 we wait for `self` to accept,
+        // in copy 1 for `other`; acceptance = copy-0 states whose left
         // component accepts (visited infinitely often iff both sides accept
-        // infinitely often).
-        let mut index: Interner<(StateId, StateId, u8)> = Interner::new();
-        let mut out = Buchi::new(self.alphabet.clone());
-        let mut work: VecDeque<(StateId, StateId, u8)> = VecDeque::new();
-        fn intern(
-            key: (StateId, StateId, u8),
-            left_acc: bool,
-            index: &mut Interner<(StateId, StateId, u8)>,
-            out: &mut Buchi,
-            work: &mut VecDeque<(StateId, StateId, u8)>,
-            guard: &Guard,
-        ) -> Result<StateId, AutomataError> {
-            match index.get(&key) {
-                Some(id) => Ok(id),
-                None => {
-                    guard.charge_state()?;
-                    let id = out.add_state(key.2 == 1 && left_acc);
-                    index.intern(key);
-                    work.push_back(key);
-                    Ok(id)
+        // infinitely often). Copy `c` of `(p, q)` sits in column `2q + c`.
+        //
+        // Ids are handed out in discovery order and states are expanded in
+        // id order, so `keys[id]` is the breadth-first worklist and each
+        // row is written once, when its state is expanded.
+        struct Product<'a> {
+            index: PairTable,
+            keys: Vec<(StateId, StateId, usize)>,
+            accepting: Vec<bool>,
+            left_accepting: &'a [bool],
+            guard: &'a Guard,
+        }
+        impl Product<'_> {
+            fn intern(
+                &mut self,
+                p: StateId,
+                q: StateId,
+                copy: usize,
+            ) -> Result<StateId, AutomataError> {
+                if let Some(id) = self.index.get(p, 2 * q + copy) {
+                    return Ok(id);
                 }
+                self.guard.charge_state()?;
+                let id = self.keys.len();
+                self.index.set(p, 2 * q + copy, id);
+                self.keys.push((p, q, copy));
+                self.accepting.push(copy == 0 && self.left_accepting[p]);
+                Ok(id)
             }
         }
-        let mut initials = Vec::new();
+        let mut product = Product {
+            index: PairTable::new(self.state_count(), 2 * other.state_count()),
+            keys: Vec::new(),
+            accepting: Vec::new(),
+            left_accepting: &self.accepting,
+            guard,
+        };
+        let mut initial = BTreeSet::new();
         for &p in &self.initial {
             for &q in &other.initial {
-                let id = intern(
-                    (p, q, 1),
-                    self.accepting[p],
-                    &mut index,
-                    &mut out,
-                    &mut work,
-                    guard,
-                )?;
-                initials.push(id);
+                initial.insert(product.intern(p, q, 0)?);
             }
         }
-        for id in initials {
-            out.initial.insert(id);
-        }
-        while let Some((p, q, copy)) = work.pop_front() {
-            guard.note_frontier(work.len());
-            let id = match index.get(&(p, q, copy)) {
-                Some(id) => id,
-                // Unreachable: every key on the worklist was interned first.
-                None => continue,
-            };
+        let mut edges: Vec<Vec<(Symbol, StateId)>> = Vec::new();
+        let mut row = Vec::new();
+        let mut id = 0;
+        while let Some(&(p, q, copy)) = product.keys.get(id) {
+            guard.note_frontier(product.keys.len() - id - 1);
             let copy2 = match copy {
-                1 if self.accepting[p] => 2,
-                2 if other.accepting[q] => 1,
+                0 if self.accepting[p] => 1,
+                1 if other.accepting[q] => 0,
                 c => c,
             };
             let (left, right) = (&self.edges[p], &other.edges[q]);
@@ -482,24 +510,27 @@ impl Buchi {
                         let j_end = j + right[j..].partition_point(|&(b, _)| b == a);
                         for &(_, p2) in &left[i..i_end] {
                             for &(_, q2) in &right[j..j_end] {
-                                let nid = intern(
-                                    (p2, q2, copy2),
-                                    self.accepting[p2],
-                                    &mut index,
-                                    &mut out,
-                                    &mut work,
-                                    guard,
-                                )?;
+                                let nid = product.intern(p2, q2, copy2)?;
                                 guard.charge_transition()?;
-                                out.add_transition(id, a, nid);
+                                row.push((a, nid));
                             }
                         }
                         (i, j) = (i_end, j_end);
                     }
                 }
             }
+            row.sort_unstable();
+            row.dedup();
+            edges.push(row.clone());
+            row.clear();
+            id += 1;
         }
-        Ok(out)
+        Ok(Buchi::from_rows(
+            self.alphabet.clone(),
+            initial,
+            product.accepting,
+            edges,
+        ))
     }
 
     /// Disjoint union: accepts `L(self) ∪ L(other)`.

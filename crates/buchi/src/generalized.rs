@@ -126,25 +126,24 @@ impl GeneralizedBuchi {
         let in_set = |i: usize, q: StateId| -> bool {
             self.acceptance.get(i).is_none_or(|s| s.contains(&q))
         };
-        // Copy `c` of state `q` is state `q·k + c`: the loop below adds
-        // the states in exactly that order.
+        // Copy `c` of state `q` is state `q·k + c`.
         let index = |q: StateId, c: usize| q * k + c;
-        let mut out = Buchi::new(self.alphabet.clone());
-        for q in 0..self.state_count {
-            for c in 0..k {
-                out.add_state(c == k - 1 && in_set(k - 1, q));
-            }
-        }
-        for &q in &self.initial {
-            out.set_initial(index(q, 0));
-        }
+        let accepting = (0..self.state_count)
+            .flat_map(|q| (0..k).map(move |c| c == k - 1 && in_set(k - 1, q)))
+            .collect();
+        let initial = self.initial.iter().map(|&q| index(q, 0)).collect();
+        let mut edges: Vec<Vec<(Symbol, StateId)>> = vec![Vec::new(); self.state_count * k];
         for &(p, a, q) in &self.transitions {
             for c in 0..k {
                 let c2 = if in_set(c, p) { (c + 1) % k } else { c };
-                out.add_transition(index(p, c), a, index(q, c2));
+                edges[index(p, c)].push((a, index(q, c2)));
             }
         }
-        out.reduce()
+        for row in &mut edges {
+            row.sort_unstable();
+            row.dedup();
+        }
+        Buchi::from_rows(self.alphabet.clone(), initial, accepting, edges).reduce()
     }
 }
 

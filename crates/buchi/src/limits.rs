@@ -4,6 +4,8 @@
 //! and models systems as finite-state transition systems without acceptance,
 //! whose ω-behavior is the limit of their prefix-closed finite-word language.
 
+use std::collections::BTreeSet;
+
 use rl_automata::{AutomataError, Dfa, Guard, Nfa, TransitionSystem};
 
 use crate::buchi::Buchi;
@@ -104,20 +106,30 @@ pub fn behaviors_of_ts_with(ts: &TransitionSystem, guard: &Guard) -> Result<Buch
     if !guard.lazy_enabled() {
         return Ok(limit_of_dfa(&ts.to_nfa().determinize_with(guard)?));
     }
-    let mut b = Buchi::new(ts.alphabet().clone());
-    for _ in 0..ts.state_count() {
+    let n = ts.state_count();
+    for _ in 0..n {
         guard.charge_state()?;
-        b.add_state(true);
     }
-    if ts.state_count() > 0 {
-        b.set_initial(ts.initial());
+    // The system's rows are sorted and deduplicated already: copy them.
+    let mut edges = Vec::with_capacity(n);
+    for q in 0..n {
+        let row = ts.enabled(q);
+        for _ in &row {
+            guard.charge_transition()?;
+        }
+        edges.push(row);
     }
-    // Sorted by source, symbol, then target: every edge appends to its row.
-    for (p, a, q) in ts.transitions() {
-        guard.charge_transition()?;
-        b.add_transition(p, a, q);
-    }
-    Ok(b)
+    let initial = if n > 0 {
+        BTreeSet::from([ts.initial()])
+    } else {
+        BTreeSet::new()
+    };
+    Ok(Buchi::from_rows(
+        ts.alphabet().clone(),
+        initial,
+        vec![true; n],
+        edges,
+    ))
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //!
 //! * [`Buchi::live_states`] marks exactly the live states;
 //! * [`Buchi::accepted_upword`] finds a word exactly when some state is
-//!   live, and [`Buchi::accepts_upword`] accepts every word it finds.
+//!   live, and [`Buchi::accepts_upword`] accepts every word it finds;
+//! * [`Buchi::reduce`] keeps exactly the live states and the transitions
+//!   between them, renumbered in their original order.
 
 use proptest::prelude::*;
 use rl_automata::{Alphabet, Symbol};
@@ -83,5 +85,25 @@ proptest! {
         if let Some(w) = witness {
             prop_assert!(b.accepts_upword(&w), "witness {:?} is not accepted", w);
         }
+    }
+
+    #[test]
+    fn reduce_keeps_the_live_part_in_order(b in buchi_strategy()) {
+        let live = live_by_definition(&b);
+        let mut map = vec![None; b.state_count()];
+        let mut kept = 0;
+        for q in (0..b.state_count()).filter(|&q| live[q]) {
+            map[q] = Some(kept);
+            kept += 1;
+        }
+        let expected = Buchi::from_parts(
+            b.alphabet().clone(),
+            kept,
+            b.initial().iter().filter_map(|&q| map[q]),
+            (0..b.state_count()).filter(|&q| b.is_accepting(q)).filter_map(|q| map[q]),
+            b.transitions().filter_map(|(p, a, q)| Some((map[p]?, a, map[q]?))),
+        )
+        .expect("indices in range");
+        prop_assert_eq!(b.reduce(), expected);
     }
 }

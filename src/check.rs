@@ -153,8 +153,10 @@ pub fn run_check(
     err: &mut String,
 ) -> Result<bool, CheckError> {
     let _span = guard.span("check");
-    let ts = spec.source.load()?;
-    let eta = parse_formula(&spec.formula)?;
+    let (ts, eta) = {
+        let _parse = guard.span("parse");
+        (spec.source.load()?, parse_formula(&spec.formula)?)
+    };
     warn_unknown_atoms(&eta, &ts, err);
     let behaviors = behaviors_of_ts_with(&ts, guard).map_err(CheckError::from)?;
     // Test hooks: let the CLI/service tests exercise the panic-containment

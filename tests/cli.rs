@@ -666,6 +666,7 @@ fn stats_flag_prints_phase_table_on_stderr() {
     }
     for phase in [
         "check",
+        "parse",
         "behaviors",
         "classical",
         "relative_liveness",
@@ -801,6 +802,12 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
         paths.iter().any(|p| p == "check/relative_safety"),
         "{paths:?}"
     );
+    assert!(
+        doomed_paths
+            .iter()
+            .any(|p| p == "check/relative_safety/buchi_intersection"),
+        "{doomed_paths:?}"
+    );
     paths.extend(doomed_paths);
     assert_eq!(events.first().map(String::as_str), Some("meta"));
     assert_eq!(events.last().map(String::as_str), Some("totals"));
@@ -812,6 +819,7 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
     // span path.
     for needle in [
         "check",
+        "check/parse",
         "check/behaviors/limit",
         "check/classical/negation",
         "check/relative_liveness/lazy_inclusion",
@@ -827,8 +835,11 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
     match totals.get("counters") {
         Some(rl_json::Json::Obj(counters)) => {
             assert!(
-                counters.iter().any(|(k, _)| k == "lazy/expanded"),
-                "no lazy/expanded in totals: {counters:?}"
+                counters
+                    .iter()
+                    .any(|(k, v)| k == "lazy/expanded"
+                        && matches!(v, rl_json::Json::Int(n) if *n > 0)),
+                "no positive lazy/expanded in totals: {counters:?}"
             );
         }
         other => panic!("totals has no counters object: {other:?}"),

@@ -64,6 +64,12 @@ fn ts_strategy(n: usize) -> impl Strategy<Value = TransitionSystem> {
     })
 }
 
+/// Edges of a system over Σ = {a, b, tau} with `n` states, each drawn with
+/// a sort key: sorting by key gives a second insertion order.
+fn keyed_edges_strategy(n: usize) -> impl Strategy<Value = Vec<((usize, usize, usize), u32)>> {
+    proptest::collection::vec(((0..n, 0..3usize, 0..n), 0..1000u32), 1..=(3 * n))
+}
+
 /// Random PLTL formula over the given atom names.
 fn formula_strategy(atoms: &'static [&'static str], depth: u32) -> BoxedStrategy<Formula> {
     let leaf = prop_oneof![
@@ -201,6 +207,57 @@ proptest! {
         // Distinguishing words for ≤3-state DFAs have length < 3*3+... use 7.
         let brute = all_words(2, 7).iter().all(|w| dx.accepts(w) == dy.accepts(w));
         prop_assert_eq!(equal, brute);
+    }
+
+    /// A system's rows are sorted and deduplicated whatever order its edges
+    /// were added in, and `enabled`, `run` and `transitions` read them
+    /// consistently with the system's NFA.
+    #[test]
+    fn ts_rows_are_sorted_whatever_the_insertion_order(
+        keyed in keyed_edges_strategy(4),
+        word in proptest::collection::vec(0..3usize, 0..=6),
+    ) {
+        let build = |edges: &[(usize, usize, usize)]| {
+            let mut sys = TransitionSystem::new(alphabet3());
+            for _ in 0..4 {
+                sys.add_state();
+            }
+            sys.set_initial(0);
+            for &(p, s, q) in edges {
+                sys.add_transition(p, Symbol::from_index(s), q);
+            }
+            sys
+        };
+        // Both orders repeat their first half, so every row sees duplicates.
+        let mut drawn: Vec<_> = keyed.iter().map(|&(e, _)| e).collect();
+        drawn.extend_from_within(..drawn.len() / 2);
+        let mut by_key = keyed.clone();
+        by_key.sort_by_key(|&(_, k)| k);
+        let mut shuffled: Vec<_> = by_key.iter().rev().map(|&(e, _)| e).collect();
+        shuffled.extend_from_within(..shuffled.len() / 2);
+        let sys = build(&drawn);
+        prop_assert_eq!(&sys, &build(&shuffled));
+
+        let all: Vec<_> = sys.transitions().collect();
+        let mut expected: Vec<_> = drawn
+            .iter()
+            .map(|&(p, s, q)| (p, Symbol::from_index(s), q))
+            .collect();
+        expected.sort_unstable();
+        expected.dedup();
+        prop_assert_eq!(&all, &expected);
+        prop_assert_eq!(sys.transition_count(), all.len());
+        for q in 0..4 {
+            let row: Vec<_> = all.iter().filter(|t| t.0 == q).map(|&(_, a, t)| (a, t)).collect();
+            prop_assert_eq!(sys.is_deadlock(q), row.is_empty());
+            prop_assert_eq!(sys.enabled(q), row);
+        }
+        let nfa = sys.to_nfa();
+        let w: Vec<Symbol> = word.into_iter().map(Symbol::from_index).collect();
+        let reached = w
+            .iter()
+            .fold(nfa.initial().clone(), |set, &a| nfa.step(&set, a));
+        prop_assert_eq!(sys.run(&w), reached.into_iter().collect::<Vec<_>>());
     }
 }
 

@@ -45,11 +45,13 @@ fn start_daemon(name: &str, extra: &[&str], envs: &[(&str, &str)]) -> Daemon {
         cmd.env(k, v);
     }
     let child = cmd.spawn().expect("daemon spawns");
+    // The socket file appears at bind(2), before listen(2): only a
+    // connection that succeeds shows the daemon is accepting.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while !socket.exists() {
+    while UnixStream::connect(&socket).is_err() {
         assert!(
             Instant::now() < deadline,
-            "daemon never bound {socket:?}; stderr: {}",
+            "daemon never accepted a connection on {socket:?}; stderr: {}",
             std::fs::read_to_string(&stderr_path).unwrap_or_default()
         );
         std::thread::sleep(Duration::from_millis(10));

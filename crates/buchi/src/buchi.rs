@@ -1,6 +1,5 @@
 //! Nondeterministic Büchi automata.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -10,6 +9,7 @@ use rl_automata::{
     Symbol,
 };
 
+use crate::classes::ClassBuchi;
 use crate::emptiness::{self, Poll};
 use crate::upword::UpWord;
 
@@ -404,31 +404,74 @@ impl Buchi {
     /// When the guard carries an `OpCache`, a repeated intersection of
     /// structurally equal operands is answered from the memo table.
     ///
-    /// Each product state's successors come from a merge-join of the two
-    /// components' edge lists on their symbols, so the product costs
-    /// O(product transitions), not O(product states × |Σ|). Successors are
-    /// interned and charged in `(symbol, left successor, right successor)`
-    /// order from a breadth-first worklist, which fixes the product's state
-    /// numbering and the exact charge at which a budget trips.
+    /// Each product state's successors come from its left row: every run
+    /// of edges on one symbol finds that symbol's edges in the right row by
+    /// binary search, so the product costs O(left transitions · log) plus
+    /// the product transitions, not O(product states × |Σ|). Successors
+    /// are interned and charged in `(symbol, left successor, right
+    /// successor)` order from a breadth-first worklist, which fixes the
+    /// product's state numbering and the exact charge at which a budget
+    /// trips. It is the same join as [`Buchi::intersection_with_classes`],
+    /// with every letter in a class of its own.
     ///
     /// # Errors
     ///
     /// Returns [`AutomataError::AlphabetMismatch`] when the alphabets differ,
     /// or a budget error when the guard trips.
     pub fn intersection_with(&self, other: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
+        self.memoized_product(other, Buchi::structural_hash, guard, || {
+            self.product(other, |a| a, guard)
+        })
+    }
+
+    /// [`Buchi::intersection_with`] against an automaton over letter
+    /// classes: accepts `L(self) ∩ L(other)`.
+    ///
+    /// Each edge `(a, p2)` of a left row meets the right row's edges on
+    /// `a`'s class, found with one lookup, so the product costs
+    /// O(product transitions) however many letters share a class. States
+    /// are numbered and charged exactly as [`Buchi::intersection_with`]
+    /// numbers and charges them against `other.to_letters()`, and the
+    /// product is equal to that one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Buchi::intersection_with`].
+    pub fn intersection_with_classes(
+        &self,
+        other: &ClassBuchi,
+        guard: &Guard,
+    ) -> Result<Buchi, AutomataError> {
+        self.memoized_product(other, ClassBuchi::structural_hash, guard, || {
+            self.product(other.rows(), |a| other.class_of(a), guard)
+        })
+    }
+
+    /// Runs `build` for the product of `self` and `other`, through the
+    /// guard's `OpCache` when it carries one.
+    fn memoized_product<T>(
+        &self,
+        other: &T,
+        hash: impl Fn(&T) -> u64,
+        guard: &Guard,
+        build: impl FnOnce() -> Result<Buchi, AutomataError>,
+    ) -> Result<Buchi, AutomataError>
+    where
+        T: Clone + PartialEq + MemFootprint + Send + Sync + 'static,
+    {
         if guard.op_cache().is_none() {
-            return self.intersection_inner(other, guard);
+            return build();
         }
-        let (self_hash, other_hash) = (self.structural_hash(), other.structural_hash());
+        let (self_hash, other_hash) = (self.structural_hash(), hash(other));
         let mut h = FxHasher::default();
         h.write_u64(self_hash);
         h.write_u64(other_hash);
-        let entry = guard.cached::<(Arc<Buchi>, Arc<Buchi>, Buchi), AutomataError>(
+        let entry = guard.cached::<(Arc<Buchi>, Arc<T>, Buchi), AutomataError>(
             "buchi_intersection",
             h.finish(),
             |e| *e.0 == *self && *e.1 == *other,
             || {
-                let product = self.intersection_inner(other, guard)?;
+                let product = build()?;
                 Ok((
                     guard.operand(self_hash, self),
                     guard.operand(other_hash, other),
@@ -439,7 +482,15 @@ impl Buchi {
         Ok(entry.2.clone())
     }
 
-    fn intersection_inner(&self, other: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
+    /// The two-copy product of `self` with `other`, whose edges carry the
+    /// class `class_of(a)` of each letter `a` (the identity for a product
+    /// of two letter automata).
+    fn product(
+        &self,
+        other: &Buchi,
+        class_of: impl Fn(Symbol) -> Symbol,
+        guard: &Guard,
+    ) -> Result<Buchi, AutomataError> {
         let _span = guard.span("buchi_intersection");
         self.alphabet.check_compatible(&other.alphabet)?;
         // Classical two-copy product: in copy 0 we wait for `self` to accept,
@@ -498,26 +549,24 @@ impl Buchi {
                 1 if other.accepting[q] => 0,
                 c => c,
             };
+            // Successors in `(symbol, left successor, right successor)`
+            // order: the left row is sorted by symbol, and each symbol's
+            // class is found in the right row by binary search.
             let (left, right) = (&self.edges[p], &other.edges[q]);
-            let (mut i, mut j) = (0, 0);
-            while i < left.len() && j < right.len() {
-                let a = left[i].0;
-                match a.cmp(&right[j].0) {
-                    Ordering::Less => i += 1,
-                    Ordering::Greater => j += 1,
-                    Ordering::Equal => {
-                        let i_end = i + left[i..].partition_point(|&(b, _)| b == a);
-                        let j_end = j + right[j..].partition_point(|&(b, _)| b == a);
-                        for &(_, p2) in &left[i..i_end] {
-                            for &(_, q2) in &right[j..j_end] {
-                                let nid = product.intern(p2, q2, copy2)?;
-                                guard.charge_transition()?;
-                                row.push((a, nid));
-                            }
-                        }
-                        (i, j) = (i_end, j_end);
+            let mut i = 0;
+            while let Some(&(a, _)) = left.get(i) {
+                let i_end = i + left[i..].partition_point(|&(b, _)| b == a);
+                let c = class_of(a);
+                let lo = right.partition_point(|&(d, _)| d < c);
+                let hi = lo + right[lo..].partition_point(|&(d, _)| d == c);
+                for &(_, p2) in &left[i..i_end] {
+                    for &(_, q2) in &right[lo..hi] {
+                        let nid = product.intern(p2, q2, copy2)?;
+                        guard.charge_transition()?;
+                        row.push((a, nid));
                     }
                 }
+                i = i_end;
             }
             row.sort_unstable();
             row.dedup();

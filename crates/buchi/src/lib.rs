@@ -7,7 +7,8 @@
 //! provides that substrate:
 //!
 //! * [`Buchi`] — nondeterministic Büchi automata,
-//! * intersection products and unions,
+//! * [`ClassBuchi`] — Büchi automata whose edges carry letter classes,
+//! * intersection products (letter × letter and letter × class) and unions,
 //! * SCC-based emptiness with ultimately-periodic counterexamples
 //!   ([`UpWord`]),
 //! * *reduction* (trimming states that admit no accepting run — the
@@ -48,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod buchi;
+mod classes;
 mod complement;
 mod emptiness;
 mod generalized;
@@ -55,6 +57,7 @@ mod limits;
 mod upword;
 
 pub use buchi::Buchi;
+pub use classes::ClassBuchi;
 pub use complement::{complement, complement_with, omega_included, omega_included_with};
 pub use generalized::GeneralizedBuchi;
 pub use limits::{behaviors_of_ts, behaviors_of_ts_with, limit_of_dfa, limit_of_prefix_closed};

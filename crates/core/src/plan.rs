@@ -1,7 +1,7 @@
 //! One check, three verdicts: the shared plan behind `rlcheck check`.
 
 use rl_automata::{dfa_included, dfa_included_with, nfa_included_lazy, Guard};
-use rl_buchi::{limit_of_dfa, Buchi, UpWord};
+use rl_buchi::{limit_of_dfa, Buchi, ClassBuchi, UpWord};
 
 use crate::property::{CoreError, Property};
 use crate::relative::{RelativeLivenessVerdict, RelativeSafetyVerdict, SatisfactionVerdict};
@@ -27,7 +27,10 @@ pub struct CheckVerdicts {
 /// plan builds each at most once, on first use. Every one is a Büchi
 /// automaton: `pre(·)` is the reduced graph read all-accepting
 /// ([`Buchi::prefix_graph_with`]), which as an NFA accepts the prefixes
-/// and, by König's lemma, as a Büchi automaton accepts their limit. The
+/// and, by König's lemma, as a Büchi automaton accepts their limit. `¬P`
+/// and `P` are held over letter classes ([`ClassBuchi`]): a formula's
+/// automaton has one edge per class of letters that satisfy the same
+/// atoms, and each product looks a system letter's class up once. The
 /// plan also remembers the verdicts it has decided, and a later decision skips every step Theorem
 /// 4.7 (`L_ω ⊆ P` ⇔ rel-live ∧ rel-safe) settles from them. Decided in
 /// [`CheckPlan::decide`]'s order:
@@ -79,8 +82,8 @@ pub struct CheckPlan<'a> {
     system: &'a Buchi,
     property: &'a Property,
     guard: &'a Guard,
-    /// `¬P`, translated on first use.
-    negation: Option<Buchi>,
+    /// `¬P` over letter classes, translated on first use.
+    negation: Option<ClassBuchi>,
     /// `L_ω ∩ ¬P`, the classical violation product. Dropped after the
     /// classical verdict when `L_ω` is limit closed: relative safety then
     /// never reads it.
@@ -247,7 +250,7 @@ impl<'a> CheckPlan<'a> {
         };
         let lim = eager_lim.as_ref().unwrap_or(&pre_lp);
         let bad = if is_limit_closed(self.system) {
-            lim.intersection_with(self.negation()?, guard)?
+            lim.intersection_with_classes(self.negation()?, guard)?
         } else {
             self.violations()?.intersection_with(lim, guard)?
         };
@@ -260,12 +263,12 @@ impl<'a> CheckPlan<'a> {
     }
 
     /// `¬P`, translated once.
-    fn negation(&mut self) -> Result<&Buchi, CoreError> {
+    fn negation(&mut self) -> Result<&ClassBuchi, CoreError> {
         let neg = match self.negation.take() {
             Some(neg) => neg,
             None => self
                 .property
-                .negation_to_buchi_with(self.system.alphabet(), self.guard)?,
+                .negation_classes_with(self.system.alphabet(), self.guard)?,
         };
         Ok(self.negation.insert(neg))
     }
@@ -276,7 +279,7 @@ impl<'a> CheckPlan<'a> {
             Some(product) => product,
             None => {
                 let (system, guard) = (self.system, self.guard);
-                system.intersection_with(self.negation()?, guard)?
+                system.intersection_with_classes(self.negation()?, guard)?
             }
         };
         Ok(self.violations.insert(product))
@@ -297,9 +300,9 @@ impl<'a> CheckPlan<'a> {
         let p = {
             let _span = self.guard.span("translate");
             self.property
-                .to_buchi_with(self.system.alphabet(), self.guard)?
+                .to_classes_with(self.system.alphabet(), self.guard)?
         };
-        let both = self.system.intersection_with(&p, self.guard)?;
+        let both = self.system.intersection_with_classes(&p, self.guard)?;
         prefixes(&both, self.guard)
     }
 }

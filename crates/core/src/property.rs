@@ -6,8 +6,8 @@ use std::fmt;
 
 use rl_abstraction::AbstractionError;
 use rl_automata::{Alphabet, AutomataError, Guard};
-use rl_buchi::{complement_with, Buchi};
-use rl_logic::{formula_to_buchi_with, Formula, Labeling};
+use rl_buchi::{complement_with, Buchi, ClassBuchi};
+use rl_logic::{formula_to_classes_with, Formula, Labeling};
 
 /// Errors from the relative-liveness/safety deciders and pipelines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,25 +106,41 @@ impl Property {
 
     /// [`Property::to_buchi`] under a resource [`Guard`]: formula
     /// translation stops at the guard's deadline or cancellation (see
-    /// [`formula_to_buchi_with`]).
+    /// [`rl_logic::formula_to_buchi_with`]).
     ///
     /// # Errors
     ///
     /// Same as [`Property::to_buchi`], plus a budget or cancellation error
     /// when the guard trips during translation.
     pub fn to_buchi_with(&self, alphabet: &Alphabet, guard: &Guard) -> Result<Buchi, CoreError> {
+        Ok(self.to_classes_with(alphabet, guard)?.to_letters())
+    }
+
+    /// [`Property::to_buchi_with`] over letter classes: a formula's
+    /// automaton has one edge per class of letters that satisfy the same
+    /// atoms (see [`formula_to_classes_with`]); an automaton puts every
+    /// letter in a class of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`Property::to_buchi_with`].
+    pub fn to_classes_with(
+        &self,
+        alphabet: &Alphabet,
+        guard: &Guard,
+    ) -> Result<ClassBuchi, CoreError> {
         match self {
             Property::Formula(f) => {
                 let lam = Labeling::canonical(alphabet);
-                Ok(formula_to_buchi_with(f, &lam, guard)?)
+                Ok(formula_to_classes_with(f, &lam, guard)?)
             }
             Property::LabeledFormula(f, lam) => {
                 lam.alphabet().check_compatible(alphabet)?;
-                Ok(formula_to_buchi_with(f, lam, guard)?)
+                Ok(formula_to_classes_with(f, lam, guard)?)
             }
             Property::Automaton(b) => {
                 b.alphabet().check_compatible(alphabet)?;
-                Ok(b.clone())
+                Ok(ClassBuchi::from_letters(b.clone()))
             }
         }
     }
@@ -143,7 +159,7 @@ impl Property {
     /// Automaton-given properties are complemented with the exponential
     /// rank-based construction, which charges the guard and can trip it.
     /// Formula-given properties negate the formula and translate it with
-    /// [`formula_to_buchi_with`], the GPVW tableau. It is exponential in the
+    /// [`rl_logic::formula_to_buchi_with`], the GPVW tableau. It is exponential in the
     /// size of the formula and charges no states, but it polls the guard's
     /// deadline and cancel token, so `--timeout` and cancellation stop it.
     ///
@@ -157,19 +173,33 @@ impl Property {
         alphabet: &Alphabet,
         guard: &Guard,
     ) -> Result<Buchi, CoreError> {
+        Ok(self.negation_classes_with(alphabet, guard)?.to_letters())
+    }
+
+    /// [`Property::negation_to_buchi_with`] over letter classes, as
+    /// [`Property::to_classes_with`] is to [`Property::to_buchi_with`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Property::negation_to_buchi_with`].
+    pub fn negation_classes_with(
+        &self,
+        alphabet: &Alphabet,
+        guard: &Guard,
+    ) -> Result<ClassBuchi, CoreError> {
         let _span = guard.span("negation");
         match self {
             Property::Formula(f) => {
                 let lam = Labeling::canonical(alphabet);
-                Ok(formula_to_buchi_with(&f.clone().not(), &lam, guard)?)
+                Ok(formula_to_classes_with(&f.clone().not(), &lam, guard)?)
             }
             Property::LabeledFormula(f, lam) => {
                 lam.alphabet().check_compatible(alphabet)?;
-                Ok(formula_to_buchi_with(&f.clone().not(), lam, guard)?)
+                Ok(formula_to_classes_with(&f.clone().not(), lam, guard)?)
             }
             Property::Automaton(b) => {
                 b.alphabet().check_compatible(alphabet)?;
-                Ok(complement_with(b, guard)?)
+                Ok(ClassBuchi::from_letters(complement_with(b, guard)?))
             }
         }
     }
@@ -220,6 +250,30 @@ mod tests {
         assert!(pos.accepts_upword(&UpWord::periodic(vec![a]).unwrap()));
         let neg = p.negation_to_buchi(&ab).unwrap();
         assert!(neg.is_empty_language());
+    }
+
+    /// A token ring's alphabet: `pass0 work0 … pass{n-1} work{n-1}`.
+    fn ring_alphabet(n: usize) -> Alphabet {
+        Alphabet::new((0..n).flat_map(|i| [format!("pass{i}"), format!("work{i}")])).unwrap()
+    }
+
+    #[test]
+    fn class_rows_do_not_grow_with_the_alphabet() {
+        // `[]<>pass0` names one atom: every letter but pass0 is in one
+        // class, so both automata have as many edges over 512 letters as
+        // over 64.
+        let p = Property::formula(parse("[]<>pass0").unwrap());
+        let guard = Guard::unlimited();
+        let edges = |n: usize| {
+            let ab = ring_alphabet(n);
+            let neg = p.negation_classes_with(&ab, &guard).unwrap();
+            let pos = p.to_classes_with(&ab, &guard).unwrap();
+            assert_eq!(neg.to_letters(), p.negation_to_buchi(&ab).unwrap());
+            assert_eq!(pos.to_letters(), p.to_buchi(&ab).unwrap());
+            (neg.transition_count(), pos.transition_count())
+        };
+        assert_eq!(edges(256), edges(32));
+        assert_eq!(edges(32), (6, 6));
     }
 
     #[test]

@@ -187,111 +187,94 @@ impl Formula {
     /// assert_eq!(f.to_pnf().to_string(), "!a R !b");
     /// ```
     pub fn to_pnf(&self) -> Formula {
-        self.pnf(false)
+        self.pnf_into(false, &mut Trees)
     }
 
-    fn pnf(&self, negated: bool) -> Formula {
-        match self {
-            Formula::True => {
-                if negated {
-                    Formula::False
+    /// The positive normal form of `self` (of `¬self` when `negated`),
+    /// built by `b`.
+    pub(crate) fn pnf_into<'f, B: PnfBuilder<'f>>(&'f self, negated: bool, b: &mut B) -> B::Node {
+        b.share(self, negated, |b| match self {
+            Formula::True => b.constant(!negated),
+            Formula::False => b.constant(negated),
+            Formula::Atom(p) => b.literal(p, !negated),
+            Formula::Not(x) => x.pnf_into(!negated, b),
+            Formula::And(x, y) | Formula::Or(x, y) => {
+                // ¬(x ∧ y) = ¬x ∨ ¬y and ¬(x ∨ y) = ¬x ∧ ¬y.
+                let (x, y) = (x.pnf_into(negated, b), y.pnf_into(negated, b));
+                if matches!(self, Formula::And(..)) != negated {
+                    b.and(x, y)
                 } else {
-                    Formula::True
-                }
-            }
-            Formula::False => {
-                if negated {
-                    Formula::True
-                } else {
-                    Formula::False
-                }
-            }
-            Formula::Atom(p) => {
-                if negated {
-                    Formula::atom(p.clone()).not()
-                } else {
-                    Formula::atom(p.clone())
-                }
-            }
-            Formula::Not(x) => x.pnf(!negated),
-            Formula::And(x, y) => {
-                if negated {
-                    x.pnf(true).or(y.pnf(true))
-                } else {
-                    x.pnf(false).and(y.pnf(false))
-                }
-            }
-            Formula::Or(x, y) => {
-                if negated {
-                    x.pnf(true).and(y.pnf(true))
-                } else {
-                    x.pnf(false).or(y.pnf(false))
+                    b.or(x, y)
                 }
             }
             Formula::Implies(x, y) => {
                 // x ⇒ y = ¬x ∨ y
                 if negated {
-                    x.pnf(false).and(y.pnf(true))
+                    let (x, y) = (x.pnf_into(false, b), y.pnf_into(true, b));
+                    b.and(x, y)
                 } else {
-                    x.pnf(true).or(y.pnf(false))
+                    let (x, y) = (x.pnf_into(true, b), y.pnf_into(false, b));
+                    b.or(x, y)
                 }
             }
             Formula::Iff(x, y) => {
-                // x ⇔ y = (x ∧ y) ∨ (¬x ∧ ¬y)
-                if negated {
-                    // ¬(x ⇔ y) = (x ∧ ¬y) ∨ (¬x ∧ y)
-                    (x.pnf(false).and(y.pnf(true))).or(x.pnf(true).and(y.pnf(false)))
-                } else {
-                    (x.pnf(false).and(y.pnf(false))).or(x.pnf(true).and(y.pnf(true)))
-                }
+                // x ⇔ y = (x ∧ y) ∨ (¬x ∧ ¬y), and
+                // ¬(x ⇔ y) = (x ∧ ¬y) ∨ (¬x ∧ y).
+                let (x1, y1) = (x.pnf_into(false, b), y.pnf_into(negated, b));
+                let left = b.and(x1, y1);
+                let (x2, y2) = (x.pnf_into(true, b), y.pnf_into(!negated, b));
+                let right = b.and(x2, y2);
+                b.or(left, right)
             }
-            Formula::Next(x) => x.pnf(negated).next(),
-            Formula::Until(x, y) => {
-                if negated {
-                    x.pnf(true).release(y.pnf(true))
-                } else {
-                    x.pnf(false).until(y.pnf(false))
-                }
+            Formula::Next(x) => {
+                let x = x.pnf_into(negated, b);
+                b.next(x)
             }
-            Formula::Release(x, y) => {
-                if negated {
-                    x.pnf(true).until(y.pnf(true))
+            Formula::Until(x, y) | Formula::Release(x, y) => {
+                // ¬(x U y) = ¬x R ¬y and ¬(x R y) = ¬x U ¬y.
+                let (x, y) = (x.pnf_into(negated, b), y.pnf_into(negated, b));
+                if matches!(self, Formula::Until(..)) != negated {
+                    b.until(x, y)
                 } else {
-                    x.pnf(false).release(y.pnf(false))
+                    b.release(x, y)
                 }
             }
             Formula::Before(x, y) => {
                 // x B y = ¬((¬x) U y) = x R ¬y
+                let (x, y) = (x.pnf_into(negated, b), y.pnf_into(!negated, b));
                 if negated {
-                    x.pnf(true).until(y.pnf(false))
+                    b.until(x, y)
                 } else {
-                    x.pnf(false).release(y.pnf(true))
+                    b.release(x, y)
                 }
             }
             Formula::WeakUntil(x, y) => {
                 // x W y = y R (y ∨ x); ¬(x W y) = (¬y) U (¬y ∧ ¬x).
+                let (y1, y2, x) = (
+                    y.pnf_into(negated, b),
+                    y.pnf_into(negated, b),
+                    x.pnf_into(negated, b),
+                );
                 if negated {
-                    y.pnf(true).until(y.pnf(true).and(x.pnf(true)))
+                    let rhs = b.and(y2, x);
+                    b.until(y1, rhs)
                 } else {
-                    y.pnf(false).release(y.pnf(false).or(x.pnf(false)))
+                    let rhs = b.or(y2, x);
+                    b.release(y1, rhs)
                 }
             }
-            Formula::Eventually(x) => {
-                // ◇x = true U x; ¬◇x = false R ¬x = □¬x
-                if negated {
-                    Formula::False.release(x.pnf(true))
+            Formula::Eventually(x) | Formula::Always(x) => {
+                // ◇x = true U x and □x = false R x; ¬◇x = false R ¬x and
+                // ¬□x = true U ¬x.
+                let eventually = matches!(self, Formula::Eventually(..)) != negated;
+                let (c, x) = (b.constant(eventually), x.pnf_into(negated, b));
+                if eventually {
+                    b.until(c, x)
                 } else {
-                    Formula::True.until(x.pnf(false))
+                    b.release(c, x)
                 }
             }
-            Formula::Always(x) => {
-                if negated {
-                    Formula::True.until(x.pnf(true))
-                } else {
-                    Formula::False.release(x.pnf(false))
-                }
-            }
-        }
+        })
     }
 
     /// Whether the formula is in positive normal form.
@@ -349,6 +332,85 @@ fn prec(f: &Formula) -> u8 {
         Formula::Or(..) => 2,
         Formula::Implies(..) => 1,
         Formula::Iff(..) => 0,
+    }
+}
+
+/// A target for positive normal form ([`Formula::pnf_into`]): each method
+/// builds one PNF node from nodes already built.
+pub(crate) trait PnfBuilder<'f> {
+    /// A built formula.
+    type Node;
+
+    /// `true` or `false`.
+    fn constant(&mut self, value: bool) -> Self::Node;
+    /// The atom `p` when `positive`, else `¬p`.
+    fn literal(&mut self, atom: &'f str, positive: bool) -> Self::Node;
+    /// `x ∧ y`.
+    fn and(&mut self, x: Self::Node, y: Self::Node) -> Self::Node;
+    /// `x ∨ y`.
+    fn or(&mut self, x: Self::Node, y: Self::Node) -> Self::Node;
+    /// `O x`.
+    fn next(&mut self, x: Self::Node) -> Self::Node;
+    /// `x U y`.
+    fn until(&mut self, x: Self::Node, y: Self::Node) -> Self::Node;
+    /// `x R y`.
+    fn release(&mut self, x: Self::Node, y: Self::Node) -> Self::Node;
+
+    /// The PNF of the subformula `f` (negated when `negated`), which
+    /// `build` builds. A builder that shares nodes returns the one it built
+    /// before for the same `f` and polarity.
+    fn share(
+        &mut self,
+        f: &'f Formula,
+        negated: bool,
+        build: impl FnOnce(&mut Self) -> Self::Node,
+    ) -> Self::Node {
+        let _ = (f, negated);
+        build(self)
+    }
+}
+
+/// Builds PNF as a plain [`Formula`] tree.
+struct Trees;
+
+impl PnfBuilder<'_> for Trees {
+    type Node = Formula;
+
+    fn constant(&mut self, value: bool) -> Formula {
+        if value {
+            Formula::True
+        } else {
+            Formula::False
+        }
+    }
+
+    fn literal(&mut self, atom: &str, positive: bool) -> Formula {
+        let p = Formula::atom(atom);
+        if positive {
+            p
+        } else {
+            p.not()
+        }
+    }
+
+    fn and(&mut self, x: Formula, y: Formula) -> Formula {
+        x.and(y)
+    }
+
+    fn or(&mut self, x: Formula, y: Formula) -> Formula {
+        x.or(y)
+    }
+
+    fn next(&mut self, x: Formula) -> Formula {
+        x.next()
+    }
+
+    fn until(&mut self, x: Formula, y: Formula) -> Formula {
+        x.until(y)
+    }
+
+    fn release(&mut self, x: Formula, y: Formula) -> Formula {
+        x.release(y)
     }
 }
 

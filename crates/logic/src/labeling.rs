@@ -6,7 +6,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rl_automata::{Alphabet, AutomataError, Symbol};
+use rl_automata::{Alphabet, AutomataError, FxHashMap, Symbol};
 
 /// The proposition name used for hidden actions by the canonical
 /// homomorphism labeling `λ_hΣΣ'` (Definition 7.3): a concrete action `a`
@@ -33,6 +33,14 @@ pub const EPSILON_PROP: &str = "ε";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Labeling {
     alphabet: Alphabet,
+    /// The propositions of a general labeling; `None` for the canonical
+    /// `λ_Σ`, whose propositions are the letters' own names.
+    assigned: Option<Assigned>,
+}
+
+/// The propositions of a labeling built by [`Labeling::from_fn`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Assigned {
     props: Vec<String>,
     index: BTreeMap<String, usize>,
     sat: Vec<BTreeSet<usize>>, // per symbol: indices of true propositions
@@ -42,18 +50,9 @@ impl Labeling {
     /// The canonical `λ_Σ` of Definition 7.2: propositions are the symbol
     /// names themselves and `λ_Σ(a) = {a}`.
     pub fn canonical(alphabet: &Alphabet) -> Labeling {
-        let props: Vec<String> = alphabet.names();
-        let index = props
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i))
-            .collect();
-        let sat = (0..alphabet.len()).map(|i| BTreeSet::from([i])).collect();
         Labeling {
             alphabet: alphabet.clone(),
-            props,
-            index,
-            sat,
+            assigned: None,
         }
     }
 
@@ -83,9 +82,7 @@ impl Labeling {
         }
         Ok(Labeling {
             alphabet: alphabet.clone(),
-            props,
-            index,
-            sat,
+            assigned: Some(Assigned { props, index, sat }),
         })
     }
 
@@ -94,26 +91,128 @@ impl Labeling {
         &self.alphabet
     }
 
-    /// All proposition names, in interning order.
-    pub fn props(&self) -> &[String] {
-        &self.props
+    /// All proposition names, in interning order (alphabet order for the
+    /// canonical labeling).
+    pub fn props(&self) -> Vec<&str> {
+        match &self.assigned {
+            None => self.alphabet.iter().map(|(_, name)| name).collect(),
+            Some(x) => x.props.iter().map(String::as_str).collect(),
+        }
     }
 
     /// Whether proposition `prop` holds at symbol `a`. Unknown proposition
     /// names hold nowhere.
     pub fn satisfies(&self, a: Symbol, prop: &str) -> bool {
-        match self.index.get(prop) {
-            Some(&i) => self.sat[a.index()].contains(&i),
-            None => false,
+        match &self.assigned {
+            None => self.alphabet.name(a) == prop,
+            Some(x) => x
+                .index
+                .get(prop)
+                .is_some_and(|i| x.sat[a.index()].contains(i)),
         }
     }
 
     /// The proposition names true at symbol `a`.
     pub fn props_at(&self, a: Symbol) -> Vec<&str> {
-        self.sat[a.index()]
-            .iter()
-            .map(|&i| self.props[i].as_str())
-            .collect()
+        match &self.assigned {
+            None => vec![self.alphabet.name(a)],
+            Some(x) => x.sat[a.index()]
+                .iter()
+                .map(|&i| x.props[i].as_str())
+                .collect(),
+        }
+    }
+
+    /// Partitions the alphabet by which of `atoms` each letter satisfies.
+    ///
+    /// Under `λ_Σ` an atom holds at the one letter it names, so there are
+    /// at most `atoms.len() + 1` classes, found from the atoms' symbol
+    /// lookups and one fill of the letter map.
+    pub(crate) fn classes(&self, atoms: &[&str]) -> LetterClasses {
+        let mut classes = LetterClasses {
+            class_of: Vec::new(),
+            holds: Vec::new(),
+            atoms: atoms.len(),
+            count: 0,
+        };
+        match &self.assigned {
+            None => {
+                // Each atom holds at the one letter it names. Classes are
+                // numbered by their least letters: the named letters below
+                // the least unnamed letter `u`, then the class of every
+                // unnamed letter, then the named letters above `u`.
+                let mut named: Vec<(usize, usize)> = atoms
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, atom)| Some((self.alphabet.symbol(atom)?.index(), i)))
+                    .collect();
+                named.sort_unstable();
+                let len = self.alphabet.len();
+                let u = (named.iter().enumerate())
+                    .position(|(j, &(a, _))| a != j)
+                    .unwrap_or(named.len());
+                classes.class_of = vec![Symbol::from_index(u); len];
+                for (j, &(a, i)) in named.iter().enumerate() {
+                    if j == u {
+                        classes.push(|_| false);
+                    }
+                    classes.class_of[a] = classes.push(|k| k == i);
+                }
+                if classes.count == u && u < len {
+                    classes.push(|_| false);
+                }
+            }
+            Some(x) => {
+                let ids: Vec<Option<usize>> = atoms
+                    .iter()
+                    .map(|atom| x.index.get(*atom).copied())
+                    .collect();
+                let mut seen: FxHashMap<Vec<bool>, Symbol> = FxHashMap::default();
+                for sat in &x.sat {
+                    let key: Vec<bool> = ids
+                        .iter()
+                        .map(|id| id.is_some_and(|i| sat.contains(&i)))
+                        .collect();
+                    let c = match seen.get(&key) {
+                        Some(&c) => c,
+                        None => {
+                            let c = classes.push(|k| key[k]);
+                            seen.insert(key, c);
+                            c
+                        }
+                    };
+                    classes.class_of.push(c);
+                }
+            }
+        }
+        classes
+    }
+}
+
+/// A partition of the alphabet into classes of letters that satisfy the
+/// same atoms, numbered in the order of their least letters.
+#[derive(Debug)]
+pub(crate) struct LetterClasses {
+    /// `class_of[a]`: the class of letter `a`.
+    pub(crate) class_of: Vec<Symbol>,
+    /// `holds[c * atoms + i]`: whether atom `i` holds in class `c`.
+    holds: Vec<bool>,
+    atoms: usize,
+    /// Number of classes.
+    pub(crate) count: usize,
+}
+
+impl LetterClasses {
+    /// Appends a class in which atom `i` holds when `holds(i)`.
+    fn push(&mut self, holds: impl Fn(usize) -> bool) -> Symbol {
+        self.holds.extend((0..self.atoms).map(holds));
+        self.count += 1;
+        Symbol::from_index(self.count - 1)
+    }
+
+    /// Whether atom `i` holds at the letters of class `c`.
+    pub(crate) fn holds(&self, c: usize, i: usize) -> bool {
+        self.holds[c * self.atoms + i]
     }
 }
 
@@ -152,6 +251,27 @@ mod tests {
         assert!(!lam.satisfies(lock, "lock"));
         assert!(lam.satisfies(request, "request"));
         assert!(!lam.satisfies(request, EPSILON_PROP));
+    }
+
+    #[test]
+    fn classes_are_numbered_by_their_least_letters() {
+        let ab = Alphabet::new(["a", "b", "c", "d"]).unwrap();
+        let canonical = Labeling::canonical(&ab);
+        let spelled_out = Labeling::from_fn(&ab, |s| vec![ab.name(s).to_owned()]).unwrap();
+        for (atoms, want) in [
+            (&["c"][..], [0, 0, 1, 0]),
+            (&["b", "a", "zz"][..], [0, 1, 2, 2]),
+            (&["d", "c", "b", "a"][..], [0, 1, 2, 3]),
+            (&[][..], [0, 0, 0, 0]),
+        ] {
+            let (x, y) = (canonical.classes(atoms), spelled_out.classes(atoms));
+            assert_eq!(x.class_of, y.class_of, "{atoms:?}");
+            let ids: Vec<usize> = x.class_of.iter().map(|c| c.index()).collect();
+            assert_eq!(ids, want, "{atoms:?}");
+            for (c, i) in (0..x.count).flat_map(|c| (0..atoms.len()).map(move |i| (c, i))) {
+                assert_eq!(x.holds(c, i), y.holds(c, i), "{atoms:?}");
+            }
+        }
     }
 
     #[test]

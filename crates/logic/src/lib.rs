@@ -63,4 +63,4 @@ pub use labeling::{Labeling, EPSILON_PROP};
 pub use parser::{parse, ParseError, MAX_DEPTH};
 pub use simplify::simplify;
 pub use transform::{is_sigma_normal_form, r_bar, r_bar_strict, to_sigma_normal_form, transform_t};
-pub use translate::{formula_to_buchi, formula_to_buchi_with};
+pub use translate::{formula_to_buchi, formula_to_buchi_with, formula_to_classes_with};

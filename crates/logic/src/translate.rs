@@ -17,13 +17,21 @@
 //! are word bitsets over those indices. Indices follow `Formula`'s `Ord`, so
 //! "the lowest set bit of `new`" is the least formula of the set. Expanding
 //! the least pending formula first fixes the expansion order, the node ids
-//! and with them the numbering of every state of the result.
+//! and with them the numbering of every state of the result. The closure is
+//! built with every subformula shared, so it stays linear in the formula
+//! where the PNF tree is exponential (nested `⇔`).
+//!
+//! Edges are labelled with letter classes, one per set of the formula's
+//! atoms that some letter satisfies ([`formula_to_classes_with`]); the
+//! per-letter automaton is their expansion.
+
+use std::cmp::Ordering;
 
 use rl_automata::{AutomataError, FxHashMap, Guard, Symbol};
-use rl_buchi::{Buchi, GeneralizedBuchi};
+use rl_buchi::{Buchi, ClassBuchi, GeneralizedBuchi};
 
-use crate::ast::Formula;
-use crate::labeling::Labeling;
+use crate::ast::{Formula, PnfBuilder};
+use crate::labeling::{Labeling, LetterClasses};
 
 /// Sentinel "incoming" id for initial tableau nodes.
 const INIT: usize = usize::MAX;
@@ -78,33 +86,46 @@ pub fn formula_to_buchi_with(
     labeling: &Labeling,
     guard: &Guard,
 ) -> Result<Buchi, AutomataError> {
-    let pnf = formula.to_pnf();
-    let closure = Closure::new(&pnf);
+    Ok(formula_to_classes_with(formula, labeling, guard)?.to_letters())
+}
+
+/// [`formula_to_buchi_with`] over letter classes: the automaton's edges
+/// carry classes of letters that satisfy the same atoms of `formula` under
+/// `labeling`, so its size does not grow with the alphabet. Its
+/// [`ClassBuchi::to_letters`] is [`formula_to_buchi_with`]'s result, state
+/// for state.
+///
+/// # Errors
+///
+/// As [`formula_to_buchi_with`].
+pub fn formula_to_classes_with(
+    formula: &Formula,
+    labeling: &Labeling,
+    guard: &Guard,
+) -> Result<ClassBuchi, AutomataError> {
+    let closure = Closure::new(formula);
     let nodes = expand_graph(&closure, guard)?;
     let n = nodes.len();
 
-    // Edge labels: a node admits symbol `a` when none of its literals is
-    // false at `a`.
-    let alphabet = labeling.alphabet();
-    let symbols: Vec<Symbol> = alphabet.symbols().collect();
-    let false_at: Vec<Vec<u64>> = symbols
-        .iter()
-        .map(|&a| closure.literals_false_at(a, labeling))
+    // Edge labels: a node admits a class when none of its literals is
+    // false there.
+    let classes = labeling.classes(&closure.atoms);
+    let false_in: Vec<Vec<u64>> = (0..classes.count)
+        .map(|c| closure.literals_false_in(c, &classes))
         .collect();
     let labels: Vec<Vec<Symbol>> = nodes
         .iter()
         .map(|node| {
-            symbols
-                .iter()
-                .zip(&false_at)
-                .filter(|(_, mask)| disjoint(&node.old, mask))
-                .map(|(&a, _)| a)
+            (0..classes.count)
+                .filter(|&c| disjoint(&node.old, &false_in[c]))
+                .map(Symbol::from_index)
                 .collect()
         })
         .collect();
 
-    // Assemble the labeled generalized Büchi automaton and degeneralize.
-    let mut gba = GeneralizedBuchi::new(alphabet.clone());
+    // Assemble the generalized Büchi automaton over class ids and
+    // degeneralize.
+    let mut gba = GeneralizedBuchi::new(labeling.alphabet().clone());
     for _ in 0..n {
         gba.add_state();
     }
@@ -113,9 +134,9 @@ pub fn formula_to_buchi_with(
             if q == INIT {
                 gba.set_initial(r);
             } else {
-                // Transition q --a--> r for symbols a satisfying old(q).
-                for &a in &labels[q] {
-                    gba.add_transition(q, a, r);
+                // Transition q --c--> r for classes c satisfying old(q).
+                for &c in &labels[q] {
+                    gba.add_transition(q, c, r);
                 }
             }
         }
@@ -137,18 +158,18 @@ pub fn formula_to_buchi_with(
             (0..n).filter(|&r| !contains(&nodes[r].old, u) || contains(&nodes[r].old, y)),
         )?;
     }
-    Ok(gba.degeneralize())
+    Ok(ClassBuchi::new(gba.degeneralize(), classes.class_of))
 }
 
 /// A member of the closure, with its operands given as closure indices.
 #[derive(Debug, Clone, Copy)]
-enum Op<'f> {
+enum Op {
     True,
     False,
-    /// `p` or `¬p`. `complement` indexes the opposite literal when the
-    /// closure has it.
+    /// `p` or `¬p`, with `p` an index into [`Closure::atoms`].
+    /// `complement` indexes the opposite literal when the closure has it.
     Literal {
-        atom: &'f str,
+        atom: usize,
         positive: bool,
         complement: Option<usize>,
     },
@@ -159,84 +180,194 @@ enum Op<'f> {
     Release(usize, usize),
 }
 
-/// The closure of a PNF formula: each subformula once, indexed in
-/// `Formula`'s `Ord` order.
+/// The closure of a formula's positive normal form: each subformula once,
+/// indexed in `Formula`'s `Ord` order.
 struct Closure<'f> {
-    ops: Vec<Op<'f>>,
+    ops: Vec<Op>,
+    /// The atoms of the literals, in closure order.
+    atoms: Vec<&'f str>,
     /// The index of the whole formula.
     root: usize,
     /// Words per bitset over the closure.
     words: usize,
 }
 
-impl<'f> Closure<'f> {
-    fn new(pnf: &'f Formula) -> Closure<'f> {
-        fn collect<'f>(f: &'f Formula, into: &mut Vec<&'f Formula>) {
-            into.push(f);
-            match f {
-                Formula::Not(x) | Formula::Next(x) => collect(x, into),
-                Formula::And(x, y)
-                | Formula::Or(x, y)
-                | Formula::Until(x, y)
-                | Formula::Release(x, y) => {
-                    collect(x, into);
-                    collect(y, into);
-                }
-                _ => {}
-            }
+/// A PNF node under construction, with its operands as [`Shared`] ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Shape<'f> {
+    Constant(bool),
+    Literal(&'f str, bool),
+    And(usize, usize),
+    Or(usize, usize),
+    Next(usize),
+    Until(usize, usize),
+    Release(usize, usize),
+}
+
+impl Shape<'_> {
+    /// The position of the node's `Formula` variant in the enum, which
+    /// `Formula`'s derived `Ord` compares first.
+    fn variant(self) -> u8 {
+        match self {
+            Shape::Constant(true) => 0,
+            Shape::Constant(false) => 1,
+            Shape::Literal(_, true) => 2,
+            Shape::Literal(_, false) => 3,
+            Shape::And(..) => 4,
+            Shape::Or(..) => 5,
+            Shape::Next(_) => 8,
+            Shape::Until(..) => 9,
+            Shape::Release(..) => 10,
         }
-        let mut members = Vec::new();
-        collect(pnf, &mut members);
-        members.sort_unstable();
-        members.dedup();
-        let index = |f: &Formula| members.binary_search(&f).ok();
-        let at = |f: &Formula| index(f).expect("operands are in the closure");
-        let ops = members
-            .iter()
-            .map(|&f| match f {
-                Formula::True => Op::True,
-                Formula::False => Op::False,
-                Formula::Atom(p) => Op::Literal {
-                    atom: p,
-                    positive: true,
-                    complement: index(&f.clone().not()),
-                },
-                Formula::Not(x) => match &**x {
-                    Formula::Atom(p) => Op::Literal {
-                        atom: p,
-                        positive: false,
-                        complement: Some(at(x)),
-                    },
-                    _ => unreachable!("PNF negates atoms only"),
-                },
-                Formula::And(x, y) => Op::And(at(x), at(y)),
-                Formula::Or(x, y) => Op::Or(at(x), at(y)),
-                Formula::Next(x) => Op::Next(at(x)),
-                Formula::Until(x, y) => Op::Until(at(x), at(y)),
-                Formula::Release(x, y) => Op::Release(at(x), at(y)),
-                Formula::Implies(..)
-                | Formula::Iff(..)
-                | Formula::Before(..)
-                | Formula::WeakUntil(..)
-                | Formula::Eventually(..)
-                | Formula::Always(..) => {
-                    unreachable!("the tableau requires positive normal form input")
-                }
-            })
-            .collect::<Vec<_>>();
-        Closure {
-            root: at(pnf),
-            words: ops.len().div_ceil(64),
-            ops,
+    }
+}
+
+/// Builds PNF with every distinct subformula once: a subformula and its
+/// polarity are converted once, and equal nodes get one id. The closure is
+/// then linear in the formula, even where the PNF tree is exponential
+/// (each `⇔` copies both polarities of both sides).
+#[derive(Default)]
+struct Shared<'f> {
+    nodes: Vec<Shape<'f>>,
+    ids: FxHashMap<Shape<'f>, usize>,
+    converted: FxHashMap<(*const Formula, bool), usize>,
+}
+
+impl<'f> Shared<'f> {
+    fn node(&mut self, shape: Shape<'f>) -> usize {
+        let fresh = self.nodes.len();
+        let id = *self.ids.entry(shape).or_insert(fresh);
+        if id == fresh {
+            self.nodes.push(shape);
+        }
+        id
+    }
+
+    /// `Formula`'s derived `Ord` on two nodes. Equal subformulas share an
+    /// id, so at most one pair of operands differs and is compared further:
+    /// the cost is the height of the formula.
+    fn cmp(&self, x: usize, y: usize) -> Ordering {
+        if x == y {
+            return Ordering::Equal;
+        }
+        let (a, b) = (self.nodes[x], self.nodes[y]);
+        a.variant().cmp(&b.variant()).then_with(|| match (a, b) {
+            (Shape::Literal(p, _), Shape::Literal(q, _)) => p.cmp(q),
+            (Shape::Next(x1), Shape::Next(x2)) => self.cmp(x1, x2),
+            (Shape::And(x1, y1), Shape::And(x2, y2))
+            | (Shape::Or(x1, y1), Shape::Or(x2, y2))
+            | (Shape::Until(x1, y1), Shape::Until(x2, y2))
+            | (Shape::Release(x1, y1), Shape::Release(x2, y2)) => {
+                self.cmp(x1, x2).then_with(|| self.cmp(y1, y2))
+            }
+            _ => unreachable!("equal variants have equal shapes"),
+        })
+    }
+}
+
+impl<'f> PnfBuilder<'f> for Shared<'f> {
+    type Node = usize;
+
+    fn constant(&mut self, value: bool) -> usize {
+        self.node(Shape::Constant(value))
+    }
+
+    fn literal(&mut self, atom: &'f str, positive: bool) -> usize {
+        // `¬p` has `p` for a subformula, as in the tree.
+        let p = self.node(Shape::Literal(atom, true));
+        if positive {
+            p
+        } else {
+            self.node(Shape::Literal(atom, false))
         }
     }
 
-    /// The literals of the closure that are false at symbol `a`.
-    fn literals_false_at(&self, a: Symbol, labeling: &Labeling) -> Vec<u64> {
+    fn and(&mut self, x: usize, y: usize) -> usize {
+        self.node(Shape::And(x, y))
+    }
+
+    fn or(&mut self, x: usize, y: usize) -> usize {
+        self.node(Shape::Or(x, y))
+    }
+
+    fn next(&mut self, x: usize) -> usize {
+        self.node(Shape::Next(x))
+    }
+
+    fn until(&mut self, x: usize, y: usize) -> usize {
+        self.node(Shape::Until(x, y))
+    }
+
+    fn release(&mut self, x: usize, y: usize) -> usize {
+        self.node(Shape::Release(x, y))
+    }
+
+    fn share(
+        &mut self,
+        f: &'f Formula,
+        negated: bool,
+        build: impl FnOnce(&mut Self) -> usize,
+    ) -> usize {
+        let key = (f as *const Formula, negated);
+        if let Some(&id) = self.converted.get(&key) {
+            return id;
+        }
+        let id = build(self);
+        self.converted.insert(key, id);
+        id
+    }
+}
+
+impl<'f> Closure<'f> {
+    fn new(formula: &'f Formula) -> Closure<'f> {
+        let mut shared = Shared::default();
+        let root = formula.pnf_into(false, &mut shared);
+        let mut order: Vec<usize> = (0..shared.nodes.len()).collect();
+        order.sort_unstable_by(|&x, &y| shared.cmp(x, y));
+        let mut at = vec![0; order.len()];
+        for (i, &x) in order.iter().enumerate() {
+            at[x] = i;
+        }
+        let mut atoms: Vec<&'f str> = Vec::new();
+        let mut atom_ids: FxHashMap<&'f str, usize> = FxHashMap::default();
+        let ops = order
+            .iter()
+            .map(|&x| match shared.nodes[x] {
+                Shape::Constant(true) => Op::True,
+                Shape::Constant(false) => Op::False,
+                Shape::Literal(p, positive) => Op::Literal {
+                    atom: *atom_ids.entry(p).or_insert_with(|| {
+                        atoms.push(p);
+                        atoms.len() - 1
+                    }),
+                    positive,
+                    complement: shared
+                        .ids
+                        .get(&Shape::Literal(p, !positive))
+                        .map(|&c| at[c]),
+                },
+                Shape::And(x, y) => Op::And(at[x], at[y]),
+                Shape::Or(x, y) => Op::Or(at[x], at[y]),
+                Shape::Next(x) => Op::Next(at[x]),
+                Shape::Until(x, y) => Op::Until(at[x], at[y]),
+                Shape::Release(x, y) => Op::Release(at[x], at[y]),
+            })
+            .collect::<Vec<_>>();
+        Closure {
+            root: at[root],
+            words: ops.len().div_ceil(64),
+            ops,
+            atoms,
+        }
+    }
+
+    /// The literals of the closure that are false at the letters of class
+    /// `c`.
+    fn literals_false_in(&self, c: usize, classes: &LetterClasses) -> Vec<u64> {
         let mut mask = vec![0; self.words];
         for (i, op) in self.ops.iter().enumerate() {
             if let Op::Literal { atom, positive, .. } = *op {
-                if labeling.satisfies(a, atom) != positive {
+                if classes.holds(c, atom) != positive {
                     mask[i / 64] |= 1 << (i % 64);
                 }
             }

@@ -283,11 +283,11 @@ fn sigma_ab_system(dir: &str) -> String {
 
 #[test]
 fn formula_blow_up_stops_at_the_deadline() {
-    // The LTL→Büchi tableau of a 12-deep nested until runs for tens of
-    // seconds; translation polls the deadline, so a 1 s timeout ends the
-    // check with exit 3 instead.
+    // The LTL→Büchi tableau of a 14-deep nested until runs for minutes,
+    // even in a release build; translation polls the deadline, so a 1 s
+    // timeout ends the check with exit 3 instead.
     let system = sigma_ab_system("rlcheck-formula-blow-up");
-    let formula = rl_bench::nested_until(12).to_string();
+    let formula = rl_bench::nested_until(14).to_string();
     let started = std::time::Instant::now();
     let out = rlcheck(&["check", &system, &formula, "--timeout", "1"]);
     let took = started.elapsed();
@@ -298,6 +298,54 @@ fn formula_blow_up_stops_at_the_deadline() {
         stderr(&out)
     );
     assert!(stderr(&out).contains("wall-clock"), "{}", stderr(&out));
+}
+
+/// `a_d <-> (a_{d-1} <-> (… <-> a_0))`, with `atom(i)` naming `a_i`.
+fn iff_chain(depth: usize, atom: impl Fn(usize) -> String) -> String {
+    (1..=depth).fold(atom(0), |f, i| format!("{} <-> ({f})", atom(i)))
+}
+
+#[test]
+fn iff_chains_end_within_the_deadline() {
+    // Positive normal form copies both polarities of both sides of every
+    // `<->`, so the PNF tree of a 20-deep chain has millions of nodes; the
+    // translation's closure shares them and stays linear. A chain over one
+    // atom then translates at once.
+    let timed = |formula: &str| {
+        let started = std::time::Instant::now();
+        let out = rlcheck(&[
+            "check",
+            "examples/systems/clock.ts",
+            formula,
+            "--timeout",
+            "1",
+        ]);
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "took {took:?}; stderr: {}",
+            stderr(&out)
+        );
+        out
+    };
+    let out = timed(&iff_chain(20, |_| "tick".to_owned()));
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    // Over 21 distinct atoms the tableau itself is exponential (the parity
+    // of the atoms), and its deadline polling ends the check with exit 3.
+    let out = timed(&iff_chain(20, |i| format!("p{i}")));
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("wall-clock"), "{}", stderr(&out));
+}
+
+#[test]
+fn easy_inputs_finish_under_a_five_second_timeout() {
+    for (file, formula) in [
+        ("examples/systems/abp.ts", "[]<>deliver"),
+        ("examples/systems/server.pn", "[]<>result"),
+    ] {
+        let out = rlcheck(&["check", file, formula, "--timeout", "5"]);
+        assert_eq!(out.status.code(), Some(0), "{file}: {}", stderr(&out));
+    }
 }
 
 #[test]

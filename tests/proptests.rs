@@ -8,8 +8,6 @@ use relative_liveness::prelude::*;
 // ---------- strategies ----------
 
 const SIGMA2: [&str; 2] = ["a", "b"];
-/// The atoms of [`SIGMA2`] plus the hidden-action proposition.
-const SIGMA2_EPS: [&str; 3] = ["a", "b", EPSILON_PROP];
 const SIGMA3: [&str; 3] = ["a", "b", "tau"];
 
 fn alphabet2() -> Alphabet {
@@ -59,6 +57,56 @@ fn ts_strategy(n: usize) -> impl Strategy<Value = TransitionSystem> {
         sys.set_initial(0);
         for (p, s, q) in ts {
             sys.add_transition(p, Symbol::from_index(s), q);
+        }
+        sys
+    })
+}
+
+/// The first three letters of every [`wide_alphabet`] of ≥ 3 letters.
+const ABC: [&str; 3] = ["a", "b", "c"];
+/// [`ABC`] plus the hidden-action proposition.
+const ABC_EPS: [&str; 4] = ["a", "b", "c", EPSILON_PROP];
+
+/// An alphabet of `k` letters: `a`, `b`, `c`, then `x3`, `x4`, ….
+fn wide_alphabet(k: usize) -> Alphabet {
+    Alphabet::new((0..k).map(|i| match i {
+        0 => "a".to_owned(),
+        1 => "b".to_owned(),
+        2 => "c".to_owned(),
+        _ => format!("x{i}"),
+    }))
+    .unwrap()
+}
+
+/// Raw letter draws for [`wide_letter`]: half name one of the first three
+/// letters.
+fn wide_letters(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0..80usize, len)
+}
+
+/// A raw draw as a letter of a `k`-letter alphabet.
+fn wide_letter(draw: usize, k: usize) -> Symbol {
+    let i = if draw < 40 { draw % 3 } else { draw - 40 };
+    Symbol::from_index(i % k)
+}
+
+/// A lasso over a `k`-letter alphabet from raw prefix and period draws.
+fn wide_upword((prefix, period): &(Vec<usize>, Vec<usize>), k: usize) -> UpWord {
+    let letters = |draws: &[usize]| draws.iter().map(|&d| wide_letter(d, k)).collect();
+    UpWord::new(letters(prefix), letters(period)).expect("non-empty period")
+}
+
+/// Random transition system with 1–4 states over 1–40 letters.
+fn wide_ts_strategy() -> impl Strategy<Value = TransitionSystem> {
+    let edges = proptest::collection::vec((0..4usize, 0..80usize, 0..4usize), 1..=12);
+    (1..5usize, 1..41usize, edges).prop_map(|(n, k, edges)| {
+        let mut sys = TransitionSystem::new(wide_alphabet(k));
+        for _ in 0..n {
+            sys.add_state();
+        }
+        sys.set_initial(0);
+        for (p, draw, q) in edges {
+            sys.add_transition(p % n, wide_letter(draw, k), q % n);
         }
         sys
     })
@@ -347,22 +395,27 @@ proptest! {
 
     /// GPVW translation agrees with direct lasso evaluation, and the
     /// translation of `¬f` rejects exactly the lassos where `f` holds.
-    /// Both are checked under the canonical labeling and under one where
-    /// `a` carries the two propositions `a` and `b` and `b` carries only
-    /// `ε`.
+    /// Alphabets have 1–40 letters. Both are checked under the canonical
+    /// labeling and under one that gives many letters the same atoms, so
+    /// each letter class of the translation holds many letters: letter 0
+    /// carries `a` and `b`, and the others carry `ε`, `a` or nothing by
+    /// their index mod 3.
     #[test]
     fn translation_matches_evaluation(
-        f in formula_strategy(&SIGMA2_EPS, 3),
-        w in upword_strategy(2),
+        f in formula_strategy(&ABC_EPS, 3),
+        k in 1..41usize,
+        word in (wide_letters(0..4), wide_letters(1..4)),
     ) {
-        let ab = alphabet2();
-        let a = ab.symbol("a").unwrap();
+        let ab = wide_alphabet(k);
+        let w = wide_upword(&word, k);
         let merged = Labeling::from_fn(&ab, |s| {
-            if s == a {
-                vec!["a".to_owned(), "b".to_owned()]
-            } else {
-                vec![EPSILON_PROP.to_owned()]
-            }
+            let names: &[&str] = match s.index() {
+                0 => &["a", "b"],
+                i if i % 3 == 1 => &[EPSILON_PROP],
+                i if i % 3 == 2 => &["a"],
+                _ => &[],
+            };
+            names.iter().map(|&n| n.to_owned()).collect()
         })
         .unwrap();
         for lam in [Labeling::canonical(&ab), merged] {
@@ -505,6 +558,45 @@ proptest! {
         let simple = check_simplicity(&h, &ts.to_nfa()).unwrap().simple;
         if simple && abstract_holds {
             prop_assert!(concrete_holds, "8.2 violated for {}", f);
+        }
+    }
+}
+
+// ---------- witness oracle ----------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Every classical counterexample and every rel-safe escape `u·v^ω`
+    /// that [`CheckPlan`] returns is a behavior of the system that violates
+    /// the formula: the transition system fires `u·v^k` for every
+    /// `k ≤ |Q| + 1`, and lasso evaluation finds the formula false. Neither
+    /// check translates a formula or builds a product, so the oracle shares
+    /// no code with the deciders. The escape is taken both from
+    /// [`CheckPlan::decide`] and from a fresh plan, which builds Lemma 4.4's
+    /// product instead of taking Theorem 4.7's short cut.
+    #[test]
+    fn witnesses_are_behaviors_that_violate_the_formula(
+        ts in wide_ts_strategy(),
+        f in formula_strategy(&ABC, 2),
+    ) {
+        let behaviors = behaviors_of_ts(&ts);
+        let p = Property::formula(f.clone());
+        let guard = Guard::unlimited();
+        let v = CheckPlan::new(&behaviors, &p, &guard).decide().unwrap();
+        let escape = CheckPlan::new(&behaviors, &p, &guard)
+            .relative_safety()
+            .unwrap()
+            .escaping_behavior;
+        let lam = Labeling::canonical(ts.alphabet());
+        let witnesses = [v.classical.counterexample, v.safety.escaping_behavior, escape];
+        for w in witnesses.iter().flatten() {
+            let mut word = w.prefix().to_vec();
+            for _ in 0..=ts.state_count() + 1 {
+                prop_assert!(ts.admits(&word), "{} is not fired by the system", w);
+                word.extend_from_slice(w.period());
+            }
+            prop_assert!(!evaluate(&f, w, &lam), "formula {} holds on {}", f, w);
         }
     }
 }

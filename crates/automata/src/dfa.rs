@@ -1,14 +1,10 @@
 //! Deterministic finite automata over finite words.
 
-use std::hash::Hasher;
-use std::sync::Arc;
-
 use crate::alphabet::{Alphabet, Symbol};
 use crate::error::AutomataError;
 use crate::guard::Guard;
-use crate::mem::MemFootprint;
 use crate::nfa::Nfa;
-use crate::stateset::{FxHasher, PairTable};
+use crate::stateset::PairTable;
 use crate::word::Word;
 use crate::StateId;
 
@@ -47,14 +43,6 @@ pub struct Dfa {
     /// `delta[q][a.index()]` = successor id, or [`NO_TRANSITION`] when
     /// undefined. Lookup is two array probes; no tree walks.
     delta: Vec<Vec<u32>>,
-}
-
-impl MemFootprint for Dfa {
-    fn heap_bytes(&self) -> usize {
-        // The alphabet weighs as a pointer (interned per system, charged at
-        // its creation site).
-        self.accepting.heap_bytes() + self.delta.heap_bytes()
-    }
 }
 
 impl Dfa {
@@ -326,60 +314,12 @@ impl Dfa {
 
     /// [`Dfa::difference`] under a resource [`Guard`].
     ///
-    /// When the guard carries an [`crate::OpCache`], a repeated difference of
-    /// structurally equal operands is answered from the memo table.
-    ///
     /// # Errors
     ///
     /// Returns [`AutomataError::AlphabetMismatch`] when the alphabets differ,
     /// or a budget error when the guard trips.
     pub fn difference_with(&self, other: &Dfa, guard: &Guard) -> Result<Dfa, AutomataError> {
-        if guard.op_cache().is_none() {
-            return self.product_with(other, |p, q| p && !q, guard);
-        }
-        let (self_hash, other_hash) = (self.structural_hash(), other.structural_hash());
-        let mut h = FxHasher::default();
-        h.write_u64(self_hash);
-        h.write_u64(other_hash);
-        let entry = guard.cached::<(Arc<Dfa>, Arc<Dfa>, Dfa), AutomataError>(
-            "dfa_difference",
-            h.finish(),
-            |e| *e.0 == *self && *e.1 == *other,
-            || {
-                let diff = self.product_with(other, |p, q| p && !q, guard)?;
-                Ok((
-                    guard.operand(self_hash, self),
-                    guard.operand(other_hash, other),
-                    diff,
-                ))
-            },
-        )?;
-        Ok(entry.2.clone())
-    }
-
-    /// A deterministic structural hash of the automaton (alphabet names,
-    /// state count, initial state, accepting set, and transition table).
-    ///
-    /// Structurally equal automata hash equal; collisions are possible, so
-    /// callers must re-check equality on cache hits.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_usize(self.state_count());
-        for (_, name) in self.alphabet.iter() {
-            h.write(name.as_bytes());
-        }
-        h.write_usize(self.initial);
-        for (q, &acc) in self.accepting.iter().enumerate() {
-            if acc {
-                h.write_usize(q);
-            }
-        }
-        for (p, a, q) in self.transitions() {
-            h.write_usize(p);
-            h.write_usize(a.index());
-            h.write_usize(q);
-        }
-        h.finish()
+        self.product_with(other, |p, q| p && !q, guard)
     }
 
     /// Whether the language is empty.

@@ -1,20 +1,20 @@
 //! Deterministic fault injection for robustness tests.
 //!
 //! The long-running service mode (and the CLI's panic-isolation paths) make
-//! claims like "a poisoned job never takes down the process" and "a forced
-//! cache eviction mid-job changes no verdict". Those claims are only testable
+//! claims like "a poisoned job never takes down the process" and "a dropped
+//! connection cancels its job". Those claims are only testable
 //! if the failure can be provoked *deterministically*. This module is that
 //! trigger: the `RL_FAULT` environment variable arms named fault points, and
 //! production code asks [`fires`] / [`armed_value`] at each point.
 //!
 //! Syntax: `RL_FAULT=<point>:<n>[,<point>:<n>...]` — e.g.
-//! `RL_FAULT=opcache-evict:3,serve-drop-conn:2`.
+//! `RL_FAULT=check-panic:3,serve-drop-conn:2`.
 //!
 //! Two firing disciplines, chosen by the call site:
 //!
 //! * [`fires(point)`](fires) — *occurrence-counted*: returns `true` exactly
 //!   once, on the `n`-th call for that point (1-based). Used for "the 3rd
-//!   cache lookup forces a full eviction" style faults.
+//!   guarded check panics" style faults.
 //! * [`armed_value(point)`](armed_value) — *value-matched*: returns the armed
 //!   `n` for the caller to compare against its own identifier (a job id, a
 //!   connection id). Used for "job 2 panics" style faults, which stay
@@ -32,7 +32,6 @@
 //! | `job-panic`       | value      | the serve job with id `n` panics on its worker  |
 //! | `serve-drop-conn` | counted    | the server drops the n-th request's connection  |
 //! | `serve-drop-sub`  | counted    | the n-th subscriber stream flush severs the conn|
-//! | `opcache-evict`   | counted    | the n-th cache lookup first evicts every entry  |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -34,10 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rl_obs::{Metric, MetricsRegistry, Span};
+use rl_obs::{Metric, MetricsRegistry, Span, Tracer};
 
 use crate::error::AutomataError;
-use crate::opcache::OpCache;
 
 /// The resource dimensions a [`Budget`] can cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,8 +235,8 @@ impl GuardProbe {
 
     /// One heartbeat sample of the shared atomics: progress plus the
     /// budget limits that are set, in the serialization shared by
-    /// `--progress` and the serve wire stream. Cache residency and the
-    /// job id are the caller's to fill in — the probe knows neither.
+    /// `--progress` and the serve wire stream. The job id is the caller's
+    /// to fill in — the probe does not know it.
     pub fn heartbeat(&self) -> rl_obs::Heartbeat {
         let p = self.progress();
         let b = self.budget();
@@ -249,26 +248,40 @@ impl GuardProbe {
             frontier: p.frontier as u64,
             states_limit: b.max_states.map(|n| n as u64),
             deadline_us: b.deadline.map(|d| d.as_micros() as u64),
-            cache_resident_bytes: None,
-            cache_evictions: None,
-            cache_hits: None,
-            cache_misses: None,
         }
+    }
+}
+
+/// An operation cache that holds nothing: guarded constructions build
+/// every automaton directly. Kept only so that the benchmark, which still
+/// builds one for [`Guard::with_op_cache`], compiles; it will be removed
+/// with that call.
+#[derive(Debug, Clone, Default)]
+pub struct OpCache;
+
+impl OpCache {
+    /// The empty cache.
+    pub fn new() -> OpCache {
+        OpCache
+    }
+
+    /// The empty cache; the tracer and the byte budget are ignored.
+    pub fn with_limits(_tracer: Option<Arc<Tracer>>, _byte_budget: Option<usize>) -> OpCache {
+        OpCache
     }
 }
 
 /// The cheap per-iteration handle that construction loops tick.
 ///
 /// The budget/clock/counter core is `Arc`-shared (see [`GuardProbe`]); the
-/// guard itself additionally carries the thread-local hooks
-/// ([`MetricsRegistry`], [`OpCache`]). The wall clock
+/// guard itself additionally carries the thread-local
+/// [`MetricsRegistry`] hook. The wall clock
 /// and the cancel flag are consulted only every [`Guard::CHECK_INTERVAL`]
 /// charges, so guarding adds a few nanoseconds per iteration.
 #[derive(Debug)]
 pub struct Guard {
     core: Arc<GuardCore>,
     metrics: Option<MetricsRegistry>,
-    op_cache: Option<OpCache>,
     lazy: bool,
 }
 
@@ -303,7 +316,6 @@ impl Guard {
                 until_clock_check: AtomicU32::new(Self::CHECK_INTERVAL),
             }),
             metrics: None,
-            op_cache: None,
             lazy: true,
         }
     }
@@ -351,22 +363,12 @@ impl Guard {
         self.metrics.as_ref()
     }
 
-    /// Attaches an [`OpCache`]: guarded constructions memoize their results
-    /// per operand (structural hash, verified by full equality), and repeated
-    /// determinizations/products within one pipeline are answered from the
-    /// table. Hits are recorded via [`Guard::note_cache_hit`].
-    ///
-    /// Without this call every construction runs afresh (the library
-    /// default), so results and charge counters are exactly those of the
-    /// uncached algorithms.
-    pub fn with_op_cache(mut self, cache: OpCache) -> Guard {
-        self.op_cache = Some(cache);
+    /// Does nothing: guarded constructions no longer memoize, so there is
+    /// no operation cache to attach. Kept only so that the benchmark, which
+    /// still builds its guard with one, compiles; it will be removed with
+    /// that call, together with [`OpCache`].
+    pub fn with_op_cache(self, _cache: OpCache) -> Guard {
         self
-    }
-
-    /// The attached operation cache, if any.
-    pub fn op_cache(&self) -> Option<&OpCache> {
-        self.op_cache.as_ref()
     }
 
     /// A `Send + Sync` probe onto this guard's progress counters, for
@@ -374,51 +376,6 @@ impl Guard {
     pub fn probe(&self) -> GuardProbe {
         GuardProbe {
             core: self.core.clone(),
-        }
-    }
-
-    /// Memoizes `build` through the attached [`OpCache`].
-    ///
-    /// With no cache attached this just runs `build` (wrapped in an `Arc` so
-    /// both paths return the same type). On a verified hit the guard notes a
-    /// cache hit on its metrics; `matches` must check full operand equality
-    /// (see the [`OpCache`] soundness contract).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error.
-    pub fn cached<T: crate::mem::MemFootprint + Send + Sync + 'static, E>(
-        &self,
-        op: &'static str,
-        key: u64,
-        matches: impl Fn(&T) -> bool,
-        build: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
-        match &self.op_cache {
-            None => Ok(Arc::new(build()?)),
-            Some(cache) => {
-                let (value, hit) = cache.get_or_insert_with(op, key, matches, build)?;
-                if hit {
-                    self.note_cache_hit();
-                }
-                Ok(value)
-            }
-        }
-    }
-
-    /// Interns an operand for memo entries: returns an `Arc` of `value`
-    /// deduplicated through the attached [`OpCache`] (by `hash`, verified by
-    /// equality), so every cached operation on the same operand shares one
-    /// allocation instead of each entry cloning it.
-    ///
-    /// Without a cache this is a plain `Arc::new(value.clone())`.
-    pub fn operand<T>(&self, hash: u64, value: &T) -> Arc<T>
-    where
-        T: Clone + PartialEq + crate::mem::MemFootprint + Send + Sync + 'static,
-    {
-        match &self.op_cache {
-            None => Arc::new(value.clone()),
-            Some(cache) => cache.intern_operand(hash, value),
         }
     }
 

@@ -26,8 +26,7 @@
 //! Everything here is deterministic (transition rows are flat
 //! alphabet-indexed tables with sorted successor lists, and subset states
 //! iterate as ascending-order bitsets — see [`StateSet`]), so results are
-//! reproducible across runs. Attaching an [`OpCache`] to a [`Guard`] lets
-//! one pipeline memoize repeated determinizations and products.
+//! reproducible across runs.
 //!
 //! # Example
 //!
@@ -71,10 +70,8 @@ mod error;
 pub mod fault;
 mod guard;
 pub mod lazy;
-pub mod mem;
 mod minimize;
 mod nfa;
-mod opcache;
 mod par;
 mod prefilter;
 mod sim;
@@ -86,11 +83,9 @@ pub use alphabet::{Alphabet, Symbol};
 pub use dfa::Dfa;
 pub use equiv::{dfa_equivalent, dfa_included, dfa_included_with, equivalent_states};
 pub use error::AutomataError;
-pub use guard::{Budget, CancelToken, Guard, GuardProbe, Progress, Resource};
+pub use guard::{Budget, CancelToken, Guard, GuardProbe, OpCache, Progress, Resource};
 pub use lazy::{nfa_included_lazy, EdgeRows};
-pub use mem::MemFootprint;
 pub use nfa::Nfa;
-pub use opcache::OpCache;
 pub use par::{resolve_jobs, Pool, PoolCounters};
 pub use prefilter::{modk_refute, nfa_simulates, parikh_refute};
 pub use rl_obs::knobs;
@@ -100,7 +95,7 @@ pub use rl_obs::{
     RegistrySnapshot, Span, SpanRecord, TraceEvent, TracePhase, Tracer,
 };
 pub use sim::{largest_simulation, simulates};
-pub use stateset::{fx_hash, FxBuildHasher, FxHashMap, FxHasher, Interner, PairTable, StateSet};
+pub use stateset::{FxBuildHasher, FxHashMap, FxHasher, Interner, PairTable, StateSet};
 pub use ts::TransitionSystem;
 pub use word::{format_word, parse_word, Word};
 

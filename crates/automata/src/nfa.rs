@@ -1,15 +1,12 @@
 //! Nondeterministic finite automata over finite words.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::hash::Hasher;
-use std::sync::Arc;
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::dfa::Dfa;
 use crate::error::AutomataError;
 use crate::guard::Guard;
-use crate::mem::MemFootprint;
-use crate::stateset::{FxHasher, Interner, PairTable, StateSet};
+use crate::stateset::{Interner, PairTable, StateSet};
 use crate::word::Word;
 use crate::StateId;
 
@@ -50,14 +47,6 @@ pub struct Nfa {
     accepting: Vec<bool>,
     /// `delta[q][a.index()]` = sorted, deduplicated successors of `q` on `a`.
     delta: Vec<Vec<Vec<StateId>>>,
-}
-
-impl MemFootprint for Nfa {
-    fn heap_bytes(&self) -> usize {
-        // The alphabet is interned per system (an `Arc` handle) and charged
-        // where it was created, so it weighs as a pointer here.
-        self.initial.heap_bytes() + self.accepting.heap_bytes() + self.delta.heap_bytes()
-    }
 }
 
 impl Nfa {
@@ -462,9 +451,7 @@ impl Nfa {
     ///
     /// Each materialized subset state and DFA transition is charged against
     /// the guard's budget, and the wall clock/cancellation flag is polled
-    /// periodically. When the guard carries an [`crate::OpCache`], a repeated
-    /// determinization of a structurally equal NFA is answered from the memo
-    /// table (and counted as a cache hit) instead of being re-run.
+    /// periodically.
     ///
     /// # Errors
     ///
@@ -472,20 +459,7 @@ impl Nfa {
     /// when the guard trips; the error carries partial diagnostics.
     pub fn determinize_with(&self, guard: &Guard) -> Result<Dfa, AutomataError> {
         let start: StateSet = self.initial.iter().copied().collect();
-        if guard.op_cache().is_none() {
-            return Ok(self.determinize_roots_with(&[start], guard)?.0);
-        }
-        let hash = self.structural_hash();
-        let entry = guard.cached::<(Arc<Nfa>, Dfa), AutomataError>(
-            "nfa_determinize",
-            hash,
-            |e| *e.0 == *self,
-            || {
-                let (dfa, _) = self.determinize_roots_with(&[start], guard)?;
-                Ok((guard.operand(hash, self), dfa))
-            },
-        )?;
-        Ok(entry.1.clone())
+        Ok(self.determinize_roots_with(&[start], guard)?.0)
     }
 
     /// One subset construction from several start subsets at once.
@@ -495,8 +469,7 @@ impl Nfa {
     /// reachable from several roots is materialized once, so asking for the
     /// language of many states (`roots = [{q}]` for each `q`) costs one
     /// construction over their union instead of one per state. Equal roots
-    /// share a state. Charged like [`Nfa::determinize_with`], without the
-    /// memo table.
+    /// share a state. Charged like [`Nfa::determinize_with`].
     ///
     /// # Errors
     ///
@@ -560,33 +533,6 @@ impl Nfa {
             }
         }
         Ok((dfa, root_states))
-    }
-
-    /// A deterministic structural hash of the automaton (alphabet names,
-    /// state count, initial/accepting sets, and the full transition table).
-    ///
-    /// Structurally equal automata hash equal; the converse can fail, so the
-    /// hash is only ever a *key* — cache lookups re-check full equality.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_usize(self.state_count());
-        for (_, name) in self.alphabet.iter() {
-            h.write(name.as_bytes());
-        }
-        for &q in &self.initial {
-            h.write_usize(q);
-        }
-        for (q, &acc) in self.accepting.iter().enumerate() {
-            if acc {
-                h.write_usize(q);
-            }
-        }
-        for (p, a, q) in self.transitions() {
-            h.write_usize(p);
-            h.write_usize(a.index());
-            h.write_usize(q);
-        }
-        h.finish()
     }
 
     /// Product automaton for the intersection `L(self) ∩ L(other)`.

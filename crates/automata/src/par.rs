@@ -263,7 +263,7 @@ impl Drop for Pool {
 
 fn worker_loop(inner: &PoolInner, home: usize) {
     // Claim this worker's timeline track; all events it records from here
-    // on (pool, op-cache, registry spans) land on its own lane.
+    // on (pool, kernel, registry spans) land on its own lane.
     rl_obs::set_thread_track(home + 1);
     // Park/unpark are counted per idle *transition*, not per condvar wake,
     // so the 10ms timeout re-checks don't inflate the totals. `idle_since`

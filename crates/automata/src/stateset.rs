@@ -26,7 +26,7 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 ///
 /// Each written word is folded in with a rotate-xor-multiply step. The hash
 /// is deterministic across runs and platforms of the same word size, which
-/// is all the in-process interners and caches here need.
+/// is all the in-process interners here need.
 #[derive(Debug, Clone, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -80,13 +80,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// Hashes any `Hash` value with [`FxHasher`] in one call.
-pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = FxHasher::default();
-    value.hash(&mut h);
-    h.finish()
-}
 
 /// A set of [`StateId`]s stored as a dense bitset (`Vec<u64>` words).
 ///
@@ -442,6 +435,12 @@ impl PairTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = FxHasher::default();
+        value.hash(&mut h);
+        h.finish()
+    }
 
     #[test]
     fn empty_set_behaves() {

@@ -315,22 +315,6 @@ mod tests {
     use rl_logic::parse;
 
     #[test]
-    fn ring_behaviors_weigh_their_edges_not_their_alphabet() {
-        // 128 states over 256 letters: rows indexed by letter would take
-        // ~786 KB here, edge lists a few KB.
-        use rl_automata::MemFootprint;
-        let b = behaviors_of_ts(&token_ring(128));
-        let budget = 64 * (b.state_count() + b.transition_count());
-        assert!(
-            b.heap_bytes() < budget,
-            "{} heap bytes for {} states and {} transitions",
-            b.heap_bytes(),
-            b.state_count(),
-            b.transition_count()
-        );
-    }
-
-    #[test]
     fn farm_sizes_multiply() {
         assert_eq!(server_farm(1).state_count(), 8);
         assert_eq!(server_farm(2).state_count(), 64);

@@ -2,16 +2,16 @@
 //! one: on the shipped trajectory fixtures and on random machines, the
 //! verdicts of `satisfies`/`is_relative_liveness`/`is_relative_safety`
 //! must be identical with `Guard::with_lazy(true)` (the default) and
-//! `with_lazy(false)` (the CLI's `--no-lazy`), with and without the op
-//! cache — and every witness either path produces must be
+//! `with_lazy(false)` (the CLI's `--no-lazy`) — and every witness either
+//! path produces must be
 //! *semantically valid* (witnesses may differ in tie-break between the
 //! search orders, so validity, not equality, is what is pinned).
 
 use proptest::prelude::*;
 use relative_liveness::format::parse_system;
 use rl_automata::{
-    dfa_included, nfa_included_lazy, Alphabet, Guard, Metric, MetricsRegistry, Nfa, OpCache,
-    Symbol, TransitionSystem, Word,
+    dfa_included, nfa_included_lazy, Alphabet, Guard, Metric, MetricsRegistry, Nfa, Symbol,
+    TransitionSystem, Word,
 };
 use rl_bench::random_system;
 use rl_buchi::{behaviors_of_ts_with, limit_of_prefix_closed, Buchi, UpWord};
@@ -80,13 +80,10 @@ struct Run {
     counters: (u64, u64, u64, u64, u64),
 }
 
-fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool, cache: bool) -> Run {
+fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool) -> Run {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let reg = MetricsRegistry::new();
-    let mut guard = Guard::unlimited().with_lazy(lazy).with_metrics(reg.clone());
-    if cache {
-        guard = guard.with_op_cache(OpCache::new());
-    }
+    let guard = Guard::unlimited().with_lazy(lazy).with_metrics(reg.clone());
     let behaviors = behaviors_of_ts_with(ts, &guard).expect("behaviors");
     let sat = satisfies_with(&behaviors, &prop, &guard).expect("satisfies");
     let live = is_relative_liveness_with(&behaviors, &prop, &guard).expect("rel-live");
@@ -175,11 +172,9 @@ const FIXTURES: [(&str, &str); 4] = [
 fn trajectory_fixtures_agree_across_pipelines() {
     for (file, formula) in FIXTURES {
         let ts = fixture(file);
-        let eager = run_check(&ts, formula, false, true);
-        for cache in [true, false] {
-            let lazy = run_check(&ts, formula, true, cache);
-            assert_equivalent(&ts, formula, &lazy, &eager);
-        }
+        let eager = run_check(&ts, formula, false);
+        let lazy = run_check(&ts, formula, true);
+        assert_equivalent(&ts, formula, &lazy, &eager);
     }
 }
 
@@ -189,7 +184,7 @@ fn needle24_is_feasible_only_lazily() {
     // states on this fixture; the fused search with retro-pruned antichain
     // subsumption decides it in a few dozen expansions.
     let ts = fixture("needle24.ts");
-    let lazy = run_check(&ts, "[]<>a", true, true);
+    let lazy = run_check(&ts, "[]<>a", true);
     assert!(lazy.live, "needle24 is relative-live for []<>a");
     assert!(!lazy.sat && !lazy.safe);
     assert_witnesses_valid(&ts, "[]<>a", &lazy);
@@ -214,15 +209,9 @@ proptest! {
         formula in proptest::sample::select(&["[]<>t0", "<>t1", "[]t0", "[]<>t1"][..]),
     ) {
         let ts = random_system(seed, n, 2, density);
-        let lazy = run_check(&ts, formula, true, true);
-        let eager = run_check(&ts, formula, false, false);
+        let lazy = run_check(&ts, formula, true);
+        let eager = run_check(&ts, formula, false);
         assert_equivalent(&ts, formula, &lazy, &eager);
-        // Dropping the op cache changes neither verdicts nor witnesses
-        // (only the cache-hit accounting).
-        let uncached = run_check(&ts, formula, true, false);
-        prop_assert_eq!(lazy.live, uncached.live);
-        prop_assert_eq!(&lazy.doomed, &uncached.doomed);
-        prop_assert_eq!(&lazy.escape, &uncached.escape);
     }
 }
 

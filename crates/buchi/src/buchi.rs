@@ -1,13 +1,8 @@
 //! Nondeterministic Büchi automata.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::hash::Hasher;
-use std::sync::Arc;
 
-use rl_automata::{
-    Alphabet, AutomataError, EdgeRows, FxHasher, Guard, MemFootprint, Nfa, PairTable, StateId,
-    Symbol,
-};
+use rl_automata::{Alphabet, AutomataError, EdgeRows, Guard, Nfa, PairTable, StateId, Symbol};
 
 use crate::classes::ClassBuchi;
 use crate::emptiness::{self, Poll};
@@ -52,14 +47,6 @@ pub struct Buchi {
     /// enables, so every pass over the automaton is O(states + transitions)
     /// however large the alphabet.
     edges: Vec<Vec<(Symbol, StateId)>>,
-}
-
-impl MemFootprint for Buchi {
-    fn heap_bytes(&self) -> usize {
-        // The alphabet weighs as a pointer (interned per system, charged at
-        // its creation site).
-        self.initial.heap_bytes() + self.accepting.heap_bytes() + self.edges.heap_bytes()
-    }
 }
 
 impl Buchi {
@@ -215,33 +202,6 @@ impl Buchi {
             .iter()
             .enumerate()
             .flat_map(|(p, row)| row.iter().map(move |&(a, q)| (p, a, q)))
-    }
-
-    /// A deterministic structural hash of the automaton (alphabet names,
-    /// state count, initial/accepting sets, and the full transition table).
-    ///
-    /// Structurally equal automata hash equal; collisions are possible, so
-    /// callers must re-check equality on cache hits.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_usize(self.state_count());
-        for (_, name) in self.alphabet.iter() {
-            h.write(name.as_bytes());
-        }
-        for &q in &self.initial {
-            h.write_usize(q);
-        }
-        for (q, &acc) in self.accepting.iter().enumerate() {
-            if acc {
-                h.write_usize(q);
-            }
-        }
-        for (p, a, q) in self.transitions() {
-            h.write_usize(p);
-            h.write_usize(a.index());
-            h.write_usize(q);
-        }
-        h.finish()
     }
 
     /// Total number of transitions.
@@ -401,8 +361,6 @@ impl Buchi {
     ///
     /// Every interned product state is charged against the guard's state
     /// budget and every product transition against its transition budget.
-    /// When the guard carries an `OpCache`, a repeated intersection of
-    /// structurally equal operands is answered from the memo table.
     ///
     /// Each product state's successors come from its left row: every run
     /// of edges on one symbol finds that symbol's edges in the right row by
@@ -419,9 +377,7 @@ impl Buchi {
     /// Returns [`AutomataError::AlphabetMismatch`] when the alphabets differ,
     /// or a budget error when the guard trips.
     pub fn intersection_with(&self, other: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
-        self.memoized_product(other, Buchi::structural_hash, guard, || {
-            self.product(other, |a| a, guard)
-        })
+        self.product(other, |a| a, guard)
     }
 
     /// [`Buchi::intersection_with`] against an automaton over letter
@@ -442,44 +398,7 @@ impl Buchi {
         other: &ClassBuchi,
         guard: &Guard,
     ) -> Result<Buchi, AutomataError> {
-        self.memoized_product(other, ClassBuchi::structural_hash, guard, || {
-            self.product(other.rows(), |a| other.class_of(a), guard)
-        })
-    }
-
-    /// Runs `build` for the product of `self` and `other`, through the
-    /// guard's `OpCache` when it carries one.
-    fn memoized_product<T>(
-        &self,
-        other: &T,
-        hash: impl Fn(&T) -> u64,
-        guard: &Guard,
-        build: impl FnOnce() -> Result<Buchi, AutomataError>,
-    ) -> Result<Buchi, AutomataError>
-    where
-        T: Clone + PartialEq + MemFootprint + Send + Sync + 'static,
-    {
-        if guard.op_cache().is_none() {
-            return build();
-        }
-        let (self_hash, other_hash) = (self.structural_hash(), hash(other));
-        let mut h = FxHasher::default();
-        h.write_u64(self_hash);
-        h.write_u64(other_hash);
-        let entry = guard.cached::<(Arc<Buchi>, Arc<T>, Buchi), AutomataError>(
-            "buchi_intersection",
-            h.finish(),
-            |e| *e.0 == *self && *e.1 == *other,
-            || {
-                let product = build()?;
-                Ok((
-                    guard.operand(self_hash, self),
-                    guard.operand(other_hash, other),
-                    product,
-                ))
-            },
-        )?;
-        Ok(entry.2.clone())
+        self.product(other.rows(), |a| other.class_of(a), guard)
     }
 
     /// The two-copy product of `self` with `other`, whose edges carry the

@@ -7,9 +7,7 @@
 //! the map from letters to classes; products against it look each letter
 //! up once ([`Buchi::intersection_with_classes`]).
 
-use std::hash::Hasher;
-
-use rl_automata::{Alphabet, FxHasher, MemFootprint, Symbol};
+use rl_automata::{Alphabet, Symbol};
 
 use crate::buchi::Buchi;
 
@@ -52,12 +50,6 @@ pub struct ClassBuchi {
     rows: Buchi,
     /// `class_of[a]` = the class of letter `a`.
     class_of: Vec<Symbol>,
-}
-
-impl MemFootprint for ClassBuchi {
-    fn heap_bytes(&self) -> usize {
-        self.rows.heap_bytes() + self.class_of.heap_bytes()
-    }
 }
 
 impl ClassBuchi {
@@ -138,16 +130,6 @@ impl ClassBuchi {
                 .collect(),
             edges,
         )
-    }
-
-    /// A deterministic structural hash: the rows' hash and the letter map.
-    pub(crate) fn structural_hash(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(self.rows.structural_hash());
-        for c in &self.class_of {
-            h.write_usize(c.index());
-        }
-        h.finish()
     }
 }
 

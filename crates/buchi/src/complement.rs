@@ -8,7 +8,6 @@
 //! *negated* formula instead.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use rl_automata::{AutomataError, Guard, Interner, StateId, StateSet, Symbol};
 
@@ -59,31 +58,6 @@ const NO_BOUND: u32 = u32::MAX;
 /// ```
 pub fn complement(a: &Buchi) -> Buchi {
     complement_with(a, &Guard::unlimited()).expect("an unlimited guard never trips")
-}
-
-/// [`complement`] under a resource [`Guard`].
-///
-/// Every interned ranking state is charged against the guard's state budget
-/// and every enumerated ranking candidate against its transition budget (the
-/// candidate enumeration, not the interning, is where memory blows up).
-/// When the guard carries an `OpCache`, a repeated complementation of a
-/// structurally equal automaton is answered from the memo table.
-///
-/// # Errors
-///
-/// Returns a budget error when the guard trips.
-pub fn complement_with(a: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
-    if guard.op_cache().is_none() {
-        return complement_inner(a, guard);
-    }
-    let hash = a.structural_hash();
-    let entry = guard.cached::<(Arc<Buchi>, Buchi), AutomataError>(
-        "buchi_complement",
-        hash,
-        |e| *e.0 == *a,
-        || Ok((guard.operand(hash, a), complement_inner(a, guard)?)),
-    )?;
-    Ok(entry.1.clone())
 }
 
 /// Expands one `(complement state, symbol)` cell: enumerates every successor
@@ -160,7 +134,16 @@ fn expand_cell(
         .collect())
 }
 
-fn complement_inner(a: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
+/// [`complement`] under a resource [`Guard`].
+///
+/// Every interned ranking state is charged against the guard's state budget
+/// and every enumerated ranking candidate against its transition budget (the
+/// candidate enumeration, not the interning, is where memory blows up).
+///
+/// # Errors
+///
+/// Returns a budget error when the guard trips.
+pub fn complement_with(a: &Buchi, guard: &Guard) -> Result<Buchi, AutomataError> {
     let _span = guard.span("buchi_complement");
     // Restrict to reachable states (language-preserving, shrinks n).
     let a = restrict_reachable(a);

@@ -79,8 +79,8 @@ pub use guard::{
     Resource,
 };
 pub use pipeline::{
-    check_transported_concrete, labeling_for_homomorphism, verify_via_abstraction,
-    verify_via_abstraction_with, AbstractionAnalysis, TransferConclusion,
+    check_transported_concrete, check_transported_concrete_with, labeling_for_homomorphism,
+    verify_via_abstraction, verify_via_abstraction_with, AbstractionAnalysis, TransferConclusion,
 };
 pub use plan::{CheckPlan, CheckVerdicts};
 pub use property::{CoreError, Property};

@@ -19,11 +19,11 @@ use rl_abstraction::{
     abstract_behavior_with, check_simplicity_with, has_maximal_words_with, image_nfa, Homomorphism,
 };
 use rl_automata::{Guard, TransitionSystem, Word};
-use rl_buchi::{behaviors_of_ts, behaviors_of_ts_with};
+use rl_buchi::behaviors_of_ts_with;
 use rl_logic::{r_bar_strict, simplify, Formula, Labeling, EPSILON_PROP};
 
 use crate::property::{CoreError, Property};
-use crate::relative::{is_relative_liveness, is_relative_liveness_with, RelativeLivenessVerdict};
+use crate::relative::{is_relative_liveness_with, RelativeLivenessVerdict};
 
 /// What the abstraction run lets us conclude about the concrete system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,11 +197,29 @@ pub fn check_transported_concrete(
     h: &Homomorphism,
     eta: &Formula,
 ) -> Result<RelativeLivenessVerdict, CoreError> {
+    check_transported_concrete_with(ts, h, eta, &Guard::unlimited())
+}
+
+/// [`check_transported_concrete`] under a resource [`Guard`]: building the
+/// concrete behaviors and deciding relative liveness on them are charged
+/// to the guard, so its budget, deadline and cancel token bound the run.
+///
+/// # Errors
+///
+/// As [`check_transported_concrete`], plus the guard's budget, deadline
+/// and cancellation errors.
+pub fn check_transported_concrete_with(
+    ts: &TransitionSystem,
+    h: &Homomorphism,
+    eta: &Formula,
+    guard: &Guard,
+) -> Result<RelativeLivenessVerdict, CoreError> {
     h.source().check_compatible(ts.alphabet())?;
     let transported = simplify(&r_bar_strict(eta, h.target()).map_err(CoreError::Automata)?);
     let lam = labeling_for_homomorphism(h);
     let prop = Property::labeled(transported, lam);
-    is_relative_liveness(&behaviors_of_ts(ts), &prop)
+    let behaviors = behaviors_of_ts_with(ts, guard)?;
+    is_relative_liveness_with(&behaviors, &prop, guard)
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! Lock-free log-bucketed histograms with percentile estimation.
 //!
 //! Counters answer "how many"; the service-level questions the serve daemon
-//! faces — queue-wait spikes, job wall-time tails, cache-probe
-//! contention — need "how long, at which quantile". This module provides
-//! the dependency-free percentile plane:
+//! faces — queue-wait spikes, job wall-time tails — need "how long, at
+//! which quantile". This module provides the dependency-free percentile
+//! plane:
 //!
 //! * [`Histogram`] — a fixed array of atomic buckets. Recording a value is
 //!   a handful of relaxed atomic adds (no locks, no allocation), so the hot
-//!   paths of the pool, the op cache and the serve daemon can record
+//!   paths of the pool, batch jobs and the serve daemon can record
 //!   unconditionally once a registry is attached.
 //! * [`HistogramSnapshot`] — the detached, mergeable, serializable copy:
 //!   the unit that crosses threads, rides the telemetry stream as `hist`

@@ -42,14 +42,6 @@ pub struct Heartbeat {
     pub states_limit: Option<u64>,
     /// The wall-clock deadline in microseconds, when one is set.
     pub deadline_us: Option<u64>,
-    /// Resident bytes of the shared op cache, when one is attached.
-    pub cache_resident_bytes: Option<u64>,
-    /// Lifetime evictions of the shared op cache, when one is attached.
-    pub cache_evictions: Option<u64>,
-    /// Lifetime hits of the shared op cache, when one is attached.
-    pub cache_hits: Option<u64>,
-    /// Lifetime misses of the shared op cache, when one is attached.
-    pub cache_misses: Option<u64>,
 }
 
 impl Heartbeat {
@@ -106,18 +98,6 @@ impl ToJson for Heartbeat {
         if let Some(v) = self.deadline_us {
             b = b.field("deadline_us", v);
         }
-        if let Some(v) = self.cache_resident_bytes {
-            b = b.field("cache_resident_bytes", v);
-        }
-        if let Some(v) = self.cache_evictions {
-            b = b.field("cache_evictions", v);
-        }
-        if let Some(v) = self.cache_hits {
-            b = b.field("cache_hits", v);
-        }
-        if let Some(v) = self.cache_misses {
-            b = b.field("cache_misses", v);
-        }
         b.build()
     }
 }
@@ -144,10 +124,6 @@ impl FromJson for Heartbeat {
             frontier: opt("frontier")?.unwrap_or(0),
             states_limit: opt("states_limit")?,
             deadline_us: opt("deadline_us")?,
-            cache_resident_bytes: opt("cache_resident_bytes")?,
-            cache_evictions: opt("cache_evictions")?,
-            cache_hits: opt("cache_hits")?,
-            cache_misses: opt("cache_misses")?,
         })
     }
 }
@@ -340,10 +316,6 @@ mod tests {
             frontier: 7,
             states_limit: Some(200_000),
             deadline_us: Some(60_000_000),
-            cache_resident_bytes: None,
-            cache_evictions: None,
-            cache_hits: None,
-            cache_misses: None,
         }
     }
 
@@ -359,10 +331,6 @@ mod tests {
                 frontier: 0,
                 states_limit: None,
                 deadline_us: None,
-                cache_resident_bytes: Some(4096),
-                cache_evictions: Some(2),
-                cache_hits: Some(10),
-                cache_misses: Some(3),
             },
         ] {
             let text = rl_json::to_string(&hb).expect("serializes");

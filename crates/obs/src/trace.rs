@@ -4,9 +4,9 @@
 //! The phase profiler in the crate root answers *where did the cost land*;
 //! the [`Tracer`] answers *when, and on which worker*. It records timestamped
 //! begin/end events for spans and pool tasks and instant events for pool
-//! telemetry (spawns, steals, parks/unparks) and op-cache shard traffic
-//! (hits, misses, racer adoptions), each tagged with a per-thread *track*
-//! id so a timeline viewer renders one lane per worker.
+//! telemetry (spawns, steals, parks/unparks) and kernel samples, each
+//! tagged with a per-thread *track* id so a timeline viewer renders one
+//! lane per worker.
 //!
 //! # Overhead discipline
 //!
@@ -48,7 +48,7 @@ thread_local! {
 
 /// Assigns this thread's timeline track. Pool workers call this once at
 /// startup with `home + 1` (track 0 is reserved for the main thread), so
-/// every event they record — including registry span events and op-cache
+/// every event they record — including registry span events and kernel
 /// instants — lands on their own lane.
 pub fn set_thread_track(track: usize) {
     CURRENT_TRACK.with(|c| c.set(track));
@@ -108,9 +108,9 @@ pub struct TraceEvent {
     pub track: usize,
     /// Begin/end/instant.
     pub phase: TracePhase,
-    /// Event category (`span`, `pool`, `opcache`, `kernel`).
+    /// Event category (`span`, `pool`, `kernel`).
     pub category: &'static str,
-    /// Event name (span name, `steal`, `hit`, ...).
+    /// Event name (span name, `steal`, `park`, ...).
     pub name: String,
     /// Microseconds since the tracer was created.
     pub ts_us: u64,
@@ -170,11 +170,9 @@ fn leak_static(s: &str) -> &'static str {
     match s {
         "span" => "span",
         "pool" => "pool",
-        "opcache" => "opcache",
         "kernel" => "kernel",
         "queue" => "queue",
         "victim" => "victim",
-        "shard" => "shard",
         "width" => "width",
         "count" => "count",
         "stage" => "stage",
@@ -540,10 +538,10 @@ mod tests {
             TraceEvent {
                 track: 3,
                 phase: TracePhase::Instant,
-                category: "opcache",
-                name: "hit".to_owned(),
+                category: "pool",
+                name: "steal".to_owned(),
                 ts_us: 42,
-                arg: Some(("shard", 7)),
+                arg: Some(("victim", 7)),
             },
             TraceEvent {
                 track: 0,

@@ -54,8 +54,8 @@
 //!
 //! rlcheck top <socket> [--job <id>]
 //!     live per-job view of a running serve daemon: subscribes to the
-//!     telemetry stream and renders states/sec, phase, budget and cache
-//!     hit rate per job — a refreshing table when stderr is a TTY, plain
+//!     telemetry stream and renders states/sec, phase and budget per job
+//!     — a refreshing table when stderr is a TTY, plain
 //!     lines otherwise (so `2> capture.log` records a replayable stream).
 //! ```
 //!
@@ -78,21 +78,15 @@
 //!                      percentile histograms recorded samples)
 //! --trace-out <file>   event-level timeline: Chrome trace-event JSON
 //!                      (chrome://tracing, Perfetto), one track per worker,
-//!                      with pool/op-cache telemetry instants
+//!                      with pool telemetry instants
 //! --flame-out <file>   folded stacks (phase;subphase self_us) for
 //!                      flamegraph tooling
 //! --progress           live heartbeats on stderr (elapsed, states/sec,
 //!                      frontier, budget fraction) while a check runs
-//! --no-op-cache        disable the automaton-operation memo cache that the
-//!                      deciders (and the jobs of a batch) share by default
 //! --no-lazy            opt out of the lazy fused pipeline: materialize the
 //!                      subset constructions and differences eagerly instead
 //!                      of exploring the on-the-fly product with antichain
 //!                      subsumption (verdicts are identical either way)
-//! --cache-bytes <n>    byte budget for that cache: resident entries are
-//!                      size-accounted and evicted cost-aware-LRU so the
-//!                      cache never holds more than <n> bytes (verdicts and
-//!                      deterministic counters are unchanged by eviction)
 //! ```
 //!
 //! SIGINT/SIGTERM cancel the run through the guard's cancel token: the
@@ -220,18 +214,6 @@ fn extract_obs(args: &mut Vec<String>) -> Result<ObsFlags, String> {
     Ok(obs)
 }
 
-/// Extracts `--no-op-cache` from the argument list. The automaton-operation
-/// memo cache is on by default; this flag disables it (for debugging or
-/// apples-to-apples timing of the raw constructions).
-fn extract_no_op_cache(args: &mut Vec<String>) -> bool {
-    let mut disabled = false;
-    while let Some(idx) = args.iter().position(|a| a == "--no-op-cache") {
-        args.remove(idx);
-        disabled = true;
-    }
-    disabled
-}
-
 /// Extracts `--no-lazy` from the argument list. The lazy fused pipeline
 /// (on-the-fly inclusion search with antichain subsumption) is on by
 /// default; this flag opts back into the eager materializing constructions
@@ -308,16 +290,17 @@ struct GuardSeed {
     budget: Budget,
     cancel: CancelToken,
     lazy: bool,
-    /// Percentile registry of the batch's pool. Unlike the counter
-    /// registry (sharded per job and absorbed in submission order for
-    /// determinism), it is shared: records are lock-free atomic increments
-    /// and quantiles are order-independent.
+    /// Percentile registry of the batch: the pool's latencies and each
+    /// job's wall time (`batch/job_wall_us`). Unlike the counter registry
+    /// (sharded per job and absorbed in submission order for determinism),
+    /// it is shared: records are lock-free atomic increments and quantiles
+    /// are order-independent.
     hists: Option<HistogramRegistry>,
 }
 
 /// Runs a batch of checks across a worker pool with per-check isolation:
 /// each check gets its own guard (sharing the batch deadline's *remaining*
-/// time, one cancel token, and one op cache), its output is buffered and
+/// time and one cancel token), its output is buffered and
 /// printed in submission order, a panicking check maps to exit 101 without
 /// taking down its siblings, and the worst per-check exit code wins.
 fn cmd_batch(
@@ -325,7 +308,6 @@ fn cmd_batch(
     threads: usize,
     seed: GuardSeed,
     registry: Option<&MetricsRegistry>,
-    shared_cache: Option<OpCache>,
     tracer: Option<&Arc<Tracer>>,
 ) -> ExitCode {
     let pool = Pool::with_tracer(threads, tracer.cloned());
@@ -344,10 +326,11 @@ fn cmd_batch(
             let budget = seed.budget.clone();
             let cancel = seed.cancel.clone();
             let lazy = seed.lazy;
-            let cache = shared_cache.clone();
+            let hists = seed.hists.clone();
             let tracer = tracer.cloned();
             let finished = Arc::clone(&finished);
             let job = move || -> JobOutcome {
+                let started = std::time::Instant::now();
                 // Budget splitting: the whole batch shares one wall clock.
                 // At each job start, the *live* remaining time is divided by
                 // the scheduling waves the still-unfinished jobs need, so a
@@ -372,12 +355,12 @@ fn cmd_batch(
                     }
                     guard = guard.with_metrics(r.clone());
                 }
-                if let Some(cache) = cache {
-                    guard = guard.with_op_cache(cache);
-                }
                 let mut out = String::new();
                 let mut err = String::new();
                 let code = report_check(&check, &guard, &mut out, &mut err);
+                if let Some(h) = &hists {
+                    h.hist("batch/job_wall_us").record_elapsed_us(started);
+                }
                 finished.fetch_add(1, Ordering::Relaxed);
                 (out, err, code, reg.as_ref().map(MetricsRegistry::snapshot))
             };
@@ -418,45 +401,26 @@ fn cmd_batch(
             parent.absorb(&format!("job{i}"), shard);
         }
     }
-    note_runtime_counters(registry, Some(&pool), shared_cache.as_ref());
+    note_pool_counters(registry, &pool);
     println!("batch: {held}/{total} checks relatively live (exit {worst})");
     ExitCode::from(worst)
 }
 
-/// Folds the pool's scheduler telemetry and the op cache's shard statistics
-/// into the registry as named counters, so they ride the `--stats` footer
-/// and the JSONL `totals` line. These are schedule-dependent (steal/park
-/// counts vary run to run), which is exactly why they are *counters* and
-/// never deterministic metrics. Pool counters only appear for parallel
-/// batch runs (`--jobs > 1`).
-fn note_runtime_counters(
-    registry: Option<&MetricsRegistry>,
-    pool: Option<&Pool>,
-    cache: Option<&OpCache>,
-) {
+/// Folds the pool's scheduler telemetry into the registry as named
+/// counters, so they ride the `--stats` footer and the JSONL `totals` line.
+/// These are schedule-dependent (steal/park counts vary run to run), which
+/// is exactly why they are *counters* and never deterministic metrics. They
+/// only appear for parallel batch runs (`--jobs > 1`).
+fn note_pool_counters(registry: Option<&MetricsRegistry>, pool: &Pool) {
     let Some(reg) = registry else {
         return;
     };
-    if let Some(pool) = pool.filter(|p| p.threads() >= 2) {
+    if pool.threads() >= 2 {
         let c = pool.counters();
         reg.counter("pool/spawns").add(c.spawns);
         reg.counter("pool/steals").add(c.steals);
         reg.counter("pool/parks").add(c.parks);
         reg.counter("pool/unparks").add(c.unparks);
-    }
-    if let Some(cache) = cache {
-        reg.counter("opcache/hits").add(cache.hits() as u64);
-        reg.counter("opcache/misses").add(cache.misses() as u64);
-        reg.counter("opcache/adoptions")
-            .add(cache.adoptions() as u64);
-        // Memory accounting: what the cache holds now and how much it shed.
-        // Deterministic for a fixed input and --cache-bytes (eviction order
-        // is a pure function of the access sequence), unlike the pool's
-        // schedule-dependent telemetry above.
-        reg.counter("opcache/resident_bytes")
-            .add(cache.resident_bytes() as u64);
-        reg.counter("opcache/evictions")
-            .add(cache.evictions() as u64);
     }
 }
 
@@ -857,8 +821,7 @@ fn main() -> ExitCode {
                  [--socket <path>] [--max-inflight-states <n>] [--queue-cap <n>] \
                  [--job <id>] [--metrics-dir <dir>] [--dir <journal-dir>] \
                  [--stats] [--metrics <file>] [--trace-out <file>] \
-                 [--flame-out <file>] [--progress] [--no-op-cache] \
-                 [--no-lazy] [--cache-bytes <n>]";
+                 [--flame-out <file>] [--progress] [--no-lazy]";
     let Ok(mut args) = args else {
         return fail(format!("arguments must be valid UTF-8\n{usage}"));
     };
@@ -870,20 +833,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => return fail(format!("{e}\n{usage}")),
     };
-    let no_op_cache = extract_no_op_cache(&mut args);
     let no_lazy = extract_no_lazy(&mut args);
-    let cache_bytes = match extract_value_flag(&mut args, "--cache-bytes") {
-        Ok(None) => None,
-        Ok(Some(raw)) => match raw.parse::<usize>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                return fail(format!(
-                    "--cache-bytes: {raw:?} is not a valid byte count\n{usage}"
-                ))
-            }
-        },
-        Err(e) => return fail(format!("{e}\n{usage}")),
-    };
     let jobs_flag = match extract_jobs(&mut args) {
         Ok(j) => j,
         Err(e) => return fail(format!("{e}\n{usage}")),
@@ -918,22 +868,13 @@ fn main() -> ExitCode {
     // histogram hook stays `None` and the hot paths never call Instant::now.
     let hist_registry = obs.wants_registry().then(HistogramRegistry::new);
     // The event tracer exists only under --trace-out: without it the
-    // registry keeps its Rc/Cell hot path and the pool and cache skip the
+    // registry keeps its Rc/Cell hot path and the pool skips the
     // recording branches entirely — tracing is strictly opt-in, and the
     // deterministic counters are bit-for-bit identical either way.
     let tracer = obs.trace.is_some().then(|| Arc::new(Tracer::new()));
     if let (Some(reg), Some(t)) = (&registry, &tracer) {
         reg.set_tracer(Arc::clone(t));
     }
-    // The cache handle stays in scope so its telemetry can be folded into
-    // the registry as counters after the run.
-    let op_cache = (!no_op_cache).then(|| {
-        // The deciders re-derive the same intermediate machines (products,
-        // subset constructions, complements); one pipeline-wide memo cache
-        // answers the repeats. --cache-bytes bounds its resident footprint
-        // via cost-aware LRU eviction.
-        OpCache::with_limits(tracer.clone(), cache_bytes)
-    });
     // One cancel token for the whole process: SIGINT/SIGTERM cancel through
     // it, so budget-style unwinding (exit 3) replaces dying mid-write with
     // half-flushed sinks. Serve mode reads it as the drain trigger.
@@ -942,12 +883,6 @@ fn main() -> ExitCode {
     let mut guard = Guard::with_cancel(budget.clone(), cancel.clone()).with_lazy(!no_lazy);
     if let Some(reg) = &registry {
         guard = guard.with_metrics(reg.clone());
-    }
-    if let Some(cache) = &op_cache {
-        guard = guard.with_op_cache(cache.clone());
-        if let Some(h) = &hist_registry {
-            cache.set_histograms(h.clone());
-        }
     }
     let monitor = obs.progress.then(|| ProgressMonitor::start(guard.probe()));
     let code = match cmd.as_str() {
@@ -988,11 +923,6 @@ fn main() -> ExitCode {
                     "batch needs checks: --manifest <file> and/or <system-file>... --formula <f>",
                 );
             }
-            let shared_cache =
-                (!no_op_cache).then(|| OpCache::with_limits(tracer.clone(), cache_bytes));
-            if let (Some(cache), Some(h)) = (&shared_cache, &hist_registry) {
-                cache.set_histograms(h.clone());
-            }
             cmd_batch(
                 checks,
                 jobs,
@@ -1003,7 +933,6 @@ fn main() -> ExitCode {
                     hists: hist_registry.clone(),
                 },
                 registry.as_ref(),
-                shared_cache,
                 tracer.as_ref(),
             )
         }
@@ -1046,7 +975,6 @@ fn main() -> ExitCode {
                     job_budget: budget.clone(),
                     max_inflight_states,
                     queue_cap,
-                    cache: op_cache.clone(),
                     tracer: tracer.clone(),
                     no_lazy,
                     metrics_dir,
@@ -1147,10 +1075,6 @@ fn main() -> ExitCode {
     if let Some(monitor) = monitor {
         monitor.finish();
     }
-    // Non-batch runs fold their cache telemetry in here; batch runs already
-    // did so from their own pool and shared cache inside cmd_batch (this
-    // call then adds zero to the same counters).
-    note_runtime_counters(registry.as_ref(), None, op_cache.as_ref());
     if sig::seen() {
         eprintln!("rlcheck: interrupted by signal; partial diagnostics follow");
     }

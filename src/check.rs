@@ -248,6 +248,39 @@ mod tests {
     use super::*;
 
     #[test]
+    fn cache_shim_changes_neither_report_nor_spans() {
+        use rl_automata::{MetricsRegistry, OpCache};
+        let run = |cache: bool| {
+            let reg = MetricsRegistry::new();
+            let mut guard = Guard::unlimited().with_metrics(reg.clone());
+            if cache {
+                guard = guard.with_op_cache(OpCache::with_limits(None, None));
+            }
+            let spec = CheckSpec::from_path("examples/systems/server_err.pn", "[]<>result");
+            let (mut out, mut err) = (String::new(), String::new());
+            let code = report_check(&spec, &guard, &mut out, &mut err);
+            let spans: Vec<_> = reg
+                .records()
+                .into_iter()
+                .map(|r| {
+                    (
+                        r.path,
+                        r.states,
+                        r.transitions,
+                        r.cache_hits,
+                        r.guard_charges,
+                    )
+                })
+                .collect();
+            (code, out, err, spans)
+        };
+        let plain = run(false);
+        assert_eq!(plain.0, 1, "{plain:?}");
+        assert!(!plain.3.is_empty());
+        assert_eq!(run(true), plain);
+    }
+
+    #[test]
     fn severity_orders_panic_over_budget_over_usage() {
         let codes = [0u8, 1, 2, 3, 101];
         for window in codes.windows(2) {

@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use rl_automata::{
         dfa_equivalent, dfa_included, dfa_included_with, format_word, largest_simulation,
-        parse_word, resolve_jobs, simulates, Alphabet, Dfa, GuardProbe, Nfa, OpCache, Pool,
+        parse_word, resolve_jobs, simulates, Alphabet, Dfa, GuardProbe, Nfa, Pool,
         RegistrySnapshot, Symbol, TransitionSystem, Word,
     };
     pub use rl_buchi::{
@@ -82,16 +82,17 @@ pub mod prelude {
         omega_included, omega_included_with, Buchi, UpWord,
     };
     pub use rl_core::{
-        cantor_distance, certify_density, check_transported_concrete, chrome_trace_json,
-        dense_witness, extension_witness, folded_stacks, forall_always_exists_eventually,
-        forall_always_recurrently, is_liveness_property, is_machine_closed, is_relative_liveness,
-        is_relative_liveness_of_ts, is_relative_liveness_of_ts_with, is_relative_liveness_with,
-        is_relative_safety, is_relative_safety_with, is_safety_property, labeling_for_homomorphism,
-        render_jsonl, satisfies, satisfies_with, synthesize_fair_implementation,
-        verify_via_abstraction, verify_via_abstraction_with, AbstractionAnalysis, Budget,
-        CancelToken, CheckError, CheckPlan, CheckVerdicts, CoreError, Counter, FairImplementation,
-        Guard, Metric, MetricsRegistry, ObsReport, PoolCounters, Progress, Property, Resource,
-        Span, SpanRecord, TraceEvent, TracePhase, Tracer, TransferConclusion,
+        cantor_distance, certify_density, check_transported_concrete,
+        check_transported_concrete_with, chrome_trace_json, dense_witness, extension_witness,
+        folded_stacks, forall_always_exists_eventually, forall_always_recurrently,
+        is_liveness_property, is_machine_closed, is_relative_liveness, is_relative_liveness_of_ts,
+        is_relative_liveness_of_ts_with, is_relative_liveness_with, is_relative_safety,
+        is_relative_safety_with, is_safety_property, labeling_for_homomorphism, render_jsonl,
+        satisfies, satisfies_with, synthesize_fair_implementation, verify_via_abstraction,
+        verify_via_abstraction_with, AbstractionAnalysis, Budget, CancelToken, CheckError,
+        CheckPlan, CheckVerdicts, CoreError, Counter, FairImplementation, Guard, Metric,
+        MetricsRegistry, ObsReport, PoolCounters, Progress, Property, Resource, Span, SpanRecord,
+        TraceEvent, TracePhase, Tracer, TransferConclusion,
     };
     pub use rl_exec::{
         almost_surely_recurrent, estimate_satisfaction, min_fairness_ratio,

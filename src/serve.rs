@@ -1,9 +1,9 @@
 //! `rlcheck serve` — a fault-isolated checking service.
 //!
 //! A long-running daemon that accepts relative-liveness check jobs over a
-//! Unix domain socket, so heavy fan-in traffic shares one warm process and
-//! one warm [`OpCache`] instead of paying a fresh CLI start per check of
-//! the paper's `pre(L_ω) = pre(L_ω ∩ P)` test (Lemma 4.3). Robustness is the
+//! Unix domain socket, so heavy fan-in traffic shares one warm process
+//! instead of paying a fresh CLI start per check of the paper's
+//! `pre(L_ω) = pre(L_ω ∩ P)` test (Lemma 4.3). Robustness is the
 //! design driver; DESIGN.md §12 is the architecture chapter. In brief:
 //!
 //! * **Wire protocol** — line-delimited JSON, one request object per line,
@@ -12,7 +12,7 @@
 //!   README for examples.
 //! * **Percentile telemetry** — a service-global [`HistogramRegistry`]
 //!   records queue wait, job wall time, admission latency, subscriber
-//!   write stalls, cache probe/lock-wait and pool steal/park latencies.
+//!   write stalls and pool steal/park latencies.
 //!   The `metrics` verb exposes it as Prometheus text exposition (or
 //!   rl-obs/v3 JSONL), and `--metrics-dir` persists interval snapshots to
 //!   a rotating journal that `rlcheck report --dir` renders and
@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use rl_automata::{fault, Budget, CancelToken, Guard, GuardProbe, OpCache, Pool};
+use rl_automata::{fault, Budget, CancelToken, Guard, GuardProbe, Pool};
 use rl_core::CheckError;
 use rl_json::{Json, ObjBuilder, ToJson};
 use rl_obs::{
@@ -94,9 +94,6 @@ pub struct ServeConfig {
     pub max_inflight_states: Option<u64>,
     /// Jobs allowed to wait for admission before submits are rejected.
     pub queue_cap: usize,
-    /// The shared cross-request operation cache (byte-budgeted via
-    /// `--cache-bytes`), if enabled.
-    pub cache: Option<OpCache>,
     /// Event-level tracer shared by the pool and the jobs (`--trace-out`).
     pub tracer: Option<Arc<Tracer>>,
     /// Service-wide `--no-lazy`: jobs run the eager materializing pipeline
@@ -292,7 +289,6 @@ struct Core {
     /// Notified on every completion, admission, or drain transition.
     changed: Condvar,
     pool: Pool,
-    cache: Option<OpCache>,
     tracer: Option<Arc<Tracer>>,
     /// Whether jobs should ship their metrics shards home for the drain
     /// (jobs always meter themselves — see [`run_job`] — so subscriber
@@ -307,8 +303,8 @@ struct Core {
     /// The subscriber fan-out plane.
     bus: StreamBus,
     /// Service-global percentile plane: queue wait, job wall time,
-    /// admission latency, subscriber write stalls, the shared cache's and
-    /// pool's latencies. Exposed by the `metrics` verb and journaled by the
+    /// admission latency, subscriber write stalls and the pool's
+    /// latencies. Exposed by the `metrics` verb and journaled by the
     /// sampler.
     hists: HistogramRegistry,
     /// The persistent metrics journal (`--metrics-dir`), appended by the
@@ -440,12 +436,9 @@ fn run_job(core: &Arc<Core>, id: u64) {
     let global_offset = core.tracer.as_ref().map(|t| t.now_us());
     reg.set_tracer(Arc::clone(&job_tracer));
     let was_cancelled = cancel.clone();
-    let mut guard = Guard::with_cancel(budget, cancel)
+    let guard = Guard::with_cancel(budget, cancel)
         .with_lazy(lazy)
         .with_metrics(reg.clone());
-    if let Some(c) = &core.cache {
-        guard = guard.with_op_cache(c.clone());
-    }
     let stream = Arc::new(JobStream {
         probe: guard.probe(),
         tracer: Arc::clone(&job_tracer),
@@ -524,17 +517,11 @@ fn done_json(id: u64, code: u8) -> Json {
         .build()
 }
 
-/// One heartbeat sample for `id`: the probe's atomics plus live cache
-/// residency, tagged with the job id.
-fn job_heartbeat_json(core: &Core, id: u64, stream: &JobStream) -> Json {
+/// One heartbeat sample for `id`: the probe's atomics, tagged with the
+/// job id.
+fn job_heartbeat_json(id: u64, stream: &JobStream) -> Json {
     let mut hb = stream.probe.heartbeat();
     hb.job = Some(id);
-    if let Some(cache) = &core.cache {
-        hb.cache_resident_bytes = Some(cache.resident_bytes() as u64);
-        hb.cache_evictions = Some(cache.evictions() as u64);
-        hb.cache_hits = Some(cache.hits() as u64);
-        hb.cache_misses = Some(cache.misses() as u64);
-    }
     hb.to_json()
 }
 
@@ -561,7 +548,7 @@ fn publish_job_tick(core: &Core, id: u64, stream: &JobStream) {
     if stream.finished.load(Ordering::Acquire) {
         return;
     }
-    publish_json(core, id, &job_heartbeat_json(core, id, stream));
+    publish_json(core, id, &job_heartbeat_json(id, stream));
     publish_job_trace(core, id, stream);
 }
 
@@ -573,7 +560,7 @@ fn publish_job_final(core: &Core, id: u64, stream: &JobStream, code: u8) {
         .publish
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    publish_json(core, id, &job_heartbeat_json(core, id, stream));
+    publish_json(core, id, &job_heartbeat_json(id, stream));
     publish_job_trace(core, id, stream);
     publish_json(core, id, &done_json(id, code));
     stream.finished.store(true, Ordering::Release);
@@ -907,7 +894,7 @@ fn service_counters(core: &Core) -> Vec<(String, u64)> {
         (t.counters, t.inflight, t.queue.len() as u64)
     };
     let own = |name: &str, v: u64| (name.to_owned(), v);
-    let mut out = vec![
+    vec![
         own("serve/submitted", c.submitted),
         own("serve/admitted", c.admitted),
         own("serve/queued", c.queued),
@@ -920,21 +907,18 @@ fn service_counters(core: &Core) -> Vec<(String, u64)> {
         own("serve/queue_depth", queue_depth),
         own("serve/subscribers", core.bus.subscriber_count() as u64),
         own("serve/events_dropped", core.bus.dropped_events()),
-    ];
-    if let Some(cache) = &core.cache {
-        out.push(own("opcache/hits", cache.hits() as u64));
-        out.push(own("opcache/misses", cache.misses() as u64));
-        out.push(own("opcache/evictions", cache.evictions() as u64));
-        out.push(own("opcache/resident_bytes", cache.resident_bytes() as u64));
-    }
-    out
+    ]
 }
 
 /// The `metrics` verb: the live counters and histograms, rendered as
 /// Prometheus text exposition (default) or as rl-obs/v3 `hist` JSONL
 /// lines (`"format":"jsonl"`), carried in the reply's `body` field.
 fn metrics_reply(core: &Arc<Core>, format: Option<&str>) -> Json {
-    let counters = service_counters(core);
+    let mut counters = service_counters(core);
+    // Checks no longer memoize, so this counter stays 0. It is exposed only
+    // because the benchmark's served layer still reads it; it will be
+    // removed with that reader.
+    counters.push(("opcache/hits".to_owned(), 0));
     let hists = core.hists.snapshot();
     match format {
         None | Some("prometheus") => ObjBuilder::new()
@@ -1004,7 +988,7 @@ fn stats_reply(core: &Arc<Core>) -> Json {
         .field("shutdown", c.verbs.shutdown)
         .field("unknown", c.verbs.unknown)
         .build();
-    let mut b = ObjBuilder::new()
+    ObjBuilder::new()
         .field("ok", true)
         .field("uptime_ms", core.started.elapsed().as_millis() as u64)
         .field("requests", requests)
@@ -1020,16 +1004,8 @@ fn stats_reply(core: &Arc<Core>) -> Json {
         .field("inflight_states", inflight)
         .field("peak_inflight_states", c.peak_inflight)
         .field("queue_depth", queue_depth)
-        .field("draining", draining);
-    if let Some(cache) = &core.cache {
-        b = b
-            .field("cache_resident_bytes", cache.resident_bytes())
-            .field("cache_evictions", cache.evictions());
-        if let Some(budget) = cache.byte_budget() {
-            b = b.field("cache_bytes_budget", budget);
-        }
-    }
-    b.build()
+        .field("draining", draining)
+        .build()
 }
 
 fn handle_submit(core: &Arc<Core>, conn: u64, v: &Json) -> Json {
@@ -1313,7 +1289,6 @@ pub fn serve(
         }),
         changed: Condvar::new(),
         pool: Pool::with_tracer(config.threads, config.tracer.clone()),
-        cache: config.cache.clone(),
         tracer: config.tracer.clone(),
         want_snapshots: registry.is_some(),
         max_inflight: config.max_inflight_states,
@@ -1328,12 +1303,9 @@ pub fn serve(
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64),
     });
-    // The shared pool and cache record their scheduler/probe latencies
-    // into the same service-global registry.
+    // The shared pool records its scheduler latencies into the same
+    // service-global registry.
     core.pool.set_histograms(core.hists.clone());
-    if let Some(cache) = &core.cache {
-        cache.set_histograms(core.hists.clone());
-    }
 
     eprintln!(
         "rlcheck: serve: listening on {socket} ({} workers)",

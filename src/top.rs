@@ -5,7 +5,7 @@
 //! socket, issues a `subscribe` (all jobs by default, one job with
 //! `--job`), and renders the streamed heartbeat/trace events as a
 //! refreshing per-job table on stderr — states/sec, current phase, budget
-//! consumption, cache hit rate. When stderr is not a TTY the refresh
+//! consumption. When stderr is not a TTY the refresh
 //! degrades to plain line output (one line per heartbeat/completion), so
 //! `rlcheck top ... 2> capture.log` leaves a readable, greppable record —
 //! and the captured stream itself replays through `rlcheck report`.
@@ -56,12 +56,6 @@ impl JobRow {
             .map(|d| 100 * hb.elapsed_us / d.max(1))
             .unwrap_or(0);
         (hb.states_limit.is_some() || hb.deadline_us.is_some()).then_some(states.max(time))
-    }
-
-    fn cache_pct(&self) -> Option<u64> {
-        let hb = self.last.as_ref()?;
-        let (hits, misses) = (hb.cache_hits?, hb.cache_misses?);
-        (hits + misses > 0).then(|| 100 * hits / (hits + misses))
     }
 
     fn status(&self) -> String {
@@ -161,14 +155,14 @@ impl TopView {
         );
         let _ = writeln!(
             out,
-            "{:>5}  {:<9} {:>9} {:>12} {:>10} {:>9} {:>7} {:>7}  PHASE",
-            "JOB", "STATUS", "ELAPSED", "STATES", "RATE/S", "FRONTIER", "BUDGET%", "CACHE%"
+            "{:>5}  {:<9} {:>9} {:>12} {:>10} {:>9} {:>7}  PHASE",
+            "JOB", "STATUS", "ELAPSED", "STATES", "RATE/S", "FRONTIER", "BUDGET%"
         );
         for (id, row) in &self.jobs {
             let hb = row.last.as_ref();
             let _ = writeln!(
                 out,
-                "{:>5}  {:<9} {:>8.1}s {:>12} {:>10} {:>9} {:>7} {:>7}  {}",
+                "{:>5}  {:<9} {:>8.1}s {:>12} {:>10} {:>9} {:>7}  {}",
                 id,
                 row.status(),
                 hb.map_or(0.0, |h| h.elapsed_us as f64 / 1e6),
@@ -176,8 +170,6 @@ impl TopView {
                 hb.map_or(0, Heartbeat::states_per_sec),
                 hb.map_or(0, |h| h.frontier),
                 row.budget_pct()
-                    .map_or_else(|| "-".to_owned(), |p| p.to_string()),
-                row.cache_pct()
                     .map_or_else(|| "-".to_owned(), |p| p.to_string()),
                 if row.note.is_empty() {
                     row.phase.clone()
@@ -355,7 +347,7 @@ mod tests {
         let plain = view.take_line(
             "{\"event\":\"heartbeat\",\"job\":1,\"elapsed_us\":2000000,\
              \"states\":81920,\"transitions\":1,\"frontier\":4096,\
-             \"states_limit\":200000,\"cache_hits\":97,\"cache_misses\":3}",
+             \"states_limit\":200000}",
         );
         assert!(plain
             .expect("heartbeats emit plain lines")
@@ -363,7 +355,6 @@ mod tests {
         let row = view.jobs.get(&1).expect("job row exists");
         assert_eq!(row.phase, "determinize");
         assert_eq!(row.budget_pct(), Some(40));
-        assert_eq!(row.cache_pct(), Some(97));
         assert_eq!(row.status(), "running");
         let done = view.take_line("{\"event\":\"done\",\"job\":1,\"code\":0}");
         assert_eq!(done.as_deref(), Some("job 1: done code 0"));

@@ -485,8 +485,7 @@ impl GoldenRun {
 
 /// The deterministic work one `--metrics` file records: every span as
 /// `path states transitions guard_charges` in `seq` order, the exit code,
-/// then the totals and their named counters. `opcache/resident_bytes` is
-/// an allocation size, not work, and is left out.
+/// then the totals and their named counters.
 fn counter_block(metrics: &str, code: i32) -> String {
     let lines: Vec<rl_json::Json> = metrics
         .lines()
@@ -512,7 +511,6 @@ fn counter_block(metrics: &str, code: i32) -> String {
     if let Some(rl_json::Json::Obj(counters)) = totals.get("counters") {
         for (name, value) in counters {
             match value {
-                _ if name == "opcache/resident_bytes" => {}
                 rl_json::Json::Int(n) => block += &format!("  {name} {n}\n"),
                 other => panic!("counter {name} is not an int: {other:?}"),
             }
@@ -604,39 +602,47 @@ fn check_counters_match_golden() {
     }
 }
 
-/// Deterministic work of one default in-process check: the `check` span's
-/// totals and every named counter, with or without latency histograms.
+/// Deterministic work of one default check run as a batch job on a
+/// two-worker pool: the `check` span's totals and every named counter,
+/// with or without the pool's latency histograms attached.
 fn check_work(file: &str, formula: &str, max_states: usize, hists: bool) -> Vec<(String, u64)> {
-    use relative_liveness::automata::{HistogramRegistry, OpCache};
+    use relative_liveness::automata::{HistogramRegistry, Pool};
     use relative_liveness::core::{Budget, CheckPlan, Guard, Metric, MetricsRegistry, Property};
     let text = std::fs::read_to_string(format!("examples/systems/{file}")).expect("fixture");
     let ts = relative_liveness::format::parse_system(&text).expect("fixture parses");
     let prop = Property::formula(relative_liveness::logic::parse(formula).expect("formula"));
-    let registry = MetricsRegistry::new();
-    let cache = OpCache::new();
-    let mut budget = Budget::unlimited();
-    budget.max_states = Some(max_states);
+    let pool = Pool::new(2);
     if hists {
-        cache.set_histograms(HistogramRegistry::new());
+        pool.set_histograms(HistogramRegistry::new());
     }
-    let guard = Guard::new(budget)
-        .with_metrics(registry.clone())
-        .with_op_cache(cache);
-    {
-        let _span = guard.span("check");
-        let behaviors = relative_liveness::buchi::behaviors_of_ts_with(&ts, &guard).expect("L");
-        CheckPlan::new(&behaviors, &prop, &guard)
-            .decide()
-            .expect("decided");
-    }
-    let mut work = registry.counters();
+    let job = move || {
+        let registry = MetricsRegistry::new();
+        let mut budget = Budget::unlimited();
+        budget.max_states = Some(max_states);
+        let guard = Guard::new(budget).with_metrics(registry.clone());
+        {
+            let _span = guard.span("check");
+            let behaviors = relative_liveness::buchi::behaviors_of_ts_with(&ts, &guard).expect("L");
+            CheckPlan::new(&behaviors, &prop, &guard)
+                .decide()
+                .expect("decided");
+        }
+        registry.snapshot()
+    };
+    let jobs: Vec<Box<dyn FnOnce() -> _ + Send>> = vec![Box::new(job)];
+    let snapshot = pool
+        .run_jobs(jobs)
+        .pop()
+        .expect("one job")
+        .expect("no panic");
+    let mut work = snapshot.counters.clone();
     for metric in [
         Metric::States,
         Metric::Transitions,
         Metric::GuardCharges,
         Metric::CacheHits,
     ] {
-        work.push((format!("{metric:?}"), registry.total(metric)));
+        work.push((format!("{metric:?}"), snapshot.total(metric)));
     }
     work
 }
@@ -794,6 +800,33 @@ fn default_check_decides_lemma_4_3_by_the_lazy_search_alone() {
 }
 
 #[test]
+fn retired_cache_flags_are_usage_errors() {
+    // The operation cache is gone, and so are its switch and byte budget.
+    let no_cache = concat!("--no-op-", "cache");
+    let budget = concat!("--cache-", "bytes");
+    for extra in [vec![no_cache], vec![budget, "65536"]] {
+        let mut args = vec!["check", "examples/systems/abp.ts", "[]<>deliver"];
+        args.extend(&extra);
+        let out = rlcheck(&args);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        assert!(
+            stderr(&out).contains(&format!("unexpected argument {:?}", extra[0])),
+            "{}",
+            stderr(&out)
+        );
+        let mut args = vec![
+            "batch",
+            "examples/systems/abp.ts",
+            "--formula",
+            "[]<>deliver",
+        ];
+        args.extend(&extra);
+        let out = rlcheck(&args);
+        assert_eq!(out.status.code(), Some(2), "batch {extra:?}");
+    }
+}
+
+#[test]
 fn retired_ladder_flag_is_a_usage_error() {
     // `check` rejects stray arguments, the retired ladder switch included.
     let flag = concat!("--no-", "filters");
@@ -860,9 +893,9 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
     assert_eq!(events.first().map(String::as_str), Some("meta"));
     assert_eq!(events.last().map(String::as_str), Some("totals"));
     let meta = rl_json::parse(text.lines().next().expect("meta line")).expect("meta parses");
-    // A registry-backed run records percentile histograms (op cache probe
-    // latency at minimum), which upgrades the schema to v3.
-    assert_eq!(str_field(&meta, "schema"), "rl-obs/v3");
+    // A one-shot check records no percentile histogram and no trace, so
+    // the schema stays v1.
+    assert_eq!(str_field(&meta, "schema"), "rl-obs/v1");
     // Every phase of the (lazy, default) check pipeline shows up as a
     // span path.
     for needle in [
@@ -1438,8 +1471,8 @@ fn report_renders_event_digest_for_v2_files() {
     assert_eq!(live.status.code(), Some(0));
     let text = std::fs::read_to_string(&metrics).expect("metrics written");
     assert!(
-        text.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""),
-        "tracing plus histograms upgrade the JSONL schema: {}",
+        text.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v2\""),
+        "tracing upgrades the JSONL schema: {}",
         text.lines().next().unwrap_or_default()
     );
     let report = rlcheck(&["report", metrics.to_str().expect("utf-8 path")]);
@@ -1462,7 +1495,7 @@ fn report_rejects_missing_or_malformed_input() {
 }
 
 #[test]
-fn stats_footer_surfaces_pool_and_cache_counters() {
+fn stats_footer_surfaces_pool_counters() {
     let out = rlcheck(&[
         "batch",
         "examples/systems/abp.ts",
@@ -1474,15 +1507,7 @@ fn stats_footer_surfaces_pool_and_cache_counters() {
     ]);
     assert_eq!(out.status.code(), Some(0));
     let err = stderr(&out);
-    for counter in [
-        "pool/spawns",
-        "pool/steals",
-        "pool/parks",
-        "pool/unparks",
-        "opcache/hits",
-        "opcache/misses",
-        "opcache/adoptions",
-    ] {
+    for counter in ["pool/spawns", "pool/steals", "pool/parks", "pool/unparks"] {
         assert!(err.contains(counter), "missing {counter} in footer:\n{err}");
     }
     // A single check runs on the calling thread, so no pool counters.
@@ -1492,7 +1517,6 @@ fn stats_footer_surfaces_pool_and_cache_counters() {
         !seq_err.contains("pool/spawns"),
         "no pool counters without a pool:\n{seq_err}"
     );
-    assert!(seq_err.contains("opcache/hits"), "{seq_err}");
 }
 
 #[test]
@@ -1507,17 +1531,13 @@ fn batch_absorbed_metrics_are_deterministic_across_jobs() {
          examples/systems/server.pn []<>result\n",
     )
     .expect("manifest written");
-    // With the shared op cache disabled every job rebuilds its own
-    // machines, so the absorbed span metrics are schedule-independent.
-    // (With the cache on, which job pays for a shared construction is a
-    // race — the *verdicts* stay deterministic but the per-job charge
-    // attribution does not; that is why this test passes --no-op-cache.)
+    // Every job builds its own machines, so the absorbed span metrics are
+    // schedule-independent.
     let run = |jobs: &str, path: &Path| {
         rlcheck(&[
             "batch",
             "--manifest",
             manifest.to_str().expect("utf-8 path"),
-            "--no-op-cache",
             "--jobs",
             jobs,
             "--metrics",
@@ -1569,6 +1589,59 @@ fn batch_absorbed_metrics_are_deterministic_across_jobs() {
     );
     assert!(v1.iter().any(|r| r.contains("job2/check")), "{v1:?}");
     assert_eq!(v1, v4, "absorbed batch metrics must not depend on --jobs");
+}
+
+#[test]
+fn repeated_batch_checks_charge_identically() {
+    // Each job builds its own machines, so two copies of one check in a
+    // parallel batch charge exactly the same work, span for span.
+    let dir = std::env::temp_dir().join("rlcheck-batch-repeat");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("checks.txt");
+    std::fs::write(
+        &manifest,
+        "examples/systems/server_err.pn []<>result\n\
+         examples/systems/server_err.pn []<>result\n",
+    )
+    .expect("manifest written");
+    let metrics = dir.join("metrics.jsonl");
+    let out = rlcheck(&[
+        "batch",
+        "--manifest",
+        manifest.to_str().expect("utf-8 path"),
+        "--jobs",
+        "4",
+        "--metrics",
+        metrics.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    let job_rows = |job: &str| -> Vec<String> {
+        let prefix = format!("{job}/");
+        text.lines()
+            .map(|l| rl_json::parse(l).expect("valid JSONL"))
+            .filter(|v| str_field_of(v, "event") == "span")
+            .filter_map(|v| {
+                let path = str_field_of(&v, "path");
+                let rest = path.strip_prefix(&prefix)?.to_owned();
+                Some(format!(
+                    "{rest} {} {} {} {}",
+                    int_field(&v, "states"),
+                    int_field(&v, "transitions"),
+                    int_field(&v, "cache_hits"),
+                    int_field(&v, "guard_charges"),
+                ))
+            })
+            .collect()
+    };
+    let (first, second) = (job_rows("job0"), job_rows("job1"));
+    assert!(
+        first
+            .iter()
+            .any(|r| r.starts_with("check/relative_safety ")),
+        "{first:?}"
+    );
+    assert_eq!(first, second, "the same check charged differently");
 }
 
 #[test]
@@ -1706,55 +1779,6 @@ fn sigint_oneshot_exits_3_and_flushes_partial_metrics() {
 }
 
 #[test]
-fn cache_bytes_bounds_the_oneshot_cache_without_changing_verdicts() {
-    let dir = std::env::temp_dir().join("rlcheck-cache-bytes");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let metrics = dir.join("bounded.jsonl");
-    let baseline = rlcheck(&["check", "examples/systems/abp.ts", "[]<>deliver"]);
-    assert_eq!(baseline.status.code(), Some(0));
-    let bounded = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--cache-bytes",
-        "2048",
-        "--metrics",
-        metrics.to_str().expect("utf-8 path"),
-    ]);
-    assert_eq!(bounded.status.code(), Some(0));
-    assert_eq!(
-        stdout(&baseline),
-        stdout(&bounded),
-        "a byte-budgeted cache must not change the report"
-    );
-    // The totals counters expose the cache's residency and eviction work,
-    // and the resident figure respects the configured budget.
-    let text = std::fs::read_to_string(&metrics).expect("metrics written");
-    let totals = rl_json::parse(text.lines().last().expect("nonempty")).expect("totals parses");
-    assert_eq!(str_field_of(&totals, "event"), "totals");
-    let counters = totals.get("counters").expect("counters object");
-    let resident = int_field(counters, "opcache/resident_bytes");
-    let evictions = int_field(counters, "opcache/evictions");
-    assert!(
-        resident <= 2048,
-        "resident {resident} exceeds the 2048-byte budget"
-    );
-    assert!(evictions >= 0, "eviction counter is reported");
-    // The --stats footer carries the same two counters.
-    let stats = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--cache-bytes",
-        "2048",
-        "--stats",
-    ]);
-    let footer = stderr(&stats);
-    assert!(footer.contains("opcache/resident_bytes"), "{footer}");
-    assert!(footer.contains("opcache/evictions"), "{footer}");
-}
-
-#[test]
 fn serve_without_a_socket_is_a_usage_error() {
     let out = rlcheck(&["serve"]);
     assert_eq!(out.status.code(), Some(2));
@@ -1874,19 +1898,26 @@ fn stats_and_metrics_carry_percentile_histograms() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("metrics.jsonl");
     let out = rlcheck(&[
-        "check",
+        "batch",
         "examples/systems/abp.ts",
+        "examples/systems/abp.ts",
+        "--formula",
         "[]<>deliver",
         "--stats",
         "--metrics",
         path.to_str().expect("utf-8 path"),
     ]);
     assert_eq!(out.status.code(), Some(0));
-    // The --stats footer grows a percentile table below the phase table.
+    // The --stats footer grows a percentile table below the phase table,
+    // with one job wall-time sample per check.
     let err = stderr(&out);
     assert!(err.contains("histogram"), "percentile header: {err}");
     assert!(err.contains("p99"), "{err}");
-    assert!(err.contains("opcache/probe_us"), "{err}");
+    let wall = err
+        .lines()
+        .find(|l| l.trim_start().starts_with("batch/job_wall_us"))
+        .unwrap_or_else(|| panic!("no batch/job_wall_us row: {err}"));
+    assert_eq!(wall.split_whitespace().nth(1), Some("2"), "{wall}");
     // Recording histograms upgrades the JSONL schema to v3 with one `hist`
     // line per recorded family.
     let text = std::fs::read_to_string(&path).expect("metrics written");
@@ -1918,8 +1949,8 @@ fn report_tolerates_mid_record_truncation() {
     assert_eq!(live.status.code(), Some(0));
     let bytes = std::fs::read(&metrics).expect("metrics written");
     assert!(
-        bytes.starts_with(b"{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""),
-        "v3 file expected"
+        bytes.starts_with(b"{\"event\":\"meta\",\"schema\":\"rl-obs/v2\""),
+        "v2 file expected"
     );
     // Cut inside the final record (the totals line is last and long).
     let cut = dir.join("cut.jsonl");

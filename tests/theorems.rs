@@ -511,3 +511,25 @@ fn behaviors_facade_needs_no_determinization() {
         );
     }
 }
+
+/// The transported check of Corollary 8.4 runs under the caller's guard:
+/// a small state budget stops it on a two-server farm, and a roomy one
+/// gives the unguarded verdict.
+#[test]
+fn transported_check_is_bounded_by_its_guard() {
+    use relative_liveness::automata::AutomataError;
+    let ts = rl_bench::server_farm(2);
+    let keep = rl_bench::farm_observables(2);
+    let h = Homomorphism::hiding(ts.alphabet(), keep.iter().map(String::as_str)).unwrap();
+    let eta = parse("[]<>result0").unwrap();
+    let tight = Guard::new(Budget::unlimited().with_max_states(10));
+    match check_transported_concrete_with(&ts, &h, &eta, &tight) {
+        Err(CoreError::Automata(AutomataError::BudgetExceeded { .. })) => {}
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+    let roomy = Guard::new(Budget::unlimited().with_max_states(1_000_000));
+    assert_eq!(
+        check_transported_concrete_with(&ts, &h, &eta, &roomy).unwrap(),
+        check_transported_concrete(&ts, &h, &eta).unwrap()
+    );
+}

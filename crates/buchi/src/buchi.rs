@@ -181,6 +181,14 @@ impl Buchi {
         self.accepting[q]
     }
 
+    /// Whether every state accepts. Then the accepted words are exactly
+    /// the words of infinite runs, and the language is limit closed: by
+    /// König's lemma, a word all of whose prefixes have runs in a finitely
+    /// branching graph has an infinite run.
+    pub fn accepts_everywhere(&self) -> bool {
+        self.accepting.iter().all(|&acc| acc)
+    }
+
     /// Successors of `q` on `symbol`, in ascending order.
     pub fn successors(&self, q: StateId, symbol: Symbol) -> impl Iterator<Item = StateId> + '_ {
         let row = &self.edges[q];
@@ -347,7 +355,11 @@ impl Buchi {
 
     /// Intersection product: accepts `L(self) ∩ L(other)`.
     ///
-    /// Uses the classical two-phase construction (a flag tracks whether we
+    /// When either automaton has every state accepting (its language is
+    /// limit closed: the behaviors of a transition system, a prefix graph)
+    /// the product is one copy of the state pairs `(p, q)`, accepting where
+    /// the other side accepts. Only for two genuine Büchi automata does it
+    /// use the classical two-phase construction (a flag tracks whether we
     /// are waiting for an accepting state of `self` or of `other`).
     ///
     /// # Errors
@@ -361,6 +373,8 @@ impl Buchi {
     ///
     /// Every interned product state is charged against the guard's state
     /// budget and every product transition against its transition budget.
+    /// A side that accepts everywhere makes the product one copy, as in
+    /// [`Buchi::intersection`].
     ///
     /// Each product state's successors come from its left row: every run
     /// of edges on one symbol finds that symbol's edges in the right row by
@@ -401,9 +415,9 @@ impl Buchi {
         self.product(other.rows(), |a| other.class_of(a), guard)
     }
 
-    /// The two-copy product of `self` with `other`, whose edges carry the
-    /// class `class_of(a)` of each letter `a` (the identity for a product
-    /// of two letter automata).
+    /// The product of `self` with `other`, whose edges carry the class
+    /// `class_of(a)` of each letter `a` (the identity for a product of two
+    /// letter automata).
     fn product(
         &self,
         other: &Buchi,
@@ -415,16 +429,29 @@ impl Buchi {
         // Classical two-copy product: in copy 0 we wait for `self` to accept,
         // in copy 1 for `other`; acceptance = copy-0 states whose left
         // component accepts (visited infinitely often iff both sides accept
-        // infinitely often). Copy `c` of `(p, q)` sits in column `2q + c`.
+        // infinitely often). Copy `c` of `(p, q)` sits in column
+        // `copies · q + c`.
+        //
+        // When either side accepts everywhere (a limit-closed language,
+        // such as a transition system's behaviors or a prefix graph), every
+        // run of it is accepting, so the product needs no flag: one copy,
+        // whose states accept exactly when the other side's component does.
         //
         // Ids are handed out in discovery order and states are expanded in
         // id order, so `keys[id]` is the breadth-first worklist and each
         // row is written once, when its state is expanded.
+        let copies = if self.accepts_everywhere() || other.accepts_everywhere() {
+            1
+        } else {
+            2
+        };
         struct Product<'a> {
             index: PairTable,
+            copies: usize,
             keys: Vec<(StateId, StateId, usize)>,
             accepting: Vec<bool>,
             left_accepting: &'a [bool],
+            right_accepting: &'a [bool],
             guard: &'a Guard,
         }
         impl Product<'_> {
@@ -434,22 +461,31 @@ impl Buchi {
                 q: StateId,
                 copy: usize,
             ) -> Result<StateId, AutomataError> {
-                if let Some(id) = self.index.get(p, 2 * q + copy) {
+                let column = self.copies * q + copy;
+                if let Some(id) = self.index.get(p, column) {
                     return Ok(id);
                 }
                 self.guard.charge_state()?;
                 let id = self.keys.len();
-                self.index.set(p, 2 * q + copy, id);
+                self.index.set(p, column, id);
                 self.keys.push((p, q, copy));
-                self.accepting.push(copy == 0 && self.left_accepting[p]);
+                // One copy: one side accepts everywhere, so this is the
+                // other side's acceptance.
+                self.accepting.push(
+                    copy == 0
+                        && self.left_accepting[p]
+                        && (self.copies == 2 || self.right_accepting[q]),
+                );
                 Ok(id)
             }
         }
         let mut product = Product {
-            index: PairTable::new(self.state_count(), 2 * other.state_count()),
+            index: PairTable::new(self.state_count(), copies * other.state_count()),
+            copies,
             keys: Vec::new(),
             accepting: Vec::new(),
             left_accepting: &self.accepting,
+            right_accepting: &other.accepting,
             guard,
         };
         let mut initial = BTreeSet::new();
@@ -464,7 +500,7 @@ impl Buchi {
         while let Some(&(p, q, copy)) = product.keys.get(id) {
             guard.note_frontier(product.keys.len() - id - 1);
             let copy2 = match copy {
-                0 if self.accepting[p] => 1,
+                0 if copies == 2 && self.accepting[p] => 1,
                 1 if other.accepting[q] => 0,
                 c => c,
             };

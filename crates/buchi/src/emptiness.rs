@@ -148,6 +148,11 @@ pub(crate) fn accepting_cycle_states(
 
 /// Finds an accepting lasso of `b`: an ultimately periodic word `u·v^ω`
 /// accepted by `b`, or `None` when `L(b) = ∅`.
+///
+/// The lasso is returned tight ([`UpWord::canonicalize`]): while `u` and
+/// `v` end in the same letter it is folded into the period, and a period
+/// `w^k` is cut to `w`, so `tick.(tock.tick)^ω` comes out as
+/// `(tick.tock)^ω` and `b.(b.b)^ω` as `(b)^ω`. The ω-word is the same.
 pub(crate) fn accepting_lasso(
     b: &Buchi,
     poll: &mut Poll<'_>,
@@ -195,7 +200,7 @@ pub(crate) fn accepting_lasso(
         }
         if q == target {
             let w = UpWord::new(prefix, vec![a]).expect("period of length 1 is non-empty");
-            return Ok(Some(w));
+            return Ok(Some(w.canonicalize()));
         }
         if !seen[q] {
             seen[q] = true;
@@ -218,7 +223,8 @@ pub(crate) fn accepting_lasso(
                     cur = r;
                 }
                 labels.reverse();
-                return Ok(Some(UpWord::new(prefix, labels).expect("non-empty cycle")));
+                let w = UpWord::new(prefix, labels).expect("non-empty cycle");
+                return Ok(Some(w.canonicalize()));
             }
             if !seen[q] {
                 seen[q] = true;
@@ -337,8 +343,9 @@ mod tests {
             .unwrap()
             .expect("nonempty");
         assert!(accepts_upword(&b, &w));
-        assert_eq!(w.prefix(), &[x]);
-        assert_eq!(w.period().len(), 2);
+        // x.(y.x)^ω, with the prefix's x folded into the period.
+        assert_eq!(w.prefix(), &[] as &[Symbol]);
+        assert_eq!(w.period(), &[x, y]);
     }
 
     #[test]

@@ -126,11 +126,11 @@ impl UpWord {
         (0..n).map(|i| self.at(i)).collect()
     }
 
-    /// A canonical form: the period is rolled to its lexicographically least
-    /// rotation and the prefix is shortened while its last letter equals the
-    /// last letter of the period. Two `UpWord`s denoting the same ω-word have
-    /// equal canonical forms *when their period lengths agree*; combined with
-    /// [`UpWord::same_word`] this gives full semantic equality.
+    /// A canonical form: the period is cut to its primitive root (`w^k`
+    /// becomes `w`), then the prefix is shortened while its last letter
+    /// equals the last letter of the period, rotating that letter into the
+    /// period. Two `UpWord`s denote the same ω-word exactly when their
+    /// canonical forms are equal ([`UpWord::same_word`]).
     pub fn canonicalize(&self) -> UpWord {
         let mut prefix = self.prefix.clone();
         let mut period = self.period.clone();

@@ -2,11 +2,15 @@
 //!
 //! On random Büchi pairs with 1–6 states over alphabets of 1–40 letters:
 //!
-//! * [`Buchi::intersection_with`] equals a symbol-major two-copy product
-//!   that walks every letter of the alphabet for every product state (the
-//!   construction that fixed the product's numbering and charge order);
+//! * [`Buchi::intersection_with`] equals a symbol-major product that walks
+//!   every letter of the alphabet for every product state (the
+//!   construction that fixed the product's numbering and charge order),
+//!   one copy when either side accepts everywhere and two otherwise;
 //! * under a state budget one short of the product's size, both trip at
 //!   the same `spent`;
+//! * when one side accepts everywhere, the one-copy product has the
+//!   language of the classical two-copy product: both are empty or
+//!   neither is, and each accepts the other's witness lasso;
 //! * [`Buchi::transitions`] is sorted by `(p, a, q)` and
 //!   [`Buchi::successors`] is its `(q, a)` slice;
 //! * [`Buchi::accepts_upword`] accepts [`Buchi::accepted_upword`]'s lasso.
@@ -67,11 +71,45 @@ fn pair_strategy() -> impl Strategy<Value = (Buchi, Buchi)> {
     })
 }
 
-/// The two-copy product, symbol-major: for every product state, every
-/// letter of the alphabet, then every left and right successor on it.
+/// `b` with every state accepting: its language is the limit of its
+/// finite runs.
+fn accepting_everywhere(b: &Buchi) -> Buchi {
+    Buchi::from_parts(
+        b.alphabet().clone(),
+        b.state_count(),
+        b.initial().iter().copied(),
+        0..b.state_count(),
+        b.transitions(),
+    )
+    .expect("indices in range")
+}
+
+/// The product, symbol-major: for every product state, every letter of
+/// the alphabet, then every left and right successor on it. It has one
+/// copy when either side accepts everywhere, like
+/// [`Buchi::intersection_with`].
 fn symbol_major_product(
     left: &Buchi,
     right: &Buchi,
+    guard: &Guard,
+) -> Result<Buchi, AutomataError> {
+    let one_copy = left.accepts_everywhere() || right.accepts_everywhere();
+    symbol_major(left, right, one_copy, guard)
+}
+
+/// The classical two-copy product, whatever the operands accept: the
+/// language oracle for the one-copy product.
+fn two_copy_product(left: &Buchi, right: &Buchi) -> Buchi {
+    symbol_major(left, right, false, &Guard::unlimited()).expect("unlimited")
+}
+
+/// The symbol-major product with one copy (states `(p, q, 1)`, accepting
+/// where both sides accept) or two (copy 1 waits for `left` to accept,
+/// copy 2 for `right`; copy-1 states of accepting `p` accept).
+fn symbol_major(
+    left: &Buchi,
+    right: &Buchi,
+    one_copy: bool,
     guard: &Guard,
 ) -> Result<Buchi, AutomataError> {
     let mut index: Interner<(StateId, StateId, u8)> = Interner::new();
@@ -85,7 +123,13 @@ fn symbol_major_product(
             return Ok(id);
         }
         guard.charge_state()?;
-        let id = out.add_state(key.2 == 1 && left.is_accepting(key.0));
+        let (p, q, copy) = key;
+        let accepting = if one_copy {
+            left.is_accepting(p) && right.is_accepting(q)
+        } else {
+            copy == 1 && left.is_accepting(p)
+        };
+        let id = out.add_state(accepting);
         index.intern(key);
         work.push_back(key);
         Ok(id)
@@ -106,7 +150,7 @@ fn symbol_major_product(
         let id = next_id;
         next_id += 1;
         let copy2 = match copy {
-            1 if left.is_accepting(p) => 2,
+            1 if !one_copy && left.is_accepting(p) => 2,
             2 if right.is_accepting(q) => 1,
             c => c,
         };
@@ -147,6 +191,29 @@ proptest! {
             states_spent(l.intersection_with(&r, &budget())),
             states_spent(symbol_major_product(&l, &r, &budget()))
         );
+    }
+
+    #[test]
+    fn one_copy_product_has_the_two_copy_language(
+        pair in pair_strategy(),
+        left_accepts_everywhere in proptest::sample::select(&[true, false]),
+    ) {
+        let (l, r) = pair;
+        let (l, r) = if left_accepts_everywhere {
+            (accepting_everywhere(&l), r)
+        } else {
+            (l, accepting_everywhere(&r))
+        };
+        let one = l.intersection(&r).expect("same alphabet");
+        let two = two_copy_product(&l, &r);
+        prop_assert!(one.state_count() <= two.state_count());
+        prop_assert_eq!(one.is_empty_language(), two.is_empty_language());
+        for (witness, other) in [(one.accepted_upword(), &two), (two.accepted_upword(), &one)] {
+            if let Some(w) = witness {
+                prop_assert!(other.accepts_upword(&w), "witness {:?} rejected", w);
+                prop_assert!(l.accepts_upword(&w) && r.accepts_upword(&w));
+            }
+        }
     }
 
     #[test]

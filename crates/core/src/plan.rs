@@ -140,7 +140,7 @@ impl<'a> CheckPlan<'a> {
         let guard = self.guard;
         let _span = guard.span("classical");
         let cex = accepted_upword(self.violations()?, guard)?;
-        if is_limit_closed(self.system) {
+        if self.system.accepts_everywhere() {
             self.violations = None;
         }
         let verdict = SatisfactionVerdict {
@@ -249,7 +249,7 @@ impl<'a> CheckPlan<'a> {
             }
         };
         let lim = eager_lim.as_ref().unwrap_or(&pre_lp);
-        let bad = if is_limit_closed(self.system) {
+        let bad = if self.system.accepts_everywhere() {
             lim.intersection_with_classes(self.negation()?, guard)?
         } else {
             self.violations()?.intersection_with(lim, guard)?
@@ -305,13 +305,6 @@ impl<'a> CheckPlan<'a> {
         let both = self.system.intersection_with_classes(&p, self.guard)?;
         prefixes(&both, self.guard)
     }
-}
-
-/// Whether `b`'s language is limit closed because every state accepts:
-/// then its accepted words are exactly its infinite runs, and by König's
-/// lemma a word all of whose prefixes have runs has an infinite run.
-fn is_limit_closed(b: &Buchi) -> bool {
-    (0..b.state_count()).all(|q| b.is_accepting(q))
 }
 
 /// [`Buchi::prefix_graph_with`] (reduce, then read all-accepting) in a

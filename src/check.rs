@@ -52,15 +52,20 @@ impl SystemSource {
         }
     }
 
-    /// Parses the system, reading it from disk first if needed.
+    /// Parses the system, reading it from disk first if needed; inline
+    /// text is parsed where it lies.
     pub fn load(&self) -> Result<TransitionSystem, CheckError> {
         let name = self.display_name();
+        let read;
         let text = match self {
-            SystemSource::Path(path) => std::fs::read_to_string(path)
-                .map_err(|e| CheckError::Parse(format!("{path}: {e}")))?,
-            SystemSource::Inline { text, .. } => text.clone(),
+            SystemSource::Path(path) => {
+                read = std::fs::read_to_string(path)
+                    .map_err(|e| CheckError::Parse(format!("{path}: {e}")))?;
+                &read
+            }
+            SystemSource::Inline { text, .. } => text,
         };
-        parse_system(&text).map_err(|e| CheckError::Parse(format!("{name}: {e}")))
+        parse_system(text).map_err(|e| CheckError::Parse(format!("{name}: {e}")))
     }
 }
 

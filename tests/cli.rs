@@ -351,7 +351,8 @@ fn easy_inputs_finish_under_a_five_second_timeout() {
 #[test]
 fn large_alphabet_product_trips_max_states_at_a_pinned_charge() {
     // token_ring(128): 128 states over 256 actions. The classical
-    // product's charge order and worklist fix where the budget trips.
+    // product charges 384 states; the charge order and worklist of the
+    // relative-liveness product `L_ω ∩ P` fix where the budget trips.
     let mut text = String::from("system\nalphabet:");
     for i in 0..128 {
         text += &format!(" pass{i} work{i}");
@@ -371,7 +372,7 @@ fn large_alphabet_product_trips_max_states_at_a_pinned_charge() {
     let err = stderr(&out);
     assert!(
         err.lines()
-            .any(|l| l.contains("601 states, 1422 transitions explored (frontier 4)")),
+            .any(|l| l.contains("601 states, 1452 transitions explored (frontier 0)")),
         "stderr: {err}"
     );
 }
@@ -964,6 +965,54 @@ fn needle24_decides_within_a_thousand_states() {
 }
 
 #[test]
+fn lazy_and_eager_pipelines_print_the_same_report() {
+    // Lemma 4.3 has one exact decider per pipeline, so on a feasible input
+    // the default run and `--no-lazy` agree byte for byte, exit code too.
+    for (file, formula) in [
+        ("examples/systems/abp.ts", "[]<>deliver"),
+        ("examples/systems/server.pn", "[]<>result"),
+        ("examples/systems/server_err.pn", "[]<>result"),
+    ] {
+        let lazy = rlcheck(&["check", file, formula]);
+        let eager = rlcheck(&["check", file, formula, "--no-lazy"]);
+        assert_eq!(lazy.status.code(), eager.status.code(), "{file}");
+        assert_eq!(stdout(&lazy), stdout(&eager), "{file}");
+    }
+}
+
+#[test]
+fn needle24_budget_trips_the_eager_pipeline_but_not_the_lazy_search() {
+    let args = [
+        "check",
+        "examples/systems/needle24.ts",
+        "[]<>a",
+        "--max-states",
+        "19000",
+        "--timeout",
+        "10",
+    ];
+    // The eager pipeline's subset constructions exhaust the budget.
+    let eager = rlcheck(&[&args[..], &["--no-lazy"]].concat());
+    assert_eq!(eager.status.code(), Some(3), "stderr: {}", stderr(&eager));
+    // The fused search decides under the same budget, subsumption firing.
+    let lazy = rlcheck(&[&args[..], &["--stats"]].concat());
+    assert_eq!(lazy.status.code(), Some(0), "stderr: {}", stderr(&lazy));
+    assert!(stdout(&lazy).contains("rel-live   []<>a: HOLDS"));
+    let err = stderr(&lazy);
+    for counter in ["lazy/expanded", "lazy/subsumed"] {
+        let value = err
+            .lines()
+            .find_map(|l| l.strip_prefix(counter))
+            .and_then(|rest| rest.trim().parse::<u64>().ok());
+        assert!(value.is_some_and(|n| n > 0), "{counter}: {err}");
+    }
+    assert!(
+        err.contains("lazy_inclusion"),
+        "no lazy_inclusion row: {err}"
+    );
+}
+
+#[test]
 fn budget_report_names_the_exhausted_phase() {
     // Eager pipeline: needle24 exhausts a 5k-state cap inside the subset
     // construction of the behaviors limit.
@@ -995,7 +1044,7 @@ fn budget_report_names_the_exhausted_phase() {
         "examples/systems/needle24.ts",
         "[]<>a",
         "--max-states",
-        "250",
+        "175",
         "--stats",
     ]);
     assert_eq!(lazy.status.code(), Some(3));

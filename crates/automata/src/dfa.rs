@@ -312,16 +312,6 @@ impl Dfa {
         self.product(other, |p, q| p && !q)
     }
 
-    /// [`Dfa::difference`] under a resource [`Guard`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AutomataError::AlphabetMismatch`] when the alphabets differ,
-    /// or a budget error when the guard trips.
-    pub fn difference_with(&self, other: &Dfa, guard: &Guard) -> Result<Dfa, AutomataError> {
-        self.product_with(other, |p, q| p && !q, guard)
-    }
-
     /// Whether the language is empty.
     pub fn is_empty_language(&self) -> bool {
         self.to_nfa().is_empty_language()

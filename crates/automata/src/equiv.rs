@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 
 use crate::dfa::Dfa;
-use crate::guard::Guard;
 use crate::word::Word;
 use crate::StateId;
 
@@ -121,23 +120,6 @@ pub fn dfa_equivalent(a: &Dfa, b: &Dfa) -> bool {
 pub fn dfa_included(a: &Dfa, b: &Dfa) -> Option<Word> {
     let diff = a.difference(b).expect("alphabet mismatch in dfa_included");
     diff.shortest_accepted()
-}
-
-/// [`dfa_included`] under a resource [`Guard`]: the difference product is
-/// charged against the guard's budget.
-///
-/// # Errors
-///
-/// Returns [`crate::AutomataError::AlphabetMismatch`] when the alphabets
-/// differ, or a budget error when the guard trips.
-pub fn dfa_included_with(
-    a: &Dfa,
-    b: &Dfa,
-    guard: &Guard,
-) -> Result<Option<Word>, crate::AutomataError> {
-    let _span = guard.span("dfa_inclusion");
-    let diff = a.difference_with(b, guard)?;
-    Ok(diff.shortest_accepted())
 }
 
 #[cfg(test)]

@@ -282,7 +282,6 @@ impl OpCache {
 pub struct Guard {
     core: Arc<GuardCore>,
     metrics: Option<MetricsRegistry>,
-    lazy: bool,
 }
 
 impl Guard {
@@ -316,28 +315,15 @@ impl Guard {
                 until_clock_check: AtomicU32::new(Self::CHECK_INTERVAL),
             }),
             metrics: None,
-            lazy: true,
         }
     }
 
-    /// Selects between the lazy fused decision pipeline (the default) and
-    /// the fully materializing one.
-    ///
-    /// With `lazy` on, the relative-liveness and relative-safety deciders
-    /// skip the subset constructions entirely: behaviors are taken as the
-    /// transition system's graph read with Büchi semantics, the Lemma 4.3
-    /// prefix inclusion runs as an antichain-pruned on-the-fly search (see
-    /// [`crate::lazy`]), and the Lemma 4.4 limit reuses the prefix NFA
-    /// verbatim. `with_lazy(false)` (the CLI's `--no-lazy`) restores the
-    /// materializing determinize → difference → emptiness pipeline.
-    pub fn with_lazy(mut self, lazy: bool) -> Guard {
-        self.lazy = lazy;
+    /// Does nothing: the eager determinizing pipeline this once selected is
+    /// gone, and every check decides Lemma 4.3 by the lazy antichain search.
+    /// Kept only so that callers built against the old API still compile;
+    /// it will be removed with them, together with [`Guard::with_filters`].
+    pub fn with_lazy(self, _lazy: bool) -> Guard {
         self
-    }
-
-    /// Whether the lazy fused pipeline is selected (see [`Guard::with_lazy`]).
-    pub fn lazy_enabled(&self) -> bool {
-        self.lazy
     }
 
     /// Does nothing: the semidecision pre-filter ladder this once switched

@@ -192,7 +192,7 @@ impl<A: EdgeRows + ?Sized, B: EdgeRows + ?Sized> Search<'_, A, B> {
 /// same automaton admit, charge and count identically.
 ///
 /// Semantically equivalent to determinizing both automata and running
-/// [`crate::dfa_included_with`], but only ever expands (state, macro-state)
+/// [`crate::dfa_included`], but only ever expands (state, macro-state)
 /// pairs the counterexample search actually reaches, prunes
 /// subset-dominated frontier nodes, and exits on the first hit. Expanded
 /// pairs are charged as states and generated candidates as transitions

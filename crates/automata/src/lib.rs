@@ -11,9 +11,8 @@
 //!   inclusion, emptiness, reversal, prefix closure,
 //! * resource governance: [`Budget`]s, [`Guard`]s and [`CancelToken`]s that
 //!   bound every worst-case-exponential construction (`determinize_with`,
-//!   `intersection_with`, `product_with`, `dfa_included_with`) by states,
-//!   transitions, and wall-clock time, with partial diagnostics on
-//!   exhaustion,
+//!   `intersection_with`, `product_with`) by states, transitions, and
+//!   wall-clock time, with partial diagnostics on exhaustion,
 //! * observability: attach a [`MetricsRegistry`] (re-exported from
 //!   `rl-obs`) to a [`Guard`] and every guarded construction reports
 //!   per-phase state/transition/time breakdowns through nested [`Span`]s,
@@ -81,7 +80,7 @@ mod word;
 
 pub use alphabet::{Alphabet, Symbol};
 pub use dfa::Dfa;
-pub use equiv::{dfa_equivalent, dfa_included, dfa_included_with, equivalent_states};
+pub use equiv::{dfa_equivalent, dfa_included, equivalent_states};
 pub use error::AutomataError;
 pub use guard::{Budget, CancelToken, Guard, GuardProbe, OpCache, Progress, Resource};
 pub use lazy::{nfa_included_lazy, EdgeRows};

@@ -1,20 +1,21 @@
-//! Differential tests pinning the lazy fused pipeline to the materializing
-//! one: on the shipped trajectory fixtures and on random machines, the
+//! Differential tests pinning the shipped deciders to a determinizing
+//! oracle: on the shipped trajectory fixtures and on random machines, the
 //! verdicts of `satisfies`/`is_relative_liveness`/`is_relative_safety`
-//! must be identical with `Guard::with_lazy(true)` (the default) and
-//! `with_lazy(false)` (the CLI's `--no-lazy`) — and every witness either
-//! path produces must be
-//! *semantically valid* (witnesses may differ in tie-break between the
-//! search orders, so validity, not equality, is what is pinned).
+//! must equal the ones the oracle reads off subset constructions (the
+//! behaviors as the limit of the determinized system, Lemma 4.3 as a DFA
+//! inclusion, Lemma 4.4's limit on the determinized `pre(L_ω ∩ P)`) — and
+//! every witness either side produces must be *semantically valid*
+//! (witnesses may differ in tie-break between the search orders, so
+//! validity, not equality, is what is pinned).
 
 use proptest::prelude::*;
 use relative_liveness::format::parse_system;
 use rl_automata::{
-    dfa_included, nfa_included_lazy, Alphabet, Guard, Metric, MetricsRegistry, Nfa, Symbol,
+    dfa_included, nfa_included_lazy, Alphabet, Dfa, Guard, Metric, MetricsRegistry, Nfa, Symbol,
     TransitionSystem, Word,
 };
 use rl_bench::random_system;
-use rl_buchi::{behaviors_of_ts_with, limit_of_prefix_closed, Buchi, UpWord};
+use rl_buchi::{behaviors_of_ts_with, Buchi, UpWord};
 use rl_core::{is_relative_liveness_with, is_relative_safety_with, satisfies_with, Property};
 use rl_logic::parse;
 
@@ -66,8 +67,8 @@ proptest! {
     }
 }
 
-/// One full check (behaviors → classical → rel-live → rel-safe) of a
-/// formula against a transition system under a configured guard.
+/// The three verdicts of one check (behaviors → classical → rel-live →
+/// rel-safe) and their witnesses.
 struct Run {
     sat: bool,
     live: bool,
@@ -75,38 +76,74 @@ struct Run {
     counterexample: Option<UpWord>,
     doomed: Option<Word>,
     escape: Option<UpWord>,
-    /// Deterministic totals: (states, transitions, guard charges,
-    /// lazy/expanded, lazy/subsumed).
-    counters: (u64, u64, u64, u64, u64),
 }
 
-fn run_check(ts: &TransitionSystem, formula: &str, lazy: bool) -> Run {
+/// One full check of a formula against a transition system through the
+/// shipped deciders, metered into the returned registry.
+fn run_check(ts: &TransitionSystem, formula: &str) -> (Run, MetricsRegistry) {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let reg = MetricsRegistry::new();
-    let guard = Guard::unlimited().with_lazy(lazy).with_metrics(reg.clone());
+    let guard = Guard::unlimited().with_metrics(reg.clone());
     let behaviors = behaviors_of_ts_with(ts, &guard).expect("behaviors");
     let sat = satisfies_with(&behaviors, &prop, &guard).expect("satisfies");
     let live = is_relative_liveness_with(&behaviors, &prop, &guard).expect("rel-live");
     let safe = is_relative_safety_with(&behaviors, &prop, &guard).expect("rel-safe");
-    Run {
+    let run = Run {
         sat: sat.holds,
         live: live.holds,
         safe: safe.holds,
         counterexample: sat.counterexample,
         doomed: live.doomed_prefix,
         escape: safe.escaping_behavior,
-        counters: (
-            reg.total(Metric::States),
-            reg.total(Metric::Transitions),
-            reg.total(Metric::GuardCharges),
-            reg.counter("lazy/expanded").get(),
-            reg.counter("lazy/subsumed").get(),
-        ),
+    };
+    (run, reg)
+}
+
+/// `lim(L(d))` of a deterministic automaton: its unique run on `x` visits
+/// acceptance exactly at the prefixes of `x` in `L`, so the same graph read
+/// with Büchi semantics accepts `lim(L)`.
+fn limit_of_dfa(d: &Dfa) -> Buchi {
+    Buchi::from_nfa_structure(&d.to_nfa())
+}
+
+/// The same check decided by subset constructions: the behaviors are the
+/// limit of the determinized system, Lemma 4.3 is the inclusion of the
+/// determinized prefix automata, and Lemma 4.4's limit is taken on the
+/// determinized `pre(L_ω ∩ P)`.
+fn oracle(ts: &TransitionSystem, formula: &str) -> Run {
+    let prop = Property::formula(parse(formula).expect("formula parses"));
+    let behaviors = limit_of_dfa(&ts.to_nfa().determinize());
+    let ab = behaviors.alphabet();
+    let p = prop.to_buchi(ab).expect("property to Büchi");
+    let neg = prop.negation_to_buchi(ab).expect("negation to Büchi");
+    let counterexample = behaviors
+        .intersection(&neg)
+        .expect("intersection")
+        .accepted_upword();
+    let pre_l = behaviors.prefix_nfa().determinize();
+    let pre_lp = behaviors
+        .intersection(&p)
+        .expect("intersection")
+        .prefix_nfa()
+        .determinize();
+    let doomed = dfa_included(&pre_l, &pre_lp);
+    let escape = behaviors
+        .intersection(&limit_of_dfa(&pre_lp))
+        .and_then(|b| b.intersection(&neg))
+        .expect("intersection")
+        .accepted_upword();
+    Run {
+        sat: counterexample.is_none(),
+        live: doomed.is_none(),
+        safe: escape.is_none(),
+        counterexample,
+        doomed,
+        escape,
     }
 }
 
 /// Semantic validity of the witnesses a run produced, against the system's
-/// behaviors and the property — independent of which pipeline found them.
+/// behaviors and the property — independent of which decider found them.
 fn assert_witnesses_valid(ts: &TransitionSystem, formula: &str, run: &Run) {
     let prop = Property::formula(parse(formula).expect("formula parses"));
     let guard = Guard::unlimited();
@@ -136,20 +173,26 @@ fn assert_witnesses_valid(ts: &TransitionSystem, formula: &str, run: &Run) {
     }
 }
 
-/// Compares a lazy run against the eager reference: the three verdict bits
-/// must agree, and both runs' witnesses must be valid.
-fn assert_equivalent(ts: &TransitionSystem, formula: &str, lazy: &Run, eager: &Run) {
-    assert_eq!(lazy.sat, eager.sat, "classical verdict differs ({formula})");
+/// Decides one check through the shipped deciders and through the oracle:
+/// the three verdict bits must agree, and both sides' witnesses must be
+/// valid.
+fn assert_matches_oracle(ts: &TransitionSystem, formula: &str) {
+    let (shipped, _) = run_check(ts, formula);
+    let want = oracle(ts, formula);
     assert_eq!(
-        lazy.live, eager.live,
+        shipped.sat, want.sat,
+        "classical verdict differs ({formula})"
+    );
+    assert_eq!(
+        shipped.live, want.live,
         "rel-live verdict differs ({formula})"
     );
     assert_eq!(
-        lazy.safe, eager.safe,
+        shipped.safe, want.safe,
         "rel-safe verdict differs ({formula})"
     );
-    assert_witnesses_valid(ts, formula, lazy);
-    assert_witnesses_valid(ts, formula, eager);
+    assert_witnesses_valid(ts, formula, &shipped);
+    assert_witnesses_valid(ts, formula, &want);
 }
 
 fn fixture(file: &str) -> TransitionSystem {
@@ -159,8 +202,8 @@ fn fixture(file: &str) -> TransitionSystem {
     parse_system(&text).expect("fixture parses")
 }
 
-/// The shipped trajectory fixtures (minus needle24, whose eager run is the
-/// point of the lazy pipeline — it gets its own test below).
+/// The shipped trajectory fixtures (minus needle24, whose 2^24-state subset
+/// construction the oracle cannot afford — it gets its own test below).
 const FIXTURES: [(&str, &str); 4] = [
     ("abp.ts", "[]<>deliver"),
     ("clock.ts", "[]<>tick"),
@@ -169,26 +212,24 @@ const FIXTURES: [(&str, &str); 4] = [
 ];
 
 #[test]
-fn trajectory_fixtures_agree_across_pipelines() {
+fn trajectory_fixtures_match_the_determinizing_oracle() {
     for (file, formula) in FIXTURES {
-        let ts = fixture(file);
-        let eager = run_check(&ts, formula, false);
-        let lazy = run_check(&ts, formula, true);
-        assert_equivalent(&ts, formula, &lazy, &eager);
+        assert_matches_oracle(&fixture(file), formula);
     }
 }
 
 #[test]
 fn needle24_is_feasible_only_lazily() {
-    // The subset construction the eager path cannot avoid needs 2^24
-    // states on this fixture; the fused search with retro-pruned antichain
+    // The subset construction the oracle cannot avoid needs 2^24 states on
+    // this fixture; the fused search with retro-pruned antichain
     // subsumption decides it in a few dozen expansions.
     let ts = fixture("needle24.ts");
-    let lazy = run_check(&ts, "[]<>a", true);
+    let (lazy, reg) = run_check(&ts, "[]<>a");
     assert!(lazy.live, "needle24 is relative-live for []<>a");
     assert!(!lazy.sat && !lazy.safe);
     assert_witnesses_valid(&ts, "[]<>a", &lazy);
-    let (_, _, _, expanded, subsumed) = lazy.counters;
+    let expanded = reg.counter("lazy/expanded").get();
+    let subsumed = reg.counter("lazy/subsumed").get();
     assert!(
         expanded < 1000,
         "antichain search must stay tiny, expanded {expanded}"
@@ -199,19 +240,16 @@ fn needle24_is_feasible_only_lazily() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random systems: the full three-decider pipeline agrees between the
-    /// lazy and materializing paths, and witnesses stay valid.
+    /// Random systems: the three shipped deciders agree with the
+    /// determinizing oracle, and witnesses stay valid.
     #[test]
-    fn random_systems_agree_across_pipelines(
+    fn random_systems_match_the_determinizing_oracle(
         seed in 0u64..10_000,
         n in 2usize..7,
         density in proptest::sample::select(&[0.2f64, 0.4, 0.7][..]),
         formula in proptest::sample::select(&["[]<>t0", "<>t1", "[]t0", "[]<>t1"][..]),
     ) {
-        let ts = random_system(seed, n, 2, density);
-        let lazy = run_check(&ts, formula, true);
-        let eager = run_check(&ts, formula, false);
-        assert_equivalent(&ts, formula, &lazy, &eager);
+        assert_matches_oracle(&random_system(seed, n, 2, density), formula);
     }
 }
 
@@ -283,7 +321,7 @@ fn fixtures_decide_lemma_4_3_alike_on_both_layouts() {
 /// read as a Büchi automaton.
 fn assert_behaviors_match_nfa(ts: &TransitionSystem) {
     let direct = behaviors_of_ts_with(ts, &Guard::unlimited()).expect("unlimited guard");
-    assert_eq!(direct, limit_of_prefix_closed(&ts.to_nfa()));
+    assert_eq!(direct, Buchi::from_nfa_structure(&ts.to_nfa()));
 }
 
 #[test]

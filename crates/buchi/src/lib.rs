@@ -60,5 +60,5 @@ pub use buchi::Buchi;
 pub use classes::ClassBuchi;
 pub use complement::{complement, complement_with, omega_included, omega_included_with};
 pub use generalized::GeneralizedBuchi;
-pub use limits::{behaviors_of_ts, behaviors_of_ts_with, limit_of_dfa, limit_of_prefix_closed};
+pub use limits::{behaviors_of_ts, behaviors_of_ts_with};
 pub use upword::UpWord;

@@ -8,7 +8,7 @@
 //! way" the paper speaks of; `rl-exec`'s aging scheduler realizes strong
 //! transition fairness on the result.
 
-use rl_automata::{dfa_equivalent, TransitionSystem};
+use rl_automata::{nfa_included_lazy, Guard, TransitionSystem};
 use rl_buchi::behaviors_of_ts;
 
 use crate::property::{CoreError, Property};
@@ -117,14 +117,25 @@ pub fn synthesize_fair_implementation(
 /// Checks that the synthesized system has exactly the original behaviors:
 /// for limit-closed behavior sets this reduces to equality of the prefix
 /// languages (`lim` is determined by `pre` — equation (1) in the proof of
-/// Theorem 5.1).
+/// Theorem 5.1), decided as two inclusions of prefix graphs by the lazy
+/// antichain search.
 pub fn implementation_faithful(
     original: &TransitionSystem,
     implementation: &TransitionSystem,
 ) -> bool {
-    let pre_orig = behaviors_of_ts(original).prefix_nfa().determinize();
-    let pre_impl = behaviors_of_ts(implementation).prefix_nfa().determinize();
-    dfa_equivalent(&pre_orig, &pre_impl)
+    let guard = Guard::unlimited();
+    let prefixes = |ts| {
+        behaviors_of_ts(ts)
+            .prefix_graph_with(&guard)
+            .expect("an unlimited guard never trips")
+    };
+    let (pre_orig, pre_impl) = (prefixes(original), prefixes(implementation));
+    let included = |a, b| {
+        nfa_included_lazy(a, b, &guard)
+            .expect("an unlimited guard never trips")
+            .is_none()
+    };
+    included(&pre_orig, &pre_impl) && included(&pre_impl, &pre_orig)
 }
 
 #[cfg(test)]

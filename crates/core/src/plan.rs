@@ -1,7 +1,7 @@
 //! One check, three verdicts: the shared plan behind `rlcheck check`.
 
-use rl_automata::{dfa_included, dfa_included_with, nfa_included_lazy, Guard};
-use rl_buchi::{limit_of_dfa, Buchi, ClassBuchi, UpWord};
+use rl_automata::{nfa_included_lazy, Guard};
+use rl_buchi::{Buchi, ClassBuchi, UpWord};
 
 use crate::property::{CoreError, Property};
 use crate::relative::{RelativeLivenessVerdict, RelativeSafetyVerdict, SatisfactionVerdict};
@@ -38,7 +38,7 @@ pub struct CheckVerdicts {
 /// 1. **Classical**: `L_ω ∩ ¬P` and one emptiness check. When it is empty
 ///    both relative verdicts hold, and `P` is never translated.
 /// 2. **Relative liveness**: `pre(L_ω) ⊆ pre(L_ω ∩ P)` through the lazy
-///    search, or the eager inclusion under `Guard::with_lazy(false)`.
+///    antichain search, which never determinizes.
 /// 3. **Relative safety**: when rel-live holds (and classical failed) it
 ///    fails, and the classical counterexample `x ∈ L_ω \ P` is a Lemma 4.4
 ///    escape — every prefix of `x` lies in `pre(L_ω) = pre(L_ω ∩ P)`, so
@@ -156,12 +156,9 @@ impl<'a> CheckPlan<'a> {
     /// that `P` holds classically, it holds by Theorem 4.7 and nothing is
     /// built.
     ///
-    /// By default ([`Guard::lazy_enabled`]) the inclusion is decided by the
-    /// fused antichain search [`nfa_included_lazy`] over the two prefix
-    /// graphs' edge lists, which never determinizes; `Guard::with_lazy(false)`
-    /// converts both graphs to NFAs, determinizes them and runs the DFA
-    /// inclusion product instead. Both are exact and return a shortest
-    /// doomed prefix.
+    /// The inclusion is decided by the fused antichain search
+    /// [`nfa_included_lazy`] over the two prefix graphs' edge lists, which
+    /// never determinizes and returns a shortest doomed prefix.
     ///
     /// # Errors
     ///
@@ -178,21 +175,11 @@ impl<'a> CheckPlan<'a> {
         let system = self.system;
         let pre_lp = self.good_prefixes()?;
         let pre_l = prefixes(system, guard)?;
-        let doomed = if guard.lazy_enabled() {
-            // Both prefix graphs are all-accepting (prefix-closed) by
-            // construction, so acceptance along the lazy product is run-set
-            // non-emptiness and the antichain search decides the inclusion
-            // without a single subset construction.
-            nfa_included_lazy(&pre_l, pre_lp, guard)?
-        } else {
-            let pre_l_dfa = pre_l.to_nfa_structure().determinize_with(guard)?;
-            let pre_lp_dfa = pre_lp.to_nfa_structure().determinize_with(guard)?;
-            debug_assert!(
-                dfa_included(&pre_lp_dfa, &pre_l_dfa).is_none(),
-                "pre(L ∩ P) ⊈ pre(L): construction bug"
-            );
-            dfa_included_with(&pre_l_dfa, &pre_lp_dfa, guard)?
-        };
+        // Both prefix graphs are all-accepting (prefix-closed) by
+        // construction, so acceptance along the lazy product is run-set
+        // non-emptiness and the antichain search decides the inclusion
+        // without a single subset construction.
+        let doomed = nfa_included_lazy(&pre_l, pre_lp, guard)?;
         self.live = Some(doomed.is_none());
         Ok(RelativeLivenessVerdict {
             holds: doomed.is_none(),
@@ -203,7 +190,7 @@ impl<'a> CheckPlan<'a> {
     /// Relative safety through Lemma 4.4: emptiness of
     /// `L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P`, with an escaping behavior when it is
     /// not empty. It never decides relative liveness itself, so it stays
-    /// polynomial on the lazy path even where Lemma 4.3 is exponential.
+    /// polynomial even where Lemma 4.3 is exponential.
     ///
     /// Theorem 4.7 settles it from verdicts this plan already holds: it
     /// holds when `P` holds classically; when `P` fails classically but is
@@ -211,11 +198,9 @@ impl<'a> CheckPlan<'a> {
     /// `x ∈ L_ω \ P` is the escape — every prefix of `x` lies in
     /// `pre(L_ω) = pre(L_ω ∩ P)`, so `x ∈ lim(pre(L_ω ∩ P))`.
     ///
-    /// By default ([`Guard::lazy_enabled`]) `lim(pre(L_ω ∩ P))` is the
-    /// prefix graph itself (König's lemma, see [`Buchi::prefix_graph_with`]);
-    /// `Guard::with_lazy(false)` takes the limit of its determinization
-    /// instead. When `L_ω` is limit
-    /// closed — every state of `system` accepting, as the behaviors of a
+    /// `lim(pre(L_ω ∩ P))` is the prefix graph itself (König's lemma, see
+    /// [`Buchi::prefix_graph_with`]), so nothing is determinized. When `L_ω`
+    /// is limit closed — every state of `system` accepting, as the behaviors of a
     /// transition system are — `lim(pre(L_ω ∩ P)) ⊆ lim(pre(L_ω)) = L_ω`,
     /// so the `L_ω` factor is dropped and the product is
     /// `lim(pre(L_ω ∩ P)) ∩ ¬P`. Otherwise it is
@@ -235,26 +220,16 @@ impl<'a> CheckPlan<'a> {
                 });
             }
         }
-        let pre_lp = self.take_good_prefixes()?;
-        let eager_lim = {
-            // Opened on the lazy path too, where the limit is free, so the
-            // span tree has the same shape under both pipelines.
-            let _span = guard.span("limit");
-            if guard.lazy_enabled() {
-                None
-            } else {
-                Some(limit_of_dfa(
-                    &pre_lp.to_nfa_structure().determinize_with(guard)?,
-                ))
-            }
-        };
-        let lim = eager_lim.as_ref().unwrap_or(&pre_lp);
+        let lim = self.take_good_prefixes()?;
+        // The limit is the prefix graph itself and costs nothing; its empty
+        // span keeps the `limit` row of the span tree.
+        drop(guard.span("limit"));
         let bad = if self.system.accepts_everywhere() {
             lim.intersection_with_classes(self.negation()?, guard)?
         } else {
-            self.violations()?.intersection_with(lim, guard)?
+            self.violations()?.intersection_with(&lim, guard)?
         };
-        self.good_prefixes = Some(pre_lp);
+        self.good_prefixes = Some(lim);
         let escape = accepted_upword(&bad, guard)?;
         Ok(RelativeSafetyVerdict {
             holds: escape.is_none(),

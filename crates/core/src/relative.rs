@@ -12,7 +12,7 @@
 //! verdicts should call [`CheckPlan::decide`], which shares the automata
 //! and lets Theorem 4.7 skip work.
 
-use rl_automata::{dfa_included, Guard, TransitionSystem, Word};
+use rl_automata::{nfa_included_lazy, Guard, TransitionSystem, Word};
 use rl_buchi::{behaviors_of_ts, behaviors_of_ts_with, Buchi, UpWord};
 
 use crate::plan::CheckPlan;
@@ -83,11 +83,10 @@ pub fn is_relative_liveness(
 
 /// [`is_relative_liveness`] under a resource [`Guard`]: a single-verdict
 /// [`CheckPlan`], deciding the Lemma 4.3 inclusion as
-/// [`CheckPlan::relative_liveness`] describes (the lazy search or, with
-/// `Guard::with_lazy(false)`, the eager inclusion). Every
-/// expansion is charged against the guard's budget; on exhaustion the
-/// decider returns a budget error with partial diagnostics instead of
-/// hanging.
+/// [`CheckPlan::relative_liveness`] describes (the lazy antichain
+/// search). Every expansion is charged against the guard's budget; on
+/// exhaustion the decider returns a budget error with partial diagnostics
+/// instead of hanging.
 ///
 /// # Errors
 ///
@@ -217,19 +216,19 @@ pub fn is_safety_property(
 ///
 /// The paper observes `P` is rel-live for `L_ω` iff `(L_ω, P ∩ L_ω)` is a
 /// machine-closed live structure. This function decides that inclusion
-/// directly, by determinizing both prefix automata;
-/// [`is_relative_liveness`] decides the same inclusion (Lemma 4.3) through
-/// [`CheckPlan::relative_liveness`] instead, whose default path never
-/// determinizes.
+/// directly on the two prefix graphs ([`Buchi::prefix_graph_with`]) with
+/// the antichain search [`nfa_included_lazy`] that
+/// [`CheckPlan::relative_liveness`] runs for Lemma 4.3.
 ///
 /// # Errors
 ///
 /// Returns an alphabet mismatch when the two languages disagree.
 pub fn is_machine_closed(l_omega: &Buchi, lambda: &Buchi) -> Result<bool, CoreError> {
     l_omega.alphabet().check_compatible(lambda.alphabet())?;
-    let pre_l = l_omega.prefix_nfa().determinize();
-    let pre_lam = lambda.prefix_nfa().determinize();
-    Ok(dfa_included(&pre_l, &pre_lam).is_none())
+    let guard = Guard::unlimited();
+    let pre_l = l_omega.prefix_graph_with(&guard)?;
+    let pre_lam = lambda.prefix_graph_with(&guard)?;
+    Ok(nfa_included_lazy(&pre_l, &pre_lam, &guard)?.is_none())
 }
 
 /// Finds a behavior of `system` that extends `prefix` and satisfies

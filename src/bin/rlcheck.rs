@@ -83,10 +83,6 @@
 //!                      flamegraph tooling
 //! --progress           live heartbeats on stderr (elapsed, states/sec,
 //!                      frontier, budget fraction) while a check runs
-//! --no-lazy            opt out of the lazy fused pipeline: materialize the
-//!                      subset constructions and differences eagerly instead
-//!                      of exploring the on-the-fly product with antichain
-//!                      subsumption (verdicts are identical either way)
 //! ```
 //!
 //! SIGINT/SIGTERM cancel the run through the guard's cancel token: the
@@ -214,19 +210,6 @@ fn extract_obs(args: &mut Vec<String>) -> Result<ObsFlags, String> {
     Ok(obs)
 }
 
-/// Extracts `--no-lazy` from the argument list. The lazy fused pipeline
-/// (on-the-fly inclusion search with antichain subsumption) is on by
-/// default; this flag opts back into the eager materializing constructions
-/// (for debugging, differential testing, and apples-to-apples benchmarks).
-fn extract_no_lazy(args: &mut Vec<String>) -> bool {
-    let mut disabled = false;
-    while let Some(idx) = args.iter().position(|a| a == "--no-lazy") {
-        args.remove(idx);
-        disabled = true;
-    }
-    disabled
-}
-
 /// The first argument after the subcommand that looks like a flag but was
 /// consumed by no extractor.
 fn unknown_flag(args: &[String]) -> Option<&String> {
@@ -284,12 +267,11 @@ fn parse_manifest(text: &str) -> Result<Vec<CheckSpec>, String> {
 /// an exit code, and (when observability is on) its metrics shard.
 type JobOutcome = (String, String, u8, Option<RegistrySnapshot>);
 
-/// The guard-shaping state every batch job starts from: the shared budget,
-/// the one cancel token, and the pipeline selection (`--no-lazy`).
+/// The guard-shaping state every batch job starts from: the shared budget
+/// and the one cancel token.
 struct GuardSeed {
     budget: Budget,
     cancel: CancelToken,
-    lazy: bool,
     /// Percentile registry of the batch: the pool's latencies and each
     /// job's wall time (`batch/job_wall_us`). Unlike the counter registry
     /// (sharded per job and absorbed in submission order for determinism),
@@ -325,7 +307,6 @@ fn cmd_batch(
         .map(|check| {
             let budget = seed.budget.clone();
             let cancel = seed.cancel.clone();
-            let lazy = seed.lazy;
             let hists = seed.hists.clone();
             let tracer = tracer.cloned();
             let finished = Arc::clone(&finished);
@@ -348,7 +329,7 @@ fn cmd_batch(
                 // sharded collector, so the job's span events land on the
                 // worker's own timeline track.
                 let reg = want_snapshots.then(MetricsRegistry::new);
-                let mut guard = Guard::with_cancel(budget, cancel).with_lazy(lazy);
+                let mut guard = Guard::with_cancel(budget, cancel);
                 if let Some(r) = &reg {
                     if let Some(t) = tracer {
                         r.set_tracer(t);
@@ -821,7 +802,7 @@ fn main() -> ExitCode {
                  [--socket <path>] [--max-inflight-states <n>] [--queue-cap <n>] \
                  [--job <id>] [--metrics-dir <dir>] [--dir <journal-dir>] \
                  [--stats] [--metrics <file>] [--trace-out <file>] \
-                 [--flame-out <file>] [--progress] [--no-lazy]";
+                 [--flame-out <file>] [--progress]";
     let Ok(mut args) = args else {
         return fail(format!("arguments must be valid UTF-8\n{usage}"));
     };
@@ -833,7 +814,6 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => return fail(format!("{e}\n{usage}")),
     };
-    let no_lazy = extract_no_lazy(&mut args);
     let jobs_flag = match extract_jobs(&mut args) {
         Ok(j) => j,
         Err(e) => return fail(format!("{e}\n{usage}")),
@@ -880,7 +860,7 @@ fn main() -> ExitCode {
     // half-flushed sinks. Serve mode reads it as the drain trigger.
     let cancel = CancelToken::new();
     sig::install(cancel.clone());
-    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone()).with_lazy(!no_lazy);
+    let mut guard = Guard::with_cancel(budget.clone(), cancel.clone());
     if let Some(reg) = &registry {
         guard = guard.with_metrics(reg.clone());
     }
@@ -907,7 +887,7 @@ fn main() -> ExitCode {
                 }
             }
             if let Some(flag) = unknown_flag(&args) {
-                return fail(format!("batch: unknown flag {flag:?}\n{usage}"));
+                return fail(format!("batch: unexpected argument {flag:?}\n{usage}"));
             }
             let files: Vec<String> = args[1..].to_vec();
             if !files.is_empty() {
@@ -929,7 +909,6 @@ fn main() -> ExitCode {
                 GuardSeed {
                     budget: budget.clone(),
                     cancel: cancel.clone(),
-                    lazy: !no_lazy,
                     hists: hist_registry.clone(),
                 },
                 registry.as_ref(),
@@ -967,7 +946,7 @@ fn main() -> ExitCode {
                     Err(e) => return fail(format!("{e}\n{usage}")),
                 };
                 if let Some(flag) = unknown_flag(&args) {
-                    return fail(format!("serve: unknown flag {flag:?}\n{usage}"));
+                    return fail(format!("serve: unexpected argument {flag:?}\n{usage}"));
                 }
                 let config = relative_liveness::serve::ServeConfig {
                     socket,
@@ -976,7 +955,6 @@ fn main() -> ExitCode {
                     max_inflight_states,
                     queue_cap,
                     tracer: tracer.clone(),
-                    no_lazy,
                     metrics_dir,
                 };
                 let shutdown = cancel.clone();

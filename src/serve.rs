@@ -96,10 +96,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Event-level tracer shared by the pool and the jobs (`--trace-out`).
     pub tracer: Option<Arc<Tracer>>,
-    /// Service-wide `--no-lazy`: jobs run the eager materializing pipeline
-    /// instead of the lazy fused one. A `submit` may also opt out per job
-    /// with a `no_lazy` field.
-    pub no_lazy: bool,
     /// Directory of the persistent metrics journal (`--metrics-dir`):
     /// the sampler appends interval snapshots of the service counters and
     /// histograms to rotating JSONL segments that survive restarts and are
@@ -196,9 +192,6 @@ struct JobResult {
 struct JobRecord {
     spec: CheckSpec,
     budget: Budget,
-    /// Whether this job runs the lazy fused pipeline (service default,
-    /// overridable per submit via `no_lazy`).
-    lazy: bool,
     /// Admission weight (declared max-states, or [`DEFAULT_JOB_WEIGHT`]).
     weight: u64,
     /// Id of the submitting connection — disconnects cancel by this.
@@ -297,9 +290,6 @@ struct Core {
     max_inflight: Option<u64>,
     queue_cap: usize,
     default_budget: Budget,
-    /// Service-wide lazy opt-out (`--no-lazy`), the default for submits
-    /// that carry no `no_lazy` field.
-    no_lazy: bool,
     /// The subscriber fan-out plane.
     bus: StreamBus,
     /// Service-global percentile plane: queue wait, job wall time,
@@ -410,7 +400,7 @@ fn settle_locked(t: &mut Table, id: u64, mut result: JobResult) {
 /// Executes one job on a pool worker: builds the per-job guard, runs the
 /// shared check pipeline behind `catch_unwind`, and records the result.
 fn run_job(core: &Arc<Core>, id: u64) {
-    let (spec, budget, cancel, lazy, submitted_at) = {
+    let (spec, budget, cancel, submitted_at) = {
         let t = core.lock();
         let Some(e) = t.entries.get(&id) else {
             return;
@@ -419,7 +409,6 @@ fn run_job(core: &Arc<Core>, id: u64) {
             e.spec.clone(),
             e.budget.clone(),
             e.cancel.clone(),
-            e.lazy,
             e.submitted_at,
         )
     };
@@ -436,9 +425,7 @@ fn run_job(core: &Arc<Core>, id: u64) {
     let global_offset = core.tracer.as_ref().map(|t| t.now_us());
     reg.set_tracer(Arc::clone(&job_tracer));
     let was_cancelled = cancel.clone();
-    let guard = Guard::with_cancel(budget, cancel)
-        .with_lazy(lazy)
-        .with_metrics(reg.clone());
+    let guard = Guard::with_cancel(budget, cancel).with_metrics(reg.clone());
     let stream = Arc::new(JobStream {
         probe: guard.probe(),
         tracer: Arc::clone(&job_tracer),
@@ -714,13 +701,6 @@ fn str_field(v: &Json, key: &str) -> Option<String> {
 fn u64_field(v: &Json, key: &str) -> Option<u64> {
     match v.get(key) {
         Some(Json::Int(i)) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-fn bool_field(v: &Json, key: &str) -> Option<bool> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Some(*b),
         _ => None,
     }
 }
@@ -1028,7 +1008,6 @@ fn handle_submit(core: &Arc<Core>, conn: u64, v: &Json) -> Json {
         budget.max_states = Some(n as usize);
     }
     let weight = budget.max_states.map_or(DEFAULT_JOB_WEIGHT, |n| n as u64);
-    let lazy = !bool_field(v, "no_lazy").unwrap_or(core.no_lazy);
     let spec = CheckSpec { source, formula };
 
     let admit_started = Instant::now();
@@ -1055,7 +1034,6 @@ fn handle_submit(core: &Arc<Core>, conn: u64, v: &Json) -> Json {
             JobRecord {
                 spec,
                 budget,
-                lazy,
                 weight,
                 conn,
                 submitted_at: Instant::now(),
@@ -1294,7 +1272,6 @@ pub fn serve(
         max_inflight: config.max_inflight_states,
         queue_cap: config.queue_cap,
         default_budget: config.job_budget.clone(),
-        no_lazy: config.no_lazy,
         bus: StreamBus::new(),
         hists: HistogramRegistry::new(),
         journal,

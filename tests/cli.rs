@@ -234,16 +234,17 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn max_states_budget_exhaustion_exits_3() {
-    // On the eager path needle24.ts's behaviors determinize to 2^24 subset
-    // states; a 10k-state budget must trip almost immediately instead of
-    // hanging.
+    // The abstraction's simplicity check determinizes needle24.ts's
+    // language, 2^24 subset states; a 5k-state budget must trip almost
+    // immediately instead of hanging.
     let out = rlcheck(&[
-        "check",
+        "abstract",
         "examples/systems/needle24.ts",
         "[]<>a",
-        "--no-lazy",
+        "--keep",
+        "a",
         "--max-states",
-        "10000",
+        "5000",
         "--timeout",
         "5",
     ]);
@@ -251,7 +252,7 @@ fn max_states_budget_exhaustion_exits_3() {
     let err = stderr(&out);
     assert!(err.contains("BudgetExceeded"), "stderr: {err}");
     assert!(err.contains("states"), "stderr: {err}");
-    assert!(err.contains("limit 10000"), "stderr: {err}");
+    assert!(err.contains("limit 5000"), "stderr: {err}");
 }
 
 #[test]
@@ -395,11 +396,11 @@ fn atoms_outside_the_alphabet_are_warned_about() {
     assert!(stdout(&out).contains("rel-live   []<>c | <>chime: HOLDS"));
 }
 
-/// `(label, path, formula)` of the default golden cases: the nine fixtures
+/// `(label, path, formula)` of the golden cases: the nine fixtures
 /// with perfbench's formulas, then `rl_bench::fairness_chain(k)` over
 /// [`SIGMA_AB`], then the generated farms, rings and random systems whose
 /// alphabets grow with the system.
-fn golden_default_cases() -> Vec<(String, String, String)> {
+fn golden_cases() -> Vec<(String, String, String)> {
     let sigma_ab = sigma_ab_system("rlcheck-golden-check");
     let generated_dir = std::env::temp_dir().join("rlcheck-golden-generated");
     std::fs::create_dir_all(&generated_dir).expect("temp dir");
@@ -447,12 +448,12 @@ fn golden_default_cases() -> Vec<(String, String, String)> {
     cases
 }
 
-/// One `rlcheck check <args> --metrics <file>` run of the golden tests.
+/// One `rlcheck check <path> <formula> --metrics <file>` run of the golden
+/// tests.
 struct GoldenRun {
-    /// `label formula` for a default case, `path formula flags` otherwise.
+    /// `label formula`.
     header: String,
-    /// The arguments after `check`; a default case has only a path and a
-    /// formula.
+    /// The arguments after `check`: a path and a formula.
     args: Vec<String>,
     stdout: String,
     code: i32,
@@ -477,10 +478,6 @@ impl GoldenRun {
             args,
             code,
         }
-    }
-
-    fn is_default(&self) -> bool {
-        self.args.len() == 2
     }
 }
 
@@ -520,44 +517,35 @@ fn counter_block(metrics: &str, code: i32) -> String {
     block
 }
 
-/// Every golden run, made once per test binary: the default cases, then
-/// five trajectory cases under `--no-lazy` (needle24 with `--max-states
-/// 20000`, which the eager pipeline trips). No run takes a `--timeout`, so
-/// no line depends on the machine.
+/// Every golden run, made once per test binary: one per default case. No
+/// run takes a flag, so no line depends on the machine.
 fn golden_runs() -> &'static [GoldenRun] {
     static RUNS: std::sync::OnceLock<Vec<GoldenRun>> = std::sync::OnceLock::new();
     RUNS.get_or_init(|| {
-        let mut runs = Vec::new();
-        for (label, path, formula) in golden_default_cases() {
-            let header = format!("{label} {formula}");
-            let name = runs.len().to_string();
-            runs.push(GoldenRun::run(header, vec![path, formula], &name));
-        }
-        let trajectory = [
-            ("abp.ts", "[]<>deliver", &[][..]),
-            ("clock.ts", "[]<>tick", &[]),
-            ("server.pn", "[]<>result", &[]),
-            ("server_err.pn", "[]<>result", &[]),
-            ("needle24.ts", "[]<>a", &["--max-states", "20000"]),
-        ];
-        for (file, formula, budget) in trajectory {
-            let path = format!("examples/systems/{file}");
-            let args: Vec<String> = [path.as_str(), formula, "--no-lazy"]
-                .iter()
-                .chain(budget)
-                .map(|a| a.to_string())
-                .collect();
-            let name = runs.len().to_string();
-            runs.push(GoldenRun::run(args.join(" "), args, &name));
-        }
-        runs
+        golden_cases()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (label, path, formula))| {
+                let header = format!("{label} {formula}");
+                GoldenRun::run(header, vec![path, formula], &i.to_string())
+            })
+            .collect()
     })
 }
+
+/// Set to any value, this makes the golden tests write their actual output
+/// to `tests/golden/` instead of comparing against it:
+/// `RL_BLESS_GOLDEN=1 cargo test --test cli golden`.
+const BLESS_VAR: &str = "RL_BLESS_GOLDEN";
 
 fn assert_matches_golden(file: &str, actual: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(file);
+    if std::env::var_os(BLESS_VAR).is_some() {
+        std::fs::write(&path, actual).expect("golden file writable");
+        return;
+    }
     let golden = std::fs::read_to_string(path).expect("golden file readable");
     for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
         assert_eq!(got, want, "line {} of tests/golden/{file}", i + 1);
@@ -572,7 +560,7 @@ fn assert_matches_golden(file: &str, actual: &str) {
 #[test]
 fn check_stdout_matches_golden() {
     let mut text = String::new();
-    for run in golden_runs().iter().filter(|r| r.is_default()) {
+    for run in golden_runs() {
         text += &format!("=== {}\n{}exit {}\n", run.header, run.stdout, run.code);
     }
     assert_matches_golden("check_stdout.txt", &text);
@@ -588,9 +576,6 @@ fn check_counters_match_golden() {
     // Telemetry observes and never steers: the event tracer leaves every
     // counter of every default case where it was.
     for (i, run) in golden_runs().iter().enumerate() {
-        if !run.is_default() {
-            continue;
-        }
         let trace = std::env::temp_dir().join(format!("rlcheck-golden-generated/{i}.trace.json"));
         let mut args = run.args.clone();
         args.extend(["--trace-out".to_owned(), trace.display().to_string()]);
@@ -758,26 +743,6 @@ fn stats_flag_prints_phase_table_on_stderr() {
             .any(|(path, _)| path == "check/relative_safety/buchi_intersection"),
         "no relative_safety/buchi_intersection row: {rows:?}"
     );
-    // --no-lazy swaps the fused search for the materializing pipeline.
-    let eager = rlcheck(&[
-        "check",
-        "examples/systems/abp.ts",
-        "[]<>deliver",
-        "--stats",
-        "--no-lazy",
-    ]);
-    assert_eq!(eager.status.code(), Some(0));
-    assert_eq!(
-        stdout(&eager),
-        stdout(&out),
-        "--no-lazy must not change verdicts"
-    );
-    let eerr = stderr(&eager);
-    assert!(eerr.contains("determinize"), "no determinize row: {eerr}");
-    assert!(
-        !eerr.contains("lazy_inclusion"),
-        "eager run ran lazily: {eerr}"
-    );
 }
 
 #[test]
@@ -801,29 +766,37 @@ fn default_check_decides_lemma_4_3_by_the_lazy_search_alone() {
 }
 
 #[test]
-fn retired_cache_flags_are_usage_errors() {
-    // The operation cache is gone, and so are its switch and byte budget.
+fn retired_flags_are_usage_errors() {
+    // The operation cache is gone, and so are its switch and byte budget;
+    // the eager pipeline is gone, and so is its switch.
     let no_cache = concat!("--no-op-", "cache");
     let budget = concat!("--cache-", "bytes");
-    for extra in [vec![no_cache], vec![budget, "65536"]] {
-        let mut args = vec!["check", "examples/systems/abp.ts", "[]<>deliver"];
-        args.extend(&extra);
-        let out = rlcheck(&args);
-        assert_eq!(out.status.code(), Some(2), "{extra:?}");
-        assert!(
-            stderr(&out).contains(&format!("unexpected argument {:?}", extra[0])),
-            "{}",
-            stderr(&out)
-        );
-        let mut args = vec![
-            "batch",
-            "examples/systems/abp.ts",
-            "--formula",
-            "[]<>deliver",
+    let no_lazy = concat!("--no-", "lazy");
+    let socket = std::env::temp_dir().join("rlcheck-retired-flags.sock");
+    let socket = socket.to_str().expect("utf-8 path");
+    for extra in [vec![no_cache], vec![budget, "65536"], vec![no_lazy]] {
+        let mut commands = vec![
+            vec!["check", "examples/systems/abp.ts", "[]<>deliver"],
+            vec![
+                "batch",
+                "examples/systems/abp.ts",
+                "--formula",
+                "[]<>deliver",
+            ],
         ];
-        args.extend(&extra);
-        let out = rlcheck(&args);
-        assert_eq!(out.status.code(), Some(2), "batch {extra:?}");
+        if cfg!(unix) {
+            commands.push(vec!["serve", "--socket", socket]);
+        }
+        for mut args in commands {
+            args.extend(&extra);
+            let out = rlcheck(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(
+                stderr(&out).contains(&format!("unexpected argument {:?}", extra[0])),
+                "{args:?}: {}",
+                stderr(&out)
+            );
+        }
     }
 }
 
@@ -965,24 +938,10 @@ fn needle24_decides_within_a_thousand_states() {
 }
 
 #[test]
-fn lazy_and_eager_pipelines_print_the_same_report() {
-    // Lemma 4.3 has one exact decider per pipeline, so on a feasible input
-    // the default run and `--no-lazy` agree byte for byte, exit code too.
-    for (file, formula) in [
-        ("examples/systems/abp.ts", "[]<>deliver"),
-        ("examples/systems/server.pn", "[]<>result"),
-        ("examples/systems/server_err.pn", "[]<>result"),
-    ] {
-        let lazy = rlcheck(&["check", file, formula]);
-        let eager = rlcheck(&["check", file, formula, "--no-lazy"]);
-        assert_eq!(lazy.status.code(), eager.status.code(), "{file}");
-        assert_eq!(stdout(&lazy), stdout(&eager), "{file}");
-    }
-}
-
-#[test]
-fn needle24_budget_trips_the_eager_pipeline_but_not_the_lazy_search() {
-    let args = [
+fn needle24_is_decided_by_the_lazy_search_within_budget() {
+    // Determinizing needle24 needs 2^24 subset states; the fused search
+    // decides it under a 19k-state budget, subsumption firing.
+    let lazy = rlcheck(&[
         "check",
         "examples/systems/needle24.ts",
         "[]<>a",
@@ -990,12 +949,8 @@ fn needle24_budget_trips_the_eager_pipeline_but_not_the_lazy_search() {
         "19000",
         "--timeout",
         "10",
-    ];
-    // The eager pipeline's subset constructions exhaust the budget.
-    let eager = rlcheck(&[&args[..], &["--no-lazy"]].concat());
-    assert_eq!(eager.status.code(), Some(3), "stderr: {}", stderr(&eager));
-    // The fused search decides under the same budget, subsumption firing.
-    let lazy = rlcheck(&[&args[..], &["--stats"]].concat());
+        "--stats",
+    ]);
     assert_eq!(lazy.status.code(), Some(0), "stderr: {}", stderr(&lazy));
     assert!(stdout(&lazy).contains("rel-live   []<>a: HOLDS"));
     let err = stderr(&lazy);
@@ -1014,21 +969,22 @@ fn needle24_budget_trips_the_eager_pipeline_but_not_the_lazy_search() {
 
 #[test]
 fn budget_report_names_the_exhausted_phase() {
-    // Eager pipeline: needle24 exhausts a 5k-state cap inside the subset
-    // construction of the behaviors limit.
+    // The abstraction's simplicity check exhausts a 5k-state cap inside the
+    // subset construction of needle24's language.
     let out = rlcheck(&[
-        "check",
+        "abstract",
         "examples/systems/needle24.ts",
         "[]<>a",
+        "--keep",
+        "a",
         "--max-states",
         "5000",
-        "--no-lazy",
         "--stats",
     ]);
     assert_eq!(out.status.code(), Some(3));
     let err = stderr(&out);
     assert!(
-        err.contains("in phase check/behaviors/limit/determinize"),
+        err.contains("in phase abstract/abstraction_pipeline/simplicity/determinize"),
         "budget report must name the phase: {err}"
     );
     // The profile is still flushed on the exit-3 path.
@@ -1036,9 +992,9 @@ fn budget_report_names_the_exhausted_phase() {
         err.contains("total"),
         "no totals footer after exhaustion: {err}"
     );
-    // Lazy pipeline: the same input sails past that cap (the subset
-    // construction never runs); a much tighter one trips inside the fused
-    // inclusion search, and the report names *that* phase.
+    // `check` sails past that cap (it never determinizes); a much tighter
+    // one trips inside the fused inclusion search, and the report names
+    // *that* phase.
     let lazy = rlcheck(&[
         "check",
         "examples/systems/needle24.ts",
@@ -1377,28 +1333,31 @@ fn trace_out_records_balanced_worker_tracks_and_pool_instants() {
     let dir = std::env::temp_dir().join("rlcheck-trace-out");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("trace.json");
+    let flame = dir.join("flame.folded");
     let manifest = dir.join("checks.txt");
-    // Eager needle24 under a 20k-state cap runs for milliseconds before
-    // its budget trips, so a batch of them keeps several pool workers busy
-    // at once.
-    std::fs::write(&manifest, "examples/systems/needle24.ts []<>a\n".repeat(8))
-        .expect("manifest written");
+    // The tableau of a 14-deep nested until runs for minutes, so each job
+    // runs until its share of the batch deadline and all four workers stay
+    // busy at once.
+    let system = sigma_ab_system("rlcheck-trace-out");
+    let check = format!("{system} {}\n", rl_bench::nested_until(14));
+    std::fs::write(&manifest, check.repeat(8)).expect("manifest written");
     let out = rlcheck(&[
         "batch",
         "--manifest",
         manifest.to_str().expect("utf-8 path"),
         "--jobs",
         "4",
-        "--no-lazy",
-        "--max-states",
-        "20000",
+        "--timeout",
+        "1",
         "--trace-out",
         path.to_str().expect("utf-8 path"),
+        "--flame-out",
+        flame.to_str().expect("utf-8 path"),
     ]);
     assert_eq!(
         out.status.code(),
         Some(3),
-        "budget trips; sinks still flush"
+        "deadline trips; sinks still flush"
     );
     let events = trace_events(&path);
     let mut tids: Vec<i64> = events.iter().map(|e| int_field(e, "tid")).collect();
@@ -1447,6 +1406,17 @@ fn trace_out_records_balanced_worker_tracks_and_pool_instants() {
         .collect();
     assert!(meta_names.iter().any(|n| n == "main"), "{meta_names:?}");
     assert!(meta_names.iter().any(|n| n == "worker-1"), "{meta_names:?}");
+    // The batch's folded stacks are well-formed and nest.
+    let text = std::fs::read_to_string(&flame).expect("--flame-out wrote the file");
+    assert!(!text.is_empty(), "empty flame output");
+    for line in text.lines() {
+        let (stack, weight) = line.rsplit_once(' ').expect("`stack weight` lines");
+        assert!(!stack.is_empty(), "empty stack in {line:?}");
+        weight
+            .parse::<u64>()
+            .unwrap_or_else(|_| panic!("non-numeric weight in {line:?}"));
+    }
+    assert!(text.contains(';'), "no nested stacks:\n{text}");
 }
 
 #[test]
@@ -1481,25 +1451,37 @@ fn report_reproduces_stats_table_byte_for_byte() {
     let dir = std::env::temp_dir().join("rlcheck-report-roundtrip");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("metrics.jsonl");
-    let live = rlcheck(&[
+    let trace = dir.join("trace.json");
+    let mut args = vec![
         "check",
         "examples/systems/abp.ts",
         "[]<>deliver",
         "--stats",
         "--metrics",
         path.to_str().expect("utf-8 path"),
-    ]);
-    assert_eq!(live.status.code(), Some(0));
-    let report = rlcheck(&["report", path.to_str().expect("utf-8 path")]);
-    assert_eq!(report.status.code(), Some(0));
-    // On a clean run the live stderr is exactly the phase table, and the
-    // report renders the identical table (same snapshot, microsecond
-    // precision end to end) on stdout.
-    assert_eq!(
-        stdout(&report),
-        stderr(&live),
-        "offline report must reproduce --stats byte-for-byte"
-    );
+    ];
+    // Untraced, then traced: the event timeline changes neither table.
+    for traced in [false, true] {
+        if traced {
+            args.extend(["--trace-out", trace.to_str().expect("utf-8 path")]);
+        }
+        let live = rlcheck(&args);
+        assert_eq!(live.status.code(), Some(0));
+        let report = rlcheck(&["report", path.to_str().expect("utf-8 path")]);
+        assert_eq!(report.status.code(), Some(0));
+        // On a clean run the live stderr is exactly the phase table, and
+        // the report renders the identical table (same snapshot,
+        // microsecond precision end to end) on stdout.
+        assert_eq!(
+            stdout(&report),
+            stderr(&live),
+            "offline report must reproduce --stats byte-for-byte (traced: {traced})"
+        );
+        if traced {
+            let digest = stderr(&report);
+            assert!(digest.contains("trace:"), "event digest: {digest}");
+        }
+    }
 }
 
 #[test]
@@ -1695,12 +1677,13 @@ fn repeated_batch_checks_charge_identically() {
 
 #[test]
 fn progress_flag_emits_heartbeats() {
+    // The tableau of a 14-deep nested until outlives the deadline.
+    let system = sigma_ab_system("rlcheck-progress");
     let out = Command::new(env!("CARGO_BIN_EXE_rlcheck"))
         .args([
             "check",
-            "examples/systems/needle24.ts",
-            "[]<>a",
-            "--no-lazy",
+            &system,
+            &rl_bench::nested_until(14).to_string(),
             "--timeout",
             "1",
             "--progress",
@@ -1783,16 +1766,17 @@ fn sigint_oneshot_exits_3_and_flushes_partial_metrics() {
     let dir = std::env::temp_dir().join("rlcheck-sigint");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let metrics = dir.join("interrupted.jsonl");
-    // A check that would run for minutes: needle24, eagerly, with a huge
-    // budget (the lazy default would finish before the signal lands).
+    // A check that would run for minutes: the tableau of a 14-deep nested
+    // until, with a deadline far beyond the signal (and short enough that
+    // a missed signal cannot grow the process for long).
+    let system = sigma_ab_system("rlcheck-sigint");
     let child = Command::new(env!("CARGO_BIN_EXE_rlcheck"))
         .args([
             "check",
-            "examples/systems/needle24.ts",
-            "[]<>a",
-            "--no-lazy",
+            &system,
+            &rl_bench::nested_until(14).to_string(),
             "--timeout",
-            "600",
+            "10",
             "--metrics",
             metrics.to_str().expect("utf-8 path"),
         ])
@@ -1801,7 +1785,7 @@ fn sigint_oneshot_exits_3_and_flushes_partial_metrics() {
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("rlcheck spawns");
-    // Let it get properly inside the subset construction, then Ctrl-C it.
+    // Let it get properly inside the translation, then Ctrl-C it.
     std::thread::sleep(std::time::Duration::from_millis(400));
     let kill = Command::new("kill")
         .args(["-INT", &child.id().to_string()])

@@ -151,6 +151,19 @@ fn submit_line(fields: &[(&str, Json)]) -> String {
     rl_json::to_string(&b.build()).expect("render request")
 }
 
+/// The one-state system whose behaviors are all of {a, b}^ω.
+const SIGMA_AB: &str = "system\nalphabet: a b\ninitial: s\ns a -> s\ns b -> s\n";
+
+/// A submit that runs for minutes unless its deadline or a cancel ends it:
+/// the LTL→Büchi tableau of `rl_bench::nested_until(14)` over [`SIGMA_AB`]
+/// polls both, and charges no states, so `max_states` never stops it.
+fn slow_submit(fields: &[(&str, Json)]) -> String {
+    let formula = rl_bench::nested_until(14).to_string();
+    let mut all = vec![("system", s(SIGMA_AB)), ("formula", s(&formula))];
+    all.extend(fields.iter().cloned());
+    submit_line(&all)
+}
+
 fn s(v: &str) -> Json {
     Json::Str(v.to_owned())
 }
@@ -301,15 +314,9 @@ fn fault_injected_daemon_contains_panics_rejects_cancels_and_drains() {
         str_field(&d2, "diagnostics").contains("internal panic"),
         "{d2:?}"
     );
-    // Disconnect-cancel: another client submits a long job (no_lazy keeps
-    // it on the slow materializing path) and vanishes.
+    // Disconnect-cancel: another client submits a long job and vanishes.
     let mut gone = connect(&d);
-    let r4 = gone.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("formula", s("[]<>a")),
-        ("no_lazy", Json::Bool(true)),
-        ("timeout_ms", i(120_000)),
-    ]));
+    let r4 = gone.request(&slow_submit(&[("timeout_ms", i(20_000))]));
     assert!(bool_field(&r4, "ok"), "{r4:?}");
     drop(gone);
     let d4 = c.wait_job(int_field(&r4, "id"));
@@ -439,12 +446,7 @@ fn client_disconnect_cancels_its_job() {
 
     // Client A submits a check that would run for minutes …
     let mut a = connect(&d);
-    let r = a.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
-        ("formula", s("[]<>a")),
-        ("timeout_ms", i(120_000)),
-    ]));
+    let r = a.request(&slow_submit(&[("timeout_ms", i(20_000))]));
     assert!(bool_field(&r, "ok"), "{r:?}");
     let id = int_field(&r, "id");
     assert_eq!(str_field(&r, "status"), "running");
@@ -478,11 +480,8 @@ fn admission_queues_over_ceiling_then_admits() {
     );
     let mut c = connect(&d);
 
-    // Job 1 occupies 200k of the 300k ceiling until its budget trips.
-    let r1 = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
-        ("formula", s("[]<>a")),
+    // Job 1 occupies 200k of the 300k ceiling until its deadline trips.
+    let r1 = c.request(&slow_submit(&[
         ("max_states", i(200_000)),
         ("timeout_ms", i(2_000)),
     ]));
@@ -499,7 +498,11 @@ fn admission_queues_over_ceiling_then_admits() {
 
     // Once job 1 releases its weight, job 2 is admitted and completes.
     let done1 = c.wait_job(int_field(&r1, "id"));
-    assert_eq!(int_field(&done1, "code"), 3, "needle trips its budget");
+    assert_eq!(
+        int_field(&done1, "code"),
+        3,
+        "the slow job trips its deadline"
+    );
     let done2 = c.wait_job(int_field(&r2, "id"));
     let code2 = int_field(&done2, "code");
     assert!(
@@ -530,10 +533,7 @@ fn completion_admits_queued_jobs_only_up_to_capacity() {
     let mut c = connect(&d);
 
     // Job 1 briefly holds 200k of the 300k ceiling.
-    let r1 = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
-        ("formula", s("[]<>a")),
+    let r1 = c.request(&slow_submit(&[
         ("max_states", i(200_000)),
         ("timeout_ms", i(1_000)),
     ]));
@@ -545,12 +545,9 @@ fn completion_admits_queued_jobs_only_up_to_capacity() {
     // in flight at once.
     let mut ids = Vec::new();
     for _ in 0..2 {
-        let r = c.request(&submit_line(&[
-            ("path", s("examples/systems/needle24.ts")),
-            ("no_lazy", Json::Bool(true)),
-            ("formula", s("[]<>a")),
+        let r = c.request(&slow_submit(&[
             ("max_states", i(200_000)),
-            ("timeout_ms", i(120_000)),
+            ("timeout_ms", i(20_000)),
         ]));
         assert_eq!(str_field(&r, "status"), "queued", "{r:?}");
         ids.push(int_field(&r, "id"));
@@ -601,10 +598,7 @@ fn admission_rejects_oversize_jobs_and_full_queues() {
     assert!(str_field(&r, "error").contains("ceiling"), "{r:?}");
 
     // Occupy most of the ceiling …
-    let r1 = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
-        ("formula", s("[]<>a")),
+    let r1 = c.request(&slow_submit(&[
         ("max_states", i(250_000)),
         ("timeout_ms", i(2_000)),
     ]));
@@ -848,12 +842,7 @@ fn slow_subscriber_drops_events_but_never_stalls_the_job_or_drain() {
 
     let mut c = connect(&d);
     let started = Instant::now();
-    let r = c.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
-        ("formula", s("[]<>a")),
-        ("timeout_ms", i(2_000)),
-    ]));
+    let r = c.request(&slow_submit(&[("timeout_ms", i(2_000))]));
     assert!(bool_field(&r, "ok"), "{r:?}");
     let done = c.wait_job(int_field(&r, "id"));
     // The job settles on its own 2s budget: publishing to a wedged
@@ -1002,12 +991,7 @@ fn injected_connection_drop_cancels_like_a_real_disconnect() {
         &[("RL_FAULT", "serve-drop-conn:2")],
     );
     let mut a = connect(&d);
-    let r = a.request(&submit_line(&[
-        ("path", s("examples/systems/needle24.ts")),
-        ("no_lazy", Json::Bool(true)),
-        ("formula", s("[]<>a")),
-        ("timeout_ms", i(120_000)),
-    ]));
+    let r = a.request(&slow_submit(&[("timeout_ms", i(20_000))]));
     let id = int_field(&r, "id");
     let _ = a.request("{\"cmd\":\"stats\"}"); // second reply, then the drop
     assert!(

@@ -1,6 +1,5 @@
 //! Interned alphabets and symbols.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,8 +30,31 @@ impl Symbol {
 
 #[derive(Debug)]
 struct Inner {
-    names: Vec<String>,
-    index: BTreeMap<String, Symbol>,
+    /// Every name, end to end in symbol order: symbol `i`'s name ends at
+    /// `ends[i]` and starts where the one before it ends.
+    text: String,
+    ends: Box<[usize]>,
+    /// Every symbol once, ordered by name, beside its name's [`prefix`]:
+    /// a lookup binary-searches the integers and compares whole names (in
+    /// `text`, so none is stored twice) only where they tie.
+    by_name: Box<[(u64, Symbol)]>,
+}
+
+impl Inner {
+    fn name(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
+/// A name's first eight bytes as a big-endian integer, zero-padded: it
+/// never decreases as names increase, so it orders names as far as it can
+/// tell them apart.
+fn prefix(name: &str) -> u64 {
+    let mut head = [0u8; 8];
+    let n = name.len().min(8);
+    head[..n].copy_from_slice(&name.as_bytes()[..n]);
+    u64::from_be_bytes(head)
 }
 
 /// A finite, named action alphabet `Σ`.
@@ -69,23 +91,38 @@ impl Alphabet {
     pub fn new<I, S>(names: I) -> Result<Alphabet, AutomataError>
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        let mut inner = Inner {
-            names: Vec::new(),
-            index: BTreeMap::new(),
-        };
+        let mut text = String::new();
+        let mut ends = Vec::new();
+        let mut by_name = Vec::new();
         for name in names {
-            let name = name.into();
-            let sym = Symbol(inner.names.len() as u32);
-            if inner.index.insert(name.clone(), sym).is_some() {
-                return Err(AutomataError::DuplicateSymbol(name));
-            }
-            inner.names.push(name);
+            let name = name.as_ref();
+            text.push_str(name);
+            by_name.push((prefix(name), Symbol::from_index(ends.len())));
+            ends.push(text.len());
         }
-        if inner.names.is_empty() {
+        if ends.is_empty() {
             return Err(AutomataError::EmptyAlphabet);
         }
+        let mut inner = Inner {
+            text,
+            ends: ends.into_boxed_slice(),
+            by_name: Box::default(),
+        };
+        let name = |s: Symbol| inner.name(s.index());
+        // Stable: equal names stay in declaration order, so each run's
+        // second symbol is where that name first repeats.
+        by_name.sort_by(|&(p, a), &(q, b)| p.cmp(&q).then_with(|| name(a).cmp(name(b))));
+        let repeat = by_name
+            .windows(2)
+            .filter(|w| name(w[0].1) == name(w[1].1))
+            .map(|w| w[1].1)
+            .min();
+        if let Some(sym) = repeat {
+            return Err(AutomataError::DuplicateSymbol(name(sym).to_owned()));
+        }
+        inner.by_name = by_name.into_boxed_slice();
         Ok(Alphabet {
             inner: Arc::new(inner),
         })
@@ -93,17 +130,23 @@ impl Alphabet {
 
     /// Number of symbols.
     pub fn len(&self) -> usize {
-        self.inner.names.len()
+        self.inner.ends.len()
     }
 
     /// Whether the alphabet has no symbols (never true for constructed ones).
     pub fn is_empty(&self) -> bool {
-        self.inner.names.is_empty()
+        self.inner.ends.is_empty()
     }
 
     /// Looks up a symbol by name.
     pub fn symbol(&self, name: &str) -> Option<Symbol> {
-        self.inner.index.get(name).copied()
+        let inner = &*self.inner;
+        let key = prefix(name);
+        inner
+            .by_name
+            .binary_search_by(|&(p, s)| p.cmp(&key).then_with(|| inner.name(s.index()).cmp(name)))
+            .ok()
+            .map(|i| inner.by_name[i].1)
     }
 
     /// Looks up a symbol by name, erroring when absent.
@@ -122,7 +165,7 @@ impl Alphabet {
     ///
     /// Panics if `sym` does not belong to this alphabet.
     pub fn name(&self, sym: Symbol) -> &str {
-        &self.inner.names[sym.index()]
+        self.inner.name(sym.index())
     }
 
     /// Iterates over all symbols in index order.
@@ -132,16 +175,12 @@ impl Alphabet {
 
     /// Iterates over `(symbol, name)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> + '_ {
-        self.inner
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Symbol::from_index(i), n.as_str()))
+        (0..self.len()).map(|i| (Symbol::from_index(i), self.inner.name(i)))
     }
 
     /// All symbol names, in index order.
     pub fn names(&self) -> Vec<String> {
-        self.inner.names.clone()
+        self.iter().map(|(_, name)| name.to_owned()).collect()
     }
 
     /// Checks that two alphabets intern the same names in the same order.
@@ -163,7 +202,8 @@ impl Alphabet {
 
 impl PartialEq for Alphabet {
     fn eq(&self, other: &Alphabet) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner) || self.inner.names == other.inner.names
+        Arc::ptr_eq(&self.inner, &other.inner)
+            || (self.inner.ends == other.inner.ends && self.inner.text == other.inner.text)
     }
 }
 
@@ -171,7 +211,7 @@ impl Eq for Alphabet {}
 
 impl fmt::Display for Alphabet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{{}}}", self.inner.names.join(", "))
+        write!(f, "{{{}}}", self.names().join(", "))
     }
 }
 
@@ -191,6 +231,40 @@ mod tests {
     fn rejects_duplicates() {
         let err = Alphabet::new(["x", "x"]).unwrap_err();
         assert_eq!(err, AutomataError::DuplicateSymbol("x".into()));
+    }
+
+    #[test]
+    fn reports_the_first_name_that_repeats() {
+        // "y" repeats at index 3, before "x" repeats at index 4.
+        let err = Alphabet::new(["x", "y", "z", "y", "x"]).unwrap_err();
+        assert_eq!(err, AutomataError::DuplicateSymbol("y".into()));
+        let err = Alphabet::new(["b", "a", "b", "a"]).unwrap_err();
+        assert_eq!(err, AutomataError::DuplicateSymbol("b".into()));
+    }
+
+    #[test]
+    fn finds_every_name_and_no_other() {
+        let names = [
+            "pass0",
+            "work0",
+            "pass1",
+            "",
+            "->",
+            "∅",
+            "busy×2",
+            "ab",
+            "ab\0",
+            "request0",
+            "request1",
+            "request10",
+        ];
+        let ab = Alphabet::new(names).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(ab.symbol(name), Some(Symbol::from_index(i)), "{name}");
+        }
+        for absent in ["pass", "work00", "z", "busy"] {
+            assert_eq!(ab.symbol(absent), None, "{absent}");
+        }
     }
 
     #[test]

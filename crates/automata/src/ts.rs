@@ -44,7 +44,11 @@ use crate::StateId;
 pub struct TransitionSystem {
     alphabet: Alphabet,
     initial: StateId,
-    labels: Vec<Option<String>>,
+    /// Every display label, end to end in state order: `labels[q]` is the
+    /// span of `q`'s label in it, if `q` has one. A label is set only when
+    /// its state is added, so equal systems lay this text out alike.
+    label_text: String,
+    labels: Vec<Option<(usize, usize)>>,
     /// `delta[q]` = the transitions leaving `q` as `(symbol, successor)`
     /// pairs, sorted and deduplicated: the same row layout as a Büchi
     /// automaton's, so building the system's behaviors copies rows.
@@ -57,8 +61,55 @@ impl TransitionSystem {
         TransitionSystem {
             alphabet,
             initial: 0,
+            label_text: String::new(),
             labels: Vec::new(),
             delta: Vec::new(),
+        }
+    }
+
+    /// A whole system at once: state `q` has the `q`-th label of `labels`
+    /// and the transitions `rows[q]`, which are sorted and deduplicated
+    /// here, once per row, instead of one
+    /// [`TransitionSystem::add_transition`] insert per edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels` and `rows` differ in length, or if `initial` or a
+    /// successor is out of range.
+    pub fn from_rows<'a>(
+        alphabet: Alphabet,
+        initial: StateId,
+        labels: impl IntoIterator<Item = Option<&'a str>>,
+        mut rows: Vec<Vec<(Symbol, StateId)>>,
+    ) -> TransitionSystem {
+        let mut label_text = String::new();
+        let labels: Vec<_> = labels
+            .into_iter()
+            .map(|label| {
+                label.map(|l| {
+                    label_text.push_str(l);
+                    (label_text.len() - l.len(), label_text.len())
+                })
+            })
+            .collect();
+        let n = labels.len();
+        assert_eq!(rows.len(), n, "one row per state");
+        assert!(initial < n, "invalid state {initial}");
+        for row in &mut rows {
+            if !row.windows(2).all(|w| w[0] < w[1]) {
+                row.sort_unstable();
+                row.dedup();
+            }
+            if let Some(&(_, q)) = row.iter().find(|&&(_, q)| q >= n) {
+                panic!("invalid state {q}");
+            }
+        }
+        TransitionSystem {
+            alphabet,
+            initial,
+            label_text,
+            labels,
+            delta: rows,
         }
     }
 
@@ -70,9 +121,11 @@ impl TransitionSystem {
     }
 
     /// Adds a state with a display label.
-    pub fn add_labeled_state(&mut self, label: impl Into<String>) -> StateId {
+    pub fn add_labeled_state(&mut self, label: impl AsRef<str>) -> StateId {
         let id = self.add_state();
-        self.labels[id] = Some(label.into());
+        let start = self.label_text.len();
+        self.label_text.push_str(label.as_ref());
+        self.labels[id] = Some((start, self.label_text.len()));
         id
     }
 
@@ -117,7 +170,7 @@ impl TransitionSystem {
 
     /// The display label of `q`, if set.
     pub fn state_label(&self, q: StateId) -> Option<String> {
-        self.labels[q].clone()
+        self.labels[q].map(|(start, end)| self.label_text[start..end].to_owned())
     }
 
     /// Enabled `(symbol, successor)` pairs in state `q`, sorted.

@@ -12,8 +12,9 @@ use rl_bench::{
 };
 use rl_buchi::{behaviors_of_ts, Buchi};
 use rl_core::{
-    is_relative_liveness, is_relative_safety, satisfies, synthesize_fair_implementation,
-    verify_via_abstraction, Property, TransferConclusion,
+    is_relative_liveness, is_relative_liveness_with, is_relative_safety, satisfies,
+    synthesize_fair_implementation, verify_via_abstraction, Guard, MetricsRegistry, Property,
+    TransferConclusion,
 };
 use rl_exec::{run, AgingScheduler};
 use rl_logic::{formula_to_buchi, parse, Labeling};
@@ -211,28 +212,52 @@ fn payoff() {
 }
 
 fn hardness() {
-    println!("== E14 — determinization-hardness family (PSPACE shape) ==");
+    println!("== E14 — determinization-hardness family (PSPACE shape), lazy search ==");
     println!(
-        "{:<6} {:>14} {:>16} {:>10}",
-        "n", "property-states", "pre-DFA-states", "ms"
+        "{:<4} {:>15} {:>9} {:>14} {:>14} {:>9} {:>24}",
+        "n",
+        "property-states",
+        "rel-live",
+        "lazy/expanded",
+        "lazy/subsumed",
+        "ms",
+        "oracle: pre-DFA-states"
     );
     let ab = rl_automata::Alphabet::new(["a", "b"]).expect("two symbols");
     for n in [2usize, 4, 6, 8, 10, 12] {
         let prop = nth_from_end_property(n);
         let system = Buchi::universal(ab.clone());
-        let (size, ms) = time_ms(|| {
-            let both = system.intersection(&prop).expect("same alphabet").reduce();
-            both.prefix_nfa().determinize().state_count()
+        let property = Property::automaton(prop.clone());
+        // The shipped Lemma 4.3 decider, timed without a registry, then
+        // run once more with one to read its counters.
+        let (holds, ms) = time_ms(|| {
+            is_relative_liveness_with(&system, &property, &Guard::unlimited())
+                .expect("same alphabet")
+                .holds
         });
+        let reg = MetricsRegistry::new();
+        let guard = Guard::unlimited().with_metrics(reg.clone());
+        is_relative_liveness_with(&system, &property, &guard).expect("same alphabet");
         println!(
-            "{:<6} {:>14} {:>16} {:>10.2}",
+            "{:<4} {:>15} {:>9} {:>14} {:>14} {:>9.3} {:>24}",
             n,
             prop.state_count(),
-            size,
-            ms
+            if holds { "HOLDS" } else { "fails" },
+            reg.counter("lazy/expanded").get(),
+            reg.counter("lazy/subsumed").get(),
+            ms,
+            oracle_pre_dfa_states(&system, &prop)
         );
     }
     println!();
+}
+
+/// Oracle only, run by no decider: the size of the determinized prefix
+/// automaton of `system ∩ prop`, the subset construction the lazy search
+/// avoids.
+fn oracle_pre_dfa_states(system: &Buchi, prop: &Buchi) -> usize {
+    let both = system.intersection(prop).expect("same alphabet").reduce();
+    both.prefix_nfa().determinize().state_count()
 }
 
 fn ltl() {

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Index of a place.
 pub type PlaceId = usize;
@@ -220,23 +220,20 @@ impl PetriNet {
     /// A compact display of a marking: names of marked places (with counts
     /// when > 1).
     pub fn format_marking(&self, marking: &Marking) -> String {
-        let parts: Vec<String> = marking
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(p, &n)| {
-                if n == 1 {
-                    self.places[p].clone()
-                } else {
-                    format!("{}×{n}", self.places[p])
-                }
-            })
-            .collect();
-        if parts.is_empty() {
-            "∅".to_owned()
-        } else {
-            parts.join(",")
+        let mut out = String::new();
+        let mut sep = "";
+        for (p, &n) in marking.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            out.push_str(sep);
+            out.push_str(&self.places[p]);
+            if n > 1 {
+                let _ = write!(out, "×{n}");
+            }
+            sep = ",";
         }
+        if sep.is_empty() {
+            out.push('∅');
+        }
+        out
     }
 }
 

@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use rl_automata::{Alphabet, TransitionSystem};
+use rl_automata::{Alphabet, Symbol, TransitionSystem};
 
 use crate::net::{Marking, PetriError, PetriNet};
 
@@ -47,7 +47,7 @@ pub fn reachability_graph(net: &PetriNet, limit: usize) -> Result<TransitionSyst
     // Transition names are validated unique at insertion, so an empty
     // name list is the only way alphabet construction can fail.
     let alphabet = Alphabet::new(names).map_err(|_| PetriError::NoTransitions)?;
-    let mut ts = TransitionSystem::new(alphabet.clone());
+    let mut ts = TransitionSystem::new(alphabet);
     let mut index: BTreeMap<Marking, usize> = BTreeMap::new();
     let m0 = net.initial_marking();
     let s0 = ts.add_labeled_state(net.format_marking(&m0));
@@ -70,10 +70,8 @@ pub fn reachability_graph(net: &PetriNet, limit: usize) -> Result<TransitionSyst
                     tid
                 }
             };
-            let sym = alphabet
-                .symbol(&net.transitions()[t].name)
-                .expect("transition name interned");
-            ts.add_transition(sid, sym, tid);
+            // The alphabet lists the transitions in order: `t` is its symbol.
+            ts.add_transition(sid, Symbol::from_index(t), tid);
         }
     }
     Ok(ts)

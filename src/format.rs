@@ -14,7 +14,11 @@
 //! # comments and blank lines are ignored
 //! ```
 //!
-//! States are named and interned on first use.
+//! States are named and numbered on first mention: the initial state is 0,
+//! then each transition names its source, then its target. The headers may
+//! come anywhere. `#` starts a comment; whitespace is whatever
+//! `char::is_whitespace` accepts. The first `->` of a line splits it, so
+//! `s a->t` is a transition and a target may itself hold `->`.
 //!
 //! # Petri nets (`petri`)
 //!
@@ -31,11 +35,13 @@
 //! weighted as `k*<place>`. The net's behavior is its bounded reachability
 //! graph.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
-use rl_automata::{Alphabet, TransitionSystem};
+use rl_automata::{Alphabet, Symbol, TransitionSystem};
 use rl_petri::{reachability_graph, PetriNet, DEFAULT_MARKING_LIMIT};
 
 /// Errors from parsing system descriptions.
@@ -74,15 +80,13 @@ fn err(line: usize, message: impl Into<String>) -> FormatError {
 /// without one (line 0) when a Petri net declares no transitions or its
 /// reachability graph exceeds the default marking limit.
 pub fn parse_system(text: &str) -> Result<TransitionSystem, FormatError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.split('#').next().unwrap_or("").trim()))
-        .filter(|(_, l)| !l.is_empty());
-    match lines.next() {
-        Some((_, "system")) => parse_transition_system(lines),
-        Some((_, "petri")) => parse_petri(lines),
-        Some((n, other)) => Err(err(
+    let mut lines = Lines { text, pos: 0, n: 0 };
+    match lines.next_line() {
+        Some(Line { text: "system", .. }) => parse_transition_system(&mut lines),
+        Some(Line { text: "petri", .. }) => parse_petri(std::iter::from_fn(|| {
+            lines.next_line().map(|l| (l.n, l.text))
+        })),
+        Some(Line { n, text: other, .. }) => Err(err(
             n,
             format!("expected header 'system' or 'petri', found {other:?}"),
         )),
@@ -90,21 +94,152 @@ pub fn parse_system(text: &str) -> Result<TransitionSystem, FormatError> {
     }
 }
 
-fn parse_transition_system<'a>(
-    lines: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<TransitionSystem, FormatError> {
+/// One non-blank line, read by [`Lines::next_line`].
+struct Line<'a> {
+    /// 1-based line number.
+    n: usize,
+    /// The line up to its first `#`, trimmed.
+    text: &'a str,
+    /// Whether `text` holds `->`.
+    arrow: bool,
+    /// The words of `text` as `<src> <action> -> <dst>` reads them: the
+    /// whitespace-separated words before the first `->`, that `->`, then
+    /// the words after it. Only the first four are kept.
+    parts: [&'a str; 4],
+    /// How many words there are, kept or not.
+    words: usize,
+}
+
+/// The lines of a text, each read in one pass over its bytes that cuts the
+/// comment, trims and splits the words. Whitespace is `char::is_whitespace`,
+/// as for `str::trim` and `str::split_whitespace`: ASCII bytes are judged by
+/// [`CLASS`], any other char is decoded in the same loop.
+struct Lines<'a> {
+    text: &'a str,
+    /// Where the next line starts.
+    pos: usize,
+    /// The number of the line read last.
+    n: usize,
+}
+
+/// A byte inside a word.
+const WORD: u8 = 0;
+/// ASCII whitespace.
+const SPACE: u8 = 1;
+/// `\n` or `#`: the end of what a line says.
+const STOP: u8 = 2;
+/// `-`: maybe the start of `->`.
+const DASH: u8 = 3;
+/// The first byte of a non-ASCII char.
+const WIDE: u8 = 4;
+
+/// The class of every byte value.
+static CLASS: [u8; 256] = {
+    let mut class = [WORD; 256];
+    let mut b = 0x80;
+    while b < 256 {
+        class[b] = WIDE;
+        b += 1;
+    }
+    class[b' ' as usize] = SPACE;
+    class[b'\t' as usize] = SPACE;
+    class[b'\r' as usize] = SPACE;
+    class[0x0b] = SPACE;
+    class[0x0c] = SPACE;
+    class[b'\n' as usize] = STOP;
+    class[b'#' as usize] = STOP;
+    class[b'-' as usize] = DASH;
+    class
+};
+
+impl<'a> Lines<'a> {
+    /// The next line that is not blank once its comment is cut.
+    fn next_line(&mut self) -> Option<Line<'a>> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let class = |i: usize| bytes.get(i).map_or(STOP, |&b| CLASS[usize::from(b)]);
+        // The char starting at `i`, for a `WIDE` byte there.
+        let wide = |i: usize| text[i..].chars().next().expect("i is a char boundary");
+        while self.pos < bytes.len() {
+            self.n += 1;
+            let mut line = Line {
+                n: self.n,
+                text: "",
+                arrow: false,
+                parts: [""; 4],
+                words: 0,
+            };
+            let (mut first, mut last) = (usize::MAX, 0);
+            let mut i = self.pos;
+            loop {
+                // Between words.
+                match class(i) {
+                    SPACE => {
+                        i += 1;
+                        continue;
+                    }
+                    STOP => break,
+                    WIDE if wide(i).is_whitespace() => {
+                        i += wide(i).len_utf8();
+                        continue;
+                    }
+                    _ => {}
+                }
+                let from = i;
+                if !line.arrow && bytes[i..].starts_with(b"->") {
+                    line.arrow = true;
+                    i += 2;
+                } else {
+                    // Inside a word.
+                    loop {
+                        while class(i) == WORD {
+                            i += 1;
+                        }
+                        match class(i) {
+                            DASH if line.arrow || !bytes[i..].starts_with(b"->") => i += 1,
+                            WIDE if !wide(i).is_whitespace() => i += wide(i).len_utf8(),
+                            _ => break,
+                        }
+                    }
+                }
+                if let Some(slot) = line.parts.get_mut(line.words) {
+                    *slot = &text[from..i];
+                }
+                line.words += 1;
+                first = first.min(from);
+                last = i;
+            }
+            self.pos = match bytes.get(i) {
+                Some(b'\n') => i + 1,
+                _ => text[i..].find('\n').map_or(bytes.len(), |k| i + k + 1),
+            };
+            if line.words > 0 {
+                line.text = &text[first..last];
+                return Some(line);
+            }
+        }
+        None
+    }
+}
+
+fn parse_transition_system(lines: &mut Lines<'_>) -> Result<TransitionSystem, FormatError> {
+    let text_len = lines.text.len();
     let mut alphabet: Option<Alphabet> = None;
     let mut initial_name: Option<&str> = None;
-    let mut transitions: Vec<(usize, &str, &str, &str)> = Vec::new();
+    // Transitions are resolved as they are read once both headers are
+    // known; those read before then wait here, in line order.
+    let mut rows: Option<Rows<'_>> = None;
+    let mut early: Vec<Edge<'_>> = Vec::new();
 
-    for (n, line) in lines {
-        if let Some(rest) = line.strip_prefix("alphabet:") {
+    while let Some(line) = lines.next_line() {
+        let n = line.n;
+        if let Some(rest) = line.text.strip_prefix("alphabet:") {
             if alphabet.is_some() {
                 return Err(err(n, "second 'alphabet:' line"));
             }
             alphabet =
                 Some(Alphabet::new(rest.split_whitespace()).map_err(|e| err(n, e.to_string()))?);
-        } else if let Some(rest) = line.strip_prefix("initial:") {
+        } else if let Some(rest) = line.text.strip_prefix("initial:") {
             if initial_name.is_some() {
                 return Err(err(n, "second 'initial:' line"));
             }
@@ -113,50 +248,239 @@ fn parse_transition_system<'a>(
                 return Err(err(n, "'initial:' must name exactly one state"));
             };
             initial_name = Some(name);
+        } else if !line.arrow {
+            return Err(err(
+                n,
+                format!("expected a transition, found {:?}", line.text),
+            ));
+        } else if let (4, [src, action, "->", dst]) = (line.words, line.parts) {
+            let edge = Edge {
+                n,
+                src,
+                action,
+                dst,
+            };
+            match (&mut rows, &alphabet, initial_name) {
+                (Some(rows), _, _) => rows.add(edge),
+                (None, Some(alphabet), Some(initial)) => {
+                    let rows = rows.insert(Rows::new(alphabet.clone(), initial, text_len));
+                    early.drain(..).for_each(|e| rows.add(e));
+                    rows.add(edge);
+                }
+                _ => early.push(edge),
+            }
         } else {
-            // "<src> <action> -> <dst>"
-            let Some((lhs, rhs)) = line.split_once("->") else {
-                return Err(err(n, format!("expected a transition, found {line:?}")));
-            };
-            let mut parts = lhs
-                .split_whitespace()
-                .chain(["->"])
-                .chain(rhs.split_whitespace());
-            let (Some(src), Some(action), Some("->"), Some(dst), None) = (
-                parts.next(),
-                parts.next(),
-                parts.next(),
-                parts.next(),
-                parts.next(),
-            ) else {
-                return Err(err(n, "transition must be '<src> <action> -> <dst>'"));
-            };
-            transitions.push((n, src, action, dst));
+            return Err(err(n, "transition must be '<src> <action> -> <dst>'"));
         }
     }
     let alphabet = alphabet.ok_or_else(|| err(0, "missing 'alphabet:' line"))?;
     let initial_name = initial_name.ok_or_else(|| err(0, "missing 'initial:' line"))?;
+    let mut rows = rows.unwrap_or_else(|| Rows::new(alphabet, initial_name, text_len));
+    early.into_iter().for_each(|e| rows.add(e));
+    rows.finish()
+}
 
-    let mut ts = TransitionSystem::new(alphabet.clone());
-    // State names come from outside the program: keep the default,
-    // collision-resistant hasher.
-    let mut states: HashMap<&str, usize> = HashMap::new();
-    let mut intern = |name: &'a str, ts: &mut TransitionSystem| -> usize {
-        *states
-            .entry(name)
-            .or_insert_with(|| ts.add_labeled_state(name))
-    };
-    let init = intern(initial_name, &mut ts);
-    ts.set_initial(init);
-    for (n, src, action, dst) in transitions {
-        let sym = alphabet
-            .symbol(action)
-            .ok_or_else(|| err(n, format!("unknown action {action:?}")))?;
-        let s = intern(src, &mut ts);
-        let d = intern(dst, &mut ts);
-        ts.add_transition(s, sym, d);
+/// A transition line `<src> <action> -> <dst>`, with its line number.
+struct Edge<'a> {
+    n: usize,
+    src: &'a str,
+    action: &'a str,
+    dst: &'a str,
+}
+
+/// A state name with its hash, computed once: the table re-buckets by the
+/// stored hash when it grows instead of hashing every name again. The hash
+/// comes from the default keyed hasher, since state names come from
+/// outside the program.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct HashedName<'a> {
+    hash: u64,
+    name: &'a str,
+}
+
+impl Hash for HashedName<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
-    Ok(ts)
+}
+
+/// Hands on the one `u64` a [`HashedName`] writes.
+#[derive(Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is ever called; fold anything else in anyway.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// The system being read: states numbered in order of first mention (the
+/// initial state first), each with its row of `(symbol, successor)` pairs.
+struct Rows<'a> {
+    alphabet: Alphabet,
+    keys: RandomState,
+    index: HashMap<HashedName<'a>, usize, BuildHasherDefault<StoredHash>>,
+    names: Vec<&'a str>,
+    rows: Vec<Vec<(Symbol, usize)>>,
+    /// Names resolved so far, so that a repeated name is resolved without
+    /// a hash or a search.
+    actions: Memo<'a, Symbol>,
+    states: Memo<'a, usize>,
+    /// The source of the line before: consecutive lines often share it.
+    last_src: (&'a str, usize),
+    /// The first transition with an action outside the alphabet. Later
+    /// lines are still read, since a malformed line anywhere wins.
+    unknown: Option<FormatError>,
+}
+
+impl<'a> Rows<'a> {
+    /// Starts a system with the state `initial`; `text_len`, the length of
+    /// the whole text, sizes the memo of state names.
+    fn new(alphabet: Alphabet, initial: &'a str, text_len: usize) -> Rows<'a> {
+        // A guess at the state count that is right for generated systems
+        // (a line of about 20 bytes per transition, a few per state) and
+        // costs little when wrong.
+        let guess = (text_len / 64).min(1 << 16);
+        let mut rows = Rows {
+            actions: Memo::new(2 * alphabet.len(), Symbol::from_index(0)),
+            states: Memo::new(text_len / 32, 0),
+            alphabet,
+            keys: RandomState::new(),
+            index: HashMap::with_capacity_and_hasher(guess, BuildHasherDefault::default()),
+            names: Vec::with_capacity(guess),
+            rows: Vec::with_capacity(guess),
+            last_src: ("", 0),
+            unknown: None,
+        };
+        rows.state(initial);
+        rows
+    }
+
+    /// The number of state `name`, numbering it if it is new.
+    fn state(&mut self, name: &'a str) -> usize {
+        let slot = self.states.slot(name);
+        if let Some(q) = self.states.get(slot, name) {
+            return q;
+        }
+        let key = HashedName {
+            hash: self.keys.hash_one(name),
+            name,
+        };
+        let next = self.names.len();
+        let q = *self.index.entry(key).or_insert(next);
+        if q == next {
+            self.names.push(name);
+            self.rows.push(Vec::new());
+        }
+        self.states.put(slot, name, q);
+        q
+    }
+
+    fn add(&mut self, edge: Edge<'a>) {
+        if self.unknown.is_some() {
+            return;
+        }
+        let slot = self.actions.slot(edge.action);
+        let sym = match self.actions.get(slot, edge.action) {
+            Some(sym) => sym,
+            None => {
+                let Some(sym) = self.alphabet.symbol(edge.action) else {
+                    self.unknown = Some(err(edge.n, format!("unknown action {:?}", edge.action)));
+                    return;
+                };
+                self.actions.put(slot, edge.action, sym);
+                sym
+            }
+        };
+        let src = if edge.src == self.last_src.0 {
+            self.last_src.1
+        } else {
+            let q = self.state(edge.src);
+            self.last_src = (edge.src, q);
+            q
+        };
+        let dst = self.state(edge.dst);
+        self.rows[src].push((sym, dst));
+    }
+
+    fn finish(self) -> Result<TransitionSystem, FormatError> {
+        if let Some(e) = self.unknown {
+            return Err(e);
+        }
+        let labels = self.names.into_iter().map(Some);
+        Ok(TransitionSystem::from_rows(
+            self.alphabet,
+            0,
+            labels,
+            self.rows,
+        ))
+    }
+}
+
+/// A direct-mapped memo of names already resolved, in front of a slower
+/// lookup: each name has one slot, picked by a cheap unkeyed [`mix`], and
+/// a name found there skips the lookup. Names made to share slots only
+/// make it miss, and a miss costs no more than the lookup it would save.
+struct Memo<'a, T> {
+    /// `(name, value)`; the empty name, which no word is, marks a free slot.
+    slots: Box<[(&'a str, T)]>,
+    /// Shifts a [`mix`] down to a slot number.
+    shift: u32,
+}
+
+impl<'a, T: Copy> Memo<'a, T> {
+    /// A memo of at least `want` slots (at least 16, at most 4096).
+    fn new(want: usize, fill: T) -> Memo<'a, T> {
+        let len = want.clamp(16, 4096).next_power_of_two();
+        Memo {
+            slots: vec![("", fill); len].into_boxed_slice(),
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    fn slot(&self, name: &str) -> usize {
+        (mix(name) >> self.shift) as usize
+    }
+
+    fn get(&self, slot: usize, name: &str) -> Option<T> {
+        let (held, value) = self.slots[slot];
+        (held == name).then_some(value)
+    }
+
+    fn put(&mut self, slot: usize, name: &'a str, value: T) {
+        self.slots[slot] = (name, value);
+    }
+}
+
+/// A fast, unkeyed hash of a name's length and of its first and last
+/// eight bytes (fewer when it is shorter); only the top bits are good.
+fn mix(name: &str) -> u64 {
+    let b = name.as_bytes();
+    let n = b.len();
+    let (head, tail) = if n >= 8 {
+        let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("eight bytes"));
+        (word(0), word(n - 8))
+    } else if n >= 4 {
+        let word = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().expect("four bytes"));
+        (u64::from(word(0)), u64::from(word(n - 4)))
+    } else if n > 0 {
+        let short = u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16;
+        (short, 0)
+    } else {
+        (0, 0)
+    };
+    (head ^ tail.rotate_left(32) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 fn parse_weighted(
@@ -232,9 +556,9 @@ fn parse_petri<'a>(
 pub fn render_system(ts: &TransitionSystem) -> String {
     let mut out = String::from("system\n");
     out.push_str("alphabet:");
-    for name in ts.alphabet().names() {
+    for (_, name) in ts.alphabet().iter() {
         out.push(' ');
-        out.push_str(&name);
+        out.push_str(name);
     }
     out.push('\n');
     let name_of = |q: usize| -> String { ts.state_label(q).unwrap_or_else(|| format!("s{q}")) };

@@ -1571,6 +1571,7 @@ fn batch_absorbed_metrics_are_deterministic_across_jobs() {
             manifest.to_str().expect("utf-8 path"),
             "--jobs",
             jobs,
+            "--stats",
             "--metrics",
             path.to_str().expect("utf-8 path"),
         ])
@@ -1613,6 +1614,15 @@ fn batch_absorbed_metrics_are_deterministic_across_jobs() {
         }
         rows
     };
+    // Both runs record histograms, which must move no counter.
+    for path in [&p1, &p4] {
+        let text = std::fs::read_to_string(path).expect("metrics written");
+        assert!(
+            text.lines().any(|l| l.contains("\"event\":\"hist\"")),
+            "no histogram family in {}",
+            path.display()
+        );
+    }
     let (v1, v4) = (deterministic_view(&p1), deterministic_view(&p4));
     assert!(
         v1.iter().any(|r| r.contains("job0/check")),

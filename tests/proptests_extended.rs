@@ -490,6 +490,318 @@ proptest! {
     }
 }
 
+/// The `system` reader as it was before it became one pass over the text,
+/// kept word for word as the oracle the shipped reader must agree with:
+/// the same `TransitionSystem` (numbering, labels, rows) or the same
+/// `FormatError` (line and message). `petri` texts go to the shipped
+/// reader, whose Petri-net path did not change.
+mod oracle {
+    use std::collections::HashMap;
+
+    use relative_liveness::automata::{Alphabet, TransitionSystem};
+    use relative_liveness::format::FormatError;
+
+    fn err(line: usize, message: impl Into<String>) -> FormatError {
+        FormatError {
+            line,
+            message: message.into(),
+        }
+    }
+
+    pub fn parse_system(text: &str) -> Result<TransitionSystem, FormatError> {
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| (i + 1, l.split('#').next().unwrap_or("").trim()))
+            .filter(|(_, l)| !l.is_empty());
+        match lines.next() {
+            Some((_, "system")) => parse_transition_system(lines),
+            Some((_, "petri")) => relative_liveness::format::parse_system(text),
+            Some((n, other)) => Err(err(
+                n,
+                format!("expected header 'system' or 'petri', found {other:?}"),
+            )),
+            None => Err(err(0, "empty input")),
+        }
+    }
+
+    fn parse_transition_system<'a>(
+        lines: impl Iterator<Item = (usize, &'a str)>,
+    ) -> Result<TransitionSystem, FormatError> {
+        let mut alphabet: Option<Alphabet> = None;
+        let mut initial_name: Option<&str> = None;
+        let mut transitions: Vec<(usize, &str, &str, &str)> = Vec::new();
+
+        for (n, line) in lines {
+            if let Some(rest) = line.strip_prefix("alphabet:") {
+                if alphabet.is_some() {
+                    return Err(err(n, "second 'alphabet:' line"));
+                }
+                alphabet = Some(
+                    Alphabet::new(rest.split_whitespace()).map_err(|e| err(n, e.to_string()))?,
+                );
+            } else if let Some(rest) = line.strip_prefix("initial:") {
+                if initial_name.is_some() {
+                    return Err(err(n, "second 'initial:' line"));
+                }
+                let mut names = rest.split_whitespace();
+                let (Some(name), None) = (names.next(), names.next()) else {
+                    return Err(err(n, "'initial:' must name exactly one state"));
+                };
+                initial_name = Some(name);
+            } else {
+                // "<src> <action> -> <dst>"
+                let Some((lhs, rhs)) = line.split_once("->") else {
+                    return Err(err(n, format!("expected a transition, found {line:?}")));
+                };
+                let mut parts = lhs
+                    .split_whitespace()
+                    .chain(["->"])
+                    .chain(rhs.split_whitespace());
+                let (Some(src), Some(action), Some("->"), Some(dst), None) = (
+                    parts.next(),
+                    parts.next(),
+                    parts.next(),
+                    parts.next(),
+                    parts.next(),
+                ) else {
+                    return Err(err(n, "transition must be '<src> <action> -> <dst>'"));
+                };
+                transitions.push((n, src, action, dst));
+            }
+        }
+        let alphabet = alphabet.ok_or_else(|| err(0, "missing 'alphabet:' line"))?;
+        let initial_name = initial_name.ok_or_else(|| err(0, "missing 'initial:' line"))?;
+
+        let mut ts = TransitionSystem::new(alphabet.clone());
+        // State names come from outside the program: keep the default,
+        // collision-resistant hasher.
+        let mut states: HashMap<&str, usize> = HashMap::new();
+        let mut intern = |name: &'a str, ts: &mut TransitionSystem| -> usize {
+            *states
+                .entry(name)
+                .or_insert_with(|| ts.add_labeled_state(name))
+        };
+        let init = intern(initial_name, &mut ts);
+        ts.set_initial(init);
+        for (n, src, action, dst) in transitions {
+            let sym = alphabet
+                .symbol(action)
+                .ok_or_else(|| err(n, format!("unknown action {action:?}")))?;
+            let s = intern(src, &mut ts);
+            let d = intern(dst, &mut ts);
+            ts.add_transition(s, sym, d);
+        }
+        Ok(ts)
+    }
+}
+
+/// Whitespace of every kind `char::is_whitespace` knows, ASCII and not,
+/// alone and in runs.
+const SPACES: [&str; 14] = [
+    " ", " ", " ", "  ", "\t", " \t ", "\r", "\x0b", "\x0c", "\u{a0}", "\u{85}", "\u{2003}",
+    "\u{2028}", "\u{3000}",
+];
+/// State names: plain, Petri-marking style, non-ASCII, and ones holding
+/// `-`, `>` or `->`, which only a target can carry whole.
+const STATE_NAMES: [&str; 12] = [
+    "s0", "s1", "s2", "s3", "idle", "busy×2", "∅", "é", "q-1", "a>b", "x->y", "->",
+];
+/// Action names, `->` among them: `s -> -> t` is a transition on `->`.
+const ACTION_NAMES: [&str; 7] = ["a", "b", "tau", "go→", "ü", "->", "a-"];
+/// Comments, with and without the things a transition holds.
+const COMMENTS: [&str; 5] = ["#", "# note", "#s a -> t", "## initial: x", "#\u{a0}é"];
+
+/// One random `system` text: mostly well formed (headers before or after
+/// the transitions, duplicate edges, states first seen as targets, every
+/// kind of whitespace, comments, blank lines, CRLF), often with one line
+/// broken in one of the ways the reader names.
+fn random_system_text(rng: &mut rand::rngs::StdRng) -> String {
+    use rand::Rng;
+    let pick = |rng: &mut rand::rngs::StdRng, items: &[&'static str]| -> &'static str {
+        items[rng.gen_range(0..items.len())]
+    };
+    let space = |rng: &mut rand::rngs::StdRng| -> String {
+        (0..rng.gen_range(1..3))
+            .map(|_| pick(rng, &SPACES))
+            .collect()
+    };
+    // Around `->` the space may be left out: `s a->t` is a transition.
+    let maybe_space = |rng: &mut rand::rngs::StdRng| -> String {
+        if rng.gen_bool(0.2) {
+            String::new()
+        } else {
+            space(rng)
+        }
+    };
+    let n_actions = rng.gen_range(1..5);
+    let mut actions: Vec<&str> = Vec::new();
+    while actions.len() < n_actions {
+        let a = pick(rng, &ACTION_NAMES);
+        if !actions.contains(&a) {
+            actions.push(a);
+        }
+    }
+    let n_states = rng.gen_range(1..7);
+    let states: Vec<&str> = (0..n_states)
+        .map(|i| STATE_NAMES[(i * 5 + 3) % 12])
+        .collect();
+    let state = |rng: &mut rand::rngs::StdRng| states[rng.gen_range(0..states.len())];
+
+    let mut body: Vec<String> = Vec::new();
+    for _ in 0..rng.gen_range(0..12) {
+        // A target may be any name, so states are often first seen there.
+        let (src, dst) = (state(rng), pick(rng, &STATE_NAMES));
+        let action = actions[rng.gen_range(0..actions.len())];
+        let line = format!(
+            "{}{src}{}{action}{}->{}{dst}{}",
+            maybe_space(rng),
+            space(rng),
+            maybe_space(rng),
+            maybe_space(rng),
+            maybe_space(rng)
+        );
+        if rng.gen_bool(0.15) {
+            body.push(line.clone()); // a duplicate edge
+        }
+        body.push(line);
+    }
+    let alphabet = format!("alphabet:{}{}", space(rng), actions.join(&space(rng)));
+    let initial = format!("initial:{}{}", space(rng), state(rng));
+    // Headers first, or anywhere among the transitions.
+    for header in [initial, alphabet] {
+        let at = if rng.gen_bool(0.6) {
+            0
+        } else {
+            rng.gen_range(0..body.len() + 1)
+        };
+        body.insert(at, header);
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        let at = rng.gen_range(0..body.len() + 1);
+        let filler = match rng.gen_range(0..3) {
+            0 => String::new(),
+            1 => space(rng),
+            _ => pick(rng, &COMMENTS).to_owned(),
+        };
+        body.insert(at, filler);
+    }
+    if rng.gen_bool(0.6) {
+        let at = rng.gen_range(0..body.len());
+        let broken = match rng.gen_range(0..16) {
+            0 => "alphabet: a b".to_owned(),   // a second alphabet line
+            1 => "initial: s0".to_owned(),     // a second initial line
+            2 => "initial:".to_owned(),        // no initial state
+            3 => "initial: s0 s1".to_owned(),  // two initial states
+            4 => "alphabet:".to_owned(),       // an empty alphabet
+            5 => "alphabet: a b a".to_owned(), // a repeated action
+            6 => "s0 zz -> s1".to_owned(),     // an unknown action
+            7 => "s0 a s1".to_owned(),         // no arrow
+            8 => "s0 a b -> s1".to_owned(),    // too many words on the left
+            9 => "s0 a -> s1 s2".to_owned(),   // too many on the right
+            10 => "s0 a ->".to_owned(),        // no target
+            11 => "s0 -> s1".to_owned(),       // no action
+            12 => "-> a -> s1".to_owned(),     // `->` as the source
+            13 => "s0->a -> s1".to_owned(),    // `->` glued on the left
+            14 => String::new(),               // the line dropped
+            _ => {
+                // A line cut short at a random char.
+                let line = body[at].clone();
+                let cut = rng.gen_range(0..line.chars().count() + 1);
+                line.chars().take(cut).collect()
+            }
+        };
+        body[at] = broken;
+    }
+    if rng.gen_bool(0.1) {
+        // A header line dropped.
+        let at = body.iter().position(|l| {
+            l.starts_with(if rng.gen_bool(0.5) {
+                "alphabet:"
+            } else {
+                "initial:"
+            })
+        });
+        if let Some(at) = at {
+            body.remove(at);
+        }
+    }
+    for line in &mut body {
+        if rng.gen_bool(0.1) {
+            line.push_str(&maybe_space(rng));
+            line.push_str(pick(rng, &COMMENTS));
+        }
+    }
+    let header = match rng.gen_range(0..20) {
+        0 => "System",
+        1 => "",
+        2 => "  system  # the header",
+        3 => "sys tem",
+        _ => "system",
+    };
+    let mut lines = vec![header.to_owned()];
+    if rng.gen_bool(0.2) {
+        lines.insert(0, pick(rng, &COMMENTS).to_owned());
+    }
+    lines.extend(body);
+    let newline = if rng.gen_bool(0.3) { "\r\n" } else { "\n" };
+    let mut text = lines.join(newline);
+    if rng.gen_bool(0.7) {
+        text.push_str(newline);
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The one-pass `system` reader gives exactly what the old one gave:
+    /// the same system, state for state, or the same error, line and
+    /// message, on random texts both well formed and broken.
+    #[test]
+    fn one_pass_reader_matches_the_oracle(seed in 0..u64::MAX) {
+        use rand::SeedableRng;
+        let text = random_system_text(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let got = relative_liveness::format::parse_system(&text);
+        prop_assert_eq!(got, oracle::parse_system(&text), "{:?}", text);
+    }
+}
+
+/// The generated systems the benchmark reads: their rendered text reads
+/// exactly as the oracle reads it, and as the same system. The ring
+/// labels its states and numbers them in the order the text first names
+/// them, so it reads back exactly; the farm and the random system leave
+/// their states unlabeled (rendered as `s<q>`) and number them in
+/// discovery order, so they read back equal up to that naming.
+#[test]
+fn rendered_generated_systems_read_back_exactly() {
+    use relative_liveness::format::{parse_system, render_system};
+    let ring = rl_bench::token_ring(128);
+    assert_eq!(parse_system(&render_system(&ring)).as_ref(), Ok(&ring));
+    for ts in [
+        rl_bench::server_farm(3),
+        ring,
+        rl_bench::random_system(1, 500, 4, 0.4),
+    ] {
+        let text = render_system(&ts);
+        let read = parse_system(&text).expect("rendered text parses");
+        assert_eq!(read, oracle::parse_system(&text).expect("oracle parses"));
+        let name = |q: usize| ts.state_label(q).unwrap_or_else(|| format!("s{q}"));
+        let mut edges: Vec<_> = ts
+            .transitions()
+            .map(|(p, a, q)| (name(p), ts.alphabet().name(a).to_string(), name(q)))
+            .collect();
+        edges.sort();
+        let want = (
+            ts.alphabet().names(),
+            name(ts.initial()),
+            ts.state_count(),
+            edges,
+        );
+        assert_eq!(labeled(&read), want);
+    }
+}
+
 /// Grammar tokens of the LTL syntax, plus a few near misses the lexer
 /// rejects.
 const LTL_TOKENS: [&str; 28] = [

@@ -1025,22 +1025,96 @@ fn run_rlcheck(args: &[&str]) -> (String, String, i32) {
     )
 }
 
+/// Whether `line` is a Prometheus exposition sample: a metric name
+/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`), optionally `{labels}`, one space, and an
+/// integer or decimal value.
+fn is_exposition_sample(line: &str) -> bool {
+    let Some((name_labels, value)) = line.split_once(' ') else {
+        return false;
+    };
+    let (name, labels) = match name_labels.split_once('{') {
+        Some((name, rest)) => (name, Some(rest)),
+        None => (name_labels, None),
+    };
+    let name_ok = name.chars().enumerate().all(|(i, c)| {
+        c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
+    }) && !name.is_empty();
+    let labels_ok =
+        labels.is_none_or(|l| l.ends_with('}') && !l[..l.len() - 1].contains(['{', '}']));
+    let digits = |d: &str| !d.is_empty() && d.chars().all(|c| c.is_ascii_digit());
+    let unsigned = value.strip_prefix('-').unwrap_or(value);
+    let value_ok = match unsigned.split_once('.') {
+        Some((int, frac)) => digits(int) && digits(frac),
+        None => digits(unsigned),
+    };
+    name_ok && labels_ok && value_ok
+}
+
 #[test]
 fn metrics_verb_emits_prometheus_exposition_and_jsonl() {
     let mut d = start_daemon("metrics", &["--jobs", "2"], &[]);
     let mut c = connect(&d);
-    let r = c.request(&submit_line(&[
-        ("path", s("examples/systems/server.pn")),
-        ("formula", s("[]<>result")),
-    ]));
-    assert!(bool_field(&r, "ok"), "{r:?}");
-    c.wait_job(int_field(&r, "id"));
+    for (path, formula) in [
+        ("examples/systems/server.pn", "[]<>result"),
+        ("examples/systems/clock.ts", "[]<>tick"),
+    ] {
+        let r = c.request(&submit_line(&[("path", s(path)), ("formula", s(formula))]));
+        assert!(bool_field(&r, "ok"), "{r:?}");
+        let done = c.wait_job(int_field(&r, "id"));
+        assert!(matches!(int_field(&done, "code"), 0 | 1), "{done:?}");
+    }
 
     let m = c.request("{\"cmd\":\"metrics\"}");
     assert!(bool_field(&m, "ok"), "{m:?}");
     assert_eq!(str_field(&m, "format"), "prometheus");
     let body = str_field(&m, "body");
-    assert!(body.contains("rl_serve_submitted_total 1"), "{body}");
+    assert!(body.contains("rl_serve_submitted_total 2"), "{body}");
+    // Every line is a comment or a `name{labels} value` sample.
+    for line in body
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        assert!(is_exposition_sample(line), "malformed sample line {line:?}");
+    }
+    // Every histogram's cumulative buckets never decrease in `le` order,
+    // end at `+Inf`, and the `+Inf` bucket equals `_count`.
+    let histograms: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+        .collect();
+    assert!(!histograms.is_empty(), "{body}");
+    for family in &histograms {
+        let value = |l: &str| -> u64 {
+            let v = l.rsplit(' ').next().expect("a value");
+            v.parse().unwrap_or_else(|_| panic!("bad count in {l:?}"))
+        };
+        let buckets: Vec<(&str, u64)> = body
+            .lines()
+            .filter_map(|l| {
+                let le = l.strip_prefix(&format!("{family}_bucket{{le=\""))?;
+                Some((le.split('"').next().expect("closing quote"), value(l)))
+            })
+            .collect();
+        let count = body
+            .lines()
+            .find(|l| l.starts_with(&format!("{family}_count ")))
+            .map(value);
+        assert!(
+            body.lines()
+                .any(|l| l.starts_with(&format!("{family}_sum "))),
+            "{family} lacks _sum:\n{body}"
+        );
+        assert!(
+            buckets.windows(2).all(|w| w[0].1 <= w[1].1),
+            "{family} buckets decrease: {buckets:?}"
+        );
+        assert_eq!(buckets.last().map(|b| b.0), Some("+Inf"), "{family}");
+        assert_eq!(
+            buckets.last().map(|b| b.1),
+            count,
+            "{family}: +Inf != _count"
+        );
+    }
     // Checks no longer memoize, yet the exposition keeps this counter at 0
     // for readers that still scrape it.
     assert!(
@@ -1092,7 +1166,7 @@ fn metrics_verb_emits_prometheus_exposition_and_jsonl() {
     let req = st.field("requests").expect("requests object");
     assert_eq!(int_field(req, "metrics"), 3);
 
-    c.shutdown();
+    assert_eq!(str_field(&c.shutdown(), "status"), "draining");
     assert_eq!(d.wait_exit(), 0);
 }
 
@@ -1127,6 +1201,7 @@ fn metrics_journal_survives_restart_and_gates_slo() {
     assert_eq!(code, 0, "report --dir failed: {err}");
     assert!(out.contains("2 runs"), "{out}");
     assert!(out.contains("p50"), "{out}");
+    assert!(out.contains("p99"), "{out}");
     assert!(out.contains("serve/job_wall_us"), "{out}");
     assert!(out.contains("time series: serve/queue_wait_us"), "{out}");
 

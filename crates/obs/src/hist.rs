@@ -391,6 +391,38 @@ impl HistogramRegistry {
     }
 }
 
+/// The percentile table of every text sink (`--stats`, `rlcheck report`,
+/// `report --dir`): a header whose first column reads `first`, then one
+/// `label count p50 p90 p99 max` row per entry. Empty, with no header,
+/// when `rows` is.
+pub fn percentile_table<'a, L: AsRef<str>>(
+    first: &str,
+    rows: impl IntoIterator<Item = (L, &'a HistogramSnapshot)>,
+) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (label, snap) in rows {
+        if out.is_empty() {
+            let _ = writeln!(
+                out,
+                "{first:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
+                "count", "p50", "p90", "p99", "max"
+            );
+        }
+        let _ = writeln!(
+            out,
+            "{:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
+            label.as_ref(),
+            snap.count,
+            snap.p50(),
+            snap.p90(),
+            snap.p99(),
+            snap.max,
+        );
+    }
+    out
+}
+
 /// One `hist` JSONL event: the wire form of a named cumulative snapshot,
 /// used by `rl-obs/v3` files and the serve `metrics` verb's JSONL body. The
 /// snapshot's own fields (`count`/`sum`/`max`/`buckets`) are inlined, so

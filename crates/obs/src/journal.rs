@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use rl_json::{FromJson, Json, ObjBuilder, ToJson};
 
 use crate::format_duration;
-use crate::hist::HistogramSnapshot;
+use crate::hist::{percentile_table, HistogramSnapshot};
 
 /// Default size budget per segment before rotation.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
@@ -311,22 +311,10 @@ pub fn render_journal(journal: &Journal) -> String {
         let _ = writeln!(out, "no histogram samples recorded");
         return out;
     }
-    let _ = writeln!(
-        out,
-        "{:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "family (all runs)", "count", "p50", "p90", "p99", "max"
+    out += &percentile_table(
+        "family (all runs)",
+        merged.iter().map(|(name, snap)| (name, snap)),
     );
-    for (name, snap) in &merged {
-        let _ = writeln!(
-            out,
-            "{name:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            snap.count,
-            snap.p50(),
-            snap.p90(),
-            snap.p99(),
-            snap.max,
-        );
-    }
     let t0 = journal.samples.first().map_or(0, |s| s.ts_ms);
     for (name, _) in &merged {
         let _ = writeln!(out, "\ntime series: {name}");

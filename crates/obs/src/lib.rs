@@ -69,8 +69,8 @@ use std::time::{Duration, Instant};
 use rl_json::{FromJson, Json, JsonError, ObjBuilder, ToJson};
 
 pub use hist::{
-    hist_event_json, render_prometheus, Histogram, HistogramRegistry, HistogramSnapshot,
-    BUCKET_COUNT,
+    hist_event_json, percentile_table, render_prometheus, Histogram, HistogramRegistry,
+    HistogramSnapshot, BUCKET_COUNT,
 };
 pub use journal::{
     read_journal, render_journal, Journal, JournalSample, JournalWriter, DEFAULT_SEGMENT_BYTES,
@@ -307,54 +307,30 @@ impl RegistrySnapshot {
     }
 }
 
-/// Machine-readable JSONL for a snapshot: a `meta` line, one `span` line per
-/// completed span (open order), `trace` lines when an event stream is
-/// supplied, and a closing `totals` line. `events: None` emits the
-/// `rl-obs/v1` schema; `Some` emits `rl-obs/v2` (even when the stream is
-/// empty — the schema records that tracing was on). Every line is an
-/// independent JSON object; see `docs/OBSERVABILITY.md`.
+/// The one `--metrics` schema tag, written on every file's `meta` line.
+pub(crate) const SCHEMA: &str = "rl-obs/v3";
+
+/// Machine-readable JSONL for a snapshot, schema `rl-obs/v3`: a `meta` line
+/// (with the `spans`, `events` and `hists` counts), one `span` line per
+/// completed span (open order), one `trace` line per event, one `hist` line
+/// per histogram family (sparse buckets plus count/sum/max), and a closing
+/// `totals` line. Every line is an independent JSON object; see
+/// `docs/OBSERVABILITY.md`.
 pub fn render_jsonl(
     snapshot: &RegistrySnapshot,
     jobs: Option<usize>,
-    events: Option<&[TraceEvent]>,
-) -> String {
-    render_jsonl_with_hists(snapshot, jobs, events, &[])
-}
-
-/// [`render_jsonl`] extended with histogram families: any non-empty `hists`
-/// slice upgrades the schema to `rl-obs/v3` and appends one `hist` line per
-/// family (sparse buckets plus count/sum/max) before the closing `totals`.
-/// With `hists` empty this is exactly [`render_jsonl`], so v1/v2 consumers
-/// of histogram-free runs are unaffected.
-pub fn render_jsonl_with_hists(
-    snapshot: &RegistrySnapshot,
-    jobs: Option<usize>,
-    events: Option<&[TraceEvent]>,
+    events: &[TraceEvent],
     hists: &[(String, HistogramSnapshot)],
 ) -> String {
     let records = &snapshot.records;
-    let n_events = events.map_or(0, <[TraceEvent]>::len);
-    let mut lines = Vec::with_capacity(records.len() + n_events + hists.len() + 2);
+    let mut lines = Vec::with_capacity(records.len() + events.len() + hists.len() + 2);
     let mut meta = ObjBuilder::new()
         .field("event", "meta")
-        .field(
-            "schema",
-            if !hists.is_empty() {
-                "rl-obs/v3"
-            } else if events.is_some() {
-                "rl-obs/v2"
-            } else {
-                "rl-obs/v1"
-            },
-        )
-        .field("spans", records.len());
-    if events.is_some() {
-        meta = meta.field("events", n_events);
-    }
-    if !hists.is_empty() {
-        meta = meta.field("hists", hists.len());
-    }
-    meta = meta.field("elapsed_us", snapshot.elapsed.as_micros() as u64);
+        .field("schema", SCHEMA)
+        .field("spans", records.len())
+        .field("events", events.len())
+        .field("hists", hists.len())
+        .field("elapsed_us", snapshot.elapsed.as_micros() as u64);
     if let Some(jobs) = jobs {
         meta = meta.field("jobs", jobs);
     }
@@ -362,7 +338,7 @@ pub fn render_jsonl_with_hists(
     for r in records {
         lines.push(compact(&r.to_json()));
     }
-    for e in events.unwrap_or_default() {
+    for e in events {
         lines.push(compact(&e.to_json()));
     }
     for (name, snap) in hists {
@@ -418,8 +394,8 @@ impl MetricsRegistry {
 
     /// Attaches an event-level [`Tracer`]: from now on every span open/close
     /// also records a timestamped begin/end event on the calling thread's
-    /// track, and [`MetricsRegistry::to_jsonl`] emits the `rl-obs/v2` event
-    /// stream. Tracing never touches the metric counters, so deterministic
+    /// track, and [`MetricsRegistry::to_jsonl`] writes those events as
+    /// `trace` lines. Tracing never touches the metric counters, so deterministic
     /// totals are bit-for-bit identical with and without a tracer.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
         *self.inner.tracer.borrow_mut() = Some(tracer);
@@ -634,15 +610,12 @@ impl MetricsRegistry {
         self.snapshot().summary()
     }
 
-    /// Machine-readable JSONL: a `meta` line, one `span` line per completed
-    /// span (open order), `trace` lines when a tracer is attached, and a
-    /// closing `totals` line — the `--metrics` sink. Every line is an
-    /// independent JSON object. Delegates to [`render_jsonl`] on a snapshot
-    /// taken now (schema `rl-obs/v2` when a tracer is attached, `v1`
-    /// otherwise).
+    /// Machine-readable JSONL: [`render_jsonl`] on a snapshot taken now,
+    /// with the attached tracer's events (none without a tracer) and no
+    /// histogram families.
     pub fn to_jsonl(&self) -> String {
-        let events = self.tracer().map(|t| t.events());
-        render_jsonl(&self.snapshot(), self.jobs(), events.as_deref())
+        let events = self.tracer().map(|t| t.events()).unwrap_or_default();
+        render_jsonl(&self.snapshot(), self.jobs(), &events, &[])
     }
 }
 

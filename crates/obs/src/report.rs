@@ -1,8 +1,8 @@
 //! Offline rendering of committed `rl-obs` JSONL files.
 //!
 //! A `--metrics` file outlives the run that wrote it — it lands in CI
-//! artifacts, bench directories, and bug reports. [`ObsReport`] parses both
-//! the `rl-obs/v1` span stream and the `rl-obs/v2` event stream back into
+//! artifacts, bench directories, and bug reports. [`ObsReport`] parses an
+//! `rl-obs/v3` file (spans, trace events, histograms, totals) back into
 //! structured form so `rlcheck report` can reproduce the original `--stats`
 //! table byte-for-byte and summarize the recorded timeline, long after the
 //! process that ran the check is gone.
@@ -18,20 +18,20 @@ use std::time::Duration;
 
 use rl_json::{FromJson, Json, JsonError};
 
-use crate::hist::HistogramSnapshot;
+use crate::hist::{percentile_table, HistogramSnapshot};
 use crate::stream::Heartbeat;
 use crate::trace::{track_name, TraceEvent, TracePhase};
-use crate::{Metric, RegistrySnapshot, SpanRecord, METRIC_COUNT};
+use crate::{Metric, RegistrySnapshot, SpanRecord, METRIC_COUNT, SCHEMA};
 
 /// The synthetic schema tag assigned to captured subscribe streams, which
 /// carry no `meta` header of their own.
 pub const SCHEMA_STREAM: &str = "rl-obs/stream";
 
-/// A parsed `rl-obs/v1`, `rl-obs/v2`, or `rl-obs/v3` JSONL file, or a
-/// captured `rlcheck serve` subscribe stream ([`SCHEMA_STREAM`]).
+/// A parsed `rl-obs/v3` JSONL file, or a captured `rlcheck serve`
+/// subscribe stream ([`SCHEMA_STREAM`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsReport {
-    /// The schema tag from the `meta` line (`rl-obs/v1`..`v3`), or
+    /// The schema tag from the `meta` line (`rl-obs/v3`), or
     /// [`SCHEMA_STREAM`] for a headerless captured subscribe stream.
     pub schema: String,
     /// The resolved `--jobs` choice recorded in the `meta` line, if any.
@@ -40,20 +40,20 @@ pub struct ObsReport {
     pub elapsed: Duration,
     /// Completed spans, in the order they appear in the file (open order).
     pub spans: Vec<SpanRecord>,
-    /// Timeline events (`rl-obs/v2` only; empty for v1 files).
+    /// Timeline events (empty unless the run was traced).
     pub events: Vec<TraceEvent>,
     /// Built-in metric totals, indexed like [`Metric::ALL`].
     pub totals: [u64; METRIC_COUNT],
     /// Custom counter totals, in registration order.
     pub counters: Vec<(String, u64)>,
-    /// Histogram snapshots (`rl-obs/v3` files and captured streams):
+    /// Histogram snapshots (metrics files and captured streams):
     /// `(job, family, snapshot)`, keyed by job and family with
     /// latest-cumulative-wins semantics — stream `hist` events repeat a
     /// job's growing snapshot, so replacing (not merging) is what yields
     /// the final state.
     pub hists: Vec<(Option<u64>, String, HistogramSnapshot)>,
     /// Heartbeat samples, in file order (captured streams; empty for
-    /// ordinary v1/v2 files unless a future writer interleaves them).
+    /// metrics files).
     pub heartbeats: Vec<Heartbeat>,
     /// `done` records from a captured stream: `(job, exit code)` in
     /// completion order.
@@ -75,9 +75,10 @@ impl ObsReport {
     /// Parses a JSONL metrics file or captured subscribe stream.
     ///
     /// For metrics files the first non-empty line must be a `meta` event
-    /// with a supported schema. A first line that is instead one of the
-    /// serve wire stream kinds (`heartbeat`, `trace`, `done`, `dropped`,
-    /// or an `{"ok":...}` reply ack) selects stream mode under the
+    /// tagged `rl-obs/v3`; any other tag is an error that names it. A first
+    /// line that is instead one of the serve wire stream kinds
+    /// (`heartbeat`, `trace`, `done`, `dropped`, or an `{"ok":...}` reply
+    /// ack) selects stream mode under the
     /// synthetic schema [`SCHEMA_STREAM`]. In both modes, later lines with
     /// an unknown `"event"` kind are counted in
     /// [`ObsReport::unknown_events`] rather than rejected (forward
@@ -107,11 +108,11 @@ impl ObsReport {
             unknown_events: Vec::new(),
             truncated: true,
         };
-        if head_event == "meta" {
+        let stream = if head_event == "meta" {
             let schema = String::from_json(head.field("schema")?)?;
-            if !matches!(schema.as_str(), "rl-obs/v1" | "rl-obs/v2" | "rl-obs/v3") {
+            if schema != SCHEMA {
                 return Err(JsonError::custom(format!(
-                    "unsupported schema {schema:?} (expected rl-obs/v1, v2, or v3)"
+                    "unsupported schema {schema:?} (expected {SCHEMA})"
                 )));
             }
             report.schema = schema;
@@ -120,19 +121,7 @@ impl ObsReport {
                 None => None,
             };
             report.elapsed = Duration::from_micros(u64::from_json(head.field("elapsed_us")?)?);
-            for line in lines {
-                // A file cut mid-record (the writer was killed mid-write)
-                // truncates here: everything before the cut still renders,
-                // and the missing-totals path below flags the report.
-                let value = match rl_json::parse(line) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        report.truncated = true;
-                        break;
-                    }
-                };
-                report.absorb_line(&value)?;
-            }
+            false
         } else if matches!(
             head_event.as_str(),
             "heartbeat" | "trace" | "done" | "dropped"
@@ -143,18 +132,23 @@ impl ObsReport {
             report.schema = SCHEMA_STREAM.to_owned();
             report.truncated = false;
             report.absorb_line(&head)?;
-            for line in lines {
-                // A capture cut mid-line (the subscriber was killed) is
-                // expected; flag it rather than rejecting the whole file.
-                let value = match rl_json::parse(line) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        report.truncated = true;
-                        break;
-                    }
-                };
-                report.absorb_line(&value)?;
-            }
+            true
+        } else {
+            return Err(JsonError::custom(
+                "first line is not a meta event; not an rl-obs JSONL file",
+            ));
+        };
+        for line in lines {
+            // A file or capture cut mid-record (its writer was killed
+            // mid-write) truncates here: everything before the cut still
+            // renders, and the report is flagged.
+            let Ok(value) = rl_json::parse(line) else {
+                report.truncated = true;
+                break;
+            };
+            report.absorb_line(&value)?;
+        }
+        if stream {
             report.elapsed = Duration::from_micros(
                 report
                     .heartbeats
@@ -163,13 +157,7 @@ impl ObsReport {
                     .max()
                     .unwrap_or(0),
             );
-            return Ok(report);
-        } else {
-            return Err(JsonError::custom(
-                "first line is not a meta event; not an rl-obs JSONL file",
-            ));
-        }
-        if report.truncated {
+        } else if report.truncated {
             // Reconstruct what we can: each depth-0 row's deltas are
             // inclusive of its children, so root rows sum to the totals of
             // everything that *completed*.
@@ -266,7 +254,7 @@ impl ObsReport {
         self.snapshot().summary()
     }
 
-    /// A per-track digest of the recorded timeline (`rl-obs/v2` only):
+    /// A per-track digest of the recorded timeline (traced runs only):
     /// event totals and the begin/end/instant split for each worker lane.
     /// Empty string when the report carries no events.
     pub fn event_summary(&self) -> String {
@@ -320,35 +308,17 @@ impl ObsReport {
         out
     }
 
-    /// A percentile table for the report's histogram families (`rl-obs/v3`
+    /// A percentile table for the report's histogram families (metrics
     /// files and captured streams), or the empty string when the report
     /// carries none.
     pub fn hist_summary(&self) -> String {
-        if self.hists.is_empty() {
-            return String::new();
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            "histogram", "count", "p50", "p90", "p99", "max"
-        );
-        for (job, name, snap) in &self.hists {
-            let label = match job {
-                Some(job) => format!("{name} (job {job})"),
-                None => name.clone(),
-            };
-            let _ = writeln!(
-                out,
-                "{label:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                snap.count,
-                snap.p50(),
-                snap.p90(),
-                snap.p99(),
-                snap.max,
-            );
-        }
-        out
+        percentile_table(
+            "histogram",
+            self.hists.iter().map(|(job, name, snap)| match job {
+                Some(job) => (format!("{name} (job {job})"), snap),
+                None => (name.clone(), snap),
+            }),
+        )
     }
 
     /// Whether this report was parsed from a captured subscribe stream
@@ -446,22 +416,26 @@ mod tests {
     }
 
     #[test]
-    fn v1_round_trip_reproduces_summary_byte_for_byte() {
+    fn plain_file_reproduces_summary_byte_for_byte() {
         let m = sample_registry();
         let snap = m.snapshot();
-        let jsonl = render_jsonl(&snap, Some(2), None);
+        let jsonl = render_jsonl(&snap, Some(2), &[], &[]);
+        assert!(jsonl.starts_with(
+            "{\"event\":\"meta\",\"schema\":\"rl-obs/v3\",\"spans\":2,\"events\":0,\"hists\":0,"
+        ));
         let report = ObsReport::parse(&jsonl).unwrap();
-        assert_eq!(report.schema, "rl-obs/v1");
+        assert_eq!(report.schema, "rl-obs/v3");
         assert_eq!(report.jobs, Some(2));
         assert!(!report.truncated);
         assert_eq!(report.total(Metric::States), 7);
         assert_eq!(report.counters, vec![("pool/steals".to_owned(), 5)]);
         assert_eq!(report.summary(), snap.summary());
         assert!(report.event_summary().is_empty());
+        assert!(report.hist_summary().is_empty());
     }
 
     #[test]
-    fn v2_round_trip_recovers_events() {
+    fn traced_file_recovers_events() {
         let m = sample_registry();
         let tracer = Arc::new(Tracer::new());
         m.set_tracer(tracer.clone());
@@ -470,9 +444,9 @@ mod tests {
             tracer.instant("pool", "steal", Some(("victim", 1)));
         }
         let jsonl = m.to_jsonl();
-        assert!(jsonl.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v2\""));
+        assert!(jsonl.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""));
         let report = ObsReport::parse(&jsonl).unwrap();
-        assert_eq!(report.schema, "rl-obs/v2");
+        assert_eq!(report.schema, "rl-obs/v3");
         // Two span events (begin+end for "inclusion") plus the instant.
         assert_eq!(report.events.len(), 3);
         assert_eq!(report.events, tracer.events());
@@ -498,7 +472,7 @@ mod tests {
     fn unknown_event_kinds_are_counted_not_fatal() {
         let m = sample_registry();
         let snap = m.snapshot();
-        let jsonl = render_jsonl(&snap, None, None);
+        let jsonl = render_jsonl(&snap, None, &[], &[]);
         // Splice two future-schema lines ahead of the totals line.
         let cut = jsonl.trim_end().rfind('\n').unwrap() + 1;
         let spliced = format!(
@@ -522,8 +496,8 @@ mod tests {
     }
 
     #[test]
-    fn v3_round_trip_recovers_histograms() {
-        use crate::{render_jsonl_with_hists, Histogram};
+    fn histogram_file_recovers_snapshots() {
+        use crate::Histogram;
         let m = sample_registry();
         let h = Histogram::new();
         for v in [10u64, 20, 3_000] {
@@ -531,7 +505,7 @@ mod tests {
         }
         let hists = vec![("serve/queue_wait_us".to_owned(), h.snapshot())];
         let snap = m.snapshot();
-        let jsonl = render_jsonl_with_hists(&snap, Some(1), None, &hists);
+        let jsonl = render_jsonl(&snap, Some(1), &[], &hists);
         assert!(jsonl.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""));
         let report = ObsReport::parse(&jsonl).unwrap();
         assert_eq!(report.schema, "rl-obs/v3");
@@ -550,7 +524,7 @@ mod tests {
     // Satellite: a metrics file cut mid-record (writer killed mid-write)
     // must degrade gracefully — render what survived, flag truncation.
     #[test]
-    fn v2_file_cut_mid_record_degrades_gracefully() {
+    fn traced_file_cut_mid_record_degrades_gracefully() {
         let m = sample_registry();
         let tracer = Arc::new(Tracer::new());
         m.set_tracer(tracer.clone());
@@ -558,7 +532,7 @@ mod tests {
             let _s = m.enter("inclusion");
         }
         let jsonl = m.to_jsonl();
-        assert!(jsonl.contains("rl-obs/v2"));
+        assert!(jsonl.contains("\"event\":\"trace\""));
         // Cut in the middle of the last record, not at a line boundary.
         let cut = jsonl.trim_end().rfind('\n').unwrap() + 10;
         let report = ObsReport::parse(&jsonl[..cut]).unwrap();
@@ -615,5 +589,17 @@ mod tests {
             "{\"event\":\"meta\",\"schema\":\"rl-obs/v99\",\"elapsed_us\":0}\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn retired_schema_tags_are_rejected_naming_the_one_schema() {
+        // A span-only file as the retired writer tagged it: every line but
+        // the tag is one this reader accepts.
+        let retired = concat!("rl-obs/", "v1");
+        let jsonl = render_jsonl(&sample_registry().snapshot(), None, &[], &[]);
+        let old = jsonl.replacen("rl-obs/v3", retired, 1);
+        let err = ObsReport::parse(&old).unwrap_err().to_string();
+        assert!(err.contains(&format!("{retired:?}")), "{err}");
+        assert!(err.contains("expected rl-obs/v3"), "{err}");
     }
 }

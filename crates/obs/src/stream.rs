@@ -204,12 +204,6 @@ impl StreamSubscription {
         self.id
     }
 
-    /// The job filter: `Some(id)` follows one job, `None` follows all
-    /// (the wire `"*"`).
-    pub fn filter(&self) -> Option<u64> {
-        self.filter
-    }
-
     /// Whether events for `job` are delivered to this subscription.
     pub fn matches(&self, job: u64) -> bool {
         self.filter.is_none_or(|want| want == job)

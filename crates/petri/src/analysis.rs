@@ -5,32 +5,8 @@
 //! relative liveness: `t` is live exactly when `□◇t` is a relative liveness
 //! property of the net's behaviors — compare `rl-core`'s `∀□∃◇` module.
 
-use std::collections::{BTreeMap, VecDeque};
-
-use crate::net::{Marking, PetriError, PetriNet, TransitionId};
-
-/// Explores the reachability set (bounded by `limit` markings).
-fn explore(net: &PetriNet, limit: usize) -> Result<Vec<Marking>, PetriError> {
-    let mut seen: BTreeMap<Marking, ()> = BTreeMap::new();
-    let m0 = net.initial_marking();
-    seen.insert(m0.clone(), ());
-    let mut order = vec![m0.clone()];
-    let mut work = VecDeque::from([m0]);
-    while let Some(m) = work.pop_front() {
-        for t in net.enabled_transitions(&m) {
-            let m2 = net.fire(&m, t).expect("enabled transition fires");
-            if !seen.contains_key(&m2) {
-                if seen.len() >= limit {
-                    return Err(PetriError::BoundExceeded { limit });
-                }
-                seen.insert(m2.clone(), ());
-                order.push(m2.clone());
-                work.push_back(m2);
-            }
-        }
-    }
-    Ok(order)
-}
+use crate::net::{Marking, PetriError, PetriNet};
+use crate::reachability::explore;
 
 /// The reachable *dead* markings (no transition enabled).
 ///
@@ -53,9 +29,10 @@ fn explore(net: &PetriNet, limit: usize) -> Result<Vec<Marking>, PetriError> {
 /// # }
 /// ```
 pub fn deadlock_markings(net: &PetriNet, limit: usize) -> Result<Vec<Marking>, PetriError> {
-    Ok(explore(net, limit)?
-        .into_iter()
-        .filter(|m| net.enabled_transitions(m).is_empty())
+    let ex = explore(net, limit)?;
+    Ok((0..ex.rows.len())
+        .filter(|&q| ex.rows[q].is_empty())
+        .map(|q| ex.markings.key(q).clone())
         .collect())
 }
 
@@ -87,56 +64,31 @@ pub fn deadlock_markings(net: &PetriNet, limit: usize) -> Result<Vec<Marking>, P
 /// # }
 /// ```
 pub fn live_transitions(net: &PetriNet, limit: usize) -> Result<Vec<bool>, PetriError> {
-    let markings = explore(net, limit)?;
-    let index: BTreeMap<&Marking, usize> =
-        markings.iter().enumerate().map(|(i, m)| (m, i)).collect();
-    let n = markings.len();
-    // Forward adjacency.
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, m) in markings.iter().enumerate() {
-        for t in net.enabled_transitions(m) {
-            let m2 = net.fire(m, t).expect("enabled transition fires");
-            succ[i].push(index[&m2]);
+    let rows = explore(net, limit)?.rows;
+    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
+    for (p, row) in rows.iter().enumerate() {
+        for &(_, q) in row {
+            rev[q].push(p);
         }
     }
-    let mut live = Vec::with_capacity(net.transition_count());
-    for t in 0..net.transition_count() {
-        live.push(transition_is_live(net, t, &markings, &succ));
-    }
-    Ok(live)
-}
-
-fn transition_is_live(
-    net: &PetriNet,
-    t: TransitionId,
-    markings: &[Marking],
-    succ: &[Vec<usize>],
-) -> bool {
-    // Backward closure of "enables t".
-    let n = markings.len();
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, js) in succ.iter().enumerate() {
-        for &j in js {
-            rev[j].push(i);
-        }
-    }
-    let mut good = vec![false; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (i, m) in markings.iter().enumerate() {
-        if net.is_enabled(m, t) {
-            good[i] = true;
-            queue.push_back(i);
-        }
-    }
-    while let Some(i) = queue.pop_front() {
-        for &j in &rev[i] {
-            if !good[j] {
-                good[j] = true;
-                queue.push_back(j);
+    let live = (0..net.transition_count()).map(|t| {
+        // Backward closure of "enables t".
+        let mut good: Vec<bool> = rows
+            .iter()
+            .map(|row| row.iter().any(|&(a, _)| a.index() == t))
+            .collect();
+        let mut stack: Vec<usize> = (0..rows.len()).filter(|&q| good[q]).collect();
+        while let Some(q) = stack.pop() {
+            for &p in &rev[q] {
+                if !good[p] {
+                    good[p] = true;
+                    stack.push(p);
+                }
             }
         }
-    }
-    good.iter().all(|&g| g)
+        good.iter().all(|&g| g)
+    });
+    Ok(live.collect())
 }
 
 impl PetriNet {

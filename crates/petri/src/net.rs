@@ -197,30 +197,36 @@ impl PetriNet {
     ///
     /// Panics if `t` is out of range.
     pub fn fire(&self, marking: &Marking, t: TransitionId) -> Option<Marking> {
+        let mut next = Marking::new();
+        self.fire_into(marking, t, &mut next).then_some(next)
+    }
+
+    /// [`PetriNet::fire`] into `next`, reusing its allocation; `false`
+    /// (and `next` untouched) when `t` is not enabled.
+    pub(crate) fn fire_into(&self, marking: &Marking, t: TransitionId, next: &mut Marking) -> bool {
         if !self.is_enabled(marking, t) {
-            return None;
+            return false;
         }
-        let mut next = marking.clone();
+        next.clone_from(marking);
         for &(p, w) in &self.transitions[t].pre {
             next[p] -= w;
         }
         for &(p, w) in &self.transitions[t].post {
             next[p] += w;
         }
-        Some(next)
-    }
-
-    /// All transitions enabled at `marking`.
-    pub fn enabled_transitions(&self, marking: &Marking) -> Vec<TransitionId> {
-        (0..self.transitions.len())
-            .filter(|&t| self.is_enabled(marking, t))
-            .collect()
+        true
     }
 
     /// A compact display of a marking: names of marked places (with counts
     /// when > 1).
     pub fn format_marking(&self, marking: &Marking) -> String {
         let mut out = String::new();
+        self.write_marking(&mut out, marking);
+        out
+    }
+
+    /// [`PetriNet::format_marking`], appended to `out`.
+    pub(crate) fn write_marking(&self, out: &mut String, marking: &Marking) {
         let mut sep = "";
         for (p, &n) in marking.iter().enumerate().filter(|&(_, &n)| n > 0) {
             out.push_str(sep);
@@ -233,7 +239,6 @@ impl PetriNet {
         if sep.is_empty() {
             out.push('∅');
         }
-        out
     }
 }
 
@@ -264,12 +269,6 @@ mod tests {
         assert_eq!(m1, vec![0, 1]);
         assert_eq!(net.fire(&m1, unlock).unwrap(), m0);
         assert_eq!(net.fire(&m1, lock), None);
-    }
-
-    #[test]
-    fn enabled_transitions_listed() {
-        let net = toggle_net();
-        assert_eq!(net.enabled_transitions(&net.initial_marking()), vec![0]);
     }
 
     #[test]

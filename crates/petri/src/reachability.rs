@@ -5,14 +5,53 @@
 //! Figure 1 net. Unbounded nets are detected by a configurable marking
 //! budget.
 
-use std::collections::{BTreeMap, VecDeque};
-
-use rl_automata::{Alphabet, Symbol, TransitionSystem};
+use rl_automata::{Alphabet, Interner, StateId, Symbol, TransitionSystem};
 
 use crate::net::{Marking, PetriError, PetriNet};
 
 /// Default limit on the number of distinct markings explored.
 pub const DEFAULT_MARKING_LIMIT: usize = 100_000;
+
+/// The reachable markings of a net, explored once, breadth first: marking
+/// `q` is the `q`-th discovered (the initial marking is 0), and `rows[q]`
+/// lists its firings as `(transition, successor)`, in transition order.
+/// Every analysis of this crate reads this one exploration.
+pub(crate) struct Exploration {
+    pub(crate) markings: Interner<Marking>,
+    pub(crate) rows: Vec<Vec<(Symbol, StateId)>>,
+}
+
+/// Explores the markings reachable in `net`.
+///
+/// # Errors
+///
+/// Returns [`PetriError::BoundExceeded`] when more than `limit` markings
+/// are reachable.
+pub(crate) fn explore(net: &PetriNet, limit: usize) -> Result<Exploration, PetriError> {
+    let mut markings = Interner::new();
+    markings.intern(net.initial_marking());
+    let mut rows = Vec::new();
+    let mut next = Marking::new();
+    // Ids are handed out in discovery order, so expanding them in id order
+    // is the FIFO search.
+    while rows.len() < markings.len() {
+        let mut row = Vec::new();
+        for t in 0..net.transition_count() {
+            if !net.fire_into(markings.key(rows.len()), t, &mut next) {
+                continue;
+            }
+            let q = match markings.get(&next) {
+                Some(q) => q,
+                None if markings.len() >= limit => return Err(PetriError::BoundExceeded { limit }),
+                None => markings.intern(next.clone()).0,
+            };
+            // The alphabet lists the transitions in order: `t` is its symbol.
+            row.push((Symbol::from_index(t), q));
+        }
+        rows.push(row);
+    }
+    Ok(Exploration { markings, rows })
+}
 
 /// Builds the reachability graph of `net` as a [`TransitionSystem`] whose
 /// action alphabet is the net's transition names and whose states are the
@@ -43,38 +82,24 @@ pub const DEFAULT_MARKING_LIMIT: usize = 100_000;
 /// # }
 /// ```
 pub fn reachability_graph(net: &PetriNet, limit: usize) -> Result<TransitionSystem, PetriError> {
-    let names: Vec<String> = net.transitions().iter().map(|t| t.name.clone()).collect();
     // Transition names are validated unique at insertion, so an empty
     // name list is the only way alphabet construction can fail.
-    let alphabet = Alphabet::new(names).map_err(|_| PetriError::NoTransitions)?;
-    let mut ts = TransitionSystem::new(alphabet);
-    let mut index: BTreeMap<Marking, usize> = BTreeMap::new();
-    let m0 = net.initial_marking();
-    let s0 = ts.add_labeled_state(net.format_marking(&m0));
-    ts.set_initial(s0);
-    index.insert(m0.clone(), s0);
-    let mut work = VecDeque::from([m0]);
-    while let Some(m) = work.pop_front() {
-        let sid = index[&m];
-        for t in net.enabled_transitions(&m) {
-            let m2 = net.fire(&m, t).expect("enabled transition fires");
-            let tid = match index.get(&m2) {
-                Some(&tid) => tid,
-                None => {
-                    if index.len() >= limit {
-                        return Err(PetriError::BoundExceeded { limit });
-                    }
-                    let tid = ts.add_labeled_state(net.format_marking(&m2));
-                    index.insert(m2.clone(), tid);
-                    work.push_back(m2.clone());
-                    tid
-                }
-            };
-            // The alphabet lists the transitions in order: `t` is its symbol.
-            ts.add_transition(sid, Symbol::from_index(t), tid);
-        }
-    }
-    Ok(ts)
+    let alphabet = Alphabet::new(net.transitions().iter().map(|t| &t.name))
+        .map_err(|_| PetriError::NoTransitions)?;
+    let Exploration { markings, rows } = explore(net, limit)?;
+    let mut text = String::new();
+    let ends: Vec<usize> = (0..markings.len())
+        .map(|q| {
+            net.write_marking(&mut text, markings.key(q));
+            text.len()
+        })
+        .collect();
+    let labels = ends.iter().scan(0, |start, &end| {
+        let label = &text[*start..end];
+        *start = end;
+        Some(Some(label))
+    });
+    Ok(TransitionSystem::from_rows(alphabet, 0, labels, rows))
 }
 
 /// Checks `k`-boundedness of every place within the explored graph: returns
@@ -86,24 +111,11 @@ pub fn reachability_graph(net: &PetriNet, limit: usize) -> Result<TransitionSyst
 /// Returns [`PetriError::BoundExceeded`] when the net has more than `limit`
 /// reachable markings.
 pub fn place_bounds(net: &PetriNet, limit: usize) -> Result<Vec<u32>, PetriError> {
+    let markings = explore(net, limit)?.markings;
     let mut bounds = vec![0u32; net.place_count()];
-    let mut seen: BTreeMap<Marking, ()> = BTreeMap::new();
-    let m0 = net.initial_marking();
-    seen.insert(m0.clone(), ());
-    let mut work = VecDeque::from([m0]);
-    while let Some(m) = work.pop_front() {
-        for (p, &n) in m.iter().enumerate() {
-            bounds[p] = bounds[p].max(n);
-        }
-        for t in net.enabled_transitions(&m) {
-            let m2 = net.fire(&m, t).expect("enabled transition fires");
-            if !seen.contains_key(&m2) {
-                if seen.len() >= limit {
-                    return Err(PetriError::BoundExceeded { limit });
-                }
-                seen.insert(m2.clone(), ());
-                work.push_back(m2);
-            }
+    for q in 0..markings.len() {
+        for (bound, &n) in bounds.iter_mut().zip(markings.key(q)) {
+            *bound = (*bound).max(n);
         }
     }
     Ok(bounds)
@@ -141,6 +153,27 @@ mod tests {
         net.add_transition("go", [(a, 1)], [(b, 1)]).unwrap();
         net.add_transition("back", [(b, 1)], [(a, 1)]).unwrap();
         assert_eq!(place_bounds(&net, 100).unwrap(), vec![1, 1]);
+    }
+
+    #[test]
+    fn markings_are_numbered_in_breadth_first_discovery_order() {
+        // Figure 2: state `q` is the `q`-th marking the FIFO search finds,
+        // firing transitions in declaration order.
+        let ts = reachability_graph(&crate::examples::server_net(), 100).unwrap();
+        let labels: Vec<String> = (0..8).filter_map(|q| ts.state_label(q)).collect();
+        assert_eq!(
+            labels.join(" "),
+            "idle,free busy,free idle,locked granting,free busy,locked \
+             granting,locked rejecting,locked rejecting,free"
+        );
+        let edges: String = ts
+            .transitions()
+            .map(|(p, a, q)| format!("{p}{}{q} ", a.index()))
+            .collect();
+        assert_eq!(
+            edges,
+            "001 052 113 154 204 260 330 355 426 461 532 563 642 667 740 756 "
+        );
     }
 
     #[test]

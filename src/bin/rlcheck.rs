@@ -27,15 +27,15 @@
 //!     worst per-check exit code wins.
 //!
 //! rlcheck report <metrics.jsonl> | --dir <journal-dir>
-//!     render a committed --metrics file (rl-obs/v1, /v2, or /v3 with
-//!     percentile tables) offline: the phase table on stdout —
-//!     byte-for-byte the --stats output of the run that wrote it — and a
-//!     per-track event digest on stderr. Also accepts a captured
-//!     `subscribe` stream (rlcheck top 2> file) and renders its per-job
-//!     heartbeat/completion digest. With --dir, renders the persistent
-//!     metrics journal a `serve --metrics-dir` daemon wrote: runs are
-//!     stitched across restarts and rotated segments, with percentile
-//!     columns per histogram family.
+//!     render a committed --metrics file (schema rl-obs/v3) offline: the
+//!     phase table and any percentile table on stdout — byte-for-byte the
+//!     --stats output of the run that wrote it — and a per-track event
+//!     digest on stderr. Also accepts a captured `subscribe` stream (the
+//!     event lines a socket client read after `{"cmd":"subscribe"}`) and
+//!     renders its per-job heartbeat/completion digest. With --dir,
+//!     renders the persistent metrics journal a `serve --metrics-dir`
+//!     daemon wrote: runs are stitched across restarts and rotated
+//!     segments, with percentile columns per histogram family.
 //!
 //! rlcheck slo <baseline.json> --dir <journal-dir>
 //!     regression gate: compare the journal's merged percentiles against a
@@ -51,12 +51,6 @@
 //!     control, live telemetry streaming, and graceful drain on
 //!     SIGINT/SIGTERM. --timeout/--max-states set the default per-job
 //!     budget; see DESIGN.md §12 and the README for the protocol.
-//!
-//! rlcheck top <socket> [--job <id>]
-//!     live per-job view of a running serve daemon: subscribes to the
-//!     telemetry stream and renders states/sec, phase and budget per job
-//!     — a refreshing table when stderr is a TTY, plain
-//!     lines otherwise (so `2> capture.log` records a replayable stream).
 //! ```
 //!
 //! Every subcommand additionally accepts resource limits and observability
@@ -74,8 +68,8 @@
 //! --stats              per-phase profile (states, transitions, elapsed)
 //!                      printed to stderr after the verdict
 //! --metrics <file>     machine-readable JSONL trace written to <file>
-//!                      (schema rl-obs/v1; /v2 with --trace-out; /v3 when
-//!                      percentile histograms recorded samples)
+//!                      (schema rl-obs/v3: spans, trace events under
+//!                      --trace-out, percentile histograms, totals)
 //! --trace-out <file>   event-level timeline: Chrome trace-event JSON
 //!                      (chrome://tracing, Perfetto), one track per worker,
 //!                      with pool telemetry instants
@@ -116,8 +110,8 @@ use relative_liveness::check::{
 };
 use relative_liveness::prelude::*;
 use rl_obs::{
-    evaluate_slo, knobs, parse_slo_baseline, read_journal, render_journal, render_jsonl_with_hists,
-    HistogramRegistry, HistogramSnapshot,
+    evaluate_slo, knobs, parse_slo_baseline, percentile_table, read_journal, render_journal,
+    render_jsonl, HistogramRegistry, HistogramSnapshot,
 };
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
@@ -164,7 +158,7 @@ fn extract_budget(args: &mut Vec<String>) -> Result<Budget, String> {
 struct ObsFlags {
     /// `--stats`: phase table on stderr.
     stats: bool,
-    /// `--metrics <file>`: JSONL (rl-obs/v1, or /v2 when tracing).
+    /// `--metrics <file>`: JSONL (rl-obs/v3).
     metrics: Option<String>,
     /// `--trace-out <file>`: Chrome trace-event JSON.
     trace: Option<String>,
@@ -522,10 +516,10 @@ fn cmd_fair(path: &str, formula: &str, steps: usize) -> Result<ExitCode, CheckEr
 }
 
 /// The `report` subcommand: renders a committed `--metrics` JSONL file
-/// (rl-obs/v1 or /v2) offline. The phase table goes to stdout —
+/// (rl-obs/v3) offline. The phase table and percentile table go to stdout —
 /// byte-for-byte the `--stats` stderr of the run that wrote the file, since
 /// both render the same snapshot at the same microsecond precision — and
-/// the per-track event digest (v2 only) goes to stderr. A captured
+/// the per-track event digest (traced runs only) goes to stderr. A captured
 /// `subscribe` stream (no meta header, `"event"` lines only) renders as a
 /// per-job heartbeat/completion digest instead. Unknown event kinds are
 /// skipped and tallied, never fatal, so newer captures stay readable.
@@ -795,12 +789,12 @@ fn main() -> ExitCode {
         .skip(1)
         .map(OsString::into_string)
         .collect();
-    let usage = "usage: rlcheck <check|abstract|simplicity|fair|dot|batch|report|serve|top|slo> \
+    let usage = "usage: rlcheck <check|abstract|simplicity|fair|dot|batch|report|serve|slo> \
                  <system-file>... [<formula>] [--keep a,b,c] [--steps N] \
                  [--timeout <secs>] [--max-states <n>] [--jobs <n>] \
                  [--manifest <file>] [--formula <f>] \
                  [--socket <path>] [--max-inflight-states <n>] [--queue-cap <n>] \
-                 [--job <id>] [--metrics-dir <dir>] [--dir <journal-dir>] \
+                 [--metrics-dir <dir>] [--dir <journal-dir>] \
                  [--stats] [--metrics <file>] [--trace-out <file>] \
                  [--flame-out <file>] [--progress]";
     let Ok(mut args) = args else {
@@ -969,28 +963,6 @@ fn main() -> ExitCode {
                 fail("serve requires Unix domain sockets and is not available on this platform")
             }
         }
-        "top" => {
-            #[cfg(unix)]
-            {
-                let job = match extract_value_flag(&mut args, "--job") {
-                    Ok(v) => match v.map(|raw| raw.parse::<u64>()).transpose() {
-                        Ok(n) => n,
-                        Err(_) => return fail("--job needs a job id"),
-                    },
-                    Err(e) => return fail(format!("{e}\n{usage}")),
-                };
-                match args.get(1) {
-                    Some(socket) => govern(|| {
-                        relative_liveness::top::run_top(socket, job, &cancel).map(ExitCode::from)
-                    }),
-                    None => fail("top needs <socket>"),
-                }
-            }
-            #[cfg(not(unix))]
-            {
-                fail("top requires Unix domain sockets and is not available on this platform")
-            }
-        }
         "report" => {
             let dir = match extract_value_flag(&mut args, "--dir") {
                 Ok(d) => d,
@@ -1095,19 +1067,24 @@ fn finish(
         .into_iter()
         .filter(|(_, snap)| snap.count > 0)
         .collect();
-    let events = tracer.map(Tracer::events);
+    let events = tracer.map(Tracer::events).unwrap_or_default();
     if obs.stats {
         eprint!("{}", snapshot.summary());
-        eprint!("{}", hist_table(&hist_snaps));
+        // Percentiles are schedule-dependent, so they live below the
+        // deterministic counter table, in the layout `rlcheck report` uses.
+        eprint!(
+            "{}",
+            percentile_table("histogram", hist_snaps.iter().map(|(n, s)| (n, s)))
+        );
     }
     if let Some(path) = &obs.metrics {
-        let jsonl = render_jsonl_with_hists(&snapshot, reg.jobs(), events.as_deref(), &hist_snaps);
+        let jsonl = render_jsonl(&snapshot, reg.jobs(), &events, &hist_snaps);
         if let Err(e) = std::fs::write(path, jsonl) {
             return fail(format!("--metrics {path}: {e}"));
         }
     }
     if let Some(path) = &obs.trace {
-        let chrome = chrome_trace_json(events.as_deref().unwrap_or_default());
+        let chrome = chrome_trace_json(&events);
         let text = relative_liveness::json::to_string_pretty(&chrome)
             .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
         if let Err(e) = std::fs::write(path, text) {
@@ -1120,37 +1097,4 @@ fn finish(
         }
     }
     code
-}
-
-/// Renders the `--stats` percentile footer: one row per histogram family
-/// with a sample, in the same column layout `rlcheck report` uses for
-/// `rl-obs/v3` files, so the live footer and the offline report line up.
-/// Empty (no header) when nothing was recorded — percentiles are
-/// schedule-dependent, so they live below the deterministic counter table
-/// and never perturb it.
-fn hist_table(hists: &[(String, HistogramSnapshot)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (name, snap) in hists {
-        if snap.count == 0 {
-            continue;
-        }
-        if out.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
-                "histogram", "count", "p50", "p90", "p99", "max"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{name:<36} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            snap.count,
-            snap.p50(),
-            snap.p90(),
-            snap.p99(),
-            snap.max,
-        );
-    }
-    out
 }

@@ -53,8 +53,6 @@ pub mod check;
 pub mod format;
 #[cfg(unix)]
 pub mod serve;
-#[cfg(unix)]
-pub mod top;
 
 pub use rl_abstraction as abstraction;
 pub use rl_automata as automata;

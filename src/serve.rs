@@ -513,8 +513,8 @@ fn job_heartbeat_json(id: u64, stream: &JobStream) -> Json {
 }
 
 /// Forwards every tracer event recorded since the last tick, tagged with
-/// the job id (the wire addition `rlcheck report` tolerates and `top`
-/// keys on).
+/// the job id (the wire addition `rlcheck report` keys a captured stream's
+/// per-job digest on).
 fn publish_job_trace(core: &Core, id: u64, stream: &JobStream) {
     for e in stream.tracer.drain_new() {
         let mut obj = e.to_json();

@@ -142,6 +142,11 @@ fn bad_usage_exits_2() {
     assert_eq!(out2.status.code(), Some(2));
     let out3 = rlcheck(&["check", "examples/systems/clock.ts", "[[[["]);
     assert_eq!(out3.status.code(), Some(2));
+    // The retired live viewer is an unknown command, gone from the usage.
+    let top = rlcheck(&["top", "/nonexistent.sock"]);
+    assert_eq!(top.status.code(), Some(2));
+    assert!(stderr(&top).contains("unknown command \"top\""));
+    assert!(!stderr(&top).contains("|top|"), "{}", stderr(&top));
 }
 
 #[cfg(unix)]
@@ -867,9 +872,11 @@ fn metrics_flag_writes_parseable_jsonl_covering_the_pipeline() {
     assert_eq!(events.first().map(String::as_str), Some("meta"));
     assert_eq!(events.last().map(String::as_str), Some("totals"));
     let meta = rl_json::parse(text.lines().next().expect("meta line")).expect("meta parses");
-    // A one-shot check records no percentile histogram and no trace, so
-    // the schema stays v1.
-    assert_eq!(str_field(&meta, "schema"), "rl-obs/v1");
+    // Every file carries the one schema; a one-shot check records no
+    // percentile histogram and no trace, and its meta line says so.
+    assert_eq!(str_field(&meta, "schema"), "rl-obs/v3");
+    assert_eq!(meta.get("events"), Some(&rl_json::Json::Int(0)), "{meta:?}");
+    assert_eq!(meta.get("hists"), Some(&rl_json::Json::Int(0)), "{meta:?}");
     // Every phase of the (lazy, default) check pipeline shows up as a
     // span path.
     for needle in [
@@ -1238,6 +1245,26 @@ fn batch_manifest_mode_and_exit_aggregation() {
 }
 
 #[test]
+fn batch_manifest_runs_at_four_jobs() {
+    let dir = std::env::temp_dir().join("rlcheck-batch-jobs4");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("manifest.txt");
+    std::fs::write(
+        &manifest,
+        "examples/systems/clock.ts []<>tick\nexamples/systems/server.pn []<>result\n",
+    )
+    .expect("manifest written");
+    let out = rlcheck(&[
+        "batch",
+        "--manifest",
+        manifest.to_str().expect("utf-8 path"),
+        "--jobs",
+        "4",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
+#[test]
 fn batch_output_is_identical_across_jobs() {
     let dir = std::env::temp_dir().join("rlcheck-batch-determinism");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -1502,10 +1529,11 @@ fn report_renders_event_digest_for_v2_files() {
     assert_eq!(live.status.code(), Some(0));
     let text = std::fs::read_to_string(&metrics).expect("metrics written");
     assert!(
-        text.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v2\""),
-        "tracing upgrades the JSONL schema: {}",
+        text.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""),
+        "a traced run writes the one JSONL schema: {}",
         text.lines().next().unwrap_or_default()
     );
+    assert!(text.contains("\"event\":\"trace\""), "trace lines written");
     let report = rlcheck(&["report", metrics.to_str().expect("utf-8 path")]);
     assert_eq!(report.status.code(), Some(0));
     let err = stderr(&report);
@@ -1523,6 +1551,20 @@ fn report_rejects_missing_or_malformed_input() {
     std::fs::write(&path, "this is not JSONL\n").expect("file written");
     let out2 = rlcheck(&["report", path.to_str().expect("utf-8 path")]);
     assert_eq!(out2.status.code(), Some(2), "malformed file => input error");
+    // A retired schema tag is an input error that names the one schema.
+    let retired = dir.join("retired.jsonl");
+    let meta = concat!(
+        "{\"event\":\"meta\",\"schema\":\"rl-obs/",
+        "v1\",\"elapsed_us\":0}\n"
+    );
+    std::fs::write(&retired, meta).expect("file written");
+    let out3 = rlcheck(&["report", retired.to_str().expect("utf-8 path")]);
+    assert_eq!(out3.status.code(), Some(2), "retired tag => input error");
+    assert!(
+        stderr(&out3).contains("expected rl-obs/v3"),
+        "{}",
+        stderr(&out3)
+    );
 }
 
 #[test]
@@ -1905,8 +1947,8 @@ fn report_renders_captured_subscribe_streams() {
     let dir = std::env::temp_dir().join("rlcheck-report-stream");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let capture = dir.join("capture.jsonl");
-    // A headerless subscribe capture, as written by `rlcheck top 2> file`
-    // or a raw socket client.
+    // A headerless subscribe capture, as a raw socket client reads it
+    // after `{"cmd":"subscribe"}`.
     std::fs::write(
         &capture,
         concat!(
@@ -1961,12 +2003,12 @@ fn stats_and_metrics_carry_percentile_histograms() {
         .find(|l| l.trim_start().starts_with("batch/job_wall_us"))
         .unwrap_or_else(|| panic!("no batch/job_wall_us row: {err}"));
     assert_eq!(wall.split_whitespace().nth(1), Some("2"), "{wall}");
-    // Recording histograms upgrades the JSONL schema to v3 with one `hist`
-    // line per recorded family.
+    // Recorded histograms land in the one JSONL schema as one `hist` line
+    // per recorded family.
     let text = std::fs::read_to_string(&path).expect("metrics written");
     assert!(
         text.starts_with("{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""),
-        "histograms upgrade the schema: {}",
+        "the one schema: {}",
         text.lines().next().unwrap_or_default()
     );
     assert!(text.contains("\"event\":\"hist\""), "{text}");
@@ -1992,8 +2034,8 @@ fn report_tolerates_mid_record_truncation() {
     assert_eq!(live.status.code(), Some(0));
     let bytes = std::fs::read(&metrics).expect("metrics written");
     assert!(
-        bytes.starts_with(b"{\"event\":\"meta\",\"schema\":\"rl-obs/v2\""),
-        "v2 file expected"
+        bytes.starts_with(b"{\"event\":\"meta\",\"schema\":\"rl-obs/v3\""),
+        "rl-obs/v3 file expected"
     );
     // Cut inside the final record (the totals line is last and long).
     let cut = dir.join("cut.jsonl");

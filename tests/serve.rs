@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -355,15 +355,22 @@ fn fault_injected_daemon_contains_panics_rejects_cancels_and_drains() {
     assert!(err.contains("drained"), "stderr: {err}");
 }
 
-/// Span rows (path → states) for jobs `job<id>/...` of a metrics file.
-fn job_spans(metrics: &str) -> Vec<(String, i64)> {
+/// Span rows (path, states, transitions, guard charges) for the jobs
+/// `job<id>/...` of the metrics file `path`, `id` in `jobs`.
+fn job_spans(path: &Path, jobs: &[u64]) -> Vec<(String, i64, i64, i64)> {
+    let metrics = std::fs::read_to_string(path).expect("metrics written");
     let mut spans = Vec::new();
     for line in metrics.lines() {
         let v = rl_json::parse(line).unwrap_or_else(|e| panic!("bad metrics line {line:?}: {e}"));
         if matches!(v.get("event"), Some(Json::Str(e)) if e == "span") {
             let path = str_field(&v, "path");
-            if path.starts_with("job1/") || path.starts_with("job3/") {
-                spans.push((path, int_field(&v, "states")));
+            if jobs.iter().any(|id| path.starts_with(&format!("job{id}/"))) {
+                spans.push((
+                    path,
+                    int_field(&v, "states"),
+                    int_field(&v, "transitions"),
+                    int_field(&v, "guard_charges"),
+                ));
             }
         }
     }
@@ -433,9 +440,10 @@ fn panicking_job_is_contained_and_siblings_stay_deterministic() {
     );
 
     // The surviving jobs' deterministic counters are bit-for-bit unchanged
-    // by the sibling panic: same span paths, same state counts.
-    let clean_spans = job_spans(&std::fs::read_to_string(&m_clean).expect("clean metrics"));
-    let fault_spans = job_spans(&std::fs::read_to_string(&m_fault).expect("fault metrics"));
+    // by the sibling panic: same span paths, states, transitions and
+    // guard charges.
+    let clean_spans = job_spans(&m_clean, &[1, 3]);
+    let fault_spans = job_spans(&m_fault, &[1, 3]);
     assert!(!clean_spans.is_empty(), "metrics record job spans");
     assert_eq!(clean_spans, fault_spans);
 }
@@ -775,7 +783,7 @@ fn poll_stats(c: &mut Client, what: &str, pred: impl Fn(&Json) -> bool) -> Json 
 
 #[test]
 fn subscribe_streams_heartbeats_and_traces_before_done() {
-    let d = start_daemon("sub", &["--jobs", "2"], &[("RL_PROGRESS_MS", "5")]);
+    let mut d = start_daemon("sub", &["--jobs", "4"], &[("RL_PROGRESS_MS", "5")]);
 
     // One connection subscribes to every job before any is submitted.
     let mut sub = connect(&d);
@@ -783,46 +791,112 @@ fn subscribe_streams_heartbeats_and_traces_before_done() {
     assert!(bool_field(&ack, "ok"), "{ack:?}");
     assert_eq!(int_field(&ack, "ring_capacity"), 1024, "default ring size");
 
-    // Another submits and collects the verdict through the normal verbs.
+    // Another submits and collects the verdicts through the normal verbs.
     let mut c = connect(&d);
-    let r = c.request(&submit_line(&[
-        ("path", s("examples/systems/server.pn")),
-        ("formula", s("[]<>result")),
-    ]));
-    assert!(bool_field(&r, "ok"), "{r:?}");
-    let id = int_field(&r, "id");
-    let done = c.wait_job(id);
-    assert_eq!(int_field(&done, "code"), 0, "{done:?}");
+    let ids: Vec<i64> = [
+        "examples/systems/server.pn",
+        "examples/systems/server_err.pn",
+        "examples/systems/server.pn",
+    ]
+    .into_iter()
+    .map(|path| {
+        let r = c.request(&submit_line(&[
+            ("path", s(path)),
+            ("formula", s("[]<>result")),
+        ]));
+        assert!(bool_field(&r, "ok"), "{r:?}");
+        int_field(&r, "id")
+    })
+    .collect();
+    let codes: Vec<i64> = ids
+        .iter()
+        .map(|&id| int_field(&c.wait_job(id), "code"))
+        .collect();
+    assert_eq!(codes, vec![0, 1, 0]);
 
     let st = c.stats();
     assert_eq!(int_field(&st, "subscribers"), 1, "{st:?}");
 
-    // The stream must carry at least one heartbeat and one trace event for
-    // the job strictly before its `done` record — guaranteed even for runs
-    // shorter than the sampling period, because completion publishes a
-    // final heartbeat and the trace tail under the same lock as `done`.
-    let (mut beats, mut traces) = (0u64, 0u64);
-    loop {
-        let v = sub.try_recv().expect("stream ended before the done record");
-        match str_field(&v, "event").as_str() {
-            "heartbeat" if int_field(&v, "job") == id => beats += 1,
-            "trace" if int_field(&v, "job") == id => traces += 1,
-            "done" if int_field(&v, "job") == id => break,
-            _ => {}
+    // Capture the stream until every job is done, then up to the
+    // `unsubscribe` reply: everything published before the detach is on
+    // the wire ahead of it.
+    let mut events = Vec::new();
+    let mut open = ids.len();
+    while open > 0 {
+        let v = sub
+            .try_recv()
+            .expect("stream ended before every done record");
+        if str_field(&v, "event") == "done" {
+            open -= 1;
         }
+        events.push(v);
     }
-    assert!(beats >= 1, "no heartbeat before done");
-    assert!(traces >= 1, "no trace event before done");
-
-    // `unsubscribe` detaches cleanly and the connection stays usable.
-    let off = sub.request("{\"cmd\":\"unsubscribe\"}");
+    sub.send("{\"cmd\":\"unsubscribe\"}");
+    let off = loop {
+        let v = sub
+            .try_recv()
+            .expect("stream ended before the unsubscribe reply");
+        if v.get("event").is_none() {
+            break v;
+        }
+        events.push(v);
+    };
     assert!(bool_field(&off, "ok"), "{off:?}");
     assert!(bool_field(&off, "unsubscribed"), "{off:?}");
+
+    // Each job gets at least one heartbeat and one trace event strictly
+    // before exactly one `done` record — guaranteed even for runs shorter
+    // than the sampling period, because completion publishes a final
+    // heartbeat and the trace tail under the same lock as `done`.
+    for &id in &ids {
+        let seen: Vec<String> = events
+            .iter()
+            .filter(|v| matches!(v.get("job"), Some(Json::Int(j)) if *j == id))
+            .map(|v| str_field(v, "event"))
+            .collect();
+        let done_at = seen
+            .iter()
+            .position(|e| e == "done")
+            .unwrap_or_else(|| panic!("job {id}: no done record in {seen:?}"));
+        assert!(
+            seen[..done_at].iter().any(|e| e == "heartbeat"),
+            "job {id}: no heartbeat before done: {seen:?}"
+        );
+        assert!(
+            seen[..done_at].iter().any(|e| e == "trace"),
+            "job {id}: no trace event before done: {seen:?}"
+        );
+        assert_eq!(
+            done_at + 1,
+            seen.len(),
+            "job {id}: events after done: {seen:?}"
+        );
+    }
+
+    // The captured stream replays offline through `rlcheck report`.
+    let capture = scratch("sub-capture", "jsonl");
+    let text: String = events
+        .iter()
+        .map(|v| rl_json::to_string(v).expect("render event") + "\n")
+        .collect();
+    std::fs::write(&capture, text).expect("capture written");
+    let (out, err, code) = run_rlcheck(&["report", capture.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&capture);
+    assert_eq!(code, 0, "{err}");
+    assert!(out.contains("stream: 3 job(s)"), "{out}");
+    assert!(out.contains("done code 1"), "{out}");
+
+    // The detached connection stays usable.
     let st = sub.stats();
     assert_eq!(int_field(&st, "subscribers"), 0, "{st:?}");
     let req = st.field("requests").expect("requests object");
     assert_eq!(int_field(req, "subscribe"), 1);
     assert_eq!(int_field(req, "unsubscribe"), 1);
+
+    let ack = c.shutdown();
+    assert_eq!(str_field(&ack, "status"), "draining");
+    assert_eq!(d.wait_exit(), 0, "stderr: {}", d.stderr_text());
+    assert!(d.stderr_text().contains("drained"), "{}", d.stderr_text());
 }
 
 #[test]
@@ -891,7 +965,7 @@ fn active_subscriber_leaves_deterministic_counters_unchanged() {
     // Daemon A: no subscriber.
     let mut quiet = start_daemon(
         "sub-quiet",
-        &["--jobs", "2", "--metrics", m_quiet.to_str().unwrap()],
+        &["--jobs", "4", "--metrics", m_quiet.to_str().unwrap()],
         &[],
     );
     let mut c = connect(&quiet);
@@ -907,7 +981,7 @@ fn active_subscriber_leaves_deterministic_counters_unchanged() {
     // subscriber reading the whole stream.
     let mut watched = start_daemon(
         "sub-watched",
-        &["--jobs", "2", "--metrics", m_watched.to_str().unwrap()],
+        &["--jobs", "4", "--metrics", m_watched.to_str().unwrap()],
         &[("RL_PROGRESS_MS", "2")],
     );
     let sub = connect(&watched);
@@ -943,9 +1017,10 @@ fn active_subscriber_leaves_deterministic_counters_unchanged() {
     assert!(beats >= 1, "the subscriber observed the jobs");
 
     // The observed daemon's deterministic per-job counters are bit-for-bit
-    // those of the unobserved one: same span paths, same state counts.
-    let quiet_spans = job_spans(&std::fs::read_to_string(&m_quiet).expect("quiet metrics"));
-    let watched_spans = job_spans(&std::fs::read_to_string(&m_watched).expect("watched metrics"));
+    // those of the unobserved one: same span paths, states, transitions
+    // and guard charges, for every job.
+    let quiet_spans = job_spans(&m_quiet, &[1, 2, 3]);
+    let watched_spans = job_spans(&m_watched, &[1, 2, 3]);
     assert!(!quiet_spans.is_empty(), "metrics record job spans");
     assert_eq!(quiet_spans, watched_spans);
 }

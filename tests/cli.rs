@@ -407,13 +407,8 @@ fn atoms_outside_the_alphabet_are_warned_about() {
 /// alphabets grow with the system.
 fn golden_cases() -> Vec<(String, String, String)> {
     let sigma_ab = sigma_ab_system("rlcheck-golden-check");
-    let generated_dir = std::env::temp_dir().join("rlcheck-golden-generated");
-    std::fs::create_dir_all(&generated_dir).expect("temp dir");
     let generated = |label: String, ts: rl_automata::TransitionSystem, formula: &str| {
-        let path = generated_dir.join(format!("{label}.ts"));
-        std::fs::write(&path, relative_liveness::format::render_system(&ts))
-            .expect("system written");
-        let path = path.to_str().expect("utf-8 path").to_owned();
+        let path = write_generated("rlcheck-golden-generated", &label, &ts);
         (label, path, formula.to_owned())
     };
     let mut cases: Vec<(String, String, String)> = [
@@ -451,6 +446,15 @@ fn golden_cases() -> Vec<(String, String, String)> {
         cases.push(generated(label, ts, "[]<>t0 | <>[]!t0"));
     }
     cases
+}
+
+/// Writes `ts` as `<temp dir>/<dir>/<label>.ts` and returns the path.
+fn write_generated(dir: &str, label: &str, ts: &rl_automata::TransitionSystem) -> String {
+    let dir = std::env::temp_dir().join(dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("{label}.ts"));
+    std::fs::write(&path, relative_liveness::format::render_system(ts)).expect("system written");
+    path.to_str().expect("utf-8 path").to_owned()
 }
 
 /// One `rlcheck check <path> <formula> --metrics <file>` run of the golden
@@ -591,6 +595,53 @@ fn check_counters_match_golden() {
             run.header
         );
     }
+}
+
+/// `rlcheck abstract` stdout and exit code on perfbench's `abstract` mix
+/// (the two servers, the protocol, `server_farm(1|2)`, `token_ring(32)`)
+/// plus `server_farm(3)` and `token_ring(128)`, each with the hiding the
+/// mix uses: the abstract system's size, both verdicts, the simplicity
+/// witness, the maximal-word side condition and the conclusion.
+#[test]
+fn abstract_stdout_matches_golden() {
+    let figure = "request,result,reject".to_owned();
+    let mut cases: Vec<(String, String, String, String)> = [
+        ("server.pn", "[]<>result", figure.clone()),
+        ("server_err.pn", "[]<>result", figure),
+        ("abp.ts", "[]<>deliver", "deliver,ack0,ack1".to_owned()),
+    ]
+    .into_iter()
+    .map(|(file, formula, keep)| {
+        let path = format!("examples/systems/{file}");
+        (path.clone(), path, formula.to_owned(), keep)
+    })
+    .collect();
+    let generated = |label: String, ts, formula: &str, keep: Vec<String>| {
+        let path = write_generated("rlcheck-golden-abstract", &label, &ts);
+        (label, path, formula.to_owned(), keep.join(","))
+    };
+    for k in [1, 2, 3] {
+        let ts = rl_bench::server_farm(k);
+        let keep = rl_bench::farm_observables(k);
+        cases.push(generated(
+            format!("server_farm({k})"),
+            ts,
+            "[]<>result0",
+            keep,
+        ));
+    }
+    for n in [32, 128] {
+        let keep = (0..n).map(|i| format!("pass{i}")).collect();
+        let ts = rl_bench::token_ring(n);
+        cases.push(generated(format!("token_ring({n})"), ts, "[]<>pass0", keep));
+    }
+    let mut text = String::new();
+    for (label, path, formula, keep) in cases {
+        let out = rlcheck(&["abstract", &path, &formula, "--keep", &keep]);
+        let code = out.status.code().expect("rlcheck exits with a code");
+        text += &format!("=== {label} {formula}\n{}exit {code}\n", stdout(&out));
+    }
+    assert_matches_golden("abstract_stdout.txt", &text);
 }
 
 /// Deterministic work of one default check run as a batch job on a

@@ -1,14 +1,18 @@
 //! Images and inverse images of languages and behaviors under abstracting
 //! homomorphisms (Definitions 6.1/6.2).
 
-use rl_automata::{Guard, Nfa, TransitionSystem};
+use rl_automata::{AutomataError, Dfa, Guard, Nfa, StateId, StateSet, Symbol, TransitionSystem};
 use rl_buchi::Buchi;
 
 use crate::hom::{AbstractionError, Homomorphism};
 
 /// The image `h(L(nfa))` as an NFA over the target alphabet.
 ///
-/// Hidden transitions become ε-transitions, which are then eliminated.
+/// Hidden transitions become ε-transitions, which are then eliminated
+/// ([`Nfa::from_epsilon_parts`]). The pipeline does not build this NFA: it
+/// determinizes the image straight from the machine with
+/// [`image_dfa_with`], and this two-step route is that construction's
+/// test oracle.
 ///
 /// # Example
 ///
@@ -46,6 +50,33 @@ pub fn image_nfa(h: &Homomorphism, nfa: &Nfa) -> Nfa {
     .expect("indices preserved from a valid NFA")
 }
 
+/// One subset construction of `h(L(nfa))`, from several start subsets at
+/// once: the DFA and its state for each root, in `roots` order (the first
+/// root's state is initial).
+///
+/// The subsets are ε-closed sets of `nfa`'s own states (see
+/// [`Nfa::determinize_image_with`]), so no ε-eliminated automaton is built;
+/// [`image_nfa`] followed by a determinization accepts the same language
+/// from each root and serves as this construction's test oracle. The
+/// guard is charged one state per subset and one transition per DFA edge,
+/// under one `determinize` span.
+///
+/// # Errors
+///
+/// [`AutomataError::AlphabetMismatch`](rl_automata::AutomataError) when
+/// `nfa` is not over `h`'s source alphabet, and the guard's budget,
+/// deadline and cancellation errors.
+pub fn image_dfa_with(
+    h: &Homomorphism,
+    nfa: &Nfa,
+    roots: &[StateSet],
+    guard: &Guard,
+) -> Result<(Dfa, Vec<StateId>), AutomataError> {
+    h.source().check_compatible(nfa.alphabet())?;
+    let relabel: Vec<Option<Symbol>> = h.source().symbols().map(|a| h.apply(a)).collect();
+    nfa.determinize_image_with(h.target(), &relabel, roots, guard)
+}
+
 /// The abstract behavior generator of Definition 6.2: the transition system
 /// whose prefix-closed language is `h(L)` where `L` is `ts`'s language, and
 /// whose ω-behavior is therefore `lim(h(L))`.
@@ -68,16 +99,45 @@ pub fn abstract_behavior_with(
     ts: &TransitionSystem,
     guard: &Guard,
 ) -> Result<TransitionSystem, AbstractionError> {
+    Ok(abstract_image_with(h, ts, guard)?.0)
+}
+
+/// The abstract system of [`abstract_behavior_with`] together with
+/// whether `h(L)` has maximal words (the side condition of Theorems
+/// 8.2/8.3, as [`has_maximal_words_with`](crate::has_maximal_words_with)
+/// decides it on [`image_nfa`]), both read off one DFA of `h(L)`.
+///
+/// Under an `abstract_image` span: [`image_dfa_with`] builds the DFA (its
+/// `determinize` span is the only charged step), a `maximal_words` span
+/// looks for a live state without a live successor, and a `minimize` span
+/// minimizes it; the rejecting sink is then dropped.
+///
+/// # Errors
+///
+/// Returns [`AbstractionError::Automata`] for an alphabet mismatch or when
+/// the guard trips.
+pub fn abstract_image_with(
+    h: &Homomorphism,
+    ts: &TransitionSystem,
+    guard: &Guard,
+) -> Result<(TransitionSystem, bool), AbstractionError> {
     let _span = guard.span("abstract_image");
-    let img = image_nfa(h, &ts.to_nfa());
-    let min = img.determinize_with(guard)?.min_dfa_with(guard);
+    let nfa = ts.to_nfa();
+    let root: StateSet = nfa.initial().iter().copied().collect();
+    let (image, _) = image_dfa_with(h, &nfa, &[root], guard)?;
+    let maximal_words = {
+        let _span = guard.span("maximal_words");
+        image.has_maximal_words()
+    };
+    let min = image.min_dfa_with(guard);
     // `min` is complete; drop the rejecting sink (h(L) is prefix closed, so
     // live states are exactly the accepting ones).
     let keep: Vec<bool> = (0..min.state_count())
         .map(|q| min.is_accepting(q))
         .collect();
     let live = min.to_nfa().restrict(&keep);
-    Ok(TransitionSystem::from_nfa(&live).expect("non-empty prefix-closed language"))
+    let system = TransitionSystem::from_nfa(&live).expect("non-empty prefix-closed language");
+    Ok((system, maximal_words))
 }
 
 /// The inverse image `h⁻¹(L'(nfa))` over the source alphabet, for finite

@@ -4,8 +4,8 @@
 //!
 //! * [`Homomorphism`] — abstracting homomorphisms `h : Σ → Σ' ∪ {ε}`
 //!   (Definition 6.1), applied to symbols, words, lasso ω-words, automata,
-//! * [`image_nfa`] / [`abstract_behavior`] — the abstract behavior
-//!   `lim(h(L))` of a system (Definition 6.2),
+//! * [`image_nfa`] / [`image_dfa_with`] / [`abstract_behavior`] — the
+//!   abstract behavior `lim(h(L))` of a system (Definition 6.2),
 //! * [`inverse_image_nfa`] / [`inverse_image_buchi`] — `h⁻¹`,
 //! * [`check_simplicity`] — decides whether `h` is *simple* for a
 //!   prefix-closed regular language (Definition 6.3, after Ochsenschläger),
@@ -56,7 +56,8 @@ mod simplicity;
 pub use compositional::compositional_abstract_behavior;
 pub use hom::{AbstractionError, Homomorphism};
 pub use image::{
-    abstract_behavior, abstract_behavior_with, image_nfa, inverse_image_buchi, inverse_image_nfa,
+    abstract_behavior, abstract_behavior_with, abstract_image_with, image_dfa_with, image_nfa,
+    inverse_image_buchi, inverse_image_nfa,
 };
 pub use maximal::{extend_with_hash, has_maximal_words, has_maximal_words_with, HASH_ACTION};
 pub use simplicity::{check_simplicity, check_simplicity_with, SimplicityReport};

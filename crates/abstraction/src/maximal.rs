@@ -14,7 +14,10 @@ pub const HASH_ACTION: &str = "#";
 /// Whether the (prefix-closed) language contains maximal words.
 ///
 /// Decided on the trimmed DFA: a maximal word is one reaching an accepting
-/// state with no live outgoing transition.
+/// state with no live outgoing transition. The abstraction pipeline reads
+/// the same condition off its own DFA of `h(L)`
+/// ([`rl_automata::Dfa::has_maximal_words`]); this function is that
+/// read's test oracle.
 ///
 /// # Example
 ///

@@ -22,9 +22,11 @@
 //! off `d` (every live state accepts).
 //!
 //! Both kinds of language come from one automaton. The image of `d` under
-//! `h` is determinized once, from one root `{q}` per state of `d`:
-//! `root[q]` recognizes `h(cont(w, L))` for every `w` reaching `q`, and
-//! `root[q₀]` recognizes `h(L)` itself. One Hopcroft partition of that DFA
+//! `h` is determinized once, from one root `{q}` per state of `d`, by
+//! [`image_dfa_with`]: its subsets are ε-closed sets of states of `d`
+//! itself, so no ε-eliminated automaton is built. `root[q]` recognizes
+//! `h(cont(w, L))` for every `w` reaching `q`, and `root[q₀]` recognizes
+//! `h(L)` itself. One Hopcroft partition of that DFA
 //! merges the states of equal language, so in the resulting class DFA
 //! residual equivalence is equality of states, and `s` is tracked there.
 //!
@@ -44,7 +46,7 @@ use rl_automata::{
 };
 
 use crate::hom::{AbstractionError, Homomorphism};
-use crate::image::image_nfa;
+use crate::image::image_dfa_with;
 
 /// Outcome of a simplicity check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +102,8 @@ pub fn check_simplicity(
 /// [`check_simplicity`] under a resource [`Guard`].
 ///
 /// Two subset constructions run, each under a `determinize` span: one for
-/// `L` and one shared multi-root construction for all continuation images.
+/// `L` and one shared multi-root construction for all continuation images,
+/// over ε-closed sets of states of `L`'s trimmed DFA.
 /// A `partition` span covers the Hopcroft refinement of the image DFA,
 /// which is polynomial and not charged. The guard is charged, in order,
 /// for the subset states and edges of both constructions, then one state
@@ -140,7 +143,7 @@ pub fn check_simplicity_with(
     let roots: Vec<StateSet> = (0..d.state_count())
         .map(|q| StateSet::from_iter([q]))
         .collect();
-    let (img, root) = image_nfa(h, &d.to_nfa()).determinize_roots_with(&roots, guard)?;
+    let (img, root) = image_dfa_with(h, &d.to_nfa(), &roots, guard)?;
     let (classes, class) = {
         let _span = guard.span("partition");
         let class = img.equivalence_classes();

@@ -392,12 +392,45 @@ impl Dfa {
     }
 
     /// States that are reachable from the initial state and can reach an
-    /// accepting state.
+    /// accepting state: a forward search over the rows, then a backward one
+    /// from the reachable accepting states over the edges it saw (every
+    /// state on a path from a reachable state is reachable).
     fn live_states(&self) -> Vec<bool> {
-        let nfa = self.to_nfa();
-        let reach = nfa.reachable();
-        let coreach = nfa.coreachable();
-        reach.iter().zip(&coreach).map(|(&r, &c)| r && c).collect()
+        let n = self.state_count();
+        let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
+        let mut reach = vec![false; n];
+        let mut stack = Vec::new();
+        if n > 0 {
+            reach[self.initial] = true;
+            stack.push(self.initial);
+        }
+        while let Some(p) = stack.pop() {
+            for &t in &self.delta[p] {
+                if t == NO_TRANSITION {
+                    continue;
+                }
+                let q = t as StateId;
+                preds[q].push(p);
+                if !reach[q] {
+                    reach[q] = true;
+                    stack.push(q);
+                }
+            }
+        }
+        let mut live = vec![false; n];
+        for q in (0..n).filter(|&q| reach[q] && self.accepting[q]) {
+            live[q] = true;
+            stack.push(q);
+        }
+        while let Some(q) = stack.pop() {
+            for &p in &preds[q] {
+                if !live[p] {
+                    live[p] = true;
+                    stack.push(p);
+                }
+            }
+        }
+        live
     }
 
     /// Restricts the automaton to its live states (reachable and
@@ -427,6 +460,21 @@ impl Dfa {
             .iter()
             .enumerate()
             .all(|(q, &live)| !live || self.accepting[q])
+    }
+
+    /// Whether the language has a *maximal* word, one that is no proper
+    /// prefix of another accepted word: some live accepting state has no
+    /// live successor.
+    pub fn has_maximal_words(&self) -> bool {
+        let live = self.live_states();
+        (0..self.state_count()).any(|q| {
+            live[q]
+                && self.accepting[q]
+                && !self
+                    .alphabet
+                    .symbols()
+                    .any(|a| self.next(q, a).is_some_and(|t| live[t]))
+        })
     }
 
     /// Removes states unreachable from the initial state.

@@ -14,6 +14,7 @@
 //! offline with no external crates. Lookups verify full key equality, so
 //! hash collisions can never conflate two distinct states.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -280,6 +281,11 @@ impl Extend<StateId> for StateSet {
 /// algorithms rely on for deterministic numbering). Lookup verifies key
 /// equality, so two keys that collide in the hash can never share an id.
 ///
+/// Each key is stored once and hashed once per call: a table maps the
+/// key's [`FxHasher`] hash to the last id interned with that hash, and ids
+/// of equal hash are chained (full 64-bit collisions are rare, so chains
+/// are almost always one long).
+///
 /// # Example
 ///
 /// ```
@@ -294,15 +300,43 @@ impl Extend<StateId> for StateSet {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Interner<K> {
-    map: FxHashMap<K, StateId>,
+    /// Key hash → the last id interned with that hash.
+    heads: HashMap<u64, StateId, BuildHasherDefault<HashedHasher>>,
+    /// `chain[id]`: the previous id whose key has `keys[id]`'s hash, or
+    /// [`NO_ID`].
+    chain: Vec<StateId>,
     keys: Vec<K>,
+}
+
+/// End of an [`Interner`] hash chain.
+const NO_ID: StateId = StateId::MAX;
+
+/// Passes an [`Interner`]'s precomputed `u64` key hash through unchanged.
+#[derive(Debug, Clone, Default)]
+struct HashedHasher(u64);
+
+impl Hasher for HashedHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 hashes are written");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
 }
 
 impl<K: Hash + Eq + Clone> Interner<K> {
     /// An empty interner.
     pub fn new() -> Interner<K> {
         Interner {
-            map: FxHashMap::default(),
+            heads: HashMap::default(),
+            chain: Vec::new(),
             keys: Vec::new(),
         }
     }
@@ -310,7 +344,8 @@ impl<K: Hash + Eq + Clone> Interner<K> {
     /// An empty interner with room for `capacity` keys.
     pub fn with_capacity(capacity: usize) -> Interner<K> {
         Interner {
-            map: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            heads: HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
+            chain: Vec::with_capacity(capacity),
             keys: Vec::with_capacity(capacity),
         }
     }
@@ -318,20 +353,60 @@ impl<K: Hash + Eq + Clone> Interner<K> {
     /// Returns the id of `key`, interning it when new; the flag is `true`
     /// exactly when the key was newly added.
     pub fn intern(&mut self, key: K) -> (StateId, bool) {
-        match self.map.get(&key) {
-            Some(&id) => (id, false),
-            None => {
-                let id = self.keys.len();
-                self.keys.push(key.clone());
-                self.map.insert(key, id);
-                (id, true)
-            }
+        match self.try_intern(&key, || Ok::<(), std::convert::Infallible>(())) {
+            Ok(found) => found,
+            Err(never) => match never {},
         }
+    }
+
+    /// [`Interner::intern`] behind an admission check: a new key is
+    /// interned (cloned) only when `admit` returns `Ok`; when it refuses,
+    /// its error is returned and the interner is unchanged. Known keys
+    /// never call `admit`. The subset constructions charge a guard state
+    /// here, and a bounded exploration checks its limit.
+    ///
+    /// # Errors
+    ///
+    /// The error of `admit`.
+    pub fn try_intern<E>(
+        &mut self,
+        key: &K,
+        admit: impl FnOnce() -> Result<(), E>,
+    ) -> Result<(StateId, bool), E> {
+        let id = self.keys.len();
+        let prev = match self.heads.entry(fx_hash(key)) {
+            Entry::Vacant(slot) => {
+                admit()?;
+                slot.insert(id);
+                NO_ID
+            }
+            Entry::Occupied(mut slot) => {
+                let mut at = *slot.get();
+                while at != NO_ID {
+                    if self.keys[at] == *key {
+                        return Ok((at, false));
+                    }
+                    at = self.chain[at];
+                }
+                admit()?;
+                std::mem::replace(slot.get_mut(), id)
+            }
+        };
+        self.chain.push(prev);
+        self.keys.push(key.clone());
+        Ok((id, true))
     }
 
     /// The id of `key`, when already interned.
     pub fn get(&self, key: &K) -> Option<StateId> {
-        self.map.get(key).copied()
+        let mut at = *self.heads.get(&fx_hash(key))?;
+        while at != NO_ID {
+            if self.keys[at] == *key {
+                return Some(at);
+            }
+            at = self.chain[at];
+        }
+        None
     }
 
     /// The key interned as `id`.
@@ -352,6 +427,13 @@ impl<K: Hash + Eq + Clone> Interner<K> {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
+}
+
+/// The [`FxHasher`] hash of `key`.
+fn fx_hash<K: Hash + ?Sized>(key: &K) -> u64 {
+    let mut hasher = FxHasher::default();
+    key.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Index for product constructions: maps a state pair `(p, q)` from two
@@ -550,6 +632,51 @@ mod tests {
         assert_eq!(i.get(&(1, 2)), Some(1));
         assert_eq!(i.get(&(9, 9)), None);
         assert_eq!(i.key(1), &(1, 2));
+    }
+
+    #[test]
+    fn refused_admission_leaves_the_interner_unchanged() {
+        let mut i: Interner<StateSet> = Interner::new();
+        let known = StateSet::from_iter([1, 2]);
+        assert_eq!(i.try_intern(&known, || Ok::<(), ()>(())), Ok((0, true)));
+        // A known key is found without asking.
+        let asked = std::cell::Cell::new(false);
+        let found = i.try_intern(&known, || {
+            asked.set(true);
+            Err("refused")
+        });
+        assert_eq!(found, Ok((0, false)));
+        assert!(!asked.get());
+        // A refused new key is not interned: same length, no id, and the
+        // next admitted key gets the id the refused one would have had.
+        let fresh = StateSet::from_iter([3]);
+        assert_eq!(i.try_intern(&fresh, || Err("refused")), Err("refused"));
+        assert_eq!(i.len(), 1);
+        assert_eq!(i.get(&fresh), None);
+        assert_eq!(i.get(&known), Some(0));
+        assert_eq!(i.try_intern(&fresh, || Ok::<(), ()>(())), Ok((1, true)));
+        assert_eq!(i.key(1), &fresh);
+    }
+
+    #[test]
+    fn interner_chains_keys_of_equal_hash() {
+        // Keys whose hashes collide: a key type hashing to a constant.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Same(u32);
+        impl Hash for Same {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                state.write_u64(7);
+            }
+        }
+        let mut i: Interner<Same> = Interner::new();
+        for n in 0..4 {
+            assert_eq!(i.intern(Same(n)), (n as usize, true));
+        }
+        for n in 0..4 {
+            assert_eq!(i.intern(Same(n)), (n as usize, false));
+            assert_eq!(i.get(&Same(n)), Some(n as usize));
+        }
+        assert_eq!(i.get(&Same(9)), None);
     }
 
     #[test]

@@ -6,31 +6,44 @@
 
 use std::time::Instant;
 
-use rl_abstraction::{abstract_behavior, check_simplicity, Homomorphism};
+use rl_abstraction::Homomorphism;
 use rl_bench::{
     fairness_chain, farm_observables, nested_until, nth_from_end_property, server_farm, token_ring,
 };
 use rl_buchi::{behaviors_of_ts, Buchi};
 use rl_core::{
     is_relative_liveness, is_relative_liveness_with, is_relative_safety, satisfies,
-    synthesize_fair_implementation, verify_via_abstraction, Guard, MetricsRegistry, Property,
-    TransferConclusion,
+    synthesize_fair_implementation, verify_via_abstraction, verify_via_abstraction_with, Guard,
+    MetricsRegistry, Property, TransferConclusion,
 };
 use rl_exec::{run, AgingScheduler};
 use rl_logic::{formula_to_buchi, parse, Labeling};
 use rl_petri::examples::{server_behaviors, server_err_behaviors};
 
-fn time_ms<T>(f: impl Fn() -> T) -> (T, f64) {
-    // Median of three runs.
+/// Runs `f` `repeats` times: the last result and every wall time in ms,
+/// ascending.
+fn time_runs<T>(repeats: usize, f: impl Fn() -> T) -> (T, Vec<f64>) {
     let mut times = Vec::new();
     let mut out = None;
-    for _ in 0..3 {
+    for _ in 0..repeats {
         let start = Instant::now();
         out = Some(f());
         times.push(start.elapsed().as_secs_f64() * 1_000.0);
     }
     times.sort_by(f64::total_cmp);
-    (out.expect("ran at least once"), times[1])
+    (out.expect("ran at least once"), times)
+}
+
+fn time_ms<T>(f: impl Fn() -> T) -> (T, f64) {
+    // Median of three runs.
+    let (out, times) = time_runs(3, f);
+    (out, times[1])
+}
+
+/// `median [least–greatest]` of ascending times, in ms.
+fn spread(times: &[f64]) -> String {
+    let (least, greatest) = (times[0], times[times.len() - 1]);
+    format!("{:.2} [{least:.2}–{greatest:.2}]", times[times.len() / 2])
 }
 
 fn fig2() {
@@ -138,8 +151,9 @@ fn scaling() {
 
 fn payoff() {
     println!("== E13 — abstraction payoff (Corollary 8.4) ==");
+    println!("(ms: median [least–greatest] of {PAYOFF_REPEATS} calls)");
     println!(
-        "{:<16} {:>8} {:>10} {:>14} {:>14} {:>18} {:>9}",
+        "{:<16} {:>6} {:>10} {:>22} {:>22} {:>22} {:>9}",
         "system",
         "states",
         "abs-states",
@@ -157,19 +171,18 @@ fn payoff() {
         let eta = parse("[]<>result0").expect("parses");
 
         // Concrete route: decide the transported property on the full system.
-        let (concrete, concrete_ms) =
-            time_ms(|| rl_core::check_transported_concrete(&ts, &h, &eta).expect("concrete check"));
-        // Abstract route: abstraction + simplicity + abstract decision.
-        let (abs_states, abstract_ms) = time_ms(|| {
-            let abs = abstract_behavior(&h, &ts);
-            let simple = check_simplicity(&h, &ts.to_nfa())
-                .expect("simplicity")
-                .simple;
-            let verdict =
-                is_relative_liveness(&behaviors_of_ts(&abs), &Property::formula(eta.clone()))
-                    .expect("abstract check");
-            assert!(simple && verdict.holds == concrete.holds);
-            abs.state_count()
+        let (concrete, concrete_ms) = time_runs(PAYOFF_REPEATS, || {
+            rl_core::check_transported_concrete(&ts, &h, &eta).expect("concrete check")
+        });
+        // Abstract route: the shipped pipeline (abstraction, maximal-word
+        // side condition, abstract decision, simplicity), as `rlcheck
+        // abstract` runs it.
+        let (abs_states, abstract_ms) = time_runs(PAYOFF_REPEATS, || {
+            let run = verify_via_abstraction_with(&ts, &h, &eta, &Guard::unlimited())
+                .expect("abstract route");
+            assert_eq!(run.abstract_verdict.holds, concrete.holds);
+            assert_eq!(run.conclusion, TransferConclusion::ConcreteHolds);
+            run.abstract_system.state_count()
         });
         // Compositional route (Ochsenschläger-style): never build the
         // concrete composite at all.
@@ -188,7 +201,7 @@ fn payoff() {
             }
         })
         .expect("same visible names");
-        let (_, compositional_ms) = time_ms(|| {
+        let (_, compositional_ms) = time_runs(PAYOFF_REPEATS, || {
             let abs = rl_abstraction::compositional_abstract_behavior(&components, &h_union)
                 .expect("hidden actions are local");
             let verdict =
@@ -197,19 +210,23 @@ fn payoff() {
             assert!(verdict.holds == concrete.holds || k > 2);
             abs.state_count()
         });
+        let median = |times: &[f64]| times[times.len() / 2];
         println!(
-            "{:<16} {:>8} {:>10} {:>14.2} {:>14.2} {:>18.2} {:>8.1}x",
+            "{:<16} {:>6} {:>10} {:>22} {:>22} {:>22} {:>8.1}x",
             format!("server_farm({k})"),
             ts.state_count(),
             abs_states,
-            concrete_ms,
-            abstract_ms,
-            compositional_ms,
-            concrete_ms / compositional_ms
+            spread(&concrete_ms),
+            spread(&abstract_ms),
+            spread(&compositional_ms),
+            median(&concrete_ms) / median(&compositional_ms)
         );
     }
     println!();
 }
+
+/// Calls per route and system in `payoff`.
+const PAYOFF_REPEATS: usize = 7;
 
 fn hardness() {
     println!("== E14 — determinization-hardness family (PSPACE shape), lazy search ==");

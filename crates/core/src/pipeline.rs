@@ -5,7 +5,8 @@
 //! alphabet:
 //!
 //! 1. compute the abstract system generating `lim(h(L))`,
-//! 2. check the side condition that `h(L)` has no maximal words,
+//! 2. check the side condition that `h(L)` has no maximal words (on the
+//!    same DFA of `h(L)` as step 1),
 //! 3. decide relative liveness of `η` on the *abstract* system,
 //! 4. check simplicity of `h` on `L` (Definition 6.3),
 //! 5. conclude about `lim(L) ⊨_RL R̄(η)`:
@@ -15,9 +16,7 @@
 //!    * abstract holds but `h` not simple ⇒ inconclusive (the paper's
 //!      Figure 3 trap: the abstraction looks fine, the system is broken).
 
-use rl_abstraction::{
-    abstract_behavior_with, check_simplicity_with, has_maximal_words_with, image_nfa, Homomorphism,
-};
+use rl_abstraction::{abstract_image_with, check_simplicity_with, Homomorphism};
 use rl_automata::{Guard, TransitionSystem, Word};
 use rl_buchi::behaviors_of_ts_with;
 use rl_logic::{r_bar_strict, simplify, Formula, Labeling, EPSILON_PROP};
@@ -121,7 +120,10 @@ pub fn verify_via_abstraction(
 ///
 /// The abstract-system construction, the abstract relative-liveness
 /// decision, and the simplicity check are all charged against the same
-/// guard, so a single budget bounds the whole pipeline.
+/// guard, so a single budget bounds the whole pipeline. Three subset
+/// constructions run: `h(L)` once under `abstract_image` (the abstract
+/// system and the maximal-word side condition are both read off it), then
+/// `L` and the continuation images under `simplicity`.
 ///
 /// # Errors
 ///
@@ -134,17 +136,14 @@ pub fn verify_via_abstraction_with(
 ) -> Result<AbstractionAnalysis, CoreError> {
     let _span = guard.span("abstraction_pipeline");
     h.source().check_compatible(ts.alphabet())?;
-    let language = ts.to_nfa();
 
-    let image = image_nfa(h, &language);
-    let maximal_words = has_maximal_words_with(&image, guard)?;
-
-    let abstract_system = abstract_behavior_with(h, ts, guard)?;
+    // One DFA of h(L) gives both the side condition and the abstract system.
+    let (abstract_system, maximal_words) = abstract_image_with(h, ts, guard)?;
     let abstract_behaviors = behaviors_of_ts_with(&abstract_system, guard)?;
     let abstract_verdict =
         is_relative_liveness_with(&abstract_behaviors, &Property::formula(eta.clone()), guard)?;
 
-    let simplicity = check_simplicity_with(h, &language, guard)?;
+    let simplicity = check_simplicity_with(h, &ts.to_nfa(), guard)?;
     // The strict transport R̄(η) ∧ □◇¬ε — the reading under which both
     // transfer theorems are sound (see rl_logic::r_bar_strict).
     let transported_formula =
@@ -304,6 +303,35 @@ mod tests {
         let run = verify_via_abstraction(&ts, &h, &parse("<>a").unwrap()).unwrap();
         assert!(run.maximal_words);
         assert_eq!(run.conclusion, TransferConclusion::InconclusiveMaximalWords);
+    }
+
+    #[test]
+    fn one_run_determinizes_three_times() {
+        let ts = server_behaviors();
+        let h = Homomorphism::hiding(ts.alphabet(), ["request", "result", "reject"]).unwrap();
+        let registry = rl_automata::MetricsRegistry::new();
+        let guard = Guard::unlimited().with_metrics(registry.clone());
+        verify_via_abstraction_with(&ts, &h, &parse("[]<>result").unwrap(), &guard).unwrap();
+        let records = registry.records();
+        let paths = |name: &str| -> Vec<&str> {
+            let named = records.iter().filter(|r| r.name == name);
+            named.map(|r| r.path.as_str()).collect()
+        };
+        // h(L) once, for both the abstract system and the maximal-word
+        // side condition; then L and every continuation image in the
+        // simplicity check.
+        let image = "abstraction_pipeline/abstract_image";
+        assert_eq!(
+            paths("determinize"),
+            [
+                format!("{image}/determinize"),
+                "abstraction_pipeline/simplicity/determinize".to_owned(),
+                "abstraction_pipeline/simplicity/determinize".to_owned(),
+            ]
+        );
+        assert_eq!(paths("maximal_words"), [format!("{image}/maximal_words")]);
+        assert_eq!(paths("minimize"), [format!("{image}/minimize")]);
+        assert_eq!(paths("partition").len(), 1);
     }
 
     #[test]

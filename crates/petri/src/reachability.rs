@@ -40,11 +40,14 @@ pub(crate) fn explore(net: &PetriNet, limit: usize) -> Result<Exploration, Petri
             if !net.fire_into(markings.key(rows.len()), t, &mut next) {
                 continue;
             }
-            let q = match markings.get(&next) {
-                Some(q) => q,
-                None if markings.len() >= limit => return Err(PetriError::BoundExceeded { limit }),
-                None => markings.intern(next.clone()).0,
-            };
+            let full = markings.len() >= limit;
+            let (q, _) = markings.try_intern(&next, || {
+                if full {
+                    Err(PetriError::BoundExceeded { limit })
+                } else {
+                    Ok(())
+                }
+            })?;
             // The alphabet lists the transitions in order: `t` is its symbol.
             row.push((Symbol::from_index(t), q));
         }

@@ -984,10 +984,11 @@ fn active_subscriber_leaves_deterministic_counters_unchanged() {
         &["--jobs", "4", "--metrics", m_watched.to_str().unwrap()],
         &[("RL_PROGRESS_MS", "2")],
     );
-    let sub = connect(&watched);
-    let mut sub_writer = sub.writer.try_clone().expect("clone");
+    let mut sub = connect(&watched);
+    // Subscribed before the first submit: the ack is the daemon's word.
+    let ack = sub.request("{\"cmd\":\"subscribe\",\"id\":\"*\"}");
+    assert!(bool_field(&ack, "ok"), "{ack:?}");
     let mut sub_reader = sub.reader;
-    writeln!(sub_writer, "{{\"cmd\":\"subscribe\",\"id\":\"*\"}}").expect("subscribe");
     let reader = std::thread::spawn(move || {
         // Reads the whole stream until the daemon drains (EOF), counting
         // heartbeats; errors end the stream like EOF.

@@ -392,45 +392,12 @@ impl Dfa {
     }
 
     /// States that are reachable from the initial state and can reach an
-    /// accepting state: a forward search over the rows, then a backward one
-    /// from the reachable accepting states over the edges it saw (every
-    /// state on a path from a reachable state is reachable).
+    /// accepting state.
     fn live_states(&self) -> Vec<bool> {
-        let n = self.state_count();
-        let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        let mut reach = vec![false; n];
-        let mut stack = Vec::new();
-        if n > 0 {
-            reach[self.initial] = true;
-            stack.push(self.initial);
-        }
-        while let Some(p) = stack.pop() {
-            for &t in &self.delta[p] {
-                if t == NO_TRANSITION {
-                    continue;
-                }
-                let q = t as StateId;
-                preds[q].push(p);
-                if !reach[q] {
-                    reach[q] = true;
-                    stack.push(q);
-                }
-            }
-        }
-        let mut live = vec![false; n];
-        for q in (0..n).filter(|&q| reach[q] && self.accepting[q]) {
-            live[q] = true;
-            stack.push(q);
-        }
-        while let Some(q) = stack.pop() {
-            for &p in &preds[q] {
-                if !live[p] {
-                    live[p] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        live
+        let nfa = self.to_nfa();
+        let reach = nfa.reachable();
+        let coreach = nfa.coreachable();
+        reach.iter().zip(&coreach).map(|(&r, &c)| r && c).collect()
     }
 
     /// Restricts the automaton to its live states (reachable and

@@ -560,9 +560,8 @@ impl Nfa {
             guard.note_frontier(dfa.state_count() - d - 1);
             for q in index.key(d).iter() {
                 for (a, &label) in self.alphabet.symbols().zip(relabel) {
-                    let (Some(b), successors) = (label, self.successor_slice(q, a)) else {
-                        continue;
-                    };
+                    let Some(b) = label else { continue };
+                    let successors = self.successor_slice(q, a);
                     if successors.is_empty() {
                         continue;
                     }

@@ -103,7 +103,9 @@ pub fn check_simplicity(
 ///
 /// Two subset constructions run, each under a `determinize` span: one for
 /// `L` and one shared multi-root construction for all continuation images,
-/// over ε-closed sets of states of `L`'s trimmed DFA.
+/// over ε-closed sets of states of `L`'s trimmed DFA. Between them, a
+/// `trim` span covers the one live-state pass over `L`'s DFA that both
+/// tests prefix closure and trims it.
 /// A `partition` span covers the Hopcroft refinement of the image DFA,
 /// which is polynomial and not charged. The guard is charged, in order,
 /// for the subset states and edges of both constructions, then one state
@@ -122,11 +124,16 @@ pub fn check_simplicity_with(
     let _span = guard.span("simplicity");
     h.source().check_compatible(language.alphabet())?;
     let full = language.determinize_with(guard)?;
-    if !full.is_prefix_closed() {
-        return Err(AbstractionError::NotPrefixClosed);
-    }
-    // Every live state of `d` accepts, and `d` has no other states.
-    let d = full.trim();
+    // One live-state pass serves both the prefix-closure test (every live
+    // state accepts) and the trim, so every state of `d` accepts.
+    let d = {
+        let _span = guard.span("trim");
+        let live = full.live_states();
+        if (0..full.state_count()).any(|q| live[q] && !full.is_accepting(q)) {
+            return Err(AbstractionError::NotPrefixClosed);
+        }
+        full.restrict(&live)
+    };
     if d.state_count() == 0 {
         // Empty language: vacuously simple (no words to check).
         return Ok(SimplicityReport {
@@ -485,8 +492,10 @@ mod tests {
         check_simplicity_with(&h, &l, &guard).unwrap();
         let records = registry.records();
         let count = |name: &str| records.iter().filter(|r| r.name == name).count();
-        // One subset construction for L, one shared one for every image.
+        // One subset construction for L, one shared one for every image,
+        // and one live-state pass between them.
         assert_eq!(count("determinize"), 2);
+        assert_eq!(count("trim"), 1);
         assert_eq!(count("partition"), 1);
         assert_eq!(count("prefix_closed"), 0);
     }

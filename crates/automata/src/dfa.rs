@@ -1,5 +1,7 @@
 //! Deterministic finite automata over finite words.
 
+use std::collections::VecDeque;
+
 use crate::alphabet::{Alphabet, Symbol};
 use crate::error::AutomataError;
 use crate::guard::Guard;
@@ -314,12 +316,42 @@ impl Dfa {
 
     /// Whether the language is empty.
     pub fn is_empty_language(&self) -> bool {
-        self.to_nfa().is_empty_language()
+        let reach = self.reachable();
+        !(0..self.state_count()).any(|q| reach[q] && self.accepting[q])
     }
 
-    /// A shortest accepted word, when the language is non-empty.
+    /// A shortest accepted word, when the language is non-empty: the path
+    /// to the first accepting state of a breadth-first search that tries
+    /// letters in alphabet order.
     pub fn shortest_accepted(&self) -> Option<Word> {
-        self.to_nfa().shortest_accepted()
+        let n = self.state_count();
+        let mut parent: Vec<Option<(StateId, Symbol)>> = vec![None; n];
+        let mut seen = vec![false; n];
+        let mut queue = VecDeque::new();
+        if n > 0 {
+            seen[self.initial] = true;
+            queue.push_back(self.initial);
+        }
+        let mut q = loop {
+            let p = queue.pop_front()?;
+            if self.accepting[p] {
+                break p;
+            }
+            for (ai, &t) in self.delta[p].iter().enumerate() {
+                if t != NO_TRANSITION && !seen[t as usize] {
+                    seen[t as usize] = true;
+                    parent[t as usize] = Some((p, Symbol::from_index(ai)));
+                    queue.push_back(t as StateId);
+                }
+            }
+        };
+        let mut word = Vec::new();
+        while let Some((p, a)) = parent[q] {
+            word.push(a);
+            q = p;
+        }
+        word.reverse();
+        Some(word)
     }
 
     /// Converts to an equivalent [`Nfa`].
@@ -391,32 +423,113 @@ impl Dfa {
             .collect()
     }
 
-    /// States that are reachable from the initial state and can reach an
-    /// accepting state.
-    fn live_states(&self) -> Vec<bool> {
-        let nfa = self.to_nfa();
-        let reach = nfa.reachable();
-        let coreach = nfa.coreachable();
-        reach.iter().zip(&coreach).map(|(&r, &c)| r && c).collect()
+    /// States reachable from the initial state (none when there are no
+    /// states), by a forward search over the rows.
+    fn reachable(&self) -> Vec<bool> {
+        let mut seen = vec![false; self.state_count()];
+        let mut stack = Vec::new();
+        if let Some(s) = seen.get_mut(self.initial) {
+            *s = true;
+            stack.push(self.initial);
+        }
+        while let Some(p) = stack.pop() {
+            for &t in &self.delta[p] {
+                if t != NO_TRANSITION && !seen[t as usize] {
+                    seen[t as usize] = true;
+                    stack.push(t as StateId);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The live states: those reachable from the initial state that can
+    /// reach an accepting state. A word is a prefix of an accepted word
+    /// exactly when it leads to a live state.
+    ///
+    /// After the forward search, the edges leaving reachable states are
+    /// reversed into one flat array grouped by target, and a backward
+    /// search from the reachable accepting states runs over it; every
+    /// state it meets is reachable, since it only follows edges from
+    /// reachable states.
+    pub fn live_states(&self) -> Vec<bool> {
+        let n = self.state_count();
+        let reach = self.reachable();
+        // `end[t]` counts the reverse edges into states up to `t`; filling
+        // `pred` from the back moves it to the start of `t`'s group, so
+        // `pred[end[t]..end[t + 1]]` are the predecessors of `t`.
+        let mut end = vec![0usize; n + 1];
+        let edges_from_reachable = || {
+            (0..n)
+                .filter(|&p| reach[p])
+                .flat_map(|p| self.delta[p].iter().map(move |&t| (p, t)))
+                .filter(|&(_, t)| t != NO_TRANSITION)
+        };
+        for (_, t) in edges_from_reachable() {
+            end[t as usize] += 1;
+        }
+        for t in 1..=n {
+            end[t] += end[t - 1];
+        }
+        let mut pred = vec![0u32; end[n]];
+        for (p, t) in edges_from_reachable() {
+            end[t as usize] -= 1;
+            pred[end[t as usize]] = p as u32;
+        }
+        let mut live = vec![false; n];
+        let mut stack: Vec<StateId> = (0..n).filter(|&q| reach[q] && self.accepting[q]).collect();
+        for &q in &stack {
+            live[q] = true;
+        }
+        while let Some(t) = stack.pop() {
+            for &p in &pred[end[t]..end[t + 1]] {
+                if !live[p as usize] {
+                    live[p as usize] = true;
+                    stack.push(p as StateId);
+                }
+            }
+        }
+        live
+    }
+
+    /// Keeps exactly the states with `keep[q] == true`, in their old order;
+    /// transitions into dropped states become undefined. A kept initial
+    /// state stays initial; otherwise the result's initial state is the
+    /// default of [`Dfa::new`], which names no state when none is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` has fewer entries than there are states.
+    pub fn restrict(&self, keep: &[bool]) -> Dfa {
+        let n = self.state_count();
+        // New id of each kept state; dropped states map to "no transition".
+        let mut map = vec![NO_TRANSITION; n];
+        let mut out = Dfa::with_capacity(
+            self.alphabet.clone(),
+            keep[..n].iter().filter(|&&k| k).count(),
+        );
+        for q in (0..n).filter(|&q| keep[q]) {
+            map[q] = out.accepting.len() as u32;
+            out.accepting.push(self.accepting[q]);
+        }
+        for q in (0..n).filter(|&q| keep[q]) {
+            let row = self.delta[q].iter().map(|&t| match t {
+                NO_TRANSITION => NO_TRANSITION,
+                t => map[t as usize],
+            });
+            out.delta.push(row.collect());
+        }
+        if let Some(&q0) = map.get(self.initial).filter(|&&q| q != NO_TRANSITION) {
+            out.initial = q0 as StateId;
+        }
+        out
     }
 
     /// Restricts the automaton to its live states (reachable and
     /// co-reachable). The language is unchanged; an empty language yields
     /// a DFA with no states.
     pub fn trim(&self) -> Dfa {
-        let trimmed = self.to_nfa().restrict(&self.live_states());
-        // Restriction preserves determinism.
-        let mut out = Dfa::new(self.alphabet.clone());
-        for q in 0..trimmed.state_count() {
-            out.add_state(trimmed.is_accepting(q));
-        }
-        if let Some(&q0) = trimmed.initial().iter().next() {
-            out.set_initial(q0);
-        }
-        for (p, a, q) in trimmed.transitions() {
-            out.set_transition(p, a, q);
-        }
-        out
+        self.restrict(&self.live_states())
     }
 
     /// Whether the language is prefix closed (`L = pre(L)`): every live
@@ -444,26 +557,10 @@ impl Dfa {
         })
     }
 
-    /// Removes states unreachable from the initial state.
+    /// Removes states unreachable from the initial state. An automaton
+    /// without states comes back unchanged.
     pub fn remove_unreachable(&self) -> Dfa {
-        let nfa = self.to_nfa();
-        let reach = nfa.reachable();
-        let mut map: Vec<Option<StateId>> = vec![None; self.state_count()];
-        let mut out = Dfa::new(self.alphabet.clone());
-        for q in 0..self.state_count() {
-            if reach[q] {
-                map[q] = Some(out.add_state(self.accepting[q]));
-            }
-        }
-        if let Some(ni) = map[self.initial] {
-            out.set_initial(ni);
-        }
-        for (p, a, q) in self.transitions() {
-            if let (Some(np), Some(nq)) = (map[p], map[q]) {
-                out.set_transition(np, a, nq);
-            }
-        }
-        out
+        self.restrict(&self.reachable())
     }
 }
 
@@ -591,6 +688,37 @@ mod tests {
         let m = d.min_dfa();
         assert_eq!(m.state_count(), 2);
         assert!(crate::equiv::dfa_equivalent(&m, &even_a()));
+    }
+
+    #[test]
+    fn empty_languages_minimize_to_one_rejecting_sink() {
+        let (ab, a, _) = ab2();
+        let none = Dfa::new(ab.clone());
+        assert_eq!(none.remove_unreachable(), none);
+        // A reachable but dead state trims away to no states at all.
+        let mut dead = Dfa::new(ab);
+        let q0 = dead.add_state(false);
+        dead.set_transition(q0, a, q0);
+        let trimmed = dead.trim();
+        assert_eq!(trimmed.state_count(), 0);
+        for d in [none, trimmed] {
+            let m = d.min_dfa();
+            assert_eq!(m.state_count(), 1);
+            assert!(m.is_complete() && m.is_empty_language());
+            assert_eq!(m.shortest_accepted(), None);
+        }
+    }
+
+    #[test]
+    fn restrict_renumbers_in_order_and_cuts_edges() {
+        let (_, a, b) = ab2();
+        let d = even_a();
+        // Keep only the odd state: its `a` edge led to a dropped state.
+        let odd = d.restrict(&[false, true]);
+        assert_eq!(odd.state_count(), 1);
+        assert!(!odd.is_accepting(0));
+        assert_eq!(odd.next(0, a), None);
+        assert_eq!(odd.next(0, b), Some(0));
     }
 
     #[test]

@@ -331,6 +331,7 @@ mod tests {
         );
         assert_eq!(paths("maximal_words"), [format!("{image}/maximal_words")]);
         assert_eq!(paths("minimize"), [format!("{image}/minimize")]);
+        assert_eq!(paths("trim"), ["abstraction_pipeline/simplicity/trim"]);
         assert_eq!(paths("partition").len(), 1);
     }
 

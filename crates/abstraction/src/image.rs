@@ -130,36 +130,14 @@ pub fn abstract_image_with(
         image.has_maximal_words()
     };
     let min = image.min_dfa_with(guard);
-    Ok((accepting_system(&min), maximal_words))
-}
-
-/// The transition system on the accepting states of `min`, the complete
-/// minimal DFA of the prefix-closed `h(L)`: there the live states are
-/// exactly the accepting ones, so this drops the rejecting sink. States
-/// keep their order in `min`, and each row its letter order.
-fn accepting_system(min: &Dfa) -> TransitionSystem {
-    assert!(
-        min.is_accepting(min.initial()),
-        "non-empty prefix-closed language"
-    );
-    let accepting: Vec<bool> = (0..min.state_count())
+    // `min` is complete; drop the rejecting sink (h(L) is prefix closed, so
+    // live states are exactly the accepting ones).
+    let keep: Vec<bool> = (0..min.state_count())
         .map(|q| min.is_accepting(q))
         .collect();
-    let live = min.restrict(&accepting);
-    let rows = (0..live.state_count())
-        .map(|p| {
-            live.alphabet()
-                .symbols()
-                .filter_map(|a| Some((a, live.next(p, a)?)))
-                .collect()
-        })
-        .collect();
-    TransitionSystem::from_rows(
-        live.alphabet().clone(),
-        live.initial(),
-        std::iter::repeat_n(None, live.state_count()),
-        rows,
-    )
+    let live = min.to_nfa().restrict(&keep);
+    let system = TransitionSystem::from_nfa(&live).expect("non-empty prefix-closed language");
+    Ok((system, maximal_words))
 }
 
 /// The inverse image `h⁻¹(L'(nfa))` over the source alphabet, for finite

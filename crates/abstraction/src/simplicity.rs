@@ -104,8 +104,8 @@ pub fn check_simplicity(
 /// Two subset constructions run, each under a `determinize` span: one for
 /// `L` and one shared multi-root construction for all continuation images,
 /// over ε-closed sets of states of `L`'s trimmed DFA. Between them, a
-/// `trim` span covers the one live-state pass over `L`'s DFA that both
-/// tests prefix closure and trims it.
+/// `trim` span covers trimming `L`'s DFA: one live-state pass, whose
+/// result also shows whether `L` is prefix closed.
 /// A `partition` span covers the Hopcroft refinement of the image DFA,
 /// which is polynomial and not charged. The guard is charged, in order,
 /// for the subset states and edges of both constructions, then one state
@@ -124,16 +124,15 @@ pub fn check_simplicity_with(
     let _span = guard.span("simplicity");
     h.source().check_compatible(language.alphabet())?;
     let full = language.determinize_with(guard)?;
-    // One live-state pass serves both the prefix-closure test (every live
-    // state accepts) and the trim, so every state of `d` accepts.
+    // The trim keeps exactly the live states, so `L` is prefix closed
+    // exactly when every state of `d` accepts.
     let d = {
         let _span = guard.span("trim");
-        let live = full.live_states();
-        if (0..full.state_count()).any(|q| live[q] && !full.is_accepting(q)) {
-            return Err(AbstractionError::NotPrefixClosed);
-        }
-        full.restrict(&live)
+        full.trim()
     };
+    if (0..d.state_count()).any(|q| !d.is_accepting(q)) {
+        return Err(AbstractionError::NotPrefixClosed);
+    }
     if d.state_count() == 0 {
         // Empty language: vacuously simple (no words to check).
         return Ok(SimplicityReport {

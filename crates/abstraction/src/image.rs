@@ -1,7 +1,9 @@
 //! Images and inverse images of languages and behaviors under abstracting
 //! homomorphisms (Definitions 6.1/6.2).
 
-use rl_automata::{AutomataError, Dfa, Guard, Nfa, StateId, StateSet, Symbol, TransitionSystem};
+use rl_automata::{
+    AutomataError, Dfa, EdgeRows, Guard, Nfa, StateId, StateSet, Symbol, TransitionSystem,
+};
 use rl_buchi::Buchi;
 
 use crate::hom::{AbstractionError, Homomorphism};
@@ -50,12 +52,14 @@ pub fn image_nfa(h: &Homomorphism, nfa: &Nfa) -> Nfa {
     .expect("indices preserved from a valid NFA")
 }
 
-/// One subset construction of `h(L(nfa))`, from several start subsets at
+/// One subset construction of `h(L(rows))`, from several start subsets at
 /// once: the DFA and its state for each root, in `roots` order (the first
 /// root's state is initial).
 ///
-/// The subsets are ε-closed sets of `nfa`'s own states (see
-/// [`Nfa::determinize_image_with`]), so no ε-eliminated automaton is built;
+/// `rows` is any automaton the construction reads ([`Nfa`], [`Dfa`],
+/// [`TransitionSystem`]). The subsets are ε-closed sets of its own states
+/// (see [`EdgeRows::determinize_image_with`]), so neither an ε-eliminated
+/// automaton nor an [`Nfa`] copy is built;
 /// [`image_nfa`] followed by a determinization accepts the same language
 /// from each root and serves as this construction's test oracle. The
 /// guard is charged one state per subset and one transition per DFA edge,
@@ -64,17 +68,17 @@ pub fn image_nfa(h: &Homomorphism, nfa: &Nfa) -> Nfa {
 /// # Errors
 ///
 /// [`AutomataError::AlphabetMismatch`](rl_automata::AutomataError) when
-/// `nfa` is not over `h`'s source alphabet, and the guard's budget,
+/// `rows` is not over `h`'s source alphabet, and the guard's budget,
 /// deadline and cancellation errors.
-pub fn image_dfa_with(
+pub fn image_dfa_with<R: EdgeRows + ?Sized>(
     h: &Homomorphism,
-    nfa: &Nfa,
+    rows: &R,
     roots: &[StateSet],
     guard: &Guard,
 ) -> Result<(Dfa, Vec<StateId>), AutomataError> {
-    h.source().check_compatible(nfa.alphabet())?;
+    h.source().check_compatible(rows.alphabet())?;
     let relabel: Vec<Option<Symbol>> = h.source().symbols().map(|a| h.apply(a)).collect();
-    nfa.determinize_image_with(h.target(), &relabel, roots, guard)
+    rows.determinize_image_with(h.target(), &relabel, roots, guard)
 }
 
 /// The abstract behavior generator of Definition 6.2: the transition system
@@ -107,10 +111,10 @@ pub fn abstract_behavior_with(
 /// 8.2/8.3, as [`has_maximal_words_with`](crate::has_maximal_words_with)
 /// decides it on [`image_nfa`]), both read off one DFA of `h(L)`.
 ///
-/// Under an `abstract_image` span: [`image_dfa_with`] builds the DFA (its
-/// `determinize` span is the only charged step), a `maximal_words` span
-/// looks for a live state without a live successor, and a `minimize` span
-/// minimizes it; the rejecting sink is then dropped.
+/// Under an `abstract_image` span: [`image_dfa_with`] builds the DFA from
+/// `ts`'s own rows (its `determinize` span is the only charged step), a
+/// `maximal_words` span looks for a live state without a live successor,
+/// and a `minimize` span minimizes it; the rejecting sink is then dropped.
 ///
 /// # Errors
 ///
@@ -122,9 +126,8 @@ pub fn abstract_image_with(
     guard: &Guard,
 ) -> Result<(TransitionSystem, bool), AbstractionError> {
     let _span = guard.span("abstract_image");
-    let nfa = ts.to_nfa();
-    let root: StateSet = nfa.initial().iter().copied().collect();
-    let (image, _) = image_dfa_with(h, &nfa, &[root], guard)?;
+    let root: StateSet = EdgeRows::initial(ts).collect();
+    let (image, _) = image_dfa_with(h, ts, &[root], guard)?;
     let maximal_words = {
         let _span = guard.span("maximal_words");
         image.has_maximal_words()

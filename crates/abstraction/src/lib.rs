@@ -38,8 +38,8 @@
 //!
 //! // … but only the correct system's homomorphism is simple, which is what
 //! // licenses transferring relative liveness down from the abstraction.
-//! assert!(check_simplicity(&h_good, &good.to_nfa())?.simple);
-//! assert!(!check_simplicity(&h_bad, &bad.to_nfa())?.simple);
+//! assert!(check_simplicity(&h_good, &good)?.simple);
+//! assert!(!check_simplicity(&h_bad, &bad)?.simple);
 //! # Ok(())
 //! # }
 //! ```

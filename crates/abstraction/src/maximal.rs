@@ -13,11 +13,14 @@ pub const HASH_ACTION: &str = "#";
 
 /// Whether the (prefix-closed) language contains maximal words.
 ///
-/// Decided on the trimmed DFA: a maximal word is one reaching an accepting
-/// state with no live outgoing transition. The abstraction pipeline reads
-/// the same condition off its own DFA of `h(L)`
-/// ([`rl_automata::Dfa::has_maximal_words`]); this function is that
-/// read's test oracle.
+/// Decided on a DFA of the language: a maximal word is one reaching a live
+/// accepting state with no live outgoing transition
+/// ([`rl_automata::Dfa::has_maximal_words`]). The abstraction pipeline
+/// reads the same condition off its own DFA of `h(L)`, built from the
+/// system without ε-elimination; this function, on [`image_nfa`]'s
+/// ε-eliminated image, is that construction's test oracle.
+///
+/// [`image_nfa`]: crate::image_nfa
 ///
 /// # Example
 ///
@@ -50,25 +53,7 @@ pub fn has_maximal_words(language: &Nfa) -> bool {
 /// Returns a budget error when the guard trips during determinization.
 pub fn has_maximal_words_with(language: &Nfa, guard: &Guard) -> Result<bool, AutomataError> {
     let _span = guard.span("maximal_words");
-    let d = language.determinize_with(guard)?;
-    let nfa = d.to_nfa();
-    let reach = nfa.reachable();
-    let coreach = nfa.coreachable();
-    for q in 0..d.state_count() {
-        if !(reach[q] && coreach[q] && d.is_accepting(q)) {
-            continue;
-        }
-        // Is there a live outgoing transition into a state from which an
-        // accepting state remains reachable?
-        let extendable = d
-            .alphabet()
-            .symbols()
-            .any(|a| d.next(q, a).is_some_and(|t| reach[t] && coreach[t]));
-        if !extendable {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+    Ok(language.determinize_with(guard)?.has_maximal_words())
 }
 
 /// The `{#}*`-extension: adds a fresh terminator action `#` and lets every

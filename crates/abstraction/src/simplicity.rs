@@ -41,8 +41,8 @@
 use std::collections::{HashSet, VecDeque};
 
 use rl_automata::{
-    AutomataError, Dfa, FxBuildHasher, FxHashMap, Guard, Nfa, PairTable, StateId, StateSet, Symbol,
-    Word,
+    AutomataError, Dfa, EdgeRows, FxBuildHasher, FxHashMap, Guard, PairTable, StateId, StateSet,
+    Symbol, Word,
 };
 
 use crate::hom::{AbstractionError, Homomorphism};
@@ -63,7 +63,9 @@ pub struct SimplicityReport {
 }
 
 /// Decides whether `h` is simple for the prefix-closed regular language
-/// `L(language)` (Definition 6.3).
+/// `L(language)` (Definition 6.3). `language` is any automaton the subset
+/// construction reads: a system (its language, every state accepting), an
+/// [`Nfa`](rl_automata::Nfa) or a [`Dfa`].
 ///
 /// # Errors
 ///
@@ -83,18 +85,18 @@ pub struct SimplicityReport {
 /// // Figure 2: the abstraction is simple …
 /// let good = server_behaviors();
 /// let h = Homomorphism::hiding(good.alphabet(), keep)?;
-/// assert!(check_simplicity(&h, &good.to_nfa())?.simple);
+/// assert!(check_simplicity(&h, &good)?.simple);
 /// // … Figure 3: it is not (the `lock` prefix kills all results).
 /// let bad = server_err_behaviors();
 /// let h_err = Homomorphism::hiding(bad.alphabet(), keep)?;
-/// let report = check_simplicity(&h_err, &bad.to_nfa())?;
+/// let report = check_simplicity(&h_err, &bad)?;
 /// assert!(!report.simple);
 /// # Ok(())
 /// # }
 /// ```
-pub fn check_simplicity(
+pub fn check_simplicity<L: EdgeRows + ?Sized>(
     h: &Homomorphism,
-    language: &Nfa,
+    language: &L,
 ) -> Result<SimplicityReport, AbstractionError> {
     check_simplicity_with(h, language, &Guard::unlimited())
 }
@@ -103,7 +105,8 @@ pub fn check_simplicity(
 ///
 /// Two subset constructions run, each under a `determinize` span: one for
 /// `L` and one shared multi-root construction for all continuation images,
-/// over ε-closed sets of states of `L`'s trimmed DFA. Between them, a
+/// over ε-closed sets of states of `L`'s trimmed DFA; both read the rows
+/// they are given, with no [`Nfa`](rl_automata::Nfa) copy. Between them, a
 /// `trim` span covers trimming `L`'s DFA: one live-state pass, whose
 /// result also shows whether `L` is prefix closed.
 /// A `partition` span covers the Hopcroft refinement of the image DFA,
@@ -116,14 +119,14 @@ pub fn check_simplicity(
 ///
 /// As [`check_simplicity`], plus [`AbstractionError::Automata`] carrying a
 /// budget error when the guard trips.
-pub fn check_simplicity_with(
+pub fn check_simplicity_with<L: EdgeRows + ?Sized>(
     h: &Homomorphism,
-    language: &Nfa,
+    language: &L,
     guard: &Guard,
 ) -> Result<SimplicityReport, AbstractionError> {
     let _span = guard.span("simplicity");
     h.source().check_compatible(language.alphabet())?;
-    let full = language.determinize_with(guard)?;
+    let (full, _) = language.determinize_roots_with(&[language.initial().collect()], guard)?;
     // The trim keeps exactly the live states, so `L` is prefix closed
     // exactly when every state of `d` accepts.
     let d = {
@@ -149,7 +152,7 @@ pub fn check_simplicity_with(
     let roots: Vec<StateSet> = (0..d.state_count())
         .map(|q| StateSet::from_iter([q]))
         .collect();
-    let (img, root) = image_dfa_with(h, &d.to_nfa(), &roots, guard)?;
+    let (img, root) = image_dfa_with(h, &d, &roots, guard)?;
     let (classes, class) = {
         let _span = guard.span("partition");
         let class = img.equivalence_classes();
@@ -279,7 +282,9 @@ fn exists_converging_u(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_automata::{Alphabet, Budget, CancelToken, MetricsRegistry, Resource, TransitionSystem};
+    use rl_automata::{
+        Alphabet, Budget, CancelToken, MetricsRegistry, Nfa, Resource, TransitionSystem,
+    };
     use rl_petri::{reachability_graph, PetriNet};
 
     /// h hiding tau over a two-action alphabet.
@@ -406,7 +411,7 @@ mod tests {
     /// Two interleaved copies of the Figure 1 server (the benchmark suite's
     /// `server_farm(2)`, 64 states) and the hiding onto request, result and
     /// reject of both servers.
-    fn server_farm_2() -> (Nfa, Homomorphism) {
+    fn server_farm_2() -> (TransitionSystem, Homomorphism) {
         let mut farm: Option<TransitionSystem> = None;
         for i in 0..2 {
             let mut net = PetriNet::new();
@@ -440,7 +445,7 @@ mod tests {
             "request0", "result0", "reject0", "request1", "result1", "reject1",
         ];
         let h = Homomorphism::hiding(ts.alphabet(), keep).unwrap();
-        (ts.to_nfa(), h)
+        (ts, h)
     }
 
     #[test]

@@ -5,13 +5,22 @@
 //! ε-eliminate first ([`image_nfa`]), then determinize the result. Both
 //! must accept the same language from every root, on random machines with
 //! hidden cycles under a homomorphism that merges letters.
+//!
+//! The construction reads any rows: a system's, a partial DFA's or an
+//! NFA's. On a system or a DFA it must give exactly what it gives on its
+//! `Nfa` copy (equal to `to_nfa()`, but built here from the transition
+//! list, so the copy does not read the rows under test), and so must the
+//! simplicity check: the same DFA and root states, the same report, and
+//! the same guard charges in the same order.
 
 use proptest::prelude::*;
 use rl_abstraction::{
-    abstract_image_with, has_maximal_words, image_dfa_with, image_nfa, Homomorphism,
+    abstract_image_with, check_simplicity_with, has_maximal_words, image_dfa_with, image_nfa,
+    AbstractionError, Homomorphism,
 };
 use rl_automata::{
-    dfa_equivalent, Alphabet, Guard, Nfa, StateId, StateSet, Symbol, TransitionSystem,
+    dfa_equivalent, Alphabet, AutomataError, Budget, Dfa, EdgeRows, Guard, Nfa, StateId, StateSet,
+    Symbol, TransitionSystem,
 };
 
 const SOURCE: [&str; 6] = ["a", "b", "c", "d", "t1", "t2"];
@@ -91,6 +100,77 @@ impl Machine {
         }
         ts
     }
+
+    /// The same edges as a partial DFA (a later edge on a letter replaces
+    /// an earlier one), rooted at the first initial state; states it cannot
+    /// reach stay.
+    fn dfa(&self) -> Dfa {
+        let (edges, accepting) = (self.edges.iter().copied(), self.accepting.iter().copied());
+        Dfa::from_parts(source(), self.states, self.initial[0], accepting, edges).expect("in range")
+    }
+}
+
+/// What a run charges: its totals under no budget, then, for a state and
+/// a transition budget of half (rounded down) of each total, where it
+/// trips (`None` when it does not): the resource, the amount spent and the
+/// states and transitions charged by then. Equal trips at the cut show the
+/// charges came in the same order up to it.
+fn charges<T>(run: impl Fn(&Guard) -> Result<T, AutomataError>) -> Vec<Option<[u64; 3]>> {
+    let unlimited = Guard::unlimited();
+    run(&unlimited).expect("no budget");
+    let total = unlimited.progress();
+    let mut out = vec![Some([total.states as u64, total.transitions as u64, 0])];
+    for budget in [
+        Budget::unlimited().with_max_states(total.states / 2),
+        Budget::unlimited().with_max_transitions(total.transitions / 2),
+    ] {
+        out.push(match run(&Guard::new(budget)) {
+            Ok(_) => None,
+            Err(AutomataError::BudgetExceeded { spent, partial, .. }) => {
+                Some([spent, partial.states as u64, partial.transitions as u64])
+            }
+            Err(other) => panic!("unexpected error {other}"),
+        });
+    }
+    out
+}
+
+/// Unwraps the automata error of a simplicity check for [`charges`].
+fn automata<T>(result: Result<T, AbstractionError>) -> Result<T, AutomataError> {
+    result.map_err(|e| match e {
+        AbstractionError::Automata(e) => e,
+        other => panic!("unexpected error {other}"),
+    })
+}
+
+/// The `Nfa` copy of a system, built from its transition list (not its
+/// rows) with every state accepting.
+fn system_copy(ts: &TransitionSystem) -> Nfa {
+    let all = 0..ts.state_count();
+    Nfa::from_parts(
+        source(),
+        ts.state_count(),
+        [ts.initial()],
+        all,
+        ts.transitions(),
+    )
+    .expect("indices preserved")
+}
+
+/// The `Nfa` copy of a DFA with at least one state, built from its
+/// transition list (not its rows).
+fn dfa_copy(dfa: &Dfa) -> Nfa {
+    let accepting = (0..dfa.state_count()).filter(|&q| dfa.is_accepting(q));
+    let (n, transitions) = (dfa.state_count(), dfa.transitions());
+    Nfa::from_parts(source(), n, [dfa.initial()], accepting, transitions).expect("in range")
+}
+
+/// One root `{q}` per state, after the initial states' subset.
+fn roots<R: EdgeRows>(rows: &R) -> Vec<StateSet> {
+    let singletons = (0..rows.state_count()).map(|q| StateSet::from_iter([q]));
+    std::iter::once(rows.initial().collect())
+        .chain(singletons)
+        .collect()
 }
 
 /// `nfa` with `{q}` as its only initial state.
@@ -153,5 +233,45 @@ proptest! {
         let keep: Vec<bool> = (0..min.state_count()).map(|q| min.is_accepting(q)).collect();
         let expected = TransitionSystem::from_nfa(&min.to_nfa().restrict(&keep)).unwrap();
         prop_assert_eq!(system, expected);
+    }
+
+    /// On a system and on a partial DFA, the construction gives what it
+    /// gives on their `to_nfa()` copies: the same DFA state for state, the
+    /// same root states, and the same charges.
+    #[test]
+    fn rows_give_what_their_nfa_copies_give(
+        machine in machine_strategy(),
+        image in (0..3usize, 0..3usize),
+    ) {
+        let h = homomorphism(image);
+        let (ts, dfa) = (machine.system(), machine.dfa());
+        let copy = system_copy(&ts);
+        prop_assert_eq!(&copy, &ts.to_nfa());
+        let on_system = |g: &Guard| image_dfa_with(&h, &ts, &roots(&ts), g);
+        let on_copy = |g: &Guard| image_dfa_with(&h, &copy, &roots(&ts), g);
+        prop_assert_eq!(on_system(&Guard::unlimited()), on_copy(&Guard::unlimited()));
+        prop_assert_eq!(charges(on_system), charges(on_copy));
+
+        let copy = dfa_copy(&dfa);
+        prop_assert_eq!(&copy, &dfa.to_nfa());
+        let on_dfa = |g: &Guard| image_dfa_with(&h, &dfa, &roots(&dfa), g);
+        let on_copy = |g: &Guard| image_dfa_with(&h, &copy, &roots(&dfa), g);
+        prop_assert_eq!(on_dfa(&Guard::unlimited()), on_copy(&Guard::unlimited()));
+        prop_assert_eq!(charges(on_dfa), charges(on_copy));
+    }
+
+    /// The simplicity check on a system reports and charges what it does
+    /// on the system's `to_nfa()` copy.
+    #[test]
+    fn simplicity_on_a_system_matches_its_nfa_copy(
+        machine in machine_strategy(),
+        image in (0..3usize, 0..3usize),
+    ) {
+        let (h, ts) = (homomorphism(image), machine.system());
+        let copy = system_copy(&ts);
+        let on_system = |g: &Guard| automata(check_simplicity_with(&h, &ts, g));
+        let on_copy = |g: &Guard| automata(check_simplicity_with(&h, &copy, g));
+        prop_assert_eq!(on_system(&Guard::unlimited()), on_copy(&Guard::unlimited()));
+        prop_assert_eq!(charges(on_system), charges(on_copy));
     }
 }

@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use crate::alphabet::{Alphabet, Symbol};
 use crate::error::AutomataError;
 use crate::guard::Guard;
+use crate::lazy::EdgeRows;
 use crate::nfa::Nfa;
 use crate::stateset::PairTable;
 use crate::word::Word;
@@ -356,17 +357,7 @@ impl Dfa {
 
     /// Converts to an equivalent [`Nfa`].
     pub fn to_nfa(&self) -> Nfa {
-        let mut out = Nfa::new(self.alphabet.clone());
-        for q in 0..self.state_count() {
-            out.add_state(self.accepting[q]);
-        }
-        if self.state_count() > 0 {
-            out.set_initial(self.initial);
-        }
-        for (p, a, q) in self.transitions() {
-            out.add_transition(p, a, q);
-        }
-        out
+        Nfa::from_rows(self)
     }
 
     /// Re-roots the automaton at `q`: the result accepts the left quotient
@@ -404,8 +395,9 @@ impl Dfa {
     ///
     /// One Hopcroft refinement covers all states, reachable from the
     /// initial state or not, so a DFA built from many roots (see
-    /// [`Nfa::determinize_roots_with`]) answers every language-equivalence
-    /// question between its states by comparing two ids.
+    /// [`EdgeRows::determinize_roots_with`]) answers every
+    /// language-equivalence question between its states by comparing two
+    /// ids.
     pub fn equivalence_classes(&self) -> Vec<usize> {
         let blocks = crate::minimize::partition(&self.complete());
         let mut number: Vec<Option<usize>> = vec![None; blocks.len()];
@@ -567,6 +559,34 @@ impl Dfa {
     /// (ROADMAP item 7).
     pub fn remove_unreachable(&self) -> Dfa {
         self.restrict(&self.to_nfa().reachable())
+    }
+}
+
+impl EdgeRows for Dfa {
+    fn alphabet(&self) -> &Alphabet {
+        &self.alphabet
+    }
+
+    fn state_count(&self) -> usize {
+        self.accepting.len()
+    }
+
+    fn initial(&self) -> impl Iterator<Item = StateId> + '_ {
+        (self.initial < self.accepting.len())
+            .then_some(self.initial)
+            .into_iter()
+    }
+
+    fn is_accepting(&self, q: StateId) -> bool {
+        self.accepting[q]
+    }
+
+    fn row(&self, q: StateId) -> impl Iterator<Item = (Symbol, StateId)> + '_ {
+        let defined = self.delta[q]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t != NO_TRANSITION);
+        defined.map(|(a, &t)| (Symbol::from_index(a), t as StateId))
     }
 }
 

@@ -37,43 +37,110 @@
 //! large the alphabet; an [`Nfa`] walks its alphabet-indexed rows in the
 //! same order and gives the same search.
 
-use std::collections::BTreeSet;
-
+use crate::dfa::Dfa;
 use crate::error::AutomataError;
 use crate::guard::Guard;
 use crate::nfa::Nfa;
 use crate::stateset::{FxHashMap, StateSet};
 use crate::word::Word;
-use crate::{StateId, Symbol};
+use crate::{Alphabet, StateId, Symbol};
 
-/// An automaton over finite words as the lazy search reads it: dense
-/// states, initial and accepting sets, and per state the outgoing
-/// transitions in `(symbol, successor)` order.
+/// An automaton over finite words as the lazy search and the subset
+/// construction read it: dense states, initial and accepting states, and
+/// per state the outgoing transitions in `(symbol, successor)` order.
 ///
-/// [`Nfa`] implements it over its alphabet-indexed rows, and `rl-buchi`'s
-/// `Buchi` over its edge lists (read as an NFA: a finite word is accepted
-/// when some run on it ends in an accepting state).
+/// [`Nfa`] implements it over its alphabet-indexed rows, [`Dfa`] over its
+/// defined next states, [`TransitionSystem`](crate::TransitionSystem) over
+/// its rows (every state accepting), and `rl-buchi`'s `Buchi` over its
+/// edge lists (read as an NFA: a finite word is accepted when some run on
+/// it ends in an accepting state).
 pub trait EdgeRows {
+    /// The alphabet the rows are over.
+    fn alphabet(&self) -> &Alphabet;
     /// Number of states.
     fn state_count(&self) -> usize;
-    /// The initial states.
-    fn initial(&self) -> &BTreeSet<StateId>;
+    /// The initial states, ascending.
+    fn initial(&self) -> impl Iterator<Item = StateId> + '_;
     /// Whether `q` accepts.
     fn is_accepting(&self, q: StateId) -> bool;
     /// The transitions leaving `q`, sorted by symbol, then successor, with
     /// no duplicates.
     fn row(&self, q: StateId) -> impl Iterator<Item = (Symbol, StateId)> + '_;
     /// The successors of `q` on `symbol`, ascending.
-    fn successors_on(&self, q: StateId, symbol: Symbol) -> impl Iterator<Item = StateId> + '_;
+    fn successors_on(&self, q: StateId, symbol: Symbol) -> impl Iterator<Item = StateId> + '_ {
+        let row = self.row(q).filter(move |&(a, _)| a == symbol);
+        row.map(|(_, t)| t)
+    }
+
+    /// One subset construction from several start subsets at once.
+    ///
+    /// Returns the DFA together with the DFA state of each root, in `roots`
+    /// order; the first root's state is the DFA's initial state. A subset
+    /// reachable from several roots is materialized once, so asking for the
+    /// language of many states (`roots = [{q}]` for each `q`) costs one
+    /// construction over their union instead of one per state. Equal roots
+    /// share a state. This is [`EdgeRows::determinize_image_with`] under
+    /// the identity relabelling, charged the same way.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::BudgetExceeded`] or [`AutomataError::Cancelled`]
+    /// when the guard trips.
+    fn determinize_roots_with(
+        &self,
+        roots: &[StateSet],
+        guard: &Guard,
+    ) -> Result<(Dfa, Vec<StateId>), AutomataError> {
+        let identity: Vec<Option<Symbol>> = self.alphabet().symbols().map(Some).collect();
+        self.determinize_image_with(self.alphabet(), &identity, roots, guard)
+    }
+
+    /// One subset construction of the image of this automaton's language
+    /// under a relabelling, from several start subsets at once.
+    ///
+    /// `relabel[a.index()]` is the `target` letter of source letter `a`, or
+    /// `None` when `a` is hidden (read as the empty word `ε`). Each state's
+    /// ε-closure (the states reachable by hidden edges) is computed once;
+    /// the subsets are ε-closed: the closed roots first, then, for each
+    /// subset, the union of the closures of its successors on each target
+    /// letter, in letter order. Only the edges present in each state's row
+    /// are read. Hidden edges need no ε-eliminated automaton, and the
+    /// result accepts the image language `h(L)` from the first root (and
+    /// `h` of the language of each other root from its state). Otherwise
+    /// as [`EdgeRows::determinize_roots_with`]: every new subset is charged
+    /// as a state before it is interned, every DFA edge as a transition,
+    /// all under one `determinize` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `relabel` does not have one entry per source letter.
+    ///
+    /// # Errors
+    ///
+    /// [`AutomataError::BudgetExceeded`] or [`AutomataError::Cancelled`]
+    /// when the guard trips.
+    fn determinize_image_with(
+        &self,
+        target: &Alphabet,
+        relabel: &[Option<Symbol>],
+        roots: &[StateSet],
+        guard: &Guard,
+    ) -> Result<(Dfa, Vec<StateId>), AutomataError> {
+        crate::nfa::determinize_image(self, target, relabel, roots, guard)
+    }
 }
 
 impl EdgeRows for Nfa {
+    fn alphabet(&self) -> &Alphabet {
+        Nfa::alphabet(self)
+    }
+
     fn state_count(&self) -> usize {
         Nfa::state_count(self)
     }
 
-    fn initial(&self) -> &BTreeSet<StateId> {
-        Nfa::initial(self)
+    fn initial(&self) -> impl Iterator<Item = StateId> + '_ {
+        Nfa::initial(self).iter().copied()
     }
 
     fn is_accepting(&self, q: StateId) -> bool {
@@ -222,9 +289,9 @@ where
         antichain: FxHashMap::default(),
     };
 
-    let s0: StateSet = b.initial().iter().copied().collect();
+    let s0: StateSet = b.initial().collect();
     let mut layer: Vec<usize> = Vec::new();
-    for &q in a.initial() {
+    for q in a.initial() {
         if let Some(w) = search.admit(q, &s0, None, &mut layer)? {
             return Ok(Some(w));
         }

@@ -6,6 +6,7 @@ use crate::alphabet::{Alphabet, Symbol};
 use crate::dfa::Dfa;
 use crate::error::AutomataError;
 use crate::guard::Guard;
+use crate::lazy::EdgeRows;
 use crate::stateset::{Interner, PairTable, StateSet};
 use crate::word::Word;
 use crate::StateId;
@@ -108,7 +109,7 @@ impl Nfa {
     ///
     /// Relabel a machine, mapping hidden actions to `None`, and this gives a
     /// plain NFA for the image language. The abstraction pipeline does not
-    /// build it: [`Nfa::determinize_image_with`] determinizes the image
+    /// build it: [`EdgeRows::determinize_image_with`] determinizes the image
     /// from the relabelled machine directly, and this ε-elimination is its
     /// test oracle.
     ///
@@ -187,6 +188,22 @@ impl Nfa {
             }
         }
         Ok(nfa)
+    }
+
+    /// A copy of any automaton's rows: the same states, initial and
+    /// accepting states, and transitions.
+    pub fn from_rows<R: EdgeRows + ?Sized>(rows: &R) -> Nfa {
+        let mut out = Nfa::new(rows.alphabet().clone());
+        for q in 0..rows.state_count() {
+            out.add_state(rows.is_accepting(q));
+        }
+        out.initial.extend(rows.initial());
+        for p in 0..rows.state_count() {
+            for (a, q) in rows.row(p) {
+                out.add_transition(p, a, q);
+            }
+        }
+        out
     }
 
     /// Adds a state, returning its id.
@@ -464,208 +481,6 @@ impl Nfa {
         Ok(self.determinize_roots_with(&[start], guard)?.0)
     }
 
-    /// One subset construction from several start subsets at once.
-    ///
-    /// Returns the DFA together with the DFA state of each root, in `roots`
-    /// order; the first root's state is the DFA's initial state. A subset
-    /// reachable from several roots is materialized once, so asking for the
-    /// language of many states (`roots = [{q}]` for each `q`) costs one
-    /// construction over their union instead of one per state. Equal roots
-    /// share a state. Charged like [`Nfa::determinize_with`].
-    ///
-    /// This is [`Nfa::determinize_image_with`] under the identity
-    /// relabelling.
-    ///
-    /// # Errors
-    ///
-    /// [`AutomataError::BudgetExceeded`] or [`AutomataError::Cancelled`]
-    /// when the guard trips.
-    pub fn determinize_roots_with(
-        &self,
-        roots: &[StateSet],
-        guard: &Guard,
-    ) -> Result<(Dfa, Vec<StateId>), AutomataError> {
-        let identity: Vec<Option<Symbol>> = self.alphabet.symbols().map(Some).collect();
-        self.determinize_image_with(&self.alphabet, &identity, roots, guard)
-    }
-
-    /// One subset construction of the image of this automaton's language
-    /// under a relabelling, from several start subsets at once.
-    ///
-    /// `relabel[a.index()]` is the `target` letter of source letter `a`, or
-    /// `None` when `a` is hidden (read as the empty word `ε`). Each state's
-    /// ε-closure (the states reachable by hidden edges) is computed once;
-    /// the subsets are ε-closed: the closed roots first, then, for each
-    /// subset, the union of the closures of its successors on each target
-    /// letter, in letter order. Hidden edges need no ε-eliminated
-    /// automaton, and the result accepts the image language `h(L)` from the
-    /// first root (and `h` of the language of each other root from its
-    /// state). Otherwise as [`Nfa::determinize_roots_with`]: every new
-    /// subset is charged as a state before it is interned, every DFA edge
-    /// as a transition, all under one `determinize` span.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `relabel` does not have one entry per source letter.
-    ///
-    /// # Errors
-    ///
-    /// [`AutomataError::BudgetExceeded`] or [`AutomataError::Cancelled`]
-    /// when the guard trips.
-    pub fn determinize_image_with(
-        &self,
-        target: &Alphabet,
-        relabel: &[Option<Symbol>],
-        roots: &[StateSet],
-        guard: &Guard,
-    ) -> Result<(Dfa, Vec<StateId>), AutomataError> {
-        let _span = guard.span("determinize");
-        assert_eq!(relabel.len(), self.alphabet.len(), "one label per letter");
-        let closures = self.epsilon_closures(relabel);
-        // Adds the ε-closure of `q` (just `q` when nothing is hidden).
-        let close = |set: &mut StateSet, q: StateId| match closures.get(q) {
-            Some(closure) => set.union_with(closure),
-            None => {
-                set.insert(q);
-            }
-        };
-        let mut index: Interner<StateSet> = Interner::new();
-        let mut dfa = Dfa::new(target.clone());
-        let accepts = |set: &StateSet| set.iter().any(|q| self.accepting[q]);
-
-        let mut root_states = Vec::with_capacity(roots.len());
-        let mut closed = StateSet::new();
-        for root in roots {
-            closed.clear();
-            for q in root.iter() {
-                close(&mut closed, q);
-            }
-            let (d, fresh) = index.try_intern(&closed, || guard.charge_state())?;
-            if fresh {
-                dfa.add_state(accepts(&closed));
-            }
-            root_states.push(d);
-        }
-        if let Some(&q0) = root_states.first() {
-            dfa.set_initial(q0);
-        }
-
-        // One accumulator per target letter; `touched` lists the non-empty
-        // ones. Subsets get ids in discovery order, so expanding them in id
-        // order is the FIFO search.
-        let mut next: Vec<StateSet> = vec![StateSet::new(); target.len()];
-        let mut touched: Vec<Symbol> = Vec::new();
-        let mut d = 0;
-        while d < dfa.state_count() {
-            guard.note_frontier(dfa.state_count() - d - 1);
-            for q in index.key(d).iter() {
-                for (a, &label) in self.alphabet.symbols().zip(relabel) {
-                    let Some(b) = label else { continue };
-                    let successors = self.successor_slice(q, a);
-                    if successors.is_empty() {
-                        continue;
-                    }
-                    let acc = &mut next[b.index()];
-                    if acc.is_empty() {
-                        touched.push(b);
-                    }
-                    for &q2 in successors {
-                        close(acc, q2);
-                    }
-                }
-            }
-            touched.sort_unstable();
-            for &b in &touched {
-                let set = &next[b.index()];
-                let (nd, fresh) = index.try_intern(set, || guard.charge_state())?;
-                if fresh {
-                    dfa.add_state(accepts(set));
-                }
-                guard.charge_transition()?;
-                dfa.set_transition(d, b, nd);
-            }
-            for b in touched.drain(..) {
-                next[b.index()].clear();
-            }
-            d += 1;
-        }
-        Ok((dfa, root_states))
-    }
-
-    /// The ε-closure of every state under the hidden letters of `relabel`
-    /// (those mapped to `None`), or nothing when no letter is hidden.
-    ///
-    /// States are closed in the post-order of a depth-first search over the
-    /// hidden edges, so a successor's closure is usually complete already
-    /// and is added whole; only successors on a cycle through the state
-    /// are walked edge by edge.
-    fn epsilon_closures(&self, relabel: &[Option<Symbol>]) -> Vec<StateSet> {
-        let hidden: Vec<Symbol> = self
-            .alphabet
-            .symbols()
-            .filter(|a| relabel[a.index()].is_none())
-            .collect();
-        if hidden.is_empty() {
-            return Vec::new();
-        }
-        let n = self.state_count();
-        let succ: Vec<Vec<StateId>> = (0..n)
-            .map(|p| {
-                let row = hidden.iter().flat_map(|&a| self.successor_slice(p, a));
-                row.copied().collect()
-            })
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut path: Vec<(StateId, usize)> = Vec::new();
-        for s in 0..n {
-            if visited[s] {
-                continue;
-            }
-            visited[s] = true;
-            path.push((s, 0));
-            while let Some((p, i)) = path.last_mut() {
-                match succ[*p].get(*i) {
-                    Some(&q) => {
-                        *i += 1;
-                        if !visited[q] {
-                            visited[q] = true;
-                            path.push((q, 0));
-                        }
-                    }
-                    None => {
-                        order.push(*p);
-                        path.pop();
-                    }
-                }
-            }
-        }
-        let mut closures = vec![StateSet::new(); n];
-        let mut done = vec![false; n];
-        let mut stack = Vec::new();
-        for s in order {
-            let mut closure = StateSet::with_universe(n);
-            closure.insert(s);
-            stack.push(s);
-            while let Some(p) = stack.pop() {
-                for &q in &succ[p] {
-                    if closure.contains(q) {
-                        continue;
-                    }
-                    if done[q] {
-                        closure.union_with(&closures[q]);
-                    } else {
-                        closure.insert(q);
-                        stack.push(q);
-                    }
-                }
-            }
-            closures[s] = closure;
-            done[s] = true;
-        }
-        closures
-    }
-
     /// Product automaton for the intersection `L(self) ∩ L(other)`.
     ///
     /// # Errors
@@ -791,6 +606,153 @@ impl Nfa {
         }
         out
     }
+}
+
+/// The subset construction behind [`EdgeRows::determinize_image_with`],
+/// over any rows.
+pub(crate) fn determinize_image<R: EdgeRows + ?Sized>(
+    rows: &R,
+    target: &Alphabet,
+    relabel: &[Option<Symbol>],
+    roots: &[StateSet],
+    guard: &Guard,
+) -> Result<(Dfa, Vec<StateId>), AutomataError> {
+    let _span = guard.span("determinize");
+    assert_eq!(relabel.len(), rows.alphabet().len(), "one label per letter");
+    let closures = epsilon_closures(rows, relabel);
+    // Adds the ε-closure of `q` (just `q` when nothing is hidden).
+    let close = |set: &mut StateSet, q: StateId| match closures.get(q) {
+        Some(closure) => set.union_with(closure),
+        None => {
+            set.insert(q);
+        }
+    };
+    let mut index: Interner<StateSet> = Interner::new();
+    let mut dfa = Dfa::new(target.clone());
+    let accepts = |set: &StateSet| set.iter().any(|q| rows.is_accepting(q));
+
+    let mut root_states = Vec::with_capacity(roots.len());
+    let mut closed = StateSet::new();
+    for root in roots {
+        closed.clear();
+        for q in root.iter() {
+            close(&mut closed, q);
+        }
+        let (d, fresh) = index.try_intern(&closed, || guard.charge_state())?;
+        if fresh {
+            dfa.add_state(accepts(&closed));
+        }
+        root_states.push(d);
+    }
+    if let Some(&q0) = root_states.first() {
+        dfa.set_initial(q0);
+    }
+
+    // One accumulator per target letter; `touched` lists the non-empty
+    // ones. Subsets get ids in discovery order, so expanding them in id
+    // order is the FIFO search.
+    let mut next: Vec<StateSet> = vec![StateSet::new(); target.len()];
+    let mut touched: Vec<Symbol> = Vec::new();
+    let mut d = 0;
+    while d < dfa.state_count() {
+        guard.note_frontier(dfa.state_count() - d - 1);
+        for q in index.key(d).iter() {
+            for (a, q2) in rows.row(q) {
+                let Some(b) = relabel[a.index()] else {
+                    continue;
+                };
+                let acc = &mut next[b.index()];
+                if acc.is_empty() {
+                    touched.push(b);
+                }
+                close(acc, q2);
+            }
+        }
+        touched.sort_unstable();
+        for &b in &touched {
+            let set = &next[b.index()];
+            let (nd, fresh) = index.try_intern(set, || guard.charge_state())?;
+            if fresh {
+                dfa.add_state(accepts(set));
+            }
+            guard.charge_transition()?;
+            dfa.set_transition(d, b, nd);
+        }
+        for b in touched.drain(..) {
+            next[b.index()].clear();
+        }
+        d += 1;
+    }
+    Ok((dfa, root_states))
+}
+
+/// The ε-closure of every state under the hidden letters of `relabel`
+/// (those mapped to `None`), or nothing when no letter is hidden.
+///
+/// States are closed in the post-order of a depth-first search over the
+/// hidden edges, so a successor's closure is usually complete already
+/// and is added whole; only successors on a cycle through the state
+/// are walked edge by edge.
+fn epsilon_closures<R: EdgeRows + ?Sized>(rows: &R, relabel: &[Option<Symbol>]) -> Vec<StateSet> {
+    if relabel.iter().all(Option::is_some) {
+        return Vec::new();
+    }
+    let n = rows.state_count();
+    let succ: Vec<Vec<StateId>> = (0..n)
+        .map(|p| {
+            let hidden = rows.row(p).filter(|&(a, _)| relabel[a.index()].is_none());
+            hidden.map(|(_, q)| q).collect()
+        })
+        .collect();
+    let mut order = Vec::with_capacity(n);
+    let mut visited = vec![false; n];
+    let mut path: Vec<(StateId, usize)> = Vec::new();
+    for s in 0..n {
+        if visited[s] {
+            continue;
+        }
+        visited[s] = true;
+        path.push((s, 0));
+        while let Some((p, i)) = path.last_mut() {
+            match succ[*p].get(*i) {
+                Some(&q) => {
+                    *i += 1;
+                    if !visited[q] {
+                        visited[q] = true;
+                        path.push((q, 0));
+                    }
+                }
+                None => {
+                    order.push(*p);
+                    path.pop();
+                }
+            }
+        }
+    }
+    let mut closures = vec![StateSet::new(); n];
+    let mut done = vec![false; n];
+    let mut stack = Vec::new();
+    for s in order {
+        let mut closure = StateSet::with_universe(n);
+        closure.insert(s);
+        stack.push(s);
+        while let Some(p) = stack.pop() {
+            for &q in &succ[p] {
+                if closure.contains(q) {
+                    continue;
+                }
+                if done[q] {
+                    closure.union_with(&closures[q]);
+                } else {
+                    closure.insert(q);
+                    stack.push(q);
+                }
+            }
+        }
+        closures[s] = closure;
+        done[s] = true;
+    }
+    closures
 }
 
 #[cfg(test)]

@@ -441,9 +441,19 @@ mod tests {
         let pool = Pool::new(2);
         let hists = HistogramRegistry::new();
         pool.set_histograms(hists.clone());
-        // Force idle periods: run a batch, then let workers drain and park.
+        // Force idle periods: run a batch, then wait until both workers
+        // have drained and parked (an idle worker counts one park it has
+        // not yet matched with an unpark), so the next batch unparks them.
         let _ = pool.run_jobs(tasks(64, |i| i));
-        std::thread::sleep(Duration::from_millis(30));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let c = pool.counters();
+            if c.parks.saturating_sub(c.unparks) >= 2 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "workers never parked: {c:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let _ = pool.run_jobs(tasks(64, |i| i));
         let c = pool.counters();
         drop(pool);

@@ -10,6 +10,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::error::AutomataError;
+use crate::lazy::EdgeRows;
 use crate::nfa::Nfa;
 use crate::word::Word;
 use crate::StateId;
@@ -207,17 +208,7 @@ impl TransitionSystem {
     /// The prefix-closed finite-word language of the system, as an NFA with
     /// every state accepting.
     pub fn to_nfa(&self) -> Nfa {
-        let mut out = Nfa::new(self.alphabet.clone());
-        for _ in 0..self.state_count() {
-            out.add_state(true);
-        }
-        if self.state_count() > 0 {
-            out.set_initial(self.initial);
-        }
-        for (p, a, q) in self.transitions() {
-            out.add_transition(p, a, q);
-        }
-        out
+        Nfa::from_rows(self)
     }
 
     /// Builds a system from an NFA by forgetting acceptance and keeping the
@@ -361,6 +352,31 @@ impl TransitionSystem {
     /// All firing sequences of length at most `max_len` (for tests/examples).
     pub fn firing_sequences_up_to(&self, max_len: usize) -> Vec<Word> {
         self.to_nfa().words_up_to(max_len)
+    }
+}
+
+/// The system's language as rows: every state accepts.
+impl EdgeRows for TransitionSystem {
+    fn alphabet(&self) -> &Alphabet {
+        &self.alphabet
+    }
+
+    fn state_count(&self) -> usize {
+        self.labels.len()
+    }
+
+    fn initial(&self) -> impl Iterator<Item = StateId> + '_ {
+        (self.initial < self.labels.len())
+            .then_some(self.initial)
+            .into_iter()
+    }
+
+    fn is_accepting(&self, _: StateId) -> bool {
+        true
+    }
+
+    fn row(&self, q: StateId) -> impl Iterator<Item = (Symbol, StateId)> + '_ {
+        self.delta[q].iter().copied()
     }
 }
 

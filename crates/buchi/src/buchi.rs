@@ -117,17 +117,7 @@ impl Buchi {
 
     /// Reinterprets the automaton's graph as an NFA over finite words.
     pub fn to_nfa_structure(&self) -> Nfa {
-        let mut n = Nfa::new(self.alphabet.clone());
-        for q in 0..self.state_count() {
-            n.add_state(self.accepting[q]);
-        }
-        for &q in &self.initial {
-            n.set_initial(q);
-        }
-        for (p, a, q) in self.transitions() {
-            n.add_transition(p, a, q);
-        }
-        n
+        Nfa::from_rows(self)
     }
 
     /// Adds a state, returning its id.
@@ -613,12 +603,16 @@ impl Buchi {
 }
 
 impl EdgeRows for Buchi {
+    fn alphabet(&self) -> &Alphabet {
+        Buchi::alphabet(self)
+    }
+
     fn state_count(&self) -> usize {
         Buchi::state_count(self)
     }
 
-    fn initial(&self) -> &BTreeSet<StateId> {
-        &self.initial
+    fn initial(&self) -> impl Iterator<Item = StateId> + '_ {
+        self.initial.iter().copied()
     }
 
     fn is_accepting(&self, q: StateId) -> bool {

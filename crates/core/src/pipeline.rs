@@ -121,9 +121,11 @@ pub fn verify_via_abstraction(
 /// The abstract-system construction, the abstract relative-liveness
 /// decision, and the simplicity check are all charged against the same
 /// guard, so a single budget bounds the whole pipeline. Three subset
-/// constructions run: `h(L)` once under `abstract_image` (the abstract
-/// system and the maximal-word side condition are both read off it), then
-/// `L` and the continuation images under `simplicity`.
+/// constructions run, all over `ts`'s own rows or a DFA's: `h(L)` once
+/// under `abstract_image` (the abstract system and the maximal-word side
+/// condition are both read off it), then `L` and the continuation images
+/// under `simplicity`. A `transport` span covers building and simplifying
+/// the transported property.
 ///
 /// # Errors
 ///
@@ -143,11 +145,13 @@ pub fn verify_via_abstraction_with(
     let abstract_verdict =
         is_relative_liveness_with(&abstract_behaviors, &Property::formula(eta.clone()), guard)?;
 
-    let simplicity = check_simplicity_with(h, &ts.to_nfa(), guard)?;
+    let simplicity = check_simplicity_with(h, ts, guard)?;
     // The strict transport R̄(η) ∧ □◇¬ε — the reading under which both
     // transfer theorems are sound (see rl_logic::r_bar_strict).
-    let transported_formula =
-        simplify(&r_bar_strict(eta, h.target()).map_err(CoreError::Automata)?);
+    let transported_formula = {
+        let _span = guard.span("transport");
+        simplify(&r_bar_strict(eta, h.target()).map_err(CoreError::Automata)?)
+    };
 
     let conclusion = if maximal_words {
         TransferConclusion::InconclusiveMaximalWords

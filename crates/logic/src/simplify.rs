@@ -9,7 +9,13 @@
 
 use crate::ast::Formula;
 
-/// Applies local simplification rules bottom-up until a fixpoint.
+/// Applies local simplification rules in one bottom-up pass, rewriting
+/// each node to a local fixpoint.
+///
+/// A node's children are simplified first, so no rule applies inside
+/// them; a rule that builds a new node over them (`true U ζ ≡ ◇ζ`,
+/// `ξ ⇒ false ≡ ¬ξ`, …) rewrites that node again. Every rule shrinks the
+/// formula, so the pass ends, and no rule applies anywhere in its result.
 ///
 /// # Example
 ///
@@ -25,40 +31,27 @@ use crate::ast::Formula;
 /// # }
 /// ```
 pub fn simplify(f: &Formula) -> Formula {
-    let mut cur = f.clone();
-    // Rules strictly shrink the size, so |f| iterations terminate; cap for
-    // safety anyway.
-    for _ in 0..=f.size() {
-        let next = pass(&cur);
-        if next == cur {
-            return cur;
-        }
-        cur = next;
-    }
-    cur
-}
-
-fn pass(f: &Formula) -> Formula {
     use Formula::*;
-    // First simplify children, then the node itself.
     let node = match f {
         True | False | Atom(_) => f.clone(),
-        Not(x) => pass(x).not(),
-        And(x, y) => pass(x).and(pass(y)),
-        Or(x, y) => pass(x).or(pass(y)),
-        Implies(x, y) => pass(x).implies(pass(y)),
-        Iff(x, y) => pass(x).iff(pass(y)),
-        Next(x) => pass(x).next(),
-        Until(x, y) => pass(x).until(pass(y)),
-        Release(x, y) => pass(x).release(pass(y)),
-        Before(x, y) => pass(x).before(pass(y)),
-        WeakUntil(x, y) => pass(x).weak_until(pass(y)),
-        Eventually(x) => pass(x).eventually(),
-        Always(x) => pass(x).always(),
+        Not(x) => simplify(x).not(),
+        And(x, y) => simplify(x).and(simplify(y)),
+        Or(x, y) => simplify(x).or(simplify(y)),
+        Implies(x, y) => simplify(x).implies(simplify(y)),
+        Iff(x, y) => simplify(x).iff(simplify(y)),
+        Next(x) => simplify(x).next(),
+        Until(x, y) => simplify(x).until(simplify(y)),
+        Release(x, y) => simplify(x).release(simplify(y)),
+        Before(x, y) => simplify(x).before(simplify(y)),
+        WeakUntil(x, y) => simplify(x).weak_until(simplify(y)),
+        Eventually(x) => simplify(x).eventually(),
+        Always(x) => simplify(x).always(),
     };
     rewrite(node)
 }
 
+/// One rule at the root of `f`, whose children are already simplified;
+/// a node the rule builds over them is rewritten in turn.
 fn rewrite(f: Formula) -> Formula {
     use Formula::*;
     match f {
@@ -106,7 +99,7 @@ fn rewrite(f: Formula) -> Formula {
             // false U ζ ≡ ζ (the witness must be immediate).
             (False, z) => z,
             // true U ζ ≡ ◇ζ.
-            (True, z) => z.eventually(),
+            (True, z) => rewrite(z.eventually()),
             (a, b) if a == b => a,
             (a, b) => a.until(b),
         },
@@ -117,7 +110,7 @@ fn rewrite(f: Formula) -> Formula {
             // true R ζ ≡ ζ (released immediately).
             (True, z) => z,
             // false R ζ ≡ □ζ.
-            (False, z) => z.always(),
+            (False, z) => rewrite(z.always()),
             (a, b) if a == b => a,
             (a, b) => a.release(b),
         },

@@ -467,7 +467,7 @@ fn cmd_simplicity(path: &str, keep: Vec<String>, guard: &Guard) -> Result<ExitCo
     let keep_refs: Vec<&str> = keep.iter().map(String::as_str).collect();
     let h =
         Homomorphism::hiding(ts.alphabet(), keep_refs.iter().copied()).map_err(CheckError::from)?;
-    let report = check_simplicity_with(&h, &ts.to_nfa(), guard)?;
+    let report = check_simplicity_with(&h, &ts, guard)?;
     println!("homomorphism: {h}");
     println!(
         "simple: {} ({} continuation pairs checked)",

@@ -164,14 +164,11 @@ pub fn run_check(
     };
     warn_unknown_atoms(&eta, &ts, err);
     let behaviors = behaviors_of_ts_with(&ts, guard).map_err(CheckError::from)?;
-    // Test hooks: let the CLI/service tests exercise the panic-containment
+    // Test hook: lets the CLI/service tests exercise the panic-containment
     // paths with real partial state (some spans closed, some charges
     // recorded) and assert the observability sinks still flush parseable
-    // output. `RL_TEST_PANIC` fires on every check; the `check-panic` fault
-    // point fires on exactly the armed occurrence.
-    if std::env::var_os("RL_TEST_PANIC").is_some() {
-        panic!("injected panic (RL_TEST_PANIC)");
-    }
+    // output. The `check-panic` fault point fires on exactly the armed
+    // occurrence.
     if fault::fires("check-panic") {
         panic!("injected panic (RL_FAULT=check-panic)");
     }

@@ -1827,7 +1827,7 @@ fn panic_mid_check_still_flushes_parseable_sinks() {
             "--trace-out",
             trace.to_str().expect("utf-8 path"),
         ])
-        .env("RL_TEST_PANIC", "1")
+        .env("RL_FAULT", "check-panic:1")
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("rlcheck binary runs");

@@ -258,9 +258,10 @@ impl GuardProbe {
 }
 
 /// An operation cache that holds nothing: guarded constructions build
-/// every automaton directly. Kept only so that the benchmark, which still
-/// builds one for [`Guard::with_op_cache`], compiles; it will be removed
-/// with that call.
+/// every automaton directly.
+///
+/// Kept only because `perfbench/` calls it; the benchmark change of
+/// ROADMAP item 1 removes it.
 #[derive(Debug, Clone, Default)]
 pub struct OpCache;
 
@@ -333,15 +334,18 @@ impl Guard {
 
     /// Does nothing: the eager determinizing pipeline this once selected is
     /// gone, and every check decides Lemma 4.3 by the lazy antichain search.
-    /// Kept only so that callers built against the old API still compile;
-    /// it will be removed with them, together with [`Guard::with_filters`].
+    ///
+    /// Kept only because `perfbench/` calls it; the benchmark change of
+    /// ROADMAP item 1 removes it.
     pub fn with_lazy(self, _lazy: bool) -> Guard {
         self
     }
 
     /// Does nothing: the semidecision pre-filter ladder this once switched
-    /// no longer runs on any check path. Kept only so that callers built
-    /// against the old API still compile; it will be removed with them.
+    /// is gone.
+    ///
+    /// Kept only because `perfbench/` calls it; the benchmark change of
+    /// ROADMAP item 1 removes it.
     pub fn with_filters(self, _filters: bool) -> Guard {
         self
     }
@@ -363,9 +367,10 @@ impl Guard {
     }
 
     /// Does nothing: guarded constructions no longer memoize, so there is
-    /// no operation cache to attach. Kept only so that the benchmark, which
-    /// still builds its guard with one, compiles; it will be removed with
-    /// that call, together with [`OpCache`].
+    /// no operation cache to attach.
+    ///
+    /// Kept only because `perfbench/` calls it; the benchmark change of
+    /// ROADMAP item 1 removes it.
     pub fn with_op_cache(self, _cache: OpCache) -> Guard {
         self
     }

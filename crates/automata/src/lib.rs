@@ -72,8 +72,6 @@ pub mod lazy;
 mod minimize;
 mod nfa;
 mod par;
-mod prefilter;
-mod sim;
 mod stateset;
 mod ts;
 mod word;
@@ -86,14 +84,12 @@ pub use guard::{Budget, CancelToken, Guard, GuardProbe, OpCache, Progress, Resou
 pub use lazy::{nfa_included_lazy, EdgeRows};
 pub use nfa::Nfa;
 pub use par::{resolve_jobs, Pool, PoolCounters};
-pub use prefilter::{modk_refute, nfa_simulates, parikh_refute};
 pub use rl_obs::knobs;
 pub use rl_obs::{
     chrome_trace_json, folded_stacks, render_jsonl, set_thread_track, thread_track, track_name,
     Counter, Histogram, HistogramRegistry, HistogramSnapshot, Metric, MetricsRegistry, ObsReport,
     RegistrySnapshot, Span, SpanRecord, TraceEvent, TracePhase, Tracer,
 };
-pub use sim::{largest_simulation, simulates};
 pub use stateset::{FxBuildHasher, FxHashMap, FxHasher, Interner, PairTable, StateSet};
 pub use ts::TransitionSystem;
 pub use word::{format_word, parse_word, Word};

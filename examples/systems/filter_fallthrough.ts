@@ -1,12 +1,11 @@
 # Pure fall-through instance: the inclusion pre(L) ⊆ pre(L ∩ []<>a)
 # *fails* (after "b.b" the scheduler wedges into the b-only tail), but the
-# failure is invisible to every kernel of `rl_core::prefilter_inclusion` —
-# letter supports, boundedness, and counts mod k all agree between the two
-# sides, because the live component can also absorb any number of bs one
-# at a time, and the simulation stage only ever *proves* inclusions. The
-# kernels return Unknown on all three stages and the exact core finds the
-# order-sensitive doomed prefix "b.b". The needle window (14-deep history
-# guess) keeps the materializing core honest at 2^14 subset states.
+# failure is invisible to letter counts: supports, boundedness, and counts
+# mod k all agree between the two sides, because the live component can
+# also absorb any number of bs one at a time, and a simulation only ever
+# *proves* inclusions. The exact search finds the order-sensitive doomed
+# prefix "b.b". The needle window (14-deep history guess) keeps the
+# materializing core honest at 2^14 subset states.
 # Try: rlcheck check examples/systems/filter_fallthrough.ts "[]<>a" --stats
 system
 alphabet: a b

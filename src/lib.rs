@@ -71,9 +71,8 @@ pub mod prelude {
         has_maximal_words_with, image_nfa, inverse_image_buchi, inverse_image_nfa, Homomorphism,
     };
     pub use rl_automata::{
-        dfa_equivalent, dfa_included, format_word, largest_simulation, parse_word, resolve_jobs,
-        simulates, Alphabet, Dfa, GuardProbe, Nfa, Pool, RegistrySnapshot, Symbol,
-        TransitionSystem, Word,
+        dfa_equivalent, dfa_included, format_word, parse_word, resolve_jobs, Alphabet, Dfa,
+        GuardProbe, Nfa, Pool, RegistrySnapshot, Symbol, TransitionSystem, Word,
     };
     pub use rl_buchi::{
         behaviors_of_ts, behaviors_of_ts_with, complement, complement_with, omega_included,

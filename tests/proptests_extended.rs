@@ -381,41 +381,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Simulation is sound for language inclusion on random systems.
-    #[test]
-    fn simulation_implies_trace_inclusion(
-        spec in ts_strategy(4),
-        imp in ts_strategy(4),
-    ) {
-        if simulates(&spec, &imp) {
-            prop_assert!(
-                dfa_included(&imp.to_nfa().determinize(), &spec.to_nfa().determinize())
-                    .is_none()
-            );
-        }
-    }
-
-    /// The largest simulation is reflexive and transitive (preorder laws)
-    /// on a random system against itself.
-    #[test]
-    fn simulation_is_a_preorder(ts in ts_strategy(4)) {
-        let rel = largest_simulation(&ts, &ts);
-        for q in 0..ts.state_count() {
-            prop_assert!(rel.contains(&(q, q)), "reflexivity at {q}");
-        }
-        for &(a, b) in &rel {
-            for &(b2, c) in &rel {
-                if b == b2 {
-                    prop_assert!(rel.contains(&(a, c)), "transitivity {a}≤{b}≤{c}");
-                }
-            }
-        }
-    }
-}
-
 /// The nine shipped fixtures, as text.
 const FIXTURES: [&str; 9] = [
     include_str!("../examples/systems/abp.ts"),
